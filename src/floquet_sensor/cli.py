@@ -152,10 +152,6 @@ class ResultBundle:
         return written
 
 
-def _common(ctx) -> dict:
-    return ctx.obj
-
-
 def _readout_model(cfg: dict) -> ReadoutModel:
     phys = cfg.get("physical", {})
     return ReadoutModel(
@@ -265,7 +261,7 @@ def _finish(cfg: dict, bundle: ResultBundle):
 @click.pass_context
 def rabi(ctx):
     """Rabi population scans for the standard presets."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     run = cfg.get("run", {})
     seed = run.get("seed", 0)
     shots = run.get("shots")
@@ -298,7 +294,7 @@ def rabi(ctx):
 @click.pass_context
 def qfi(ctx):
     """Fisher-information scaling against the exact oracle."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     run = cfg.get("run", {})
     seed = run.get("seed", 0)
     shots = run.get("shots")
@@ -328,11 +324,11 @@ def qfi(ctx):
 @click.pass_context
 def effective(ctx):
     """Quasi-energy shift, residual detuning and validity diagnostics."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     phys = cfg.get("physical", {})
     seed = cfg.get("run", {}).get("seed", 0)
     k = int(phys.get("harmonics", 5))
-    sc = make_preset(f"fds-k{k}" if k in (1, 3, 5) else "fds-k5")
+    sc = _build_scenario(f"fds-k{k}" if k in (1, 3, 5) else "fds-k5", cfg)
     drive = sc.drive
     if k not in (1, 3, 5):
         drive = FloquetDriveParams(drive.omega_F_amp, drive.omega_F_freq, k)
@@ -362,7 +358,7 @@ def effective(ctx):
 @click.pass_context
 def robustness(ctx):
     """Control-error sweeps of the driven sensor's Fisher information."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     run = cfg.get("run", {})
     seed = run.get("seed", 0)
     threads = run.get("threads", 1)
@@ -399,7 +395,7 @@ def robustness(ctx):
 @click.pass_context
 def sensitivity_curves(ctx):
     """Magnetic sensitivity curves and optima."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     phys = cfg.get("physical", {})
     seed = cfg.get("run", {}).get("seed", 0)
     t2_values = phys.get("t2_us", [17.9, 162.5])
@@ -432,7 +428,7 @@ def sensitivity_curves(ctx):
 @click.pass_context
 def dd(ctx):
     """Coherence scans with and without Carr-Purcell decoupling."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     run = cfg.get("run", {})
     phys = cfg.get("physical", {})
     seed = run.get("seed", 0)
@@ -477,7 +473,7 @@ def dd(ctx):
 @click.pass_context
 def calibrate(ctx):
     """Calibrate the noise amplitude to a target pulse-free decay time."""
-    cfg = _common(ctx)
+    cfg = ctx.obj
     run = cfg.get("run", {})
     phys = cfg.get("physical", {})
     seed = run.get("seed", 0)
@@ -486,6 +482,7 @@ def calibrate(ctx):
     noise = calibrate_noise(
         target_t2=target,
         tau_c=phys.get("noise_tau_c_us", 50.0),
+        preset=_build_scenario("dd-off", cfg),
         t_grid=np.asarray(grid, dtype=float) if grid else None,
         n_realizations=run.get("noise_realizations", 160),
         seed=seed,

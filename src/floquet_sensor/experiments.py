@@ -37,6 +37,7 @@ from .measurement import (
 )
 from .metrology import QfiEstimate, qfi_exact
 from .params import (
+    TWO_PI,
     ControlErrorParams,
     FloquetDriveParams,
     SensorParams,
@@ -50,8 +51,6 @@ from .propagator import (
     evolve,
     interval_unitary,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # Fig.-style sequence timing defaults (us)
 POLARIZE_DURATION = 5.0
@@ -380,7 +379,7 @@ def run_scan(
     dd: DdConfig | None = None,
     shots: int | None = None,
     n_realizations: int = 128,
-    seed: int = 0,
+    seed: int | None = 0,
     model: ReadoutModel = ReadoutModel(),
     opts: PropagatorOptions = SCAN_OPTS,
 ) -> ScanResult:
@@ -394,7 +393,9 @@ def run_scan(
     reproduced exactly when the pulses commute with the dynamics.
 
     With ``shots`` set, each grid point is additionally read out through the
-    Poisson photon-count model (shots spread evenly over realizations).
+    Poisson photon-count model (shots spread evenly over realizations).  A
+    ``seed`` of None falls back to ``noise.seed`` (then 0) for both the noise
+    and the readout streams.
     """
     scenario = resolve_scenario(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -413,9 +414,9 @@ def run_scan(
     pulse_set = set(np.round(pulses, 12))
 
     mids = 0.5 * (events[:-1] + events[1:])
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed if seed is not None else noise.seed or 0)
-    )
+    if seed is None:
+        seed = noise.seed or 0
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     offsets = noise.sample_segments(mids, n_real, rng)  # detuning, rad/us
 
     spec = scenario.rotating_spec()

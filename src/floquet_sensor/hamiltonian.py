@@ -14,6 +14,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -115,6 +116,24 @@ class HamiltonianSpec:
         freqs = [abs(term.envelope.frequency) for term in self.terms
                  if isinstance(term.envelope, Cosine)]
         return max(freqs, default=0.0)
+
+    @cached_property
+    def fundamental(self) -> tuple[float, float]:
+        """(f0, defect): the periodicity of the spec, both in rad/us.
+
+        f0 is the smallest nonzero envelope frequency and ``defect`` the
+        largest distance of any envelope frequency from an integer multiple
+        of f0, so the spec repeats with period 2*pi/f0 up to a phase drift of
+        ``defect`` rad/us.  Specs without oscillating terms give (0, 0).
+        Computed once per spec.
+        """
+        freqs = [abs(term.envelope.frequency) for term in self.terms
+                 if isinstance(term.envelope, Cosine)]
+        freqs = [f for f in freqs if f != 0.0]
+        if not freqs:
+            return 0.0, 0.0
+        f0 = min(freqs)
+        return f0, max(abs(f - round(f / f0) * f0) for f in freqs)
 
     def amplitude_scale(self) -> float:
         """Sum of envelope magnitudes, a bound on the rotation rate (rad/us)."""

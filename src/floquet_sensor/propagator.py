@@ -10,6 +10,28 @@ time-independent specs a single substep is already exact.
 Everything is vectorized over substeps (and optionally over a batch of
 sigma_z offsets, used for noise-ensemble averaging), with the running
 product accumulated by pairwise matrix-multiply reduction.
+
+Periodic specs take a stroboscopic route over long intervals: with T the
+drive period, U(t0 + mT, t0) = U_T(t0)^m, so one period is integrated and
+raised to the m-th power by repeated squaring (batched over the sigma_z
+offsets), and only the remainder t1 - (t0 + mT) is integrated directly.
+
+- Periodicity is read from the spec (``HamiltonianSpec.fundamental``): f0 is
+  the smallest nonzero envelope frequency, and the route is taken only when
+  every frequency lies within ``defect`` of a multiple of f0 with
+  defect * (t1 - t0) <= 1e-3 * rel_tol, and m >= 2.  Rotating-frame
+  frequencies computed as omega_s - (omega_s - l omega_F) miss l*omega_F by
+  round-off (a few 1e-12 rad/us); lab-frame and RWA-off driven specs miss by
+  a sizable fraction of f0.  Those, constant specs and intervals shorter than
+  2T are integrated directly, exactly as without the route.
+- Step doubling refines U_T until two resolutions agree to rel_tol / m;
+  since ||A^m - B^m|| <= m ||A - B|| for unitaries, the m-period product
+  keeps the rel_tol contract.  Where rel_tol / m would fall below 1e-13,
+  which step doubling of one period cannot resolve above round-off, the
+  interval is integrated directly.  Without refinement U_T uses the substep
+  density the direct path would use on one period.
+- U_T is projected onto SU(2), [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1,
+  before powering, so its round-off unitarity defect is not multiplied by m.
 """
 
 from __future__ import annotations
@@ -24,6 +46,9 @@ from .params import FloquetDriveParams, TWO_PI
 
 _SQRT3 = math.sqrt(3.0)
 _CHUNK = 1 << 16  # substeps per vectorized block; bounds peak memory
+# step doubling of one drive period stalls on round-off near 1e-14, so the
+# stroboscopic route is not used when it would need a period tolerance below this
+_MIN_PERIOD_TOL = 1e-13
 
 
 class PropagationError(RuntimeError):
@@ -157,12 +182,16 @@ def _step_generators(
     return 0.5 * h * (p1 + p2) + (_SQRT3 * h * h / 6.0) * np.cross(p2, p1)
 
 
+def _identity(z_offsets) -> np.ndarray:
+    batch = () if z_offsets is None else (np.asarray(z_offsets).size,)
+    return np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
+
+
 def _interval_unitary(
     spec: HamiltonianSpec, t0: float, t1: float, n: int, z_offsets=None
 ) -> np.ndarray:
     """Propagator over [t0, t1] at fixed resolution n, chunked for memory."""
-    batch = () if z_offsets is None else (np.asarray(z_offsets).size,)
-    total = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
+    total = _identity(z_offsets)
     done = 0
     h = (t1 - t0) / n
     while done < n:
@@ -196,22 +225,19 @@ def _initial_steps(
     return int(math.ceil(n))
 
 
-def interval_unitary(
+def _stepped_unitary(
     spec: HamiltonianSpec,
     t0: float,
     t1: float,
-    opts: PropagatorOptions = PropagatorOptions(),
+    opts: PropagatorOptions,
+    tol: float,
     z_offsets=None,
 ) -> np.ndarray:
-    """Unitary propagator over [t0, t1], refined until step-doubling converges.
+    """Direct propagator over [t0, t1]: step doubling until agreement to ``tol``.
 
     With ``opts.adaptive`` off, a single pass at the initial resolution is
-    returned.  Raises ``PropagationError`` if doubling fails to converge
-    before the substep count becomes unreasonable.
+    returned.
     """
-    if t1 == t0:
-        batch = () if z_offsets is None else (np.asarray(z_offsets).size,)
-        return np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
     n = _initial_steps(spec, t1 - t0, opts)
     u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
     if not opts.adaptive:
@@ -221,16 +247,70 @@ def interval_unitary(
         if (t1 - t0) / n < 1e-13:
             raise PropagationError(
                 f"substep size underflow on [{t0:g}, {t1:g}] us before reaching "
-                f"rel_tol = {opts.rel_tol:g}"
+                f"rel_tol = {tol:g}"
             )
         u_next = _interval_unitary(spec, t0, t1, n, z_offsets)
-        if np.max(np.abs(u_next - u_prev)) < opts.rel_tol:
+        if np.max(np.abs(u_next - u_prev)) < tol:
             return u_next
         u_prev = u_next
     raise PropagationError(
-        f"step doubling did not converge to rel_tol = {opts.rel_tol:g} "
+        f"step doubling did not converge to rel_tol = {tol:g} "
         f"on [{t0:g}, {t1:g}] us"
     )
+
+
+def _su2_project(u: np.ndarray) -> np.ndarray:
+    """Nearest matrix of the form [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1."""
+    a = 0.5 * (u[..., 0, 0] + u[..., 1, 1].conj())
+    b = 0.5 * (u[..., 1, 0] - u[..., 0, 1].conj())
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a, b = a / norm, b / norm
+    out = np.empty_like(u)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = -b.conj()
+    out[..., 1, 0] = b
+    out[..., 1, 1] = a.conj()
+    return out
+
+
+def interval_unitary(
+    spec: HamiltonianSpec,
+    t0: float,
+    t1: float,
+    opts: PropagatorOptions = PropagatorOptions(),
+    z_offsets=None,
+) -> np.ndarray:
+    """Unitary propagator over [t0, t1], refined until step-doubling converges.
+
+    A periodic spec over an interval of m >= 2 periods T is propagated
+    stroboscopically, U(t0 + mT, t0) = U_T(t0)^m: one period is refined to
+    ``opts.rel_tol / m``, projected onto SU(2) and raised to the m-th power,
+    and only the remainder is integrated directly.  With ``opts.adaptive``
+    off, every piece is a single pass at the initial resolution.  Raises
+    ``PropagationError`` if doubling fails to converge before the substep
+    count becomes unreasonable.
+    """
+    if t1 == t0:
+        return _identity(z_offsets)
+    f0, defect = spec.fundamental
+    duration = t1 - t0
+    m = int(duration * f0 / TWO_PI)
+    if (
+        m < 2
+        or defect * duration > 1e-3 * opts.rel_tol
+        or (opts.adaptive and opts.rel_tol / m < _MIN_PERIOD_TOL)
+    ):
+        return _stepped_unitary(spec, t0, t1, opts, opts.rel_tol, z_offsets)
+    period = TWO_PI / f0
+    t_mid = t0 + m * period
+    u_period = _stepped_unitary(
+        spec, t0, t0 + period, opts, opts.rel_tol / m, z_offsets
+    )
+    u = np.linalg.matrix_power(_su2_project(u_period), m)
+    # a remainder within round-off of t0 + mT is skipped
+    if t1 - t_mid > 16.0 * math.ulp(t1):
+        u = _stepped_unitary(spec, t_mid, t1, opts, opts.rel_tol, z_offsets) @ u
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -278,3 +279,33 @@ def test_physical_overrides_change_dynamics(tmp_path):
     row = b.splitlines()[1].split(",")
     expected = rabi_population(mhz_to_angular(0.3), mhz_to_angular(0.1), 1.0)
     assert float(row[2]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_effective_applies_drive_overrides(tmp_path):
+    cfg = write_config(tmp_path, {"physical": {"drive_amp_mhz": 3.0}})
+    res = run_cli(["--config", cfg, "--out", str(tmp_path / "o"), "effective"])
+    assert res.exit_code == 0
+    summary = json.loads((tmp_path / "o" / "effective_summary.json").read_text())
+    # the shift is quadratic in the drive amplitude
+    assert float(summary["quasi_energy_shift_mhz"]) == pytest.approx(
+        9.0 * 0.4999088, rel=1e-6
+    )
+
+
+def test_calibrate_uses_physical_overrides(tmp_path, monkeypatch):
+    import floquet_sensor.cli as cli
+    from floquet_sensor.experiments import NoiseModel
+
+    seen = {}
+
+    def fake_calibrate(**kwargs):
+        seen.update(kwargs)
+        return NoiseModel(kind="ornstein-uhlenbeck", sigma_z=0.5)
+
+    monkeypatch.setattr(cli, "calibrate_noise", fake_calibrate)
+    cfg = write_config(tmp_path, {"physical": {"signal_amp_mhz": 0.2}})
+    res = run_cli(["--config", cfg, "--out", str(tmp_path / "o"), "calibrate"])
+    assert res.exit_code == 0
+    preset = seen["preset"]
+    assert preset.name == "dd-off"
+    assert preset.signal.omega_s_amp == pytest.approx(2.0 * math.pi * 0.2)

@@ -24,7 +24,7 @@ from floquet_sensor.experiments import (
     run_robustness_sweep,
     run_scan,
 )
-from floquet_sensor.params import mhz_to_angular
+from floquet_sensor.params import ControlErrorParams, mhz_to_angular
 from floquet_sensor.propagator import rabi_population
 
 TP = 2.0 * math.pi
@@ -144,6 +144,20 @@ def test_scan_with_readout_noise_deterministic():
     assert np.any(c.p0 != a.p0)
 
 
+def test_scan_readout_seed_falls_back_to_noise_seed():
+    grid = [0.5, 1.0]
+    default = run_scan("ods-resonant", grid, shots=1000, seed=0)
+    unseeded = run_scan("ods-resonant", grid, shots=1000, seed=None)
+    npt.assert_array_equal(unseeded.p0, default.p0)
+    noise = NoiseModel(kind="quasi-static", sigma_z=0.3, seed=7)
+    fallback = run_scan("ods-resonant", grid, noise=noise, n_realizations=4,
+                        shots=1000, seed=None)
+    explicit = run_scan("ods-resonant", grid, noise=noise, n_realizations=4,
+                        shots=1000, seed=7)
+    npt.assert_array_equal(fallback.p0, explicit.p0)
+    npt.assert_array_equal(fallback.stderr, explicit.stderr)
+
+
 def test_dd_off_engine_matches_rabi_scan_bitwise():
     grid = np.linspace(0.4, 6.0, 10)
     noise = NoiseModel(kind="quasi-static", sigma_z=0.3)
@@ -214,6 +228,17 @@ def test_robustness_sweep_smoke():
     assert res.interval[0] <= 0.0 <= res.interval[1]
     assert res.qfi_fds[2] == res.qfi_fds.max()
     assert res.baseline > 0.0
+
+
+def test_exact_qfi_passes_fidelity_check_at_large_amplitude_errors():
+    # the fidelity cross-check of qfi_exact reads a unitarity defect eta of the
+    # Floquet power as a QFI error of 8 eta / h^2; the grid ends have the least
+    # QFI, so the least margin
+    sc = make_preset("robustness-amp")
+    for err_mhz in (-0.98, 0.98):
+        errored = sc.with_errors(ControlErrorParams(amp_error=mhz_to_angular(err_mhz)))
+        q = errored.exact_qfi(4.0)
+        assert 0.0 < q.value <= 16.0
 
 
 def test_robustness_validation():

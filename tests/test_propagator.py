@@ -15,17 +15,21 @@ from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Z,
     build_fds_prime,
+    build_lab_fds,
     build_lab_ods,
     effective_coefficients,
     to_signal_rotating,
 )
+from floquet_sensor.experiments import ORACLE_OPTS, SCAN_OPTS, make_preset
 from floquet_sensor.params import (
+    ControlErrorParams,
     FloquetDriveParams,
     SensorParams,
     SignalParams,
     mhz_to_angular,
 )
 from floquet_sensor.propagator import (
+    _stepped_unitary,
     PropagationError,
     PropagatorOptions,
     StateVector,
@@ -189,6 +193,91 @@ def test_evolve_batch_matches_single_runs():
             PropagatorOptions(rel_tol=1e-8, adaptive=False),
         )
         npt.assert_allclose(out[i], single.states[-1].as_array(), atol=1e-10)
+
+
+# ------------------------------------------------------ stroboscopic route
+
+def _unitarity_defect(u):
+    return np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "preset, freq_error_mhz, t",
+    [("fds-k5", 0.0, 4.0), ("robustness-freq", -20.0, 2.0),
+     ("robustness-freq", -20.0, 4.0), ("robustness-freq", 30.0, 4.0)],
+)
+def test_stroboscopic_route_matches_direct_kernel(preset, freq_error_mhz, t):
+    sc = make_preset(preset).with_errors(
+        ControlErrorParams(freq_error=mhz_to_angular(freq_error_mhz))
+    )
+    spec = sc.rotating_spec()
+    f0, defect = spec.fundamental
+    assert t * f0 / TP > 2.0
+    u = interval_unitary(spec, 0.0, t, ORACLE_OPTS)
+    direct = _stepped_unitary(spec, 0.0, t, ORACLE_OPTS, ORACLE_OPTS.rel_tol)
+    assert np.max(np.abs(u - direct)) <= 1e-10
+    # frequencies built as omega_s - (omega_s - l omega_F) miss l*f0 by round-off;
+    # at -20 MHz by 3.6e-12 rad/us, which is within budget at 2 us but not at 4 us
+    on_route = defect * t <= 1e-3 * ORACLE_OPTS.rel_tol
+    assert on_route == (preset == "fds-k5" or t == 2.0 or freq_error_mhz == 30.0)
+    assert np.array_equal(u, direct) != on_route
+
+
+def test_stroboscopic_route_batched_dd_segment():
+    spec = make_preset("dd-on").rotating_spec()
+    z = 0.5 * np.linspace(-1.5, 1.5, 7)
+    t0, t1 = 1.3, 1.8  # about 18 drive periods between two pi pulses
+    u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
+    direct = _stepped_unitary(spec, t0, t1, SCAN_OPTS, SCAN_OPTS.rel_tol, z)
+    assert u.shape == (7, 2, 2)
+    assert np.max(np.abs(u - direct)) <= SCAN_OPTS.rel_tol
+    for i, off in enumerate(z):
+        single = interval_unitary(spec.with_z_offset(off), t0, t1, SCAN_OPTS)
+        npt.assert_allclose(u[i], single, atol=SCAN_OPTS.rel_tol)
+
+
+def test_stroboscopic_route_falls_back_bit_identically():
+    sc = make_preset("fds-k5")
+    lab = build_lab_fds(sc.sensor, sc.signal, sc.drive)
+    rwa_off = to_signal_rotating(lab, sc.signal, apply_rwa=False)
+    rotating = sc.rotating_spec()
+    coarse, tight = PropagatorOptions(rel_tol=1e-8), PropagatorOptions(rel_tol=1e-12)
+    period = TP / rotating.fundamental[0]
+    cases = [
+        (lab, 0.0, 0.01, coarse),  # incommensurate carriers
+        (rwa_off, 0.0, 0.05, coarse),
+        (rotating, 0.3, 0.3 + 1.9 * period, coarse),  # shorter than 2T
+        (rotating, 0.0, 18.5 * period, tight),  # rel_tol / m below round-off
+    ]
+    for spec, t0, t1, opts in cases:
+        f0, defect = spec.fundamental
+        m = int((t1 - t0) * f0 / TP)
+        assert m < 2 or defect > 0.1 * f0 or opts.rel_tol / m < 1e-13
+        assert np.array_equal(
+            interval_unitary(spec, t0, t1, opts),
+            _stepped_unitary(spec, t0, t1, opts, opts.rel_tol),
+        )
+
+
+def test_stroboscopic_power_stays_unitary():
+    # without the SU(2) projection the 146th power drifts off unitarity by
+    # 2e-12 here; the fidelity cross-check of qfi_exact reads a norm error eta
+    # as a QFI error of 8 eta / h^2
+    sc = make_preset("robustness-amp").with_errors(
+        ControlErrorParams(amp_error=mhz_to_angular(-0.98))
+    )
+    spec = sc.rotating_spec()
+    assert int(4.0 * spec.fundamental[0] / TP) == 146
+    assert _unitarity_defect(interval_unitary(spec, 0.0, 4.0, ORACLE_OPTS)) <= 1e-12
+
+
+def test_stroboscopic_remainder_at_period_multiple():
+    spec = make_preset("fds-k5").rotating_spec()
+    period = TP / spec.fundamental[0]
+    opts = PropagatorOptions(rel_tol=1e-9)
+    u = interval_unitary(spec, 0.0, 3 * period, opts)
+    direct = _stepped_unitary(spec, 0.0, 3 * period, opts, opts.rel_tol)
+    assert np.max(np.abs(u - direct)) <= 1e-9
 
 
 # ----------------------------------------------------------- closed forms
