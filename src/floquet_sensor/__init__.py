@@ -48,11 +48,9 @@ from .metrology import (
 from .measurement import (
     MonteCarloConfig,
     ReadoutModel,
-    ShotRecord,
-    estimate_p0,
     measure_expectation,
     qfi_pipeline,
-    simulate_counts,
+    read_out,
 )
 from .experiments import (
     DdConfig,

@@ -2,10 +2,19 @@
 
 The readout model maps a |0> population to a Poisson mean via linear
 contrast interpolation, mu(p0) = N * t_det * [1 - C * (1 - p0)], with |0>
-the bright state.  Estimators invert that map; the full estimation pipeline
-measures Pauli expectations over a small grid of signal amplitudes, converts
-them to (theta, phi), fits straight lines and evaluates the algebraic
+the bright state.  ``read_out`` draws the aggregate photon count of a shot
+batch (Poisson with mean shots * mu) for an array of populations in one call
+and inverts the model.  The full estimation pipeline measures Pauli
+expectations over a small grid of signal amplitudes, converts them to
+(theta, phi), fits straight lines and evaluates the algebraic
 Fisher-information form, with Monte Carlo repetition supplying error bars.
+
+Random streams: each Monte Carlo call of ``qfi_pipeline`` seeds one
+generator from ``SeedSequence(mc.seed)`` and makes a single Poisson draw of
+shape (repeat, axis x/y/z, grid point), in C order.  The same seed therefore
+reproduces a run bit for bit, and a run with more repeats extends the one
+with fewer.  (Earlier versions spawned one generator per repeat, grid point
+and axis; their Monte Carlo outputs differ statistically, not bit for bit.)
 """
 
 from __future__ import annotations
@@ -13,11 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .metrology import QfiEstimate, theta_phi_from_expectations
+from .metrology import QfiEstimate
 from .propagator import StateVector, expectation
 
 
@@ -47,18 +56,9 @@ class ReadoutModel:
     def mu_dark(self) -> float:
         return self.mu_bright * (1.0 - self.contrast)
 
-    def mean_counts(self, p0: float) -> float:
-        """Poisson mean for a state with |0> population p0."""
+    def mean_counts(self, p0):
+        """Poisson mean for a state with |0> population p0 (scalar or array)."""
         return self.mu_bright * (1.0 - self.contrast * (1.0 - p0))
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """A single readout: photon count, measured basis and the true mean used."""
-
-    counts: int
-    basis: str = "z"
-    mean: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -74,37 +74,37 @@ class MonteCarloConfig:
             raise ValueError("shots and repeats must be >= 1")
 
 
-def simulate_counts(
-    p0: float, model: ReadoutModel, shots: int, seed=None, basis: str = "z"
-) -> list[ShotRecord]:
-    """Draw per-shot Poisson photon counts for a given |0> population."""
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must lie in [0, 1]")
-    mu = model.mean_counts(p0)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(mu, size=int(shots))
-    return [ShotRecord(counts=int(c), basis=basis, mean=mu) for c in counts]
+def _estimate_p0_from_total(total_counts, shots: int, model: ReadoutModel):
+    """Invert the count model: (p0_hat, stderr) from aggregate counts.
 
-
-def estimate_p0(records: Sequence[ShotRecord], model: ReadoutModel):
-    """Invert the count model: (p0_hat, stderr) from a batch of shots.
-
-    p0_hat = 1 - (1 - mean/mu_bright)/C.  The estimate is deliberately not
-    clamped to [0, 1]: clamping would bias the line fits downstream.  The
-    standard error propagates the Poisson variance (estimated by the sample
-    mean).
+    p0_hat = 1 - (1 - mean/mu_bright)/C with mean = total/shots, elementwise
+    over ``total_counts``.  The estimate is deliberately not clamped to
+    [0, 1]: clamping would bias the line fits downstream.  The standard error
+    propagates the Poisson variance (estimated by the sample mean).
     """
-    if len(records) == 0:
-        raise ValueError("need at least one shot record")
-    total = sum(r.counts for r in records)
-    return _estimate_p0_from_total(total, len(records), model)
-
-
-def _estimate_p0_from_total(total_counts: float, shots: int, model: ReadoutModel):
-    mean = total_counts / shots
+    mean = np.asarray(total_counts) / shots
     p0_hat = 1.0 - (1.0 - mean / model.mu_bright) / model.contrast
-    stderr = math.sqrt(max(mean, 0.0) / shots) / (model.mu_bright * model.contrast)
+    stderr = np.sqrt(np.maximum(mean, 0.0) / shots) / (model.mu_bright * model.contrast)
     return p0_hat, stderr
+
+
+def read_out(p0, shots: int, rng: np.random.Generator, model: ReadoutModel,
+             pooled: bool = False):
+    """Poisson photon-count readout of |0> populations: (p0_hat, stderr).
+
+    Each element of ``p0`` (clipped to [0, 1]) is read out over ``shots``
+    shots by one aggregate Poisson draw, the draws taken from ``rng`` in C
+    order, and the count model is inverted.  With ``pooled``, the last axis
+    of ``p0`` is an ensemble sharing the shot budget: each member is read
+    over ``shots / n`` shots and the counts are summed into one estimate, so
+    the outputs lose that axis.
+    """
+    p0 = np.clip(p0, 0.0, 1.0)
+    if not pooled:
+        totals = rng.poisson(model.mean_counts(p0) * shots)
+        return _estimate_p0_from_total(totals, shots, model)
+    totals = rng.poisson(model.mean_counts(p0) * (shots / p0.shape[-1]))
+    return _estimate_p0_from_total(totals.sum(axis=-1), shots, model)
 
 
 def _rotated_p0(state: StateVector, axis: str) -> float:
@@ -120,68 +120,64 @@ def measure_expectation(
     An ideal instantaneous basis rotation maps the axis onto z, the rotated
     |0> population is read out over ``shots`` Poisson shots and inverted,
     and the expectation is 2*p0 - 1.  ``shots=None`` returns the exact value
-    with zero error.  The total count over a shot batch is Poisson with mean
-    shots*mu, so a single aggregate draw reproduces the batch statistics.
+    with zero error.
     """
-    p0 = _rotated_p0(state, axis)
     if shots is None:
         return expectation(state, axis), 0.0
-    rng = np.random.default_rng(seed)
-    total = rng.poisson(model.mean_counts(p0) * shots)
-    p0_hat, p0_err = _estimate_p0_from_total(total, shots, model)
-    return 2.0 * p0_hat - 1.0, 2.0 * p0_err
-
-
-def _unwrap_nearest(phis: np.ndarray) -> np.ndarray:
-    """Sequential nearest-branch unwrapping of a phase sequence."""
-    out = np.array(phis, dtype=float)
-    for i in range(1, len(out)):
-        jump = out[i] - out[i - 1]
-        out[i] -= 2.0 * math.pi * round(jump / (2.0 * math.pi))
-    return out
-
-
-def _line_fit(x: np.ndarray, y: np.ndarray):
-    """Least-squares line; returns (slope, intercept, slope variance estimate)."""
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    dof = max(len(x) - 2, 1)
-    var_slope = float(np.sum(resid**2) / dof / np.sum((x - np.mean(x)) ** 2))
-    return float(coeffs[0]), float(coeffs[1]), var_slope
+    p0_hat, p0_err = read_out(
+        _rotated_p0(state, axis), shots, np.random.default_rng(seed), model
+    )
+    return 2.0 * float(p0_hat) - 1.0, 2.0 * float(p0_err)
 
 
 def _fit_qfi_from_expectations(
     omega_grid: np.ndarray, sx, sy, sz, omega_center: float, debias: bool = False
-) -> tuple[float, list[str]]:
+) -> tuple[np.ndarray, list[str]]:
     """(theta, phi) conversion, unwrap, line fits and the algebraic QFI.
 
-    With ``debias`` (the Monte Carlo path) the squared slopes are corrected
-    by their fitted variance, removing the quadratic noise inflation
-    E[b_hat^2] = b^2 + Var(b_hat); noiseless fits keep the raw slopes since
-    their residuals reflect trajectory curvature, not noise.
+    ``sx``, ``sy``, ``sz`` are (repeats, grid) arrays of Pauli expectations
+    on the shared ``omega_grid``; returns the per-repeat QFI values and the
+    fit notes of every repeat in order.  phi is set to 0 (and noted) at the
+    (sy, sz) = (0, 0) pole and unwrapped onto the nearest branch of its
+    predecessor.  With ``debias`` (the Monte Carlo path) the squared slopes
+    are corrected by their fitted variance, removing the quadratic noise
+    inflation E[b_hat^2] = b^2 + Var(b_hat); noiseless fits keep the raw
+    slopes since their residuals reflect trajectory curvature, not noise.
     """
+    theta = 0.5 * np.arccos(np.clip(sx, -1.0, 1.0))
+    degenerate = (np.abs(sy) < 1e-12) & (np.abs(sz) < 1e-12)
+    phi = np.where(degenerate, 0.0, np.arctan2(-sy, sz))
+    branch = np.cumsum(np.round(np.diff(phi, axis=-1) / (2.0 * math.pi)), axis=-1)
+    phi[:, 1:] -= 2.0 * math.pi * branch
+    ambiguous = np.any(np.abs(np.diff(phi, axis=-1)) > 0.5 * math.pi, axis=-1)
+
     notes: list[str] = []
-    theta = np.empty(len(omega_grid))
-    phi = np.empty(len(omega_grid))
-    for i in range(len(omega_grid)):
-        p = theta_phi_from_expectations(sx[i], sy[i], sz[i])
-        theta[i] = p.theta
-        phi[i] = p.phi
-        if p.phi_degenerate:
-            notes.append(f"phi degenerate at grid point {i}")
-    phi = _unwrap_nearest(phi)
-    steps = np.abs(np.diff(phi))
-    if np.any(steps > 0.5 * math.pi):
-        notes.append(
-            "phi-unwrap ambiguity: adjacent grid points differ by more than pi/2"
+    for r in np.flatnonzero(degenerate.any(axis=-1) | ambiguous):
+        notes.extend(
+            f"phi degenerate at grid point {i}" for i in np.flatnonzero(degenerate[r])
         )
-    slope_t, icept_t, var_t = _line_fit(omega_grid, theta)
-    slope_p, _, var_p = _line_fit(omega_grid, phi)
-    theta_c = slope_t * omega_center + icept_t
+        if ambiguous[r]:
+            notes.append(
+                "phi-unwrap ambiguity: adjacent grid points differ by more than pi/2"
+            )
+
+    # least-squares lines y = b (x - x_mean) + y_mean on the shared grid
+    dx = omega_grid - omega_grid.mean()
+    sxx = np.dot(dx, dx)
+    dof = max(omega_grid.size - 2, 1)
+
+    def line(y):
+        y_mean = y.mean(axis=-1)
+        slope = (y - y_mean[:, None]) @ dx / sxx
+        resid = y - y_mean[:, None] - slope[:, None] * dx
+        return slope, y_mean, np.sum(resid**2, axis=-1) / dof / sxx
+
+    slope_t, mean_t, var_t = line(theta)
+    slope_p, _, var_p = line(phi)
+    theta_c = mean_t + slope_t * (omega_center - omega_grid.mean())
     sq_t = slope_t**2 - (var_t if debias else 0.0)
     sq_p = slope_p**2 - (var_p if debias else 0.0)
-    value = 4.0 * sq_t + math.sin(2.0 * theta_c) ** 2 * sq_p
-    return value, notes
+    return 4.0 * sq_t + np.sin(2.0 * theta_c) ** 2 * sq_p, notes
 
 
 def default_omega_grid(omega_center: float, points: int = 7, span: float = 0.025):
@@ -202,9 +198,10 @@ def qfi_pipeline(
 
     ``scenario(omega, t)`` supplies the evolved state for each grid amplitude.
     With ``shots=None`` the expectations are exact and a single deterministic
-    pass is performed; otherwise each of ``mc.repeats`` repeats redraws the
-    Poisson counts (seeded deterministically per repeat, grid point and axis)
-    and the spread of the per-repeat values gives the error bar.
+    fit is made; otherwise ``mc.repeats`` repeats of Poisson counts are drawn
+    in one call from a generator seeded by ``SeedSequence(mc.seed)``, ordered
+    (repeat, axis, grid point), and the spread of the per-repeat values
+    gives the error bar.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size < 3:
@@ -215,47 +212,32 @@ def qfi_pipeline(
         omega_center = float(np.mean(omega_grid))
 
     states = [scenario(float(w), t) for w in omega_grid]
-    exact = {
-        ax: np.array([expectation(s, ax) for s in states]) for ax in ("x", "y", "z")
-    }
+    exact = np.array([[expectation(s, ax) for s in states] for ax in ("x", "y", "z")])
 
     if shots is None:
-        value, notes = _fit_qfi_from_expectations(
-            omega_grid, exact["x"], exact["y"], exact["z"], omega_center
-        )
+        sx, sy, sz = exact[:, None, :]
+    else:
+        mc = mc or MonteCarloConfig()
+        rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
+        p0 = np.broadcast_to(0.5 * (1.0 + exact), (mc.repeats,) + exact.shape)
+        p0_hat, _ = read_out(p0, shots, rng, model)
+        sx, sy, sz = np.moveaxis(2.0 * p0_hat - 1.0, 1, 0)
+    values, notes = _fit_qfi_from_expectations(
+        omega_grid, sx, sy, sz, omega_center, debias=shots is not None
+    )
+
+    if shots is None:
         for n in notes:
             warnings.warn(n, stacklevel=2)
         return QfiEstimate(
-            value=value, method="theta-phi-fit", stderr=0.0, notes=tuple(notes)
+            value=float(values[0]), method="theta-phi-fit", stderr=0.0,
+            notes=tuple(notes),
         )
-
-    mc = mc or MonteCarloConfig()
-    seed_root = np.random.SeedSequence(mc.seed)
-    repeat_seeds = seed_root.spawn(mc.repeats)
-    values = np.empty(mc.repeats)
-    all_notes: list[str] = []
-    for r in range(mc.repeats):
-        point_seeds = repeat_seeds[r].spawn(omega_grid.size * 3)
-        est = {}
-        for a, ax in enumerate(("x", "y", "z")):
-            vals = np.empty(omega_grid.size)
-            for i in range(omega_grid.size):
-                rng = np.random.default_rng(point_seeds[i * 3 + a])
-                p0 = 0.5 * (1.0 + exact[ax][i])
-                total = rng.poisson(model.mean_counts(p0) * shots)
-                p0_hat, _ = _estimate_p0_from_total(total, shots, model)
-                vals[i] = 2.0 * p0_hat - 1.0
-            est[ax] = vals
-        values[r], notes = _fit_qfi_from_expectations(
-            omega_grid, est["x"], est["y"], est["z"], omega_center, debias=True
-        )
-        all_notes.extend(notes)
-    stderr = float(np.std(values, ddof=1)) if mc.repeats > 1 else 0.0
-    if all_notes:
-        warnings.warn(f"{len(all_notes)} fit notes over {mc.repeats} repeats", stacklevel=2)
+    if notes:
+        warnings.warn(f"{len(notes)} fit notes over {mc.repeats} repeats", stacklevel=2)
     return QfiEstimate(
         value=max(float(np.mean(values)), 0.0),
         method="monte-carlo",
-        stderr=stderr,
-        notes=tuple(sorted(set(all_notes))),
+        stderr=float(np.std(values, ddof=1)) if mc.repeats > 1 else 0.0,
+        notes=tuple(sorted(set(notes))),
     )

@@ -6,13 +6,14 @@ import pytest
 from floquet_sensor.measurement import (
     MonteCarloConfig,
     ReadoutModel,
-    ShotRecord,
+    _estimate_p0_from_total,
+    _fit_qfi_from_expectations,
     default_omega_grid,
-    estimate_p0,
     measure_expectation,
     qfi_pipeline,
-    simulate_counts,
+    read_out,
 )
+from floquet_sensor.metrology import theta_phi_from_expectations
 from floquet_sensor.params import SensorParams, SignalParams
 from floquet_sensor.hamiltonian import build_lab_ods, to_signal_rotating
 from floquet_sensor.propagator import StateVector, evolve
@@ -49,47 +50,74 @@ def test_model_validation():
         ReadoutModel(count_rate=-1.0)
 
 
-def test_simulate_counts_statistics():
+class _FixedCounts:
+    """Stands in for a generator: every Poisson draw returns ``counts``."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def poisson(self, lam):
+        return np.full(np.shape(lam), self.counts)
+
+
+def test_read_out_poisson_statistics():
     m = ReadoutModel()
-    records = simulate_counts(1.0, m, shots=200_000, seed=4)
-    assert len(records) == 200_000
-    assert all(isinstance(r, ShotRecord) for r in records[:5])
-    mean = np.mean([r.counts for r in records])
-    assert mean == pytest.approx(m.mu_bright, rel=0.02)
-    with pytest.raises(ValueError):
-        simulate_counts(1.5, m, 10)
+    p0_hat, stderr = read_out(np.ones(1_000_000), 1, np.random.default_rng(4), m)
+    counts = m.mu_bright * (1.0 - m.contrast * (1.0 - p0_hat))  # one shot each
+    assert np.mean(counts) == pytest.approx(m.mu_bright, rel=0.02)
+    # Poisson: variance equals mean
+    assert np.var(counts) == pytest.approx(m.mu_bright, rel=0.02)
+    assert stderr.shape == (1_000_000,)
+
+
+def test_read_out_stream_is_c_order_and_pooling_sums_counts():
+    m = ReadoutModel()
+    p0 = np.array([[0.2, 0.9, 1.0 + 1e-15], [0.5, 0.0, 0.7]])
+    batched, _ = read_out(p0, 1000, np.random.default_rng(8), m)
+    rng = np.random.default_rng(8)
+    for idx in np.ndindex(p0.shape):
+        single, _ = read_out(p0[idx], 1000, rng, m)
+        assert single == batched[idx]
+    # pooled: three members share 900 shots, one estimate per row
+    pooled, pooled_err = read_out(p0, 900, np.random.default_rng(8), m, pooled=True)
+    totals = np.random.default_rng(8).poisson(m.mean_counts(np.clip(p0, 0.0, 1.0)) * 300.0)
+    expected, expected_err = _estimate_p0_from_total(totals.sum(axis=1), 900, m)
+    assert pooled.shape == (2,)
+    assert np.array_equal(pooled, expected) and np.array_equal(pooled_err, expected_err)
 
 
 # --------------------------------------------------------------- estimators
 
-def test_estimate_p0_at_bright_reference():
+def test_read_out_inverts_at_bright_reference():
     m = ReadoutModel()
-    # sample mean exactly at the bright reference -> p0 = 1
-    fake = [ShotRecord(counts=1), ShotRecord(counts=0)]
-    mean = (1 + 0) / 2
-    p0, _ = estimate_p0(fake, m)
-    expected = 1.0 - (1.0 - mean / m.mu_bright) / m.contrast
+    # two shots with counts 1 and 0: the total is 1
+    p0, _ = read_out(1.0, 2, _FixedCounts(1), m)
+    expected = 1.0 - (1.0 - 0.5 / m.mu_bright) / m.contrast
     assert p0 == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        estimate_p0([], m)
+    # a sample mean exactly at the bright reference reads p0 = 1
+    p0, _ = _estimate_p0_from_total(1e5 * m.mu_bright, 100_000, m)
+    assert p0 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_estimator_consistency_with_shots():
+def test_read_out_stderr_scales_as_inverse_sqrt_shots():
     m = ReadoutModel()
-    truth = 0.5
-    errs = []
+    rng = np.random.default_rng(12)
+    truth = np.full(4000, 0.5)
+    spreads, reported = [], []
     for shots in (10_000, 100_000, 1_000_000):
-        records = simulate_counts(truth, m, shots, seed=12)
-        p0_hat, stderr = estimate_p0(records, m)
-        errs.append(abs(p0_hat - truth))
-        assert abs(p0_hat - truth) < 4.0 * stderr
-    assert errs[-1] < errs[0]
+        p0_hat, stderr = read_out(truth, shots, rng, m)
+        spreads.append(np.std(p0_hat, ddof=1))
+        reported.append(np.mean(stderr))
+        assert abs(np.mean(p0_hat) - 0.5) < 5.0 * spreads[-1] / math.sqrt(truth.size)
+        assert spreads[-1] == pytest.approx(reported[-1], rel=0.1)
+    for a, b in ((0, 1), (1, 2)):
+        assert reported[a] / reported[b] == pytest.approx(math.sqrt(10.0), rel=1e-3)
+        assert spreads[a] / spreads[b] == pytest.approx(math.sqrt(10.0), rel=0.1)
 
 
-def test_estimate_p0_unclamped():
+def test_read_out_estimate_unclamped():
     m = ReadoutModel()
-    high = [ShotRecord(counts=10)] * 4  # far above the bright reference
-    p0, _ = estimate_p0(high, m)
+    p0, _ = read_out(1.0, 4, _FixedCounts(10), m)  # far above the bright reference
     assert p0 > 1.0  # deliberately not clamped
 
 
@@ -111,6 +139,18 @@ def test_measure_expectation_stderr_scaling():
         errs.append(err)
     assert errs[0] / errs[1] == pytest.approx(math.sqrt(10.0), rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(math.sqrt(10.0), rel=0.2)
+
+
+def test_measure_expectation_is_one_aggregate_draw():
+    m = ReadoutModel()
+    s = resonant_state(TP * 0.5, 0.7)
+    v, _ = measure_expectation(s, "y", m, shots=50_000, seed=5)
+    from floquet_sensor.propagator import expectation
+
+    p0 = 0.5 * (1.0 + expectation(s, "y"))
+    total = np.random.default_rng(5).poisson(m.mean_counts(p0) * 50_000)
+    p0_hat = 1.0 - (1.0 - total / 50_000 / m.mu_bright) / m.contrast
+    assert v == 2.0 * p0_hat - 1.0
 
 
 def test_measure_expectation_converges():
@@ -198,3 +238,83 @@ def test_monte_carlo_config_validation():
         MonteCarloConfig(shots=0)
     with pytest.raises(ValueError):
         MonteCarloConfig(repeats=0)
+
+
+# ------------------------------------------------- batched fit vs scalar oracle
+
+def _scalar_fit_oracle(omega_grid, sx, sy, sz, omega_center, debias):
+    """The per-repeat fit the batched one replaced: theta_phi_from_expectations
+    per point, sequential nearest-branch unwrap, np.polyfit lines."""
+    notes = []
+    theta, phi = np.empty(len(omega_grid)), np.empty(len(omega_grid))
+    for i in range(len(omega_grid)):
+        p = theta_phi_from_expectations(sx[i], sy[i], sz[i])
+        theta[i], phi[i] = p.theta, p.phi
+        if p.phi_degenerate:
+            notes.append(f"phi degenerate at grid point {i}")
+    for i in range(1, len(phi)):
+        phi[i] -= TP * round((phi[i] - phi[i - 1]) / TP)
+    if np.any(np.abs(np.diff(phi)) > 0.5 * math.pi):
+        notes.append("phi-unwrap ambiguity: adjacent grid points differ by more than pi/2")
+
+    def line_fit(y):
+        coeffs = np.polyfit(omega_grid, y, 1)
+        resid = y - np.polyval(coeffs, omega_grid)
+        var = np.sum(resid**2) / max(len(y) - 2, 1) / np.sum((omega_grid - omega_grid.mean()) ** 2)
+        return coeffs[0], coeffs[1], var
+
+    slope_t, icept_t, var_t = line_fit(theta)
+    slope_p, _, var_p = line_fit(phi)
+    theta_c = slope_t * omega_center + icept_t
+    sq_t = slope_t**2 - (var_t if debias else 0.0)
+    sq_p = slope_p**2 - (var_p if debias else 0.0)
+    return 4.0 * sq_t + math.sin(2.0 * theta_c) ** 2 * sq_p, notes
+
+
+def test_batched_fit_matches_scalar_oracle():
+    w0 = TP * 0.5
+    grid = default_omega_grid(w0)
+    from floquet_sensor.propagator import expectation
+
+    states = [resonant_state(w, 3.8) for w in grid]
+    exact = np.array([[expectation(s, ax) for s in states] for ax in "xyz"])
+    rng = np.random.default_rng(17)
+    sx, sy, sz = exact[:, None, :] + 0.01 * rng.standard_normal((3, 200, grid.size))
+    sy[5, 3] = sz[5, 3] = 0.0  # the (sy, sz) = (0, 0) pole
+    phi = np.arctan2(-sy[9, 2], sz[9, 2]) + 2.0  # a > pi/2 phase jump
+    radius = math.hypot(sy[9, 2], sz[9, 2])
+    sy[9, 2], sz[9, 2] = -radius * math.sin(phi), radius * math.cos(phi)
+
+    for debias in (False, True):
+        values, notes = _fit_qfi_from_expectations(grid, sx, sy, sz, w0, debias)
+        oracle_notes = []
+        for r in range(200):
+            value, n = _scalar_fit_oracle(grid, sx[r], sy[r], sz[r], w0, debias)
+            assert values[r] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            oracle_notes.extend(n)
+        assert notes == oracle_notes  # same order, so the same warning count
+    assert "phi degenerate at grid point 3" in notes
+    assert any(n.startswith("phi-unwrap ambiguity") for n in notes)
+
+
+def test_pipeline_monte_carlo_notes_and_warning_count():
+    w0 = TP * 0.5
+    grid = default_omega_grid(w0)
+    # 1000 shots: noise large enough to trip unwrap notes in some repeats
+    mc = MonteCarloConfig(shots=1_000, repeats=200, seed=2)
+    with pytest.warns(UserWarning, match=r"\d+ fit notes over 200 repeats") as rec:
+        est = qfi_pipeline(resonant_scenario(w0), 0.2, grid, shots=mc.shots, mc=mc,
+                           omega_center=w0)
+    assert est.notes == tuple(sorted(set(est.notes)))
+    count = int(str(rec[0].message).split()[0])
+    assert count >= len(est.notes) > 0
+
+
+def test_pipeline_monte_carlo_resonant_mean_within_5_sem():
+    w0 = TP * 0.5
+    t = 3.8
+    mc = MonteCarloConfig(shots=100_000, repeats=2000, seed=0)
+    est = qfi_pipeline(resonant_scenario(w0), t, default_omega_grid(w0),
+                       shots=mc.shots, mc=mc, omega_center=w0)
+    sem = est.stderr / math.sqrt(mc.repeats)
+    assert abs(est.value - t**2) < 5.0 * sem

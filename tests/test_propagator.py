@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -179,6 +180,17 @@ def test_pathological_spec_reported():
     )
     with pytest.raises(PropagationError):
         evolve(crazy, StateVector.ket0(), [1.0])
+
+
+def test_step_doubling_stall_fails_fast():
+    # below the round-off floor the residual stops shrinking; without the
+    # stall check one fds-k5 period at rel_tol 3e-14 doubled for minutes
+    spec = make_preset("fds-k5").rotating_spec()
+    period = TP / spec.fundamental[0]
+    start = time.perf_counter()
+    with pytest.raises(PropagationError, match=r"stalled .* residual reached \d"):
+        interval_unitary(spec, 0.0, period, PropagatorOptions(rel_tol=1e-15))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_evolve_batch_matches_single_runs():
