@@ -48,7 +48,6 @@ from .metrology import (
 from .measurement import (
     MonteCarloConfig,
     ReadoutModel,
-    measure_expectation,
     qfi_pipeline,
     read_out,
 )
@@ -57,13 +56,11 @@ from .experiments import (
     DecayFit,
     NoiseModel,
     PRESET_NAMES,
-    PulseSequence,
     Scenario,
     calibrate_noise,
     make_preset,
     run_dd_experiment,
     run_qfi_scaling,
-    run_rabi_scan,
     run_robustness_sweep,
 )
 

@@ -33,8 +33,8 @@ from .experiments import (
     make_preset,
     run_dd_experiment,
     run_qfi_scaling,
-    run_rabi_scan,
     run_robustness_sweep,
+    run_scan,
 )
 
 SCHEMA_VERSION = 1
@@ -54,7 +54,7 @@ _CONFIG_SCHEMA = {
         "contrast": float,
         "count_rate_per_s": float,
         "detect_time_us": float,
-        "t2_us": list,
+        "t2_us": [float],
         "tau_us": float,
         "noise_sigma_z_mhz": float,
         "noise_tau_c_us": float,
@@ -66,28 +66,48 @@ _CONFIG_SCHEMA = {
         "seed": int,
         "noise_realizations": int,
         "threads": int,
-        "t_grid_us": list,
-        "presets": list,
-        "error_grid_mhz": list,
+        "t_grid_us": [float],
+        "presets": [str],
+        "error_grid_mhz": [float],
         "sweep_time_us": float,
     },
-    "output": {"dir": str, "formats": list},
+    "output": {"dir": str, "formats": [str]},
 }
+# a list value is declared as [element type] and must not be empty
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
 class ConfigError(click.UsageError):
     """Config-file problem; exits with the usage status code (2)."""
 
 
+def _check_value(value, kind: type, where: str) -> None:
+    """An int passes where a float is declared; a bool passes as neither."""
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or isinstance(value, bool):
+        raise ConfigError(
+            f"config key {where} must be {_TYPE_NAMES[kind]}, got {value!r}"
+        )
+
+
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
+    """Reject unknown keys, mistyped values and empty lists, naming the key."""
     for key, sub in data.items():
         where = f"{path}{key}"
         if key not in schema:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(schema[key], dict):
+        kind = schema[key]
+        if isinstance(kind, dict):
             if not isinstance(sub, dict):
                 raise ConfigError(f"config section {where} must be a table")
-            _check_keys(sub, schema[key], where + ".")
+            _check_keys(sub, kind, where + ".")
+        elif isinstance(kind, list):
+            if not isinstance(sub, list) or not sub:
+                raise ConfigError(f"config key {where} must be a non-empty list")
+            for i, item in enumerate(sub):
+                _check_value(item, kind[0], f"{where}[{i}]")
+        else:
+            _check_value(sub, kind, where)
 
 
 def load_config(path: str | None) -> dict:
@@ -240,6 +260,8 @@ def main(ctx, config_path, out_dir, seed, shots, formats, threads):
         run["shots"] = shots
     if threads != 1:
         run["threads"] = threads
+    if run.get("threads", 1) < 1:
+        raise ConfigError(f"threads must be >= 1, got {run['threads']}")
     out = cfg.setdefault("output", {})
     out.setdefault("dir", out_dir)
     fmts = tuple(f.strip() for f in formats.split(",") if f.strip())
@@ -269,12 +291,10 @@ def rabi(ctx):
         cfg, ["ods-resonant", "ods-detuned", "fds-k1", "fds-k3", "fds-k5"]
     )
     t_grid = _t_grid(cfg, np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10))
-    if t_grid.size == 0:
-        raise ConfigError("empty time grid")
     bundle = ResultBundle("rabi", cfg, seed)
     model = _readout_model(cfg)
     for name in presets:
-        scan = run_rabi_scan(
+        scan = run_scan(
             _build_scenario(name, cfg), t_grid, shots=shots, seed=seed, model=model
         )
         rows = [
@@ -363,8 +383,8 @@ def robustness(ctx):
     seed = run.get("seed", 0)
     threads = run.get("threads", 1)
     presets = _preset_names(cfg, ["robustness-amp", "robustness-freq"])
-    grid_mhz = run.get("error_grid_mhz")
-    grid = mhz_to_angular(np.asarray(grid_mhz, dtype=float)) if grid_mhz else None
+    grid = run.get("error_grid_mhz")
+    grid = mhz_to_angular(np.asarray(grid, dtype=float)) if grid is not None else None
     t_sweep = run.get("sweep_time_us", 4.0)
     bundle = ResultBundle("robustness", cfg, seed)
     for name in presets:
@@ -445,7 +465,7 @@ def dd(ctx):
     )
     tau = phys.get("tau_us", 0.5)
     grid = run.get("t_grid_us")
-    grid = np.asarray(grid, dtype=float) if grid else None
+    grid = np.asarray(grid, dtype=float) if grid is not None else None
     bundle = ResultBundle("dd", cfg, seed)
     for name, ddcfg in (("dd-off", None), ("dd-on", DdConfig(tau=tau))):
         scan, fit = run_dd_experiment(
@@ -483,7 +503,7 @@ def calibrate(ctx):
         target_t2=target,
         tau_c=phys.get("noise_tau_c_us", 50.0),
         preset=_build_scenario("dd-off", cfg),
-        t_grid=np.asarray(grid, dtype=float) if grid else None,
+        t_grid=np.asarray(grid, dtype=float) if grid is not None else None,
         n_realizations=run.get("noise_realizations", 160),
         seed=seed,
     )

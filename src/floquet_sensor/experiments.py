@@ -4,11 +4,13 @@ dephasing noise.
 
 Scenario presets bundle the sensing configuration (sensor, signal, drive)
 under the names the command-line interface exposes.  The scan engine
-propagates a batch of noise realizations through the pulse sequence
-(polarize, wait, sense with optional pi pulses, detect), treating the
-detuning noise as constant across each inter-event segment (the correlation
-time is far longer than any segment) and applying pi pulses as instantaneous
-rotations about the drive's micromotion-dressed axis.
+(``run_scan``) starts a batch of noise realizations in |0> and walks one
+sorted event list: the scan's grid times merged with the Carr-Purcell pulse
+instants of ``DdConfig.pulse_times``.  Between adjacent events the batch is
+advanced by one propagator call, with the detuning noise held constant over
+the segment (the correlation time is far longer than any segment); pi
+pulses are instantaneous rotations about the drive's micromotion-dressed
+axis, and populations are recorded at the grid times.
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ from .propagator import (
     evolve,
     interval_unitary,
 )
-
-# Fig.-style sequence timing defaults (us)
-POLARIZE_DURATION = 5.0
-WAIT_DURATION = 0.3
-DETECT_DURATION = 0.94
 
 # Per-harmonic drive tone phases, tuned once against the exact-QFI oracle and
 # frozen.  The all-cosine convention puts the switch-on micromotion kick
@@ -181,62 +178,8 @@ def resolve_scenario(preset: Union[str, Scenario]) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# pulse sequences
+# dynamical-decoupling pulses
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Polarize:
-    duration: float = POLARIZE_DURATION
-
-
-@dataclass(frozen=True)
-class Wait:
-    duration: float = WAIT_DURATION
-
-
-@dataclass(frozen=True)
-class Sense:
-    duration: float
-    spec: HamiltonianSpec | None = None
-
-
-@dataclass(frozen=True)
-class PiPulse:
-    axis: str = "x"
-
-
-@dataclass(frozen=True)
-class Detect:
-    duration: float = DETECT_DURATION
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Ordered segment list: polarize/wait, contiguous sensing (with optional
-    pi pulses between sensing stretches), one final detect."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        segs = self.segments
-        if not segs or not isinstance(segs[-1], Detect):
-            raise ValueError("sequence must end with exactly one Detect")
-        if any(isinstance(s, Detect) for s in segs[:-1]):
-            raise ValueError("only one Detect is allowed, at the end")
-        sense_idx = [i for i, s in enumerate(segs) if isinstance(s, (Sense, PiPulse))]
-        if sense_idx and sense_idx != list(range(sense_idx[0], sense_idx[-1] + 1)):
-            raise ValueError("sensing window (Sense/PiPulse) must be contiguous")
-        for i, s in enumerate(segs):
-            if isinstance(s, PiPulse):
-                before = any(isinstance(x, Sense) for x in segs[:i])
-                after = any(isinstance(x, Sense) for x in segs[i + 1:])
-                if not (before and after):
-                    raise ValueError("pi pulses must lie inside the sensing window")
-
-    @property
-    def sense_duration(self) -> float:
-        return sum(s.duration for s in self.segments if isinstance(s, Sense))
-
 
 @dataclass(frozen=True)
 class DdConfig:
@@ -264,27 +207,6 @@ class DdConfig:
         n = int(math.floor((total - self.tau) / (2.0 * self.tau) + 1e-9)) + 1
         times = self.tau + 2.0 * self.tau * np.arange(n)
         return times[times <= total - self.tau + 1e-9]
-
-
-def build_cp_sequence(
-    spec: HamiltonianSpec,
-    sense_time: float,
-    dd: DdConfig | None = None,
-    polarize: float = POLARIZE_DURATION,
-    wait: float = WAIT_DURATION,
-    detect: float = DETECT_DURATION,
-) -> PulseSequence:
-    """Assemble the polarize / wait / sense(+pi pulses) / detect sequence."""
-    segs: list = [Polarize(polarize), Wait(wait)]
-    pulses = dd.pulse_times(sense_time) if dd is not None else np.empty(0)
-    t_prev = 0.0
-    for tp in pulses:
-        segs.append(Sense(tp - t_prev, spec))
-        segs.append(PiPulse(dd.axis))
-        t_prev = tp
-    segs.append(Sense(sense_time - t_prev, spec))
-    segs.append(Detect(detect))
-    return PulseSequence(tuple(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +307,9 @@ def run_scan(
 ) -> ScanResult:
     """Population-vs-time scan of one sequence family.
 
-    Each noise realization is a single continuous trajectory sampled at every
-    grid time (polarize resets to |0> exactly; the wait interval is identity
-    on the two-level state).  Pi pulses, when configured, fall at fixed
-    Carr-Purcell times; populations at grid points after an odd number of
+    Each noise realization is a single continuous trajectory from |0> at
+    t = 0, sampled at every grid time.  Pi pulses, when configured, fall at
+    fixed Carr-Purcell times; populations at grid points after an odd number of
     pulses are reported in the echo frame (flipped), so a pulse-free run is
     reproduced exactly when the pulses commute with the dynamics.
 
@@ -462,28 +383,6 @@ def run_scan(
         stderr=p0_err,
         n_realizations=n_real,
         pulse_times=pulses,
-    )
-
-
-def run_rabi_scan(
-    preset: Union[str, Scenario],
-    t_grid,
-    noise: NoiseModel | None = None,
-    shots: int | None = None,
-    n_realizations: int = 128,
-    seed: int = 0,
-    model: ReadoutModel = ReadoutModel(),
-) -> ScanResult:
-    """Rabi population scan (no decoupling pulses); see ``run_scan``."""
-    return run_scan(
-        preset,
-        t_grid,
-        noise=noise,
-        dd=None,
-        shots=shots,
-        n_realizations=n_realizations,
-        seed=seed,
-        model=model,
     )
 
 
@@ -634,7 +533,6 @@ def run_robustness_sweep(
     grid=None,
     t: float = 4.0,
     preset: Union[str, Scenario, None] = None,
-    refine: bool = True,
     n_workers: int = 1,
     opts: PropagatorOptions = ORACLE_OPTS,
 ) -> RobustnessResult:
@@ -646,7 +544,10 @@ def run_robustness_sweep(
     returned interval is the contiguous region around zero error where the
     driven sensor wins, endpoint-refined by bisection (an endpoint still
     winning at the grid edge is reported as the edge, flagged open).
+    ``n_workers`` > 1 spreads the grid points over a thread pool.
     """
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
     if preset is None:
         preset = "robustness-amp" if error_axis == "amplitude" else "robustness-freq"
     scenario = resolve_scenario(preset)
@@ -696,9 +597,9 @@ def run_robustness_sweep(
                 b = m
         return 0.5 * (a + b)
 
-    if refine and not lo_open:
+    if not lo_open:
         lo = bisect(errors[lo_i], errors[lo_i - 1])
-    if refine and not hi_open:
+    if not hi_open:
         hi = bisect(errors[hi_i], errors[hi_i + 1])
 
     return RobustnessResult(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -39,7 +39,6 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 class Frame(str, enum.Enum):
     LAB = "lab"
     SIGNAL_ROTATING = "signal_rotating"
-    FLOQUET_ROTATING = "floquet_rotating"
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,10 @@ class PauliTerm:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Frame-tagged sum of Pauli terms; evaluates to a 2x2 Hermitian matrix.
-
-    ``metadata`` records the originating parameter sets for traceability and
-    plays no role in evaluation.
-    """
+    """Frame-tagged sum of Pauli terms; evaluates to a 2x2 Hermitian matrix."""
 
     frame: Frame
     terms: tuple[PauliTerm, ...]
-    metadata: dict = field(default_factory=dict)
 
     def coefficients(self, t):
         """Pauli coefficient vector(s) (cx, cy, cz) at time(s) t.
@@ -143,16 +137,6 @@ class HamiltonianSpec:
             total += abs(env.value) if isinstance(env, Constant) else abs(env.amplitude)
         return total
 
-    def with_z_offset(self, offset: float) -> "HamiltonianSpec":
-        """New spec with an extra constant sigma_z term (e.g. detuning noise)."""
-        if offset == 0.0:
-            return self
-        return HamiltonianSpec(
-            frame=self.frame,
-            terms=self.terms + (PauliTerm("z", Constant(offset)),),
-            metadata=self.metadata,
-        )
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -169,11 +153,7 @@ def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec
         terms.append(
             PauliTerm("x", Cosine(signal.omega_s_amp, signal.omega_s_freq))
         )
-    return HamiltonianSpec(
-        frame=Frame.LAB,
-        terms=tuple(terms),
-        metadata={"sensor": sensor, "signal": signal},
-    )
+    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
 def build_lab_fds(
@@ -202,11 +182,7 @@ def build_lab_fds(
                     ),
                 )
             )
-    return HamiltonianSpec(
-        frame=Frame.LAB,
-        terms=tuple(terms),
-        metadata={"sensor": sensor, "signal": signal, "drive": drv},
-    )
+    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
 def to_signal_rotating(
@@ -242,11 +218,7 @@ def to_signal_rotating(
                 "sigma_z and cosine sigma_x terms arise in this sensing model"
             )
     terms.insert(0, PauliTerm("z", Constant(z_const)))
-    metadata = dict(spec.metadata)
-    metadata["rwa"] = apply_rwa
-    return HamiltonianSpec(
-        frame=Frame.SIGNAL_ROTATING, terms=tuple(terms), metadata=metadata
-    )
+    return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
 
 
 def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:

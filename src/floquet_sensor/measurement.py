@@ -107,29 +107,6 @@ def read_out(p0, shots: int, rng: np.random.Generator, model: ReadoutModel,
     return _estimate_p0_from_total(totals.sum(axis=-1), shots, model)
 
 
-def _rotated_p0(state: StateVector, axis: str) -> float:
-    """Population of the +1 eigenstate of the requested Pauli axis."""
-    return 0.5 * (1.0 + expectation(state, axis))
-
-
-def measure_expectation(
-    state: StateVector, axis: str, model: ReadoutModel, shots=None, seed=None
-):
-    """Estimate a Pauli expectation through the photon-count readout.
-
-    An ideal instantaneous basis rotation maps the axis onto z, the rotated
-    |0> population is read out over ``shots`` Poisson shots and inverted,
-    and the expectation is 2*p0 - 1.  ``shots=None`` returns the exact value
-    with zero error.
-    """
-    if shots is None:
-        return expectation(state, axis), 0.0
-    p0_hat, p0_err = read_out(
-        _rotated_p0(state, axis), shots, np.random.default_rng(seed), model
-    )
-    return 2.0 * float(p0_hat) - 1.0, 2.0 * float(p0_err)
-
-
 def _fit_qfi_from_expectations(
     omega_grid: np.ndarray, sx, sy, sz, omega_center: float, debias: bool = False
 ) -> tuple[np.ndarray, list[str]]:

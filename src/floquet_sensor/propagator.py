@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import HamiltonianSpec
+from .hamiltonian import HamiltonianSpec, kick_operator
 from .params import FloquetDriveParams, TWO_PI
 
 _SQRT3 = math.sqrt(3.0)
@@ -107,8 +107,6 @@ class PropagatorOptions:
 
     rel_tol : float
         Target agreement between successive step-halvings (amplitude scale).
-    max_step : float or None
-        Optional upper bound on the substep length, us.
     adaptive : bool
         If False, skip Richardson refinement and integrate at the initial
         resolution (used for noise-ensemble runs where statistical error
@@ -116,7 +114,6 @@ class PropagatorOptions:
     """
 
     rel_tol: float = 1e-10
-    max_step: float | None = None
     adaptive: bool = True
 
 
@@ -217,8 +214,6 @@ def _initial_steps(
     n_osc = duration * spec.max_frequency() / TWO_PI * per_period
     n_rot = duration * spec.amplitude_scale() / TWO_PI * 8.0
     n = max(2.0, n_osc, n_rot)
-    if opts.max_step is not None:
-        n = max(n, duration / opts.max_step)
     if n > 5e8:
         raise PropagationError(
             f"interval of {duration:g} us needs ~{n:.3g} substeps at this "
@@ -358,24 +353,6 @@ def evolve(
     return EvolutionResult(times=times, states=tuple(states), populations=pops)
 
 
-def evolve_batch(
-    spec: HamiltonianSpec,
-    psi0: np.ndarray,
-    t0: float,
-    t1: float,
-    z_offsets: np.ndarray,
-    opts: PropagatorOptions = PropagatorOptions(adaptive=False, rel_tol=1e-6),
-) -> np.ndarray:
-    """Advance a batch of states over one segment with per-member sigma_z offsets.
-
-    ``psi0`` has shape (r, 2); ``z_offsets`` shape (r,).  This is the
-    noise-ensemble workhorse: all members share the base spec and differ only
-    by a constant detuning-like offset.  Returns the advanced (r, 2) states.
-    """
-    u = interval_unitary(spec, t0, t1, opts, z_offsets=z_offsets)
-    return np.einsum("rij,rj->ri", u, psi0)
-
-
 def rabi_population(omega_s_amp: float, delta: float, t: float) -> float:
     """Closed-form |0> population under a constant rotating-frame drive.
 
@@ -416,8 +393,6 @@ def micromotion_error(
     propagates ``spec`` exactly and K is the first-order kick operator.  The
     defect shrinks at least quadratically with the drive frequency.
     """
-    from .hamiltonian import kick_operator  # local import keeps module load light
-
     u_full = interval_unitary(spec, 0.0, t, opts)
     k_t = kick_operator(drive, t)
     k_0 = kick_operator(drive, 0.0)

@@ -90,11 +90,33 @@ def test_config_in_mhz_is_echoed_in_summary(tmp_path):
     assert summary["config"]["physical"]["detuning_mhz"] == 0.5
 
 
+# (config, arguments, key named in the error): unknown keys, values of the
+# wrong type and thread counts below 1 are usage errors, caught before any
+# computation
+BAD_CONFIGS = [
+    ({"runn": {}}, ["rabi"], "runn"),
+    ({"run": {"shots": "1000"}}, ["qfi"], "run.shots"),
+    ({"physical": {"drive_amp_mhz": "2"}}, ["effective"], "physical.drive_amp_mhz"),
+    ({"run": {"presets": "fds-k5"}}, ["rabi"], "run.presets"),
+    ({"run": {"seed": 1.5}}, ["rabi"], "run.seed"),
+    ({"run": {"shots": True}}, ["rabi"], "run.shots"),
+    ({"physical": {"contrast": False}}, ["sensitivity"], "physical.contrast"),
+    ({"run": {"t_grid_us": [0.5, "1.0"]}}, ["rabi"], "run.t_grid_us[1]"),
+    ({"run": {"presets": ["fds-k5", 5]}}, ["qfi"], "run.presets[1]"),
+    ({"output": {"dir": 3}}, ["effective"], "output.dir"),
+    ({"run": {"threads": 0}}, ["robustness"], "threads"),
+    ({}, ["--threads", "-1", "robustness"], "threads"),
+]
+
+
 def test_unknown_config_key_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"runn": {}})
-    res = CliRunner().invoke(main, ["--config", cfg, "--out", str(tmp_path), "rabi"])
-    assert res.exit_code == 2
-    assert list(tmp_path.glob("*.csv")) == []  # no partial output
+    for i, (data, args, where) in enumerate(BAD_CONFIGS):
+        cfg = write_config(tmp_path, data, name=f"bad{i}.json")
+        out = tmp_path / f"o{i}"
+        res = CliRunner().invoke(main, ["--config", cfg, "--out", str(out), *args])
+        assert res.exit_code == 2, data
+        assert where in res.output, (data, res.output)
+        assert not out.exists()  # no partial output
 
 
 def test_unknown_scenario_rejected(tmp_path):
@@ -108,12 +130,28 @@ def test_unknown_scenario_rejected(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+EMPTY_LISTS = [
+    ("run", "t_grid_us", "rabi"),
+    ("run", "t_grid_us", "qfi"),
+    ("run", "t_grid_us", "dd"),
+    ("run", "t_grid_us", "calibrate"),
+    ("run", "error_grid_mhz", "robustness"),
+    ("run", "presets", "rabi"),
+    ("physical", "t2_us", "sensitivity"),
+    ("output", "formats", "effective"),
+]
+
+
 def test_empty_grid_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"run": {"t_grid_us": []}})
-    res = CliRunner().invoke(
-        main, ["--config", cfg, "--out", str(tmp_path / "o"), "rabi"]
-    )
-    assert res.exit_code == 2
+    # every command rejects an empty list instead of falling back to a
+    # default grid or writing a header-only table
+    for i, (section, key, command) in enumerate(EMPTY_LISTS):
+        cfg = write_config(tmp_path, {section: {key: []}}, name=f"empty{i}.json")
+        out = tmp_path / f"o{i}"
+        res = CliRunner().invoke(main, ["--config", cfg, "--out", str(out), command])
+        assert res.exit_code == 2, (section, key, command)
+        assert f"{section}.{key}" in res.output
+        assert not out.exists()
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -6,21 +6,13 @@ import pytest
 
 from floquet_sensor.experiments import (
     DdConfig,
-    Detect,
     NoiseModel,
-    PiPulse,
-    Polarize,
     PRESET_NAMES,
-    PulseSequence,
-    Sense,
-    Wait,
-    build_cp_sequence,
     calibrate_noise,
     default_dd_grid,
     fit_decaying_cosine,
     make_preset,
     run_qfi_scaling,
-    run_rabi_scan,
     run_robustness_sweep,
     run_scan,
 )
@@ -53,35 +45,7 @@ def test_preset_overrides():
         make_preset("ods-detuned", bogus=1)
 
 
-# ----------------------------------------------------------------- sequences
-
-def test_sequence_validation():
-    spec = make_preset("ods-resonant").rotating_spec()
-    good = PulseSequence(
-        (Polarize(), Wait(), Sense(1.0, spec), PiPulse(), Sense(1.0, spec), Detect())
-    )
-    assert good.sense_duration == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        PulseSequence((Polarize(), Sense(1.0, spec)))  # no detect
-    with pytest.raises(ValueError):
-        PulseSequence((Detect(), Sense(1.0, spec), Detect()))  # two detects
-    with pytest.raises(ValueError):
-        PulseSequence((Sense(1.0, spec), Wait(), Sense(1.0, spec), Detect()))
-    with pytest.raises(ValueError):
-        PulseSequence((PiPulse(), Sense(1.0, spec), Detect()))  # pulse outside
-
-
-def test_cp_sequence_layout():
-    spec = make_preset("dd-on").rotating_spec()
-    seq = build_cp_sequence(spec, 4.0, DdConfig(tau=0.5))
-    pulses = [s for s in seq.segments if isinstance(s, PiPulse)]
-    senses = [s.duration for s in seq.segments if isinstance(s, Sense)]
-    assert len(pulses) == 4  # tau, 3tau, 5tau, 7tau within 4 us
-    assert senses[0] == pytest.approx(0.5)
-    assert all(d == pytest.approx(1.0) for d in senses[1:-1])
-    assert senses[-1] == pytest.approx(0.5)
-    assert seq.sense_duration == pytest.approx(4.0)
-
+# -------------------------------------------------------- decoupling pulses
 
 def test_dd_config_validation_and_pulse_times():
     with pytest.raises(ValueError):
@@ -97,7 +61,7 @@ def test_dd_config_validation_and_pulse_times():
 
 def test_resonant_scan_matches_closed_form():
     grid = np.arange(0.1, 4.0, 0.1)
-    scan = run_rabi_scan("ods-resonant", grid)
+    scan = run_scan("ods-resonant", grid)
     amp = mhz_to_angular(0.5)
     expected = [rabi_population(amp, 0.0, t) for t in grid]
     npt.assert_allclose(scan.p0, expected, atol=1e-12)
@@ -110,7 +74,7 @@ def test_detuned_scan_contrast_is_half():
     general = math.hypot(amp, amp)
     t_min = math.pi / general
     grid = np.unique(np.concatenate([[0.0, t_min], np.linspace(0.05, 4.0, 40)]))
-    scan = run_rabi_scan("ods-detuned", grid)
+    scan = run_scan("ods-detuned", grid)
     contrast = scan.p0.max() - scan.p0.min()
     assert contrast == pytest.approx(0.5, abs=1e-6)
 
@@ -123,24 +87,24 @@ def test_fds_k5_scan_restores_contrast():
             [np.linspace(0.001, 2.2, 40), np.linspace(t_dip - 0.06, t_dip + 0.06, 61)]
         )
     )
-    scan = run_rabi_scan("fds-k5", grid)
+    scan = run_scan("fds-k5", grid)
     contrast = scan.p0.max() - scan.p0.min()
     assert contrast > 0.998
 
 
 def test_scan_grid_validation():
     with pytest.raises(ValueError):
-        run_rabi_scan("ods-resonant", [])
+        run_scan("ods-resonant", [])
     with pytest.raises(ValueError):
-        run_rabi_scan("ods-resonant", [1.0, 0.5])
+        run_scan("ods-resonant", [1.0, 0.5])
 
 
 def test_scan_with_readout_noise_deterministic():
     grid = np.linspace(0.2, 2.0, 6)
-    a = run_rabi_scan("ods-resonant", grid, shots=5000, seed=5)
-    b = run_rabi_scan("ods-resonant", grid, shots=5000, seed=5)
+    a = run_scan("ods-resonant", grid, shots=5000, seed=5)
+    b = run_scan("ods-resonant", grid, shots=5000, seed=5)
     npt.assert_array_equal(a.p0, b.p0)
-    c = run_rabi_scan("ods-resonant", grid, shots=5000, seed=6)
+    c = run_scan("ods-resonant", grid, shots=5000, seed=6)
     assert np.any(c.p0 != a.p0)
 
 
@@ -161,8 +125,12 @@ def test_scan_readout_seed_falls_back_to_noise_seed():
 def test_dd_off_engine_matches_rabi_scan_bitwise():
     grid = np.linspace(0.4, 6.0, 10)
     noise = NoiseModel(kind="quasi-static", sigma_z=0.3)
-    plain = run_rabi_scan("dd-off", grid, noise=noise, n_realizations=16, seed=8)
-    via_dd = run_scan("dd-off", grid, noise=noise, dd=None, n_realizations=16, seed=8)
+    # a 6 us scan is shorter than 2 tau = 8 us, so it holds no pulse and the
+    # decoupling path must reproduce the pulse-free run bit for bit
+    plain = run_scan("dd-off", grid, noise=noise, n_realizations=16, seed=8)
+    via_dd = run_scan("dd-off", grid, noise=noise, dd=DdConfig(tau=4.0),
+                      n_realizations=16, seed=8)
+    assert via_dd.pulse_times.size == 0
     npt.assert_array_equal(plain.p0, via_dd.p0)
     npt.assert_array_equal(plain.stderr, via_dd.stderr)
 
@@ -224,7 +192,7 @@ def test_qfi_scaling_noiseless_tracks_oracle():
 def test_robustness_sweep_smoke():
     # coarse grid exercise: interval brackets zero and zero error is maximal
     grid = mhz_to_angular(np.array([-0.6, -0.3, 0.0, 0.2, 0.45]))
-    res = run_robustness_sweep("amplitude", grid=grid, t=2.0, refine=False)
+    res = run_robustness_sweep("amplitude", grid=grid, t=2.0)
     assert res.interval[0] <= 0.0 <= res.interval[1]
     assert res.qfi_fds[2] == res.qfi_fds.max()
     assert res.baseline > 0.0
@@ -246,6 +214,9 @@ def test_robustness_validation():
         run_robustness_sweep("phase")
     with pytest.raises(ValueError):
         run_robustness_sweep("amplitude", grid=mhz_to_angular(np.array([0.1, 0.2])))
+    for n_workers in (0, -1):
+        with pytest.raises(ValueError, match="n_workers"):
+            run_robustness_sweep("amplitude", n_workers=n_workers)
 
 
 # ----------------------------------------------------------------- noise

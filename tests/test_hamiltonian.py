@@ -338,12 +338,3 @@ def test_spec_evaluation_is_hermitian():
         for t in rng.uniform(0.0, 10.0, 5):
             h = spec.matrix(t)
             npt.assert_allclose(h, h.conj().T, atol=1e-14)
-
-
-def test_with_z_offset():
-    spec = HamiltonianSpec(
-        Frame.SIGNAL_ROTATING, (PauliTerm("x", Constant(1.0)),)
-    )
-    shifted = spec.with_z_offset(0.25)
-    npt.assert_allclose(shifted.matrix(0.0), SIGMA_X + 0.25 * SIGMA_Z)
-    assert spec.with_z_offset(0.0) is spec

@@ -9,7 +9,6 @@ from floquet_sensor.measurement import (
     _estimate_p0_from_total,
     _fit_qfi_from_expectations,
     default_omega_grid,
-    measure_expectation,
     qfi_pipeline,
     read_out,
 )
@@ -119,48 +118,6 @@ def test_read_out_estimate_unclamped():
     m = ReadoutModel()
     p0, _ = read_out(1.0, 4, _FixedCounts(10), m)  # far above the bright reference
     assert p0 > 1.0  # deliberately not clamped
-
-
-# ------------------------------------------------------- measure_expectation
-
-def test_measure_expectation_exact_mode():
-    v, err = measure_expectation(StateVector.ket0(), "z", ReadoutModel())
-    assert (v, err) == (pytest.approx(1.0), 0.0)
-    v, _ = measure_expectation(StateVector.plus(), "x", ReadoutModel())
-    assert v == pytest.approx(1.0)
-
-
-def test_measure_expectation_stderr_scaling():
-    m = ReadoutModel()
-    s = resonant_state(TP * 0.5, 0.3)
-    errs = []
-    for shots in (1_000, 10_000, 100_000):
-        _, err = measure_expectation(s, "y", m, shots=shots, seed=9)
-        errs.append(err)
-    assert errs[0] / errs[1] == pytest.approx(math.sqrt(10.0), rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(math.sqrt(10.0), rel=0.2)
-
-
-def test_measure_expectation_is_one_aggregate_draw():
-    m = ReadoutModel()
-    s = resonant_state(TP * 0.5, 0.7)
-    v, _ = measure_expectation(s, "y", m, shots=50_000, seed=5)
-    from floquet_sensor.propagator import expectation
-
-    p0 = 0.5 * (1.0 + expectation(s, "y"))
-    total = np.random.default_rng(5).poisson(m.mean_counts(p0) * 50_000)
-    p0_hat = 1.0 - (1.0 - total / 50_000 / m.mu_bright) / m.contrast
-    assert v == 2.0 * p0_hat - 1.0
-
-
-def test_measure_expectation_converges():
-    m = ReadoutModel()
-    s = resonant_state(TP * 0.5, 0.7)
-    from floquet_sensor.propagator import expectation
-
-    truth = expectation(s, "y")
-    v, err = measure_expectation(s, "y", m, shots=2_000_000, seed=21)
-    assert v == pytest.approx(truth, abs=4.0 * err)
 
 
 # --------------------------------------------------------------- qfi pipeline
