@@ -41,7 +41,6 @@ SCHEMA_VERSION = 1
 OUT_DIR_ENV = "FLOQUET_SENSOR_OUT"
 
 _CONFIG_SCHEMA = {
-    "scenario": str,
     "physical": {
         "zero_field_splitting_mhz": float,
         "gyromagnetic_ratio_mhz_per_g": float,
@@ -262,9 +261,13 @@ def main(ctx, config_path, out_dir, seed, shots, formats, threads):
         run["threads"] = threads
     if run.get("threads", 1) < 1:
         raise ConfigError(f"threads must be >= 1, got {run['threads']}")
+    if run.get("shots", 1) < 1:
+        raise ConfigError(f"run.shots must be >= 1, got {run['shots']}")
     out = cfg.setdefault("output", {})
     out.setdefault("dir", out_dir)
     fmts = tuple(f.strip() for f in formats.split(",") if f.strip())
+    if not fmts:
+        raise ConfigError(f"--format names no output format: {formats!r}")
     for f in fmts:
         if f not in ("csv", "json"):
             raise ConfigError(f"unknown output format {f!r}")
@@ -322,7 +325,9 @@ def qfi(ctx):
     presets = _preset_names(cfg, ["fds-k5", "ods-detuned"])
     t_grid = _t_grid(cfg, [1.0, 2.0, 3.0, 3.8, 4.0])
     bundle = ResultBundle("qfi", cfg, seed)
-    mc = MonteCarloConfig(shots=shots or 100_000, repeats=repeats, seed=seed)
+    mc = MonteCarloConfig(
+        shots=100_000 if shots is None else shots, repeats=repeats, seed=seed
+    )
     for name in presets:
         rows_out = []
         for row in run_qfi_scaling(

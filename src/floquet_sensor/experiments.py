@@ -6,11 +6,14 @@ Scenario presets bundle the sensing configuration (sensor, signal, drive)
 under the names the command-line interface exposes.  The scan engine
 (``run_scan``) starts a batch of noise realizations in |0> and walks one
 sorted event list: the scan's grid times merged with the Carr-Purcell pulse
-instants of ``DdConfig.pulse_times``.  Between adjacent events the batch is
-advanced by one propagator call, with the detuning noise held constant over
-the segment (the correlation time is far longer than any segment); pi
-pulses are instantaneous rotations about the drive's micromotion-dressed
-axis, and populations are recorded at the grid times.
+instants of ``DdConfig.pulse_times``.  The detuning noise is held constant
+over each segment between adjacent events (the correlation time is far
+longer than any segment), so the propagators of all segments and
+realizations come from one fixed-resolution ``interval_unitary`` call over
+the segment axis (memory bounded by the propagator's block size); the walk
+then multiplies them into the states, applies the pi pulses as
+instantaneous rotations about the drive's micromotion-dressed axis, and
+records populations at the grid times.
 """
 
 from __future__ import annotations
@@ -303,7 +306,6 @@ def run_scan(
     n_realizations: int = 128,
     seed: int | None = 0,
     model: ReadoutModel = ReadoutModel(),
-    opts: PropagatorOptions = SCAN_OPTS,
 ) -> ScanResult:
     """Population-vs-time scan of one sequence family.
 
@@ -316,7 +318,7 @@ def run_scan(
     With ``shots`` set, each grid point is additionally read out through the
     Poisson photon-count model (shots spread evenly over realizations).  A
     ``seed`` of None falls back to ``noise.seed`` (then 0) for both the noise
-    and the readout streams.
+    and the readout streams.  Segments are integrated at ``SCAN_OPTS``.
     """
     scenario = resolve_scenario(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -324,6 +326,8 @@ def run_scan(
         raise ValueError("t_grid must be a non-empty 1-D array")
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing and non-negative")
+    if shots is not None and shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     noise = noise or NoiseModel()
     n_real = n_realizations if noise.kind != "none" else 1
 
@@ -332,7 +336,8 @@ def run_scan(
 
     events = np.unique(np.concatenate([[0.0], t_grid, pulses]))
     is_grid = np.isin(events, t_grid)
-    pulse_set = set(np.round(pulses, 12))
+    # exact match: a grid time a few ulp from a pulse instant is its own event
+    is_pulse = np.isin(events, pulses)
 
     mids = 0.5 * (events[:-1] + events[1:])
     if seed is None:
@@ -340,37 +345,31 @@ def run_scan(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     offsets = noise.sample_segments(mids, n_real, rng)  # detuning, rad/us
 
-    spec = scenario.rotating_spec()
+    # events are strictly increasing, so every segment has t1 > t0
+    u = interval_unitary(
+        scenario.rotating_spec(), events[:-1], events[1:], SCAN_OPTS,
+        z_offsets=0.5 * offsets.T,
+    )
     psi = np.zeros((n_real, 2), dtype=complex)
     psi[:, 0] = 1.0  # polarized start
     parity = 0
-    p0_mean = np.empty(t_grid.size)
-    p0_err = np.empty(t_grid.size)
     p0_real = np.empty((t_grid.size, n_real))
     out_idx = 0
-
-    for j in range(len(events)):
-        tj = events[j]
+    for j, tj in enumerate(events):
         if j > 0:
-            t0, t1 = events[j - 1], tj
-            if t1 > t0:
-                u = interval_unitary(
-                    spec, t0, t1, opts, z_offsets=0.5 * offsets[:, j - 1]
-                )
-                psi = np.einsum("rij,rj->ri", u, psi)
-        if round(tj, 12) in pulse_set:
-            pm = _pulse_matrix(scenario, dd.axis, tj)
-            psi = psi @ pm.T
+            psi = np.einsum("rij,rj->ri", u[j - 1], psi)
+        if is_pulse[j]:
+            psi = psi @ _pulse_matrix(scenario, dd.axis, tj).T
             parity ^= 1
         if is_grid[j]:
-            pops = np.abs(psi[:, parity]) ** 2  # echo-frame |0> population
-            p0_real[out_idx] = pops
-            p0_mean[out_idx] = pops.mean()
-            p0_err[out_idx] = (
-                pops.std(ddof=1) / math.sqrt(n_real) if n_real > 1 else 0.0
-            )
+            p0_real[out_idx] = np.abs(psi[:, parity]) ** 2  # echo-frame |0> population
             out_idx += 1
 
+    p0_mean = p0_real.mean(axis=1)
+    if n_real > 1:
+        p0_err = p0_real.std(axis=1, ddof=1) / math.sqrt(n_real)
+    else:
+        p0_err = np.zeros(t_grid.size)
     if shots is not None:
         read_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
         p0_mean, stderr = read_out(p0_real, shots, read_rng, model, pooled=True)

@@ -99,6 +99,8 @@ def read_out(p0, shots: int, rng: np.random.Generator, model: ReadoutModel,
     over ``shots / n`` shots and the counts are summed into one estimate, so
     the outputs lose that axis.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     p0 = np.clip(p0, 0.0, 1.0)
     if not pooled:
         totals = rng.poisson(model.mean_counts(p0) * shots)

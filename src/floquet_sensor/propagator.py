@@ -32,6 +32,17 @@ offsets), and only the remainder t1 - (t0 + mT) is integrated directly.
   density the direct path would use on one period.
 - U_T is projected onto SU(2), [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1,
   before powering, so its round-off unitarity defect is not multiplied by m.
+
+Segment axis: at fixed resolution, ``interval_unitary`` also takes arrays of
+S segment bounds with sigma_z offsets of shape (S, r) and returns the
+(S, r, 2, 2) stack that S scalar calls would return, bit for bit.  The route
+rule is applied per segment; the pieces it yields (direct intervals, single
+periods, remainders) are grouped by substep count and each group runs
+through the same fixed-resolution pass, widened to a leading piece axis, in
+blocks of at most ``_BLOCK`` substeps x batch members (a piece larger than
+that runs alone, as its scalar call would), so a scan's peak memory does not
+grow with its segment count.  The one-period propagators are then raised to
+their powers, grouped by m.
 """
 
 from __future__ import annotations
@@ -45,7 +56,10 @@ from .hamiltonian import HamiltonianSpec, kick_operator
 from .params import FloquetDriveParams, TWO_PI
 
 _SQRT3 = math.sqrt(3.0)
-_CHUNK = 1 << 16  # substeps per vectorized block; bounds peak memory
+_CHUNK = 1 << 16  # substeps per vectorized chunk; bounds peak memory
+# substeps x batch members per pass over a group of segment pieces; larger
+# blocks save little Python overhead and raise the peak memory of a scan
+_BLOCK = 4096
 # step doubling of one drive period reaches a round-off floor near 1e-13 (it
 # stalled at 1e-13 for up to 70% of sampled period starts of the robustness
 # and dd presets, at 2e-13 for none), so the stroboscopic route is not used
@@ -158,38 +172,49 @@ def _reduce_product(us: np.ndarray) -> np.ndarray:
 
 
 def _step_generators(
-    spec: HamiltonianSpec, t0: float, t1: float, n: int, z_offsets=None
+    spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
 ) -> np.ndarray:
     """Magnus generators q for n substeps of [t0, t1], shape (n, 3) or (r, n, 3).
 
     Fourth order from the two Gauss points per substep:
     q = (h/2)(p1 + p2) + (sqrt(3) h^2 / 6) (p2 x p1) with p_i = H(t_i) Pauli
-    vectors.  ``z_offsets`` (shape (r,) or (r, 1)) adds a constant sigma_z
-    coefficient per batch member.
+    vectors.  ``z_offsets`` (shape (r,)) adds a constant sigma_z coefficient
+    per batch member.  Bounds may be arrays of P pieces, with ``z_offsets``
+    of shape (P, r); a leading piece axis is then added to the result.
     """
     h = (t1 - t0) / n
+    pieces = np.ndim(h) > 0
+    if pieces:  # one row of substeps per piece
+        t0, h = t0[:, None], h[:, None]
     mids = t0 + (np.arange(n) + 0.5) * h
     gauss = 0.5 * h / _SQRT3
     p1 = spec.coefficients(mids - gauss)
     p2 = spec.coefficients(mids + gauss)
     if z_offsets is not None:
-        z = np.asarray(z_offsets, dtype=float).reshape(-1, 1)
-        p1 = np.broadcast_to(p1, (z.shape[0],) + p1.shape).copy()
-        p2 = np.broadcast_to(p2, (z.shape[0],) + p2.shape).copy()
-        p1[..., 2] += z
-        p2[..., 2] += z
+        z = np.asarray(z_offsets, dtype=float)
+        shape = z.shape + p1.shape[-2:]
+        p1 = np.broadcast_to(p1[..., None, :, :], shape).copy()
+        p2 = np.broadcast_to(p2[..., None, :, :], shape).copy()
+        p1[..., 2] += z[..., None]
+        p2[..., 2] += z[..., None]
+    if pieces:  # broadcast each piece's step over its batch, substep and Pauli axes
+        h = h.reshape((-1,) + (1,) * (p1.ndim - 1))
     return 0.5 * h * (p1 + p2) + (_SQRT3 * h * h / 6.0) * np.cross(p2, p1)
 
 
 def _identity(z_offsets) -> np.ndarray:
-    batch = () if z_offsets is None else (np.asarray(z_offsets).size,)
+    batch = () if z_offsets is None else np.shape(z_offsets)
     return np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
 
 
 def _interval_unitary(
-    spec: HamiltonianSpec, t0: float, t1: float, n: int, z_offsets=None
+    spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
 ) -> np.ndarray:
-    """Propagator over [t0, t1] at fixed resolution n, chunked for memory."""
+    """Propagator over [t0, t1] at fixed resolution n, chunked for memory.
+
+    ``t0`` and ``t1`` may be arrays of P pieces that share the resolution n,
+    with ``z_offsets`` of shape (P, r); the result is then (P, r, 2, 2).
+    """
     total = _identity(z_offsets)
     done = 0
     h = (t1 - t0) / n
@@ -220,6 +245,24 @@ def _initial_steps(
             "tolerance; spec is too oscillatory for the available resolution"
         )
     return int(math.ceil(n))
+
+
+def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) -> int:
+    """Drive periods m of the stroboscopic route for an interval duration.
+
+    0 where the interval is integrated directly: under two periods, a spec
+    not periodic to within the tolerance budget, or (with refinement) a
+    period tolerance rel_tol / m below the round-off floor.
+    """
+    f0, defect = spec.fundamental
+    m = int(duration * f0 / TWO_PI)
+    if (
+        m < 2
+        or defect * duration > 1e-3 * opts.rel_tol
+        or (opts.adaptive and opts.rel_tol / m < _MIN_PERIOD_TOL)
+    ):
+        return 0
+    return m
 
 
 def _stepped_unitary(
@@ -283,8 +326,8 @@ def _su2_project(u: np.ndarray) -> np.ndarray:
 
 def interval_unitary(
     spec: HamiltonianSpec,
-    t0: float,
-    t1: float,
+    t0,
+    t1,
     opts: PropagatorOptions = PropagatorOptions(),
     z_offsets=None,
 ) -> np.ndarray:
@@ -297,19 +340,19 @@ def interval_unitary(
     off, every piece is a single pass at the initial resolution.  Raises
     ``PropagationError`` if doubling fails to converge before the substep
     count becomes unreasonable.
+
+    Arrays of S segment bounds, with ``z_offsets`` of shape (S, r), give the
+    (S, r, 2, 2) stack of the S scalar calls, bit for bit; they need
+    fixed-resolution ``opts`` (``adaptive=False``).
     """
+    if np.ndim(t0) or np.ndim(t1):
+        return _segment_unitaries(spec, t0, t1, opts, z_offsets)
     if t1 == t0:
         return _identity(z_offsets)
-    f0, defect = spec.fundamental
-    duration = t1 - t0
-    m = int(duration * f0 / TWO_PI)
-    if (
-        m < 2
-        or defect * duration > 1e-3 * opts.rel_tol
-        or (opts.adaptive and opts.rel_tol / m < _MIN_PERIOD_TOL)
-    ):
+    m = _periods(spec, t1 - t0, opts)
+    if m == 0:
         return _stepped_unitary(spec, t0, t1, opts, opts.rel_tol, z_offsets)
-    period = TWO_PI / f0
+    period = TWO_PI / spec.fundamental[0]
     t_mid = t0 + m * period
     u_period = _stepped_unitary(
         spec, t0, t0 + period, opts, opts.rel_tol / m, z_offsets
@@ -319,6 +362,61 @@ def interval_unitary(
     if t1 - t_mid > 16.0 * math.ulp(t1):
         u = _stepped_unitary(spec, t_mid, t1, opts, opts.rel_tol, z_offsets) @ u
     return u
+
+
+def _segment_unitaries(spec, t0, t1, opts, z_offsets) -> np.ndarray:
+    """``interval_unitary`` over arrays of segment bounds, one pass per block."""
+    if opts.adaptive:
+        raise ValueError(
+            "array segment bounds need a fixed resolution (opts.adaptive=False); "
+            "step doubling refines one interval at a time"
+        )
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    z = None if z_offsets is None else np.asarray(z_offsets, dtype=float)
+    if (t0.ndim != 1 or t1.shape != t0.shape or z is None or z.ndim != 2
+            or z.shape[0] != t0.size):
+        raise ValueError(
+            "array segment bounds t0, t1 need shape (S,) and z_offsets shape (S, r)"
+        )
+    out = _identity(z)
+    moving = t1 != t0
+    m = np.array([_periods(spec, d, opts) for d in (t1 - t0).tolist()], dtype=int)
+    direct = np.flatnonzero(moving & (m == 0))
+    out[direct] = _fixed_pieces(spec, t0[direct], t1[direct], z[direct], opts)
+    strobe = np.flatnonzero(m)
+    if strobe.size:
+        m, a, b, zs = m[strobe], t0[strobe], t1[strobe], z[strobe]
+        period = TWO_PI / spec.fundamental[0]
+        u = _su2_project(_fixed_pieces(spec, a, a + period, zs, opts))
+        for power in np.unique(m):
+            same = m == power
+            u[same] = np.linalg.matrix_power(u[same], int(power))
+        t_mid = a + m * period
+        # a remainder within round-off of t0 + mT is skipped (ulp as math.ulp)
+        rest = np.flatnonzero(b - t_mid > 16.0 * np.spacing(np.abs(b)))
+        u[rest] = _fixed_pieces(spec, t_mid[rest], b[rest], zs[rest], opts) @ u[rest]
+        out[strobe] = u
+    return out
+
+
+def _fixed_pieces(spec, t0, t1, z, opts) -> np.ndarray:
+    """Fixed-resolution propagators of the pieces [t0, t1], shape (P, r, 2, 2).
+
+    Pieces are grouped by substep count n, and each group is passed to
+    ``_interval_unitary`` in blocks of at most ``_BLOCK`` substeps x batch
+    members (at least one piece per block).
+    """
+    out = np.empty(z.shape + (2, 2), dtype=complex)
+    steps = np.array([_initial_steps(spec, d, opts) for d in (t1 - t0).tolist()],
+                     dtype=int)
+    for n in np.unique(steps):
+        group = np.flatnonzero(steps == n)
+        per_block = max(1, _BLOCK // (int(n) * max(1, z.shape[1])))
+        for start in range(0, group.size, per_block):
+            idx = group[start:start + per_block]
+            out[idx] = _interval_unitary(spec, t0[idx], t1[idx], int(n), z[idx])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ def test_config_in_mhz_is_echoed_in_summary(tmp_path):
 
 
 # (config, arguments, key named in the error): unknown keys, values of the
-# wrong type and thread counts below 1 are usage errors, caught before any
-# computation
+# wrong type, thread and shot counts below 1 and empty format lists are usage
+# errors, caught before any computation
 BAD_CONFIGS = [
     ({"runn": {}}, ["rabi"], "runn"),
     ({"run": {"shots": "1000"}}, ["qfi"], "run.shots"),
@@ -106,6 +106,15 @@ BAD_CONFIGS = [
     ({"output": {"dir": 3}}, ["effective"], "output.dir"),
     ({"run": {"threads": 0}}, ["robustness"], "threads"),
     ({}, ["--threads", "-1", "robustness"], "threads"),
+    # shot counts below 1 once read out as nan (0) or failed deep inside (< 0)
+    ({"run": {"shots": 0}}, ["rabi"], "run.shots"),
+    ({}, ["--shots", "0", "qfi"], "run.shots"),
+    ({}, ["--shots", "-5", "qfi"], "run.shots"),
+    # a top-level scenario key was once accepted and read by no command
+    ({"scenario": "fds-k5"}, ["rabi"], "scenario"),
+    # a format list empty after stripping once wrote nothing and exited 0
+    ({}, ["--format", ",", "effective"], "--format"),
+    ({}, ["--format", " , ", "rabi"], "--format"),
 ]
 
 

@@ -5,9 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from floquet_sensor.experiments import (
+    DD_SIGMA_Z_DEFAULT,
+    SCAN_OPTS,
     DdConfig,
     NoiseModel,
     PRESET_NAMES,
+    _pulse_matrix,
     calibrate_noise,
     default_dd_grid,
     fit_decaying_cosine,
@@ -17,7 +20,7 @@ from floquet_sensor.experiments import (
     run_scan,
 )
 from floquet_sensor.params import ControlErrorParams, mhz_to_angular
-from floquet_sensor.propagator import rabi_population
+from floquet_sensor.propagator import interval_unitary, rabi_population
 
 TP = 2.0 * math.pi
 
@@ -133,6 +136,70 @@ def test_dd_off_engine_matches_rabi_scan_bitwise():
     assert via_dd.pulse_times.size == 0
     npt.assert_array_equal(plain.p0, via_dd.p0)
     npt.assert_array_equal(plain.stderr, via_dd.stderr)
+
+
+def _per_segment_walk(preset, t_grid, noise, dd, n_realizations, seed):
+    """Reference scan: one scalar interval_unitary call per event interval.
+
+    The walk ``run_scan`` made before its segments were batched; returns
+    (p0, stderr) without readout noise.
+    """
+    scenario = make_preset(preset)
+    t_grid = np.asarray(t_grid, dtype=float)
+    n_real = n_realizations if noise.kind != "none" else 1
+    pulses = dd.pulse_times(float(t_grid[-1])) if dd is not None else np.empty(0)
+    events = np.unique(np.concatenate([[0.0], t_grid, pulses]))
+    mids = 0.5 * (events[:-1] + events[1:])
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    offsets = noise.sample_segments(mids, n_real, rng)
+    spec = scenario.rotating_spec()
+    psi = np.zeros((n_real, 2), dtype=complex)
+    psi[:, 0] = 1.0
+    parity = 0
+    p0, err = [], []
+    for j, tj in enumerate(events):
+        if j > 0:
+            u = interval_unitary(spec, events[j - 1], tj, SCAN_OPTS,
+                                 z_offsets=0.5 * offsets[:, j - 1])
+            psi = np.einsum("rij,rj->ri", u, psi)
+        if tj in pulses:
+            psi = psi @ _pulse_matrix(scenario, dd.axis, tj).T
+            parity ^= 1
+        if tj in t_grid:
+            pops = np.abs(psi[:, parity]) ** 2
+            p0.append(pops.mean())
+            err.append(pops.std(ddof=1) / math.sqrt(n_real) if n_real > 1 else 0.0)
+    return np.array(p0), np.array(err)
+
+
+@pytest.mark.parametrize("preset, dd, noise, grid", [
+    # the rabi command's default grid, noiseless (one realization)
+    ("fds-k5", None, NoiseModel(), np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)),
+    ("dd-on", DdConfig(tau=0.5), NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
+     default_dd_grid(dd=True)[:120]),
+])
+def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
+    scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
+    assert (scan.pulse_times.size > 0) == (dd is not None)
+    p0, err = _per_segment_walk(preset, grid, noise, dd, 3, seed=3)
+    npt.assert_array_equal(scan.p0, p0)
+    npt.assert_array_equal(scan.stderr, err)
+
+
+def test_grid_time_next_to_a_pulse_gets_no_second_pulse():
+    # 0.3 + 0.6 = 0.8999999999999999: the grid time 0.9 is a separate event
+    # one ulp after the second pulse, and both once rounded to the pulse time
+    dd = DdConfig(tau=0.3)
+    assert dd.pulse_times(1.2)[1] != 0.9
+    alone = run_scan("ods-detuned", [1.2], dd=dd)
+    beside = run_scan("ods-detuned", [0.9, 1.2], dd=dd)
+    assert beside.p0[-1] == pytest.approx(alone.p0[-1], abs=1e-12)
+
+
+def test_scan_rejects_shots_below_one():
+    for shots in (0, -5):
+        with pytest.raises(ValueError, match="shots"):
+            run_scan("ods-resonant", [0.5], shots=shots)
 
 
 def test_pi_pulses_commute_with_resonant_drive():

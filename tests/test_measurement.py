@@ -85,6 +85,12 @@ def test_read_out_stream_is_c_order_and_pooling_sums_counts():
     assert np.array_equal(pooled, expected) and np.array_equal(pooled_err, expected_err)
 
 
+def test_read_out_rejects_shots_below_one():
+    for shots in (0, -5):
+        with pytest.raises(ValueError, match="shots"):
+            read_out(np.array([0.5]), shots, np.random.default_rng(0), ReadoutModel())
+
+
 # --------------------------------------------------------------- estimators
 
 def test_read_out_inverts_at_bright_reference():

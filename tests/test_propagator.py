@@ -29,6 +29,7 @@ from floquet_sensor.params import (
     SignalParams,
     mhz_to_angular,
 )
+from floquet_sensor import propagator
 from floquet_sensor.propagator import (
     _interval_unitary,
     _initial_steps,
@@ -280,6 +281,95 @@ def test_stroboscopic_remainder_at_period_multiple():
     u = interval_unitary(spec, 0.0, 3 * period, opts)
     direct = _stepped_unitary(spec, 0.0, 3 * period, opts, opts.rel_tol)
     assert np.max(np.abs(u - direct)) <= 1e-9
+
+
+# ------------------------------------------------------------- segment axis
+
+RABI_EVENTS = np.concatenate([[0.0], np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)])
+
+
+def _scalar_calls(spec, t0, t1, z):
+    return np.stack([interval_unitary(spec, a, b, SCAN_OPTS, z_offsets=zz)
+                     for a, b, zz in zip(t0, t1, z)])
+
+
+def _assert_segments_match_scalar_calls(spec, t0, t1, z):
+    u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
+    assert u.shape == (len(t0), z.shape[1], 2, 2)
+    npt.assert_array_equal(u, _scalar_calls(spec, t0, t1, z))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """(substeps, pieces) of every fixed-resolution pass, in call order."""
+    seen = []
+    kernel = propagator._interval_unitary
+
+    def counted(spec, t0, t1, n, z_offsets=None):
+        seen.append((n, np.size(t0)))
+        return kernel(spec, t0, t1, n, z_offsets)
+
+    monkeypatch.setattr(propagator, "_interval_unitary", counted)
+    return seen
+
+
+@pytest.mark.parametrize("preset", ["fds-k5", "ods-resonant", "ods-detuned"])
+def test_segments_match_scalar_calls_direct_route(preset):
+    # the rabi command's default grid: sub-period segments of the driven
+    # preset, and the constant specs of the undriven ones
+    spec = make_preset(preset).rotating_spec()
+    t0, t1 = RABI_EVENTS[:-1], RABI_EVENTS[1:]
+    assert not any(propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0)
+    _assert_segments_match_scalar_calls(spec, t0, t1, np.zeros((t0.size, 1)))
+
+
+def test_segments_match_scalar_calls_stroboscopic_route():
+    spec = make_preset("dd-on").rotating_spec()
+    period = TP / spec.fundamental[0]
+    t0 = np.array([0.0, 0.0, 0.3, 1.3, 1.3, 2.0, 2.5, 7.0])
+    t1 = t0 + np.array([3 * period, 0.5, 2.4 * period, 0.5, 0.2 * period,
+                        5.5 * period, 0.0, 0.5])
+    m = {propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0}
+    assert m == {0, 2, 3, 5, 18}
+    # t0 = 0 plus three periods lands on t1 exactly: no remainder pass
+    assert 0.0 + 3 * period == t1[0]
+    z = np.random.default_rng(4).normal(size=(t0.size, 3))
+    _assert_segments_match_scalar_calls(spec, t0, t1, z)
+    npt.assert_array_equal(
+        interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)[6],
+        np.broadcast_to(np.eye(2), (3, 2, 2)),
+    )
+
+
+def test_segments_split_into_blocks(passes):
+    spec = make_preset("fds-k5").rotating_spec()
+    t0, t1 = RABI_EVENTS[:-1], RABI_EVENTS[1:]
+    z = np.random.default_rng(5).normal(size=(t0.size, 3))
+    expected = _scalar_calls(spec, t0, t1, z)
+    passes.clear()
+    npt.assert_array_equal(
+        interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z), expected
+    )
+    # every pass stays within the block budget, a group spans several passes,
+    # and the substeps are those of the scalar calls
+    assert all(n * pieces * 3 <= propagator._BLOCK for n, pieces in passes)
+    assert len(passes) > len({n for n, _ in passes})
+    assert sum(n * pieces for n, pieces in passes) == sum(
+        propagator._initial_steps(spec, d, SCAN_OPTS) for d in t1 - t0
+    )
+
+
+def test_segments_validate_options_and_shapes():
+    spec = make_preset("dd-on").rotating_spec()
+    t0, t1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    with pytest.raises(ValueError, match="fixed resolution"):
+        interval_unitary(spec, t0, t1, ORACLE_OPTS, z_offsets=np.zeros((2, 1)))
+    for z in (None, np.zeros(2), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match=r"shape \(S, r\)"):
+            interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
+    assert interval_unitary(
+        spec, t0[:0], t1[:0], SCAN_OPTS, z_offsets=np.zeros((0, 2))
+    ).shape == (0, 2, 2, 2)
 
 
 # ----------------------------------------------------------- closed forms
