@@ -17,16 +17,13 @@ from .hamiltonian import (
     build_fds_prime,
     build_lab_fds,
     build_lab_ods,
-    effective_hamiltonian,
     kick_operator,
     quasi_energy_shift,
     to_signal_rotating,
 )
 from .propagator import (
-    EvolutionResult,
     PropagationError,
     PropagatorOptions,
-    StateVector,
     evolve,
     expectation,
     micromotion_error,
@@ -36,12 +33,9 @@ from .metrology import (
     PureStateParam,
     QfiEstimate,
     SensitivityParams,
-    cramer_rao,
-    field_from_rabi,
     optimal_sensing_time,
     qfi_exact,
     qfi_theta_phi,
-    rabi_from_field,
     sensitivity,
     theta_phi_from_expectations,
 )

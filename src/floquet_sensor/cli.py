@@ -40,6 +40,14 @@ from .experiments import (
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "FLOQUET_SENSOR_OUT"
 
+
+class _Positive:
+    """Schema entry for a value that must be > 0; for an integer, >= 1."""
+
+    def __init__(self, kind: type):
+        self.kind = kind
+
+
 _CONFIG_SCHEMA = {
     "physical": {
         "zero_field_splitting_mhz": float,
@@ -49,26 +57,26 @@ _CONFIG_SCHEMA = {
         "detuning_mhz": float,
         "drive_amp_mhz": float,
         "drive_freq_mhz": float,
-        "harmonics": int,
+        "harmonics": _Positive(int),
         "contrast": float,
         "count_rate_per_s": float,
         "detect_time_us": float,
-        "t2_us": [float],
-        "tau_us": float,
+        "t2_us": [_Positive(float)],
+        "tau_us": _Positive(float),
         "noise_sigma_z_mhz": float,
-        "noise_tau_c_us": float,
-        "target_t2_us": float,
+        "noise_tau_c_us": _Positive(float),
+        "target_t2_us": _Positive(float),
     },
     "run": {
-        "shots": int,
-        "repeats": int,
+        "shots": _Positive(int),
+        "repeats": _Positive(int),
         "seed": int,
-        "noise_realizations": int,
-        "threads": int,
+        "noise_realizations": _Positive(int),
+        "threads": _Positive(int),
         "t_grid_us": [float],
         "presets": [str],
         "error_grid_mhz": [float],
-        "sweep_time_us": float,
+        "sweep_time_us": _Positive(float),
     },
     "output": {"dir": str, "formats": [str]},
 }
@@ -80,17 +88,24 @@ class ConfigError(click.UsageError):
     """Config-file problem; exits with the usage status code (2)."""
 
 
-def _check_value(value, kind: type, where: str) -> None:
-    """An int passes where a float is declared; a bool passes as neither."""
+def _check_value(value, kind, where: str) -> None:
+    """An int passes where a float is declared; a bool passes as neither.
+    A ``_Positive`` kind also requires the value to be > 0."""
+    positive = isinstance(kind, _Positive)
+    if positive:
+        kind = kind.kind
     ok = isinstance(value, (int, float) if kind is float else kind)
     if not ok or isinstance(value, bool):
         raise ConfigError(
             f"config key {where} must be {_TYPE_NAMES[kind]}, got {value!r}"
         )
+    if positive and not value > 0:
+        bound = ">= 1" if kind is int else "> 0"
+        raise ConfigError(f"config key {where} must be {bound}, got {value!r}")
 
 
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
-    """Reject unknown keys, mistyped values and empty lists, naming the key."""
+    """Reject unknown keys, mistyped or out-of-range values and empty lists."""
     for key, sub in data.items():
         where = f"{path}{key}"
         if key not in schema:
@@ -120,7 +135,6 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} line {exc.lineno}: {exc.msg}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(data, _CONFIG_SCHEMA)
     return data
 
 
@@ -252,27 +266,42 @@ def _t_grid(cfg: dict, default) -> np.ndarray:
 def main(ctx, config_path, out_dir, seed, shots, formats, threads):
     """Microwave-amplitude sensing simulator for a driven two-level sensor."""
     cfg = load_config(config_path)
-    run = cfg.setdefault("run", {})
+    run, out = _section(cfg, "run"), _section(cfg, "output")
     if seed is not None:
         run["seed"] = seed
     if shots is not None:
         run["shots"] = shots
-    if threads != 1:
+    # a flag equal to the value in effect adds no key to the echoed config
+    if _given(ctx, "threads") and threads != run.get("threads", 1):
         run["threads"] = threads
-    if run.get("threads", 1) < 1:
-        raise ConfigError(f"threads must be >= 1, got {run['threads']}")
-    if run.get("shots", 1) < 1:
-        raise ConfigError(f"run.shots must be >= 1, got {run['shots']}")
-    out = cfg.setdefault("output", {})
-    out.setdefault("dir", out_dir)
-    fmts = tuple(f.strip() for f in formats.split(",") if f.strip())
-    if not fmts:
+    _check_keys(cfg, _CONFIG_SCHEMA)
+    # a flag (or the environment) beats the config, the config the default
+    if _given(ctx, "out_dir") or "dir" not in out:
+        out["dir"] = out_dir
+    where = "output.formats"
+    if _given(ctx, "formats") or "formats" not in out:
+        out["formats"] = [f.strip() for f in formats.split(",") if f.strip()]
+        where = "--format"
+    if not out["formats"]:
         raise ConfigError(f"--format names no output format: {formats!r}")
-    for f in fmts:
+    for f in out["formats"]:
         if f not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {f!r}")
-    out.setdefault("formats", list(fmts))
+            raise ConfigError(f"{where}: unknown output format {f!r}")
     ctx.obj = cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.setdefault(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name} must be a table")
+    return section
+
+
+def _given(ctx, name: str) -> bool:
+    """True when a parameter came from the command line or the environment."""
+    return ctx.get_parameter_source(name) not in (
+        click.core.ParameterSource.DEFAULT, click.core.ParameterSource.DEFAULT_MAP
+    )
 
 
 def _finish(cfg: dict, bundle: ResultBundle):

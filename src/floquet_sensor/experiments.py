@@ -51,7 +51,6 @@ from .params import (
 )
 from .propagator import (
     PropagatorOptions,
-    StateVector,
     _pauli_exp,
     evolve,
     interval_unitary,
@@ -98,9 +97,10 @@ class Scenario:
             return to_signal_rotating(build_lab_ods(self.sensor, sig), sig)
         return build_fds_prime(self.sensor, sig, self.drive, self.errors)
 
-    def state(self, omega_s_amp, t, opts: PropagatorOptions = ORACLE_OPTS) -> StateVector:
+    def state(self, omega_s_amp, t, opts: PropagatorOptions = ORACLE_OPTS) -> np.ndarray:
+        """State at time t, evolved from |0> at the given signal amplitude."""
         spec = self.rotating_spec(float(omega_s_amp))
-        return evolve(spec, StateVector.ket0(), [float(t)], opts).states[-1]
+        return evolve(spec, (1, 0), [float(t)], opts)[-1]
 
     def exact_qfi(self, t: float, opts: PropagatorOptions = ORACLE_OPTS) -> QfiEstimate:
         return qfi_exact(lambda w: self.state(w, t, opts), self.signal.omega_s_amp)

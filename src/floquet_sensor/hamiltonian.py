@@ -4,15 +4,14 @@ A Hamiltonian is represented as a frame-tagged sum of Pauli terms with
 constant or cosine envelopes (``HamiltonianSpec``).  Builders produce the
 lab-frame sensing Hamiltonians, the transform to the signal rotating frame
 (with or without the rotating-wave approximation) and the first-order
-time-averaged description of the periodic drive: kick operator, effective
-Hamiltonian and quasi-energy shift.
+time-averaged description of the periodic drive: kick operator, quasi-energy
+shift and the coefficients of the effective Hamiltonian.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -20,7 +19,6 @@ from typing import Union
 import numpy as np
 
 from .params import (
-    DEFAULT_VALIDITY_FACTOR,
     ControlErrorParams,
     FloquetDriveParams,
     SensorParams,
@@ -315,25 +313,3 @@ def effective_coefficients(
     """
     delta = signal.detuning(sensor)
     return 0.5 * signal.omega_s_amp, 0.5 * (delta - quasi_energy_shift(drive))
-
-
-def effective_hamiltonian(
-    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
-) -> np.ndarray:
-    """First-order time-independent effective Hamiltonian, 2x2 Hermitian.
-
-    Warns if the drive frequency is not comfortably above the other rates
-    (ratio below ``DEFAULT_VALIDITY_FACTOR``), where the first-order
-    average becomes unreliable.
-    """
-    delta = signal.detuning(sensor)
-    ratio = drive.validity_ratio(signal.omega_s_amp, delta)
-    if ratio < DEFAULT_VALIDITY_FACTOR:
-        warnings.warn(
-            f"drive frequency exceeds competing rates only by {ratio:.2f}x "
-            f"(recommended >= {DEFAULT_VALIDITY_FACTOR:g}x); first-order "
-            "effective Hamiltonian may be inaccurate",
-            stacklevel=2,
-        )
-    cx, cz = effective_coefficients(sensor, signal, drive)
-    return cx * SIGMA_X + cz * SIGMA_Z

@@ -13,8 +13,7 @@ Random streams: each Monte Carlo call of ``qfi_pipeline`` seeds one
 generator from ``SeedSequence(mc.seed)`` and makes a single Poisson draw of
 shape (repeat, axis x/y/z, grid point), in C order.  The same seed therefore
 reproduces a run bit for bit, and a run with more repeats extends the one
-with fewer.  (Earlier versions spawned one generator per repeat, grid point
-and axis; their Monte Carlo outputs differ statistically, not bit for bit.)
+with fewer.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .metrology import QfiEstimate
-from .propagator import StateVector, expectation
+from .propagator import expectation
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class ReadoutModel:
     """Fluorescence readout statistics.
 
     count_rate in counts/s, t_det in us, contrast dimensionless.  The bright
-    (|0>) and dark (|1>) reference means follow from the three parameters.
+    (|0>) reference mean per shot follows from the first two.
     """
 
     count_rate: float = 9.5e4
@@ -51,10 +50,6 @@ class ReadoutModel:
     @property
     def mu_bright(self) -> float:
         return self.count_rate * self.t_det * 1e-6
-
-    @property
-    def mu_dark(self) -> float:
-        return self.mu_bright * (1.0 - self.contrast)
 
     def mean_counts(self, p0):
         """Poisson mean for a state with |0> population p0 (scalar or array)."""
@@ -165,7 +160,7 @@ def default_omega_grid(omega_center: float, points: int = 7, span: float = 0.025
 
 
 def qfi_pipeline(
-    scenario: Callable[[float, float], StateVector],
+    scenario: Callable[[float, float], np.ndarray],
     t: float,
     omega_grid,
     shots: int | None = None,
@@ -175,7 +170,8 @@ def qfi_pipeline(
 ) -> QfiEstimate:
     """Full estimation pipeline: states -> noisy expectations -> line fits -> QFI.
 
-    ``scenario(omega, t)`` supplies the evolved state for each grid amplitude.
+    ``scenario(omega, t)`` supplies the evolved state (a 2-vector) for each
+    grid amplitude.
     With ``shots=None`` the expectations are exact and a single deterministic
     fit is made; otherwise ``mc.repeats`` repeats of Poisson counts are drawn
     in one call from a generator seeded by ``SeedSequence(mc.seed)``, ordered

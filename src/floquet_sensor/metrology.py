@@ -1,7 +1,8 @@
-"""Estimation-theoretic analysis: quantum Fisher information, the Cramer-Rao
-bound, the magnetic sensitivity model and Rabi-amplitude <-> field conversion.
+"""Estimation-theoretic analysis: quantum Fisher information and the
+magnetic sensitivity model.
 
 QFI conventions: for a pure-state family |psi(w)> at fixed evolution time,
+given as 2-vectors of amplitudes over {|0>, |1>},
 
     I(w) = 4 ( <d_w psi | d_w psi> - |<psi | d_w psi>|^2 )
 
@@ -21,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .params import mhz_to_angular
-from .propagator import StateVector
 
 
 class QfiStepError(RuntimeError):
@@ -75,14 +75,8 @@ class OptimalSensingResult:
     eta_at_t2: float  # nT / sqrt(Hz)
 
 
-def _state_array(state) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return state.as_array()
-    return np.asarray(state, dtype=complex).reshape(2)
-
-
 def qfi_exact(
-    family: Callable[[float], StateVector],
+    family: Callable[[float], np.ndarray],
     omega: float,
     h: float | None = None,
 ) -> QfiEstimate:
@@ -94,9 +88,7 @@ def qfi_exact(
     """
     if h is None:
         h = 1e-4 * max(abs(omega), mhz_to_angular(0.1))
-    psi_m = _state_array(family(omega - h))
-    psi_0 = _state_array(family(omega))
-    psi_p = _state_array(family(omega + h))
+    psi_m, psi_0, psi_p = (family(w) for w in (omega - h, omega, omega + h))
 
     dpsi = (psi_p - psi_m) / (2.0 * h)
     overlap = np.vdot(psi_0, dpsi)
@@ -134,25 +126,12 @@ def theta_phi_from_expectations(sx: float, sy: float, sz: float) -> PureStatePar
     return PureStateParam(theta=theta, phi=math.atan2(-sy, sz))
 
 
-def state_from_theta_phi(theta: float, phi: float) -> StateVector:
+def state_from_theta_phi(theta: float, phi: float) -> np.ndarray:
     """Pure state cos(theta)|+> + sin(theta) e^{i phi}|-> in the z basis."""
     ct, st = math.cos(theta), math.sin(theta)
     e = complex(math.cos(phi), math.sin(phi))
     inv = 1.0 / math.sqrt(2.0)
-    return StateVector(inv * (ct + st * e), inv * (ct - st * e))
-
-
-def cramer_rao(qfi: QfiEstimate, repetitions: int = 1) -> float:
-    """Minimum achievable standard deviation of the Rabi amplitude, rad/us.
-
-    1/sqrt(repetitions * QFI); a zero (or negative) QFI is unbounded and
-    returns +inf.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if qfi.value <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(repetitions * qfi.value)
+    return np.array([inv * (ct + st * e), inv * (ct - st * e)])
 
 
 def sensitivity(params: SensitivityParams, t: float) -> float:
@@ -202,19 +181,3 @@ def optimal_sensing_time(params: SensitivityParams) -> OptimalSensingResult:
         eta_opt=sensitivity(params, t_opt),
         eta_at_t2=sensitivity(params, params.T2),
     )
-
-
-def field_from_rabi(omega_s_amp: float, gamma_e: float = mhz_to_angular(2.8)) -> float:
-    """Magnetic field amplitude (nT) producing a given Rabi amplitude (rad/us).
-
-    B = sqrt(2) * omega_s_amp / gamma_e with the angular gyromagnetic ratio
-    (rad/us/G); the result is converted from Gauss to nT.
-    """
-    if omega_s_amp < 0:
-        raise ValueError("Rabi amplitude must be >= 0")
-    return math.sqrt(2.0) * omega_s_amp / gamma_e * 1e5
-
-
-def rabi_from_field(b_nt: float, gamma_e: float = mhz_to_angular(2.8)) -> float:
-    """Inverse of ``field_from_rabi``: field amplitude (nT) -> Rabi rad/us."""
-    return b_nt * 1e-5 * gamma_e / math.sqrt(2.0)

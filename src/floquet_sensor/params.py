@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-#: the drive frequency should exceed every other rate in the rotating frame
-#: by at least this factor for the time-averaged description to be trustworthy
-DEFAULT_VALIDITY_FACTOR = 10.0
-
 
 def mhz_to_angular(f_mhz: float) -> float:
     """Cyclic MHz -> angular rad/us."""
@@ -57,11 +53,6 @@ class SensorParams:
     def omega_0(self) -> float:
         """Transition frequency D - gamma_e*B0, rad/us."""
         return self.D - self.gamma_e * self.B0
-
-    @property
-    def gamma_e_cyclic(self) -> float:
-        """Gyromagnetic ratio in Hz/nT (cyclic units; 2.8 MHz/G -> 28 Hz/nT)."""
-        return self.gamma_e / TWO_PI * 10.0
 
 
 @dataclass(frozen=True)
@@ -143,18 +134,12 @@ class FloquetDriveParams:
         """Ratio of drive frequency to the fastest competing rate.
 
         The effective (time-averaged) description requires this ratio to be
-        large; ``DEFAULT_VALIDITY_FACTOR`` is the recommended floor.  A zero
-        competing rate returns ``inf``.
+        large (at least about 10).  A zero competing rate returns ``inf``.
         """
         scale = max(self.omega_F_amp, omega_s_amp, abs(delta))
         if scale == 0:
             return math.inf
         return self.omega_F_freq / scale
-
-    def is_valid(
-        self, omega_s_amp: float, delta: float, factor: float = DEFAULT_VALIDITY_FACTOR
-    ) -> bool:
-        return self.validity_ratio(omega_s_amp, delta) >= factor
 
     def perturbed(self, errors: ControlErrorParams) -> "FloquetDriveParams":
         """Apply additive amplitude/frequency errors.

@@ -72,50 +72,6 @@ class PropagationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitudes over the computational basis {|0>, |1>}."""
-
-    a0: complex
-    a1: complex
-
-    def __post_init__(self):
-        norm = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm^2 = {norm!r} deviates from 1")
-
-    @classmethod
-    def ket0(cls) -> "StateVector":
-        return cls(1.0 + 0.0j, 0.0j)
-
-    @classmethod
-    def ket1(cls) -> "StateVector":
-        return cls(0.0j, 1.0 + 0.0j)
-
-    @classmethod
-    def plus(cls) -> "StateVector":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(s + 0.0j, s + 0.0j)
-
-    @classmethod
-    def minus(cls) -> "StateVector":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(s + 0.0j, -s + 0.0j)
-
-    @classmethod
-    def from_array(cls, arr) -> "StateVector":
-        arr = np.asarray(arr, dtype=complex).reshape(2)
-        return cls(complex(arr[0]), complex(arr[1]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1], dtype=complex)
-
-    @property
-    def p0(self) -> float:
-        """Population of |0>."""
-        return abs(self.a0) ** 2
-
-
-@dataclass(frozen=True)
 class PropagatorOptions:
     """Accuracy controls for ``evolve``.
 
@@ -129,15 +85,6 @@ class PropagatorOptions:
 
     rel_tol: float = 1e-10
     adaptive: bool = True
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    """States on a time grid plus the |0> populations."""
-
-    times: np.ndarray
-    states: tuple[StateVector, ...]
-    populations: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -425,30 +372,36 @@ def _fixed_pieces(spec, t0, t1, z, opts) -> np.ndarray:
 
 def evolve(
     spec: HamiltonianSpec,
-    psi0: StateVector,
+    psi0,
     times,
     opts: PropagatorOptions = PropagatorOptions(),
-) -> EvolutionResult:
+) -> np.ndarray:
     """Evolve ``psi0`` from t = 0 through the sorted, non-negative time grid.
 
-    Cosine envelopes carry absolute phases, so evolution always anchors at
-    t = 0; the first grid point need not be 0.
+    ``psi0`` holds the amplitudes over {|0>, |1>} and must have unit norm (to
+    1e-9).  Returns the (T, 2) complex array of the states at the T grid
+    times.  Cosine envelopes carry absolute phases, so evolution always
+    anchors at t = 0; the first grid point need not be 0.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D grid")
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times must be sorted and non-negative")
-    psi = psi0.as_array()
-    states = []
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.shape != (2,):
+        raise ValueError(f"psi0 must be a 2-vector, got shape {psi.shape}")
+    norm = float(np.vdot(psi, psi).real)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"psi0 norm^2 = {norm!r} deviates from 1")
+    states = np.empty((times.size, 2), dtype=complex)
     t_prev = 0.0
-    for t in times:
+    for i, t in enumerate(times):
         if t > t_prev:
             psi = interval_unitary(spec, t_prev, float(t), opts) @ psi
             t_prev = float(t)
-        states.append(StateVector.from_array(psi))
-    pops = np.array([s.p0 for s in states])
-    return EvolutionResult(times=times, states=tuple(states), populations=pops)
+        states[i] = psi
+    return states
 
 
 def rabi_population(omega_s_amp: float, delta: float, t: float) -> float:
@@ -466,9 +419,9 @@ def rabi_population(omega_s_amp: float, delta: float, t: float) -> float:
     return 1.0 - contrast * math.sin(0.5 * general * t) ** 2
 
 
-def expectation(state: StateVector, axis: str) -> float:
-    """Pauli expectation value of a pure state along x, y or z."""
-    a0, a1 = state.a0, state.a1
+def expectation(state, axis: str) -> float:
+    """Pauli expectation value of a pure state (a 2-vector) along x, y or z."""
+    a0, a1 = complex(state[0]), complex(state[1])
     if axis == "x":
         return 2.0 * (a0.conjugate() * a1).real
     if axis == "y":

@@ -91,8 +91,8 @@ def test_config_in_mhz_is_echoed_in_summary(tmp_path):
 
 
 # (config, arguments, key named in the error): unknown keys, values of the
-# wrong type, thread and shot counts below 1 and empty format lists are usage
-# errors, caught before any computation
+# wrong type, counts below 1, non-positive durations and empty format lists
+# are usage errors, caught before any computation
 BAD_CONFIGS = [
     ({"runn": {}}, ["rabi"], "runn"),
     ({"run": {"shots": "1000"}}, ["qfi"], "run.shots"),
@@ -110,11 +110,23 @@ BAD_CONFIGS = [
     ({"run": {"shots": 0}}, ["rabi"], "run.shots"),
     ({}, ["--shots", "0", "qfi"], "run.shots"),
     ({}, ["--shots", "-5", "qfi"], "run.shots"),
+    # counts below 1 and non-positive durations once ran to nan or failed
+    # deep inside without naming the key
+    ({"run": {"noise_realizations": 0}}, ["dd"], "run.noise_realizations"),
+    ({"run": {"noise_realizations": -3}}, ["calibrate"], "run.noise_realizations"),
+    ({"run": {"repeats": 0}}, ["qfi"], "run.repeats"),
+    ({"physical": {"harmonics": 0}}, ["effective"], "physical.harmonics"),
+    ({"physical": {"tau_us": 0}}, ["dd"], "physical.tau_us"),
+    ({"run": {"sweep_time_us": -1}}, ["robustness"], "run.sweep_time_us"),
+    ({"physical": {"t2_us": [0]}}, ["sensitivity"], "physical.t2_us[0]"),
     # a top-level scenario key was once accepted and read by no command
     ({"scenario": "fds-k5"}, ["rabi"], "scenario"),
     # a format list empty after stripping once wrote nothing and exited 0
     ({}, ["--format", ",", "effective"], "--format"),
     ({}, ["--format", " , ", "rabi"], "--format"),
+    # an unknown format in the config once wrote nothing and exited 0
+    ({"output": {"formats": ["csv", "xml"]}}, ["effective"], "output.formats"),
+    ({"output": {"formats": ["json"]}}, ["--format", "xml", "effective"], "--format"),
 ]
 
 
@@ -183,6 +195,34 @@ def test_out_dir_env_honored(tmp_path, monkeypatch):
     res = run_cli(["effective"])
     assert res.exit_code == 0
     assert (tmp_path / "envout" / "effective_summary.json").exists()
+
+
+def test_flags_beat_config_output_section(tmp_path, monkeypatch):
+    # the config's output section once won over --out and --format
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FLOQUET_SENSOR_OUT", raising=False)
+    cfg = write_config(
+        tmp_path, {"output": {"dir": "from_config", "formats": ["json"]}}
+    )
+
+    def written():
+        return sorted(
+            p.relative_to(tmp_path).as_posix()
+            for p in tmp_path.rglob("*.*") if p.parent != tmp_path
+        )
+
+    res = run_cli(["--config", cfg, "--out", "from_flag", "--format", "csv", "effective"])
+    assert res.exit_code == 0
+    assert written() == ["from_flag/effective_shift_by_harmonic.csv"]
+    # the config beats the built-in default, the environment the config
+    assert run_cli(["--config", cfg, "effective"]).exit_code == 0
+    monkeypatch.setenv("FLOQUET_SENSOR_OUT", "from_env")
+    assert run_cli(["--config", cfg, "effective"]).exit_code == 0
+    assert written() == [
+        "from_config/effective_summary.json",
+        "from_env/effective_summary.json",
+        "from_flag/effective_shift_by_harmonic.csv",
+    ]
 
 
 def test_qfi_command_noiseless(tmp_path):

@@ -15,16 +15,17 @@ from floquet_sensor.measurement import (
 from floquet_sensor.metrology import theta_phi_from_expectations
 from floquet_sensor.params import SensorParams, SignalParams
 from floquet_sensor.hamiltonian import build_lab_ods, to_signal_rotating
-from floquet_sensor.propagator import StateVector, evolve
+from floquet_sensor.propagator import evolve
 
 TP = 2.0 * math.pi
+KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
 def resonant_state(amp, t):
     sensor = SensorParams()
     signal = SignalParams.from_detuning(sensor, amp, 0.0)
     spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
-    return evolve(spec, StateVector.ket0(), [t]).states[-1]
+    return evolve(spec, KET0, [t])[-1]
 
 
 # -------------------------------------------------------------- count model
@@ -34,7 +35,6 @@ def test_reference_means_from_paper_numbers():
     assert m.mu_bright == pytest.approx(9.5e4 * 0.94e-6)       # ~0.0893 / shot
     assert m.mean_counts(1.0) == pytest.approx(m.mu_bright)
     assert m.mean_counts(0.0) == pytest.approx(m.mu_bright * 0.87)
-    assert m.mu_dark < m.mu_bright
 
 
 def test_contrast_zero_limit_removes_state_dependence():
@@ -134,7 +134,7 @@ def resonant_scenario(amp0):
     def scenario(w, t):
         signal = SignalParams.from_detuning(sensor, w, 0.0)
         spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
-        return evolve(spec, StateVector.ket0(), [t]).states[-1]
+        return evolve(spec, KET0, [t])[-1]
 
     return scenario
 
@@ -150,7 +150,7 @@ def test_pipeline_noiseless_resonant_reaches_quadratic():
 
 
 def test_pipeline_zero_dependence_scenario():
-    fixed = StateVector.plus()
+    fixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     est = qfi_pipeline(
         lambda w, t: fixed, 2.0, default_omega_grid(TP * 0.5), omega_center=TP * 0.5
     )

@@ -36,7 +36,6 @@ from floquet_sensor.propagator import (
     _stepped_unitary,
     PropagationError,
     PropagatorOptions,
-    StateVector,
     evolve,
     expectation,
     interval_unitary,
@@ -67,30 +66,32 @@ def fds_paper_spec(k=5):
     return build_fds_prime(sensor, signal, drive), drive, sensor, signal
 
 
-# --------------------------------------------------------------- StateVector
-
-def test_state_vector_normalization_enforced():
-    with pytest.raises(ValueError):
-        StateVector(1.0, 1.0)
-    s = StateVector.plus()
-    assert s.p0 == pytest.approx(0.5)
-
-
-def test_state_vector_constructors():
-    assert StateVector.ket0().p0 == 1.0
-    assert StateVector.ket1().p0 == 0.0
-    npt.assert_allclose(
-        StateVector.minus().as_array(), [2**-0.5, -(2**-0.5)], atol=1e-15
-    )
-
-
 # -------------------------------------------------------------------- evolve
+
+KET0 = np.array([1.0, 0.0], dtype=complex)
+PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def test_evolve_rejects_bad_initial_state():
+    spec = constant_spec(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="norm"):
+        evolve(spec, [1.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="norm"):
+        evolve(spec, [1.0 + 1e-8, 0.0], [1.0])
+    with pytest.raises(ValueError, match="2-vector"):
+        evolve(spec, [1.0, 0.0, 0.0], [1.0])
+    with pytest.raises(ValueError, match="2-vector"):
+        evolve(spec, [[1.0, 0.0]], [1.0])
+    # within the 1e-9 tolerance, and any array-like of two amplitudes
+    assert evolve(spec, [1.0 + 1e-10, 0.0], [1.0]).shape == (1, 2)
+    assert evolve(spec, (0, 1j), [1.0]).shape == (1, 2)
+
 
 def test_zero_spec_is_identity():
     spec = constant_spec(0.0, 0.0, 0.0)
-    res = evolve(spec, StateVector.plus(), [0.5, 1.5, 7.0])
-    for s in res.states:
-        npt.assert_allclose(s.as_array(), StateVector.plus().as_array(), atol=1e-14)
+    states = evolve(spec, PLUS, [0.5, 1.5, 7.0])
+    assert states.shape == (3, 2)
+    npt.assert_allclose(states, np.broadcast_to(PLUS, (3, 2)), atol=1e-14)
 
 
 def test_constant_specs_match_matrix_exponential():
@@ -99,9 +100,10 @@ def test_constant_specs_match_matrix_exponential():
         cx, cy, cz = rng.normal(size=3) * 3.0
         spec = constant_spec(cx, cy, cz)
         t = rng.uniform(0.1, 8.0)
-        res = evolve(spec, StateVector.ket0(), [t])
-        ref = expm(-1j * t * spec.matrix(0.0)) @ np.array([1.0, 0.0], complex)
-        npt.assert_allclose(res.states[-1].as_array(), ref, atol=1e-12)
+        states = evolve(spec, KET0, [t])
+        ref = expm(-1j * t * spec.matrix(0.0)) @ KET0
+        assert states.shape == (1, 2)
+        npt.assert_allclose(states[-1], ref, atol=1e-12)
 
 
 def test_rabi_population_matches_evolve_randomized():
@@ -115,8 +117,9 @@ def test_rabi_population_matches_evolve_randomized():
         t = rng.uniform(0.0, 20.0)
         signal = SignalParams.from_detuning(sensor, amp, delta)
         spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
-        res = evolve(spec, StateVector.ket0(), [t] if t > 0 else [0.0])
-        worst = max(worst, abs(res.populations[-1] - rabi_population(amp, delta, t)))
+        states = evolve(spec, KET0, [t] if t > 0 else [0.0])
+        p0 = abs(states[:, 0]) ** 2
+        worst = max(worst, abs(p0[-1] - rabi_population(amp, delta, t)))
     assert worst < 1e-9
 
 
@@ -134,26 +137,25 @@ def test_full_drive_spec_against_reference_integrator():
         rtol=1e-12,
         atol=1e-14,
     ).y[:, -1]
-    res = evolve(spec, StateVector.ket0(), [0.8], PropagatorOptions(rel_tol=1e-10))
-    npt.assert_allclose(res.states[-1].as_array(), ref, atol=5e-10)
+    states = evolve(spec, KET0, [0.8], PropagatorOptions(rel_tol=1e-10))
+    npt.assert_allclose(states[-1], ref, atol=5e-10)
 
 
 def test_unitarity_across_scenarios():
     spec, _, _, _ = fds_paper_spec(k=3)
-    res = evolve(spec, StateVector.ket0(), np.linspace(0.3, 3.0, 6),
-                 PropagatorOptions(rel_tol=1e-8))
-    for s in res.states:
-        assert abs(abs(s.a0) ** 2 + abs(s.a1) ** 2 - 1.0) < 1e-10
+    states = evolve(spec, KET0, np.linspace(0.3, 3.0, 6),
+                    PropagatorOptions(rel_tol=1e-8))
+    assert states.shape == (6, 2)
+    npt.assert_allclose(np.sum(abs(states) ** 2, axis=1), 1.0, atol=1e-10)
 
 
 def test_time_grid_composition():
     spec, _, _, _ = fds_paper_spec(k=2)
     opts = PropagatorOptions(rel_tol=1e-10)
-    stepped = evolve(spec, StateVector.ket0(), [0.7, 1.9], opts)
-    direct = evolve(spec, StateVector.ket0(), [1.9], opts)
-    npt.assert_allclose(
-        stepped.states[-1].as_array(), direct.states[-1].as_array(), atol=1e-9
-    )
+    stepped = evolve(spec, KET0, [0.7, 1.9], opts)
+    direct = evolve(spec, KET0, [1.9], opts)
+    assert stepped.shape == (2, 2)
+    npt.assert_allclose(stepped[-1], direct[-1], atol=1e-9)
 
 
 def test_self_convergence_contract():
@@ -169,11 +171,11 @@ def test_self_convergence_contract():
 def test_evolve_validates_grid():
     spec = constant_spec(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        evolve(spec, StateVector.ket0(), [])
+        evolve(spec, KET0, [])
     with pytest.raises(ValueError):
-        evolve(spec, StateVector.ket0(), [2.0, 1.0])
+        evolve(spec, KET0, [2.0, 1.0])
     with pytest.raises(ValueError):
-        evolve(spec, StateVector.ket0(), [-1.0])
+        evolve(spec, KET0, [-1.0])
 
 
 def test_pathological_spec_reported():
@@ -181,7 +183,7 @@ def test_pathological_spec_reported():
         Frame.SIGNAL_ROTATING, (PauliTerm("x", Cosine(1.0, 1e15)),)
     )
     with pytest.raises(PropagationError):
-        evolve(crazy, StateVector.ket0(), [1.0])
+        evolve(crazy, KET0, [1.0])
 
 
 def test_step_doubling_stall_fails_fast():
@@ -388,9 +390,9 @@ def test_rabi_population_examples():
 
 
 def test_expectation_values():
-    assert expectation(StateVector.ket0(), "z") == pytest.approx(1.0)
-    assert expectation(StateVector.plus(), "x") == pytest.approx(1.0)
-    s = StateVector(2**-0.5, 1j * 2**-0.5)
+    assert expectation(KET0, "z") == pytest.approx(1.0)
+    assert expectation(PLUS, "x") == pytest.approx(1.0)
+    s = np.array([2**-0.5, 1j * 2**-0.5])
     assert expectation(s, "y") == pytest.approx(1.0)
     with pytest.raises(ValueError):
         expectation(s, "q")
@@ -398,8 +400,7 @@ def test_expectation_values():
     rng = np.random.default_rng(2)
     v = rng.normal(size=4)
     arr = (v[:2] + 1j * v[2:]) / np.linalg.norm(v[:2] + 1j * v[2:])
-    st = StateVector.from_array(arr)
-    bloch = sum(expectation(st, ax) ** 2 for ax in "xyz")
+    bloch = sum(expectation(arr, ax) ** 2 for ax in "xyz")
     assert bloch == pytest.approx(1.0, abs=1e-12)
 
 
@@ -438,10 +439,10 @@ def test_lab_vs_rotating_frame_consistency():
     rot = to_signal_rotating(lab, signal, apply_rwa=False)
     t = 1.7
     opts = PropagatorOptions(rel_tol=1e-10)
-    psi_lab = evolve(lab, StateVector.ket0(), [t], opts).states[-1].as_array()
+    psi_lab = evolve(lab, KET0, [t], opts)[-1]
     ws = signal.omega_s_freq
     u_s = np.diag([np.exp(-0.5j * ws * t), np.exp(0.5j * ws * t)])
-    psi_rot = evolve(rot, StateVector.ket0(), [t], opts).states[-1].as_array()
+    psi_rot = evolve(rot, KET0, [t], opts)[-1]
     npt.assert_allclose(u_s @ psi_lab, psi_rot, atol=1e-8)
 
 
