@@ -56,11 +56,11 @@ _CONFIG_SCHEMA = {
         "signal_amp_mhz": float,
         "detuning_mhz": float,
         "drive_amp_mhz": float,
-        "drive_freq_mhz": float,
+        "drive_freq_mhz": _Positive(float),
         "harmonics": _Positive(int),
         "contrast": float,
-        "count_rate_per_s": float,
-        "detect_time_us": float,
+        "count_rate_per_s": _Positive(float),
+        "detect_time_us": _Positive(float),
         "t2_us": [_Positive(float)],
         "tau_us": _Positive(float),
         "noise_sigma_z_mhz": float,
@@ -354,14 +354,11 @@ def qfi(ctx):
     presets = _preset_names(cfg, ["fds-k5", "ods-detuned"])
     t_grid = _t_grid(cfg, [1.0, 2.0, 3.0, 3.8, 4.0])
     bundle = ResultBundle("qfi", cfg, seed)
-    mc = MonteCarloConfig(
-        shots=100_000 if shots is None else shots, repeats=repeats, seed=seed
-    )
+    mc = None if shots is None else MonteCarloConfig(shots, repeats, seed)
     for name in presets:
         rows_out = []
         for row in run_qfi_scaling(
-            _build_scenario(name, cfg), t_grid, shots=shots, mc=mc,
-            model=_readout_model(cfg),
+            _build_scenario(name, cfg), t_grid, mc=mc, model=_readout_model(cfg),
         ):
             rows_out.append(
                 [name, row.t, row.qfi, row.stderr, row.qfi_over_t2, row.qfi_exact]

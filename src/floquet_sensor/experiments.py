@@ -473,11 +473,10 @@ class QfiScalingRow:
 def run_qfi_scaling(
     preset: Union[str, Scenario],
     t_grid,
-    shots: int | None = None,
     mc: MonteCarloConfig | None = None,
     model: ReadoutModel = ReadoutModel(),
 ) -> list[QfiScalingRow]:
-    """Estimation-pipeline QFI against the exact oracle over evolution times."""
+    """Pipeline QFI against the exact oracle over t_grid (exact readout if mc is None)."""
     scenario = resolve_scenario(preset)
     rows = []
     for t in np.asarray(t_grid, dtype=float):
@@ -487,7 +486,6 @@ def run_qfi_scaling(
             lambda w, tt: scenario.state(w, tt),
             float(t),
             grid,
-            shots=shots,
             mc=mc,
             model=model,
             omega_center=scenario.signal.omega_s_amp,
@@ -533,7 +531,6 @@ def run_robustness_sweep(
     t: float = 4.0,
     preset: Union[str, Scenario, None] = None,
     n_workers: int = 1,
-    opts: PropagatorOptions = ORACLE_OPTS,
 ) -> RobustnessResult:
     """Exact-oracle QFI of the driven sensor under control errors.
 
@@ -557,14 +554,14 @@ def run_robustness_sweep(
     ods = Scenario(
         "ods-baseline", scenario.sensor, scenario.signal, drive=None
     )
-    baseline = ods.exact_qfi(t, opts).value
+    baseline = ods.exact_qfi(t).value
 
     def qfi_at(err: float) -> float:
         if error_axis == "amplitude":
             e = ControlErrorParams(amp_error=err)
         else:
             e = ControlErrorParams(freq_error=err)
-        return scenario.with_errors(e).exact_qfi(t, opts).value
+        return scenario.with_errors(e).exact_qfi(t).value
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -655,17 +652,15 @@ def run_dd_experiment(
 
 def calibrate_noise(
     target_t2: float,
-    kind: str = "ornstein-uhlenbeck",
     tau_c: float = DD_TAU_C_DEFAULT,
     preset: Union[str, Scenario] = "dd-off",
     t_grid=None,
     n_realizations: int = 160,
     seed: int = 0,
-    rel_tol: float = 0.05,
-    max_iter: int = 12,
 ) -> NoiseModel:
-    """Bisection on the noise amplitude until the pulse-free fitted decay
-    time matches ``target_t2``.
+    """Bisection on the Ornstein-Uhlenbeck noise amplitude until the
+    pulse-free fitted decay time matches ``target_t2`` to 5% (at most 12
+    bracket doublings each way and 24 bisection steps).
 
     The same unit-variance noise shapes are reused at every amplitude (fixed
     seed), making the fitted T2 a smooth, monotone function of sigma_z.
@@ -677,7 +672,7 @@ def calibrate_noise(
         t_grid = default_dd_grid(dd=False)
 
     def fitted_t2(sigma: float) -> float:
-        noise = NoiseModel(kind=kind, sigma_z=sigma, tau_c=tau_c)
+        noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=sigma, tau_c=tau_c)
         scan = run_scan(
             preset, t_grid, noise=noise, n_realizations=n_realizations, seed=seed
         )
@@ -688,12 +683,12 @@ def calibrate_noise(
     t2 = fitted_t2(sigma)
     lo = hi = sigma
     t2_lo = t2_hi = t2
-    for _ in range(max_iter):
+    for _ in range(12):
         if t2_hi < target_t2:
             break
         hi *= 2.0
         t2_hi = fitted_t2(hi)
-    for _ in range(max_iter):
+    for _ in range(12):
         if t2_lo > target_t2:
             break
         lo *= 0.5
@@ -703,11 +698,12 @@ def calibrate_noise(
             f"could not bracket sigma_z for T2 = {target_t2:g} us "
             f"(got T2 in [{t2_hi:g}, {t2_lo:g}])"
         )
-    for _ in range(max_iter * 2):
+    for _ in range(24):
         mid = math.sqrt(lo * hi)
         t2_mid = fitted_t2(mid)
-        if abs(t2_mid - target_t2) <= rel_tol * target_t2:
-            return NoiseModel(kind=kind, sigma_z=mid, tau_c=tau_c, seed=seed)
+        if abs(t2_mid - target_t2) <= 0.05 * target_t2:
+            return NoiseModel(kind="ornstein-uhlenbeck", sigma_z=mid, tau_c=tau_c,
+                              seed=seed)
         if t2_mid > target_t2:
             lo = mid
         else:

@@ -154,16 +154,15 @@ def _fit_qfi_from_expectations(
     return 4.0 * sq_t + np.sin(2.0 * theta_c) ** 2 * sq_p, notes
 
 
-def default_omega_grid(omega_center: float, points: int = 7, span: float = 0.025):
-    """Symmetric fractional grid around the nominal amplitude (default +-2.5%)."""
-    return omega_center * (1.0 + span * np.linspace(-1.0, 1.0, points))
+def default_omega_grid(omega_center: float):
+    """Seven points on a symmetric +-2.5% grid around the nominal amplitude."""
+    return omega_center * (1.0 + 0.025 * np.linspace(-1.0, 1.0, 7))
 
 
 def qfi_pipeline(
     scenario: Callable[[float, float], np.ndarray],
     t: float,
     omega_grid,
-    shots: int | None = None,
     mc: MonteCarloConfig | None = None,
     model: ReadoutModel = ReadoutModel(),
     omega_center: float | None = None,
@@ -172,11 +171,11 @@ def qfi_pipeline(
 
     ``scenario(omega, t)`` supplies the evolved state (a 2-vector) for each
     grid amplitude.
-    With ``shots=None`` the expectations are exact and a single deterministic
-    fit is made; otherwise ``mc.repeats`` repeats of Poisson counts are drawn
-    in one call from a generator seeded by ``SeedSequence(mc.seed)``, ordered
-    (repeat, axis, grid point), and the spread of the per-repeat values
-    gives the error bar.
+    With ``mc=None`` the expectations are exact and a single deterministic
+    fit is made; otherwise ``mc.repeats`` repeats of Poisson counts over
+    ``mc.shots`` shots are drawn in one call from a generator seeded by
+    ``SeedSequence(mc.seed)``, ordered (repeat, axis, grid point), and the
+    spread of the per-repeat values gives the error bar.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size < 3:
@@ -189,19 +188,18 @@ def qfi_pipeline(
     states = [scenario(float(w), t) for w in omega_grid]
     exact = np.array([[expectation(s, ax) for s in states] for ax in ("x", "y", "z")])
 
-    if shots is None:
+    if mc is None:
         sx, sy, sz = exact[:, None, :]
     else:
-        mc = mc or MonteCarloConfig()
         rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
         p0 = np.broadcast_to(0.5 * (1.0 + exact), (mc.repeats,) + exact.shape)
-        p0_hat, _ = read_out(p0, shots, rng, model)
+        p0_hat, _ = read_out(p0, mc.shots, rng, model)
         sx, sy, sz = np.moveaxis(2.0 * p0_hat - 1.0, 1, 0)
     values, notes = _fit_qfi_from_expectations(
-        omega_grid, sx, sy, sz, omega_center, debias=shots is not None
+        omega_grid, sx, sy, sz, omega_center, debias=mc is not None
     )
 
-    if shots is None:
+    if mc is None:
         for n in notes:
             warnings.warn(n, stacklevel=2)
         return QfiEstimate(

@@ -23,6 +23,8 @@ import numpy as np
 
 from .params import mhz_to_angular
 
+_GAMMA_E_CYCLIC = 28.0  # electron gyromagnetic ratio, Hz / nT
+
 
 class QfiStepError(RuntimeError):
     """Finite-difference cross-check failure in ``qfi_exact``."""
@@ -59,7 +61,6 @@ class SensitivityParams:
     count_rate: float = 9.5e4  # counts / s
     t_det: float = 0.94  # us
     T2: float = 17.9  # us
-    gamma_e_cyclic: float = 28.0  # Hz / nT
 
     def __post_init__(self):
         if not 0.0 < self.contrast < 1.0:
@@ -139,15 +140,14 @@ def sensitivity(params: SensitivityParams, t: float) -> float:
 
     eta(t) = 1/(gamma_e_cyclic * C * sqrt(N)) * sqrt(1 + t/t_det) / (t e^{-t/T2})
 
-    with the time in the denominator converted to seconds and the
-    proportionality constant fixed to 1 under this unit convention (the
-    calibration that reproduces the published endpoint values).
+    with gamma_e_cyclic = 28 Hz/nT, the time in the denominator converted to
+    seconds and the proportionality constant fixed to 1 under this unit
+    convention (the calibration that reproduces the published endpoint
+    values).
     """
     if t <= 0:
         raise ValueError("sensing time must be positive")
-    prefactor = 1.0 / (
-        params.gamma_e_cyclic * params.contrast * math.sqrt(params.count_rate)
-    )
+    prefactor = 1.0 / (_GAMMA_E_CYCLIC * params.contrast * math.sqrt(params.count_rate))
     duty = math.sqrt(1.0 + t / params.t_det)
     t_seconds = t * 1e-6
     return prefactor * duty / (t_seconds * math.exp(-t / params.T2))

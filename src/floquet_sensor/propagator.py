@@ -5,7 +5,8 @@ exponential of a fourth-order (two-point Gauss) average of the Hamiltonian
 on each substep.  Every substep is exactly unitary, so norm is preserved to
 round-off regardless of step size; accuracy is controlled by Richardson-style
 step doubling until two resolutions agree to ``rel_tol``.  For
-time-independent specs a single substep is already exact.
+time-independent specs every substep is exact, so the first doubling already
+agrees: two passes per interval.
 
 Everything is vectorized over substeps (and optionally over a batch of
 sigma_z offsets, used for noise-ensemble averaging), with the running
@@ -33,16 +34,15 @@ offsets), and only the remainder t1 - (t0 + mT) is integrated directly.
 - U_T is projected onto SU(2), [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1,
   before powering, so its round-off unitarity defect is not multiplied by m.
 
-Segment axis: at fixed resolution, ``interval_unitary`` also takes arrays of
-S segment bounds with sigma_z offsets of shape (S, r) and returns the
-(S, r, 2, 2) stack that S scalar calls would return, bit for bit.  The route
-rule is applied per segment; the pieces it yields (direct intervals, single
-periods, remainders) are grouped by substep count and each group runs
-through the same fixed-resolution pass, widened to a leading piece axis, in
-blocks of at most ``_BLOCK`` substeps x batch members (a piece larger than
-that runs alone, as its scalar call would), so a scan's peak memory does not
-grow with its segment count.  The one-period propagators are then raised to
-their powers, grouped by m.
+Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
+with sigma_z offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
+the S scalar calls, bit for bit; a scalar call is the one-segment case of
+the same route.  The route rule splits each segment into pieces (a direct
+interval, or one period and an optional remainder).  With refinement each
+piece is step-doubled on its own; without refinement the pieces are grouped
+by substep count and run through passes widened to a leading piece axis, in
+blocks of at most ``_BLOCK`` substeps x batch members, so a scan's peak
+memory does not grow with its segment count.
 """
 
 from __future__ import annotations
@@ -149,20 +149,16 @@ def _step_generators(
     return 0.5 * h * (p1 + p2) + (_SQRT3 * h * h / 6.0) * np.cross(p2, p1)
 
 
-def _identity(z_offsets) -> np.ndarray:
-    batch = () if z_offsets is None else np.shape(z_offsets)
-    return np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
-
-
 def _interval_unitary(
     spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
 ) -> np.ndarray:
-    """Propagator over [t0, t1] at fixed resolution n, chunked for memory.
+    """Propagator over [t0, t1] in n substeps, chunked for memory.
 
     ``t0`` and ``t1`` may be arrays of P pieces that share the resolution n,
     with ``z_offsets`` of shape (P, r); the result is then (P, r, 2, 2).
     """
-    total = _identity(z_offsets)
+    batch = () if z_offsets is None else np.shape(z_offsets)
+    total = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
     done = 0
     h = (t1 - t0) / n
     while done < n:
@@ -212,25 +208,15 @@ def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) ->
     return m
 
 
-def _stepped_unitary(
-    spec: HamiltonianSpec,
-    t0: float,
-    t1: float,
-    opts: PropagatorOptions,
-    tol: float,
-    z_offsets=None,
-) -> np.ndarray:
+def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float,
+                     opts: PropagatorOptions, tol: float, z_offsets=None) -> np.ndarray:
     """Direct propagator over [t0, t1]: step doubling until agreement to ``tol``.
 
-    With ``opts.adaptive`` off, a single pass at the initial resolution is
-    returned.  Doubling stops with ``PropagationError`` as soon as the
-    residual fails to shrink, since below the round-off floor further
-    doublings only cost time.
+    Doubling stops with ``PropagationError`` as soon as the residual fails to
+    shrink, since below the round-off floor further doublings only cost time.
     """
     n = _initial_steps(spec, t1 - t0, opts)
     u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
-    if not opts.adaptive:
-        return u_prev
     residual = math.inf
     for _ in range(24):
         n *= 2
@@ -289,81 +275,84 @@ def interval_unitary(
     count becomes unreasonable.
 
     Arrays of S segment bounds, with ``z_offsets`` of shape (S, r), give the
-    (S, r, 2, 2) stack of the S scalar calls, bit for bit; they need
-    fixed-resolution ``opts`` (``adaptive=False``).
+    (S, r, 2, 2) stack of the S scalar calls, bit for bit; a scalar call is
+    the one-segment case.
     """
-    if np.ndim(t0) or np.ndim(t1):
-        return _segment_unitaries(spec, t0, t1, opts, z_offsets)
-    if t1 == t0:
-        return _identity(z_offsets)
-    m = _periods(spec, t1 - t0, opts)
-    if m == 0:
-        return _stepped_unitary(spec, t0, t1, opts, opts.rel_tol, z_offsets)
-    period = TWO_PI / spec.fundamental[0]
-    t_mid = t0 + m * period
-    u_period = _stepped_unitary(
-        spec, t0, t0 + period, opts, opts.rel_tol / m, z_offsets
-    )
-    u = np.linalg.matrix_power(_su2_project(u_period), m)
-    # a remainder within round-off of t0 + mT is skipped
-    if t1 - t_mid > 16.0 * math.ulp(t1):
-        u = _stepped_unitary(spec, t_mid, t1, opts, opts.rel_tol, z_offsets) @ u
-    return u
-
-
-def _segment_unitaries(spec, t0, t1, opts, z_offsets) -> np.ndarray:
-    """``interval_unitary`` over arrays of segment bounds, one pass per block."""
-    if opts.adaptive:
-        raise ValueError(
-            "array segment bounds need a fixed resolution (opts.adaptive=False); "
-            "step doubling refines one interval at a time"
-        )
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    z = None if z_offsets is None else np.asarray(z_offsets, dtype=float)
-    if (t0.ndim != 1 or t1.shape != t0.shape or z is None or z.ndim != 2
-            or z.shape[0] != t0.size):
-        raise ValueError(
-            "array segment bounds t0, t1 need shape (S,) and z_offsets shape (S, r)"
-        )
-    out = _identity(z)
-    moving = t1 != t0
-    m = np.array([_periods(spec, d, opts) for d in (t1 - t0).tolist()], dtype=int)
-    direct = np.flatnonzero(moving & (m == 0))
-    out[direct] = _fixed_pieces(spec, t0[direct], t1[direct], z[direct], opts)
-    strobe = np.flatnonzero(m)
-    if strobe.size:
-        m, a, b, zs = m[strobe], t0[strobe], t1[strobe], z[strobe]
+    segments = bool(np.ndim(t0) or np.ndim(t1))
+    if segments:
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        rows = None if z_offsets is None else np.asarray(z_offsets, dtype=float)
+        if (t0.ndim != 1 or t1.shape != t0.shape or rows is None or rows.ndim != 2
+                or rows.shape[0] != t0.size):
+            raise ValueError("array segment bounds t0, t1 need shape (S,) and "
+                             "z_offsets shape (S, r)")
+        bounds = list(zip(t0.tolist(), t1.tolist()))
+    else:
+        bounds = [(float(t0), float(t1))]
+        rows = None if z_offsets is None else np.asarray(z_offsets, dtype=float)[None]
+    # the route rule per segment, as pieces (start, end, tolerance, segment):
+    # heads holds each moving segment's direct interval or one period (at
+    # rel_tol / m), in order; tails the remainders of the heads in ``rest``
+    heads, tails, moving, strobe, rest = [], [], [], {}, []
+    for seg, (a, b) in enumerate(bounds):
+        if a == b:
+            continue
+        moving.append(seg)
+        m = _periods(spec, b - a, opts)
+        if m == 0:
+            heads.append((a, b, opts.rel_tol, seg))
+            continue
         period = TWO_PI / spec.fundamental[0]
-        u = _su2_project(_fixed_pieces(spec, a, a + period, zs, opts))
-        for power in np.unique(m):
-            same = m == power
-            u[same] = np.linalg.matrix_power(u[same], int(power))
         t_mid = a + m * period
-        # a remainder within round-off of t0 + mT is skipped (ulp as math.ulp)
-        rest = np.flatnonzero(b - t_mid > 16.0 * np.spacing(np.abs(b)))
-        u[rest] = _fixed_pieces(spec, t_mid[rest], b[rest], zs[rest], opts) @ u[rest]
-        out[strobe] = u
-    return out
+        strobe.setdefault(m, []).append(len(heads))
+        # a remainder within round-off of t0 + mT is skipped
+        if b - t_mid > 16.0 * math.ulp(b):
+            rest.append(len(heads))
+            tails.append((t_mid, b, opts.rel_tol, seg))
+        heads.append((a, a + period, opts.rel_tol / m, seg))
+    us = _piece_unitaries(spec, heads + tails, opts, rows)
+    u = us[:len(heads)]
+    for m, k in strobe.items():
+        u[k] = np.linalg.matrix_power(_su2_project(u[k]), m)
+    if rest:
+        u[rest] = us[len(heads):] @ u[rest]
+    if len(moving) < len(bounds):  # zero-length segments take the identity
+        out = np.empty((len(bounds),) + u.shape[1:], dtype=complex)
+        out[:] = np.eye(2)
+        out[moving] = u
+        u = out
+    return u if segments else u[0]
 
 
-def _fixed_pieces(spec, t0, t1, z, opts) -> np.ndarray:
-    """Fixed-resolution propagators of the pieces [t0, t1], shape (P, r, 2, 2).
+def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
+    """Propagators of the P pieces (start, end, tol, segment), shape (P, ..., 2, 2).
 
-    Pieces are grouped by substep count n, and each group is passed to
-    ``_interval_unitary`` in blocks of at most ``_BLOCK`` substeps x batch
-    members (at least one piece per block).
+    ``rows[segment]`` holds the sigma_z offsets of a piece (none if ``rows``
+    is None).  With ``opts.adaptive`` each piece is refined to its tolerance
+    on its own.  Otherwise pieces are grouped by substep count n, and each
+    group is passed to ``_interval_unitary`` in blocks of at most ``_BLOCK``
+    substeps x batch members (at least one piece per block); a block of one
+    piece takes the kernel's scalar form.
     """
-    out = np.empty(z.shape + (2, 2), dtype=complex)
-    steps = np.array([_initial_steps(spec, d, opts) for d in (t1 - t0).tolist()],
+    batch = () if rows is None else rows.shape[1:]
+    us = np.empty((len(pieces),) + batch + (2, 2), dtype=complex)
+    if opts.adaptive:
+        for k, (a, b, tol, seg) in enumerate(pieces):
+            z = None if rows is None else rows[seg]
+            us[k] = _stepped_unitary(spec, a, b, opts, tol, z)
+        return us
+    a, b, _, seg = np.reshape(pieces, (-1, 4)).T
+    z = None if rows is None else rows[seg.astype(int)]  # offsets per piece
+    steps = np.array([_initial_steps(spec, d, opts) for d in (b - a).tolist()],
                      dtype=int)
-    for n in np.unique(steps):
+    for n in np.unique(steps).tolist():
         group = np.flatnonzero(steps == n)
-        per_block = max(1, _BLOCK // (int(n) * max(1, z.shape[1])))
+        per_block = max(1, _BLOCK // (n * max(1, math.prod(batch))))
         for start in range(0, group.size, per_block):
             idx = group[start:start + per_block]
-            out[idx] = _interval_unitary(spec, t0[idx], t1[idx], int(n), z[idx])
-    return out
+            k = idx[0] if idx.size == 1 else idx
+            us[k] = _interval_unitary(spec, a[k], b[k], n, None if z is None else z[k])
+    return us
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ BAD_CONFIGS = [
     ({"physical": {"tau_us": 0}}, ["dd"], "physical.tau_us"),
     ({"run": {"sweep_time_us": -1}}, ["robustness"], "run.sweep_time_us"),
     ({"physical": {"t2_us": [0]}}, ["sensitivity"], "physical.t2_us[0]"),
+    ({"physical": {"detect_time_us": 0}}, ["sensitivity"], "physical.detect_time_us"),
+    ({"physical": {"count_rate_per_s": -1}}, ["rabi"], "physical.count_rate_per_s"),
+    ({"physical": {"drive_freq_mhz": 0}}, ["effective"], "physical.drive_freq_mhz"),
     # a top-level scenario key was once accepted and read by no command
     ({"scenario": "fds-k5"}, ["rabi"], "scenario"),
     # a format list empty after stripping once wrote nothing and exited 0

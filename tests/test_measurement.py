@@ -170,8 +170,8 @@ def test_pipeline_monte_carlo_determinism_and_consistency():
     t = 2.0
     grid = default_omega_grid(w0)
     mc = MonteCarloConfig(shots=100_000, repeats=20, seed=3)
-    a = qfi_pipeline(resonant_scenario(w0), t, grid, shots=mc.shots, mc=mc, omega_center=w0)
-    b = qfi_pipeline(resonant_scenario(w0), t, grid, shots=mc.shots, mc=mc, omega_center=w0)
+    a = qfi_pipeline(resonant_scenario(w0), t, grid, mc=mc, omega_center=w0)
+    b = qfi_pipeline(resonant_scenario(w0), t, grid, mc=mc, omega_center=w0)
     assert a.value == b.value and a.stderr == b.stderr  # identical seeds
     assert a.method == "monte-carlo"
     # estimate consistent with the noiseless truth within its own error bar
@@ -188,7 +188,6 @@ def test_pipeline_error_shrinks_with_shots():
             resonant_scenario(w0),
             2.0,
             grid,
-            shots=shots,
             mc=MonteCarloConfig(shots=shots, repeats=16, seed=6),
             omega_center=w0,
         )
@@ -266,7 +265,7 @@ def test_pipeline_monte_carlo_notes_and_warning_count():
     # 1000 shots: noise large enough to trip unwrap notes in some repeats
     mc = MonteCarloConfig(shots=1_000, repeats=200, seed=2)
     with pytest.warns(UserWarning, match=r"\d+ fit notes over 200 repeats") as rec:
-        est = qfi_pipeline(resonant_scenario(w0), 0.2, grid, shots=mc.shots, mc=mc,
+        est = qfi_pipeline(resonant_scenario(w0), 0.2, grid, mc=mc,
                            omega_center=w0)
     assert est.notes == tuple(sorted(set(est.notes)))
     count = int(str(rec[0].message).split()[0])
@@ -278,6 +277,6 @@ def test_pipeline_monte_carlo_resonant_mean_within_5_sem():
     t = 3.8
     mc = MonteCarloConfig(shots=100_000, repeats=2000, seed=0)
     est = qfi_pipeline(resonant_scenario(w0), t, default_omega_grid(w0),
-                       shots=mc.shots, mc=mc, omega_center=w0)
+                       mc=mc, omega_center=w0)
     sem = est.stderr / math.sqrt(mc.repeats)
     assert abs(est.value - t**2) < 5.0 * sem

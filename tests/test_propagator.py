@@ -23,6 +23,7 @@ from floquet_sensor.hamiltonian import (
 )
 from floquet_sensor.experiments import ORACLE_OPTS, SCAN_OPTS, make_preset
 from floquet_sensor.params import (
+    TWO_PI,
     ControlErrorParams,
     FloquetDriveParams,
     SensorParams,
@@ -34,6 +35,7 @@ from floquet_sensor.propagator import (
     _interval_unitary,
     _initial_steps,
     _stepped_unitary,
+    _su2_project,
     PropagationError,
     PropagatorOptions,
     evolve,
@@ -203,6 +205,52 @@ def _unitarity_defect(u):
     return np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(2)))
 
 
+def _direct(spec, t0, t1, opts, tol, z=None):
+    """Direct integration of one interval: step doubling, or one fixed pass."""
+    if opts.adaptive:
+        return _stepped_unitary(spec, t0, t1, opts, tol, z)
+    return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts), z)
+
+
+def _scalar_route(spec, t0, t1, opts, z=None):
+    """Reference: the stroboscopic route written out for one scalar interval."""
+    m = propagator._periods(spec, t1 - t0, opts)
+    if m == 0:
+        return _direct(spec, t0, t1, opts, opts.rel_tol, z)
+    period = TWO_PI / spec.fundamental[0]
+    t_mid = t0 + m * period
+    u_period = _direct(spec, t0, t0 + period, opts, opts.rel_tol / m, z)
+    u = np.linalg.matrix_power(_su2_project(u_period), m)
+    if t1 - t_mid > 16.0 * math.ulp(t1):  # a remainder within round-off is skipped
+        u = _direct(spec, t_mid, t1, opts, opts.rel_tol, z) @ u
+    return u
+
+
+FDS_PERIOD = TP / make_preset("fds-k5").rotating_spec().fundamental[0]
+
+
+@pytest.mark.parametrize(
+    "preset, errors, t0, t1, opts, batch",
+    [("fds-k5", {}, 0.0, 4.0, ORACLE_OPTS, 0),
+     ("robustness-amp", {"amp_error": -0.98}, 0.0, 4.0, ORACLE_OPTS, 0),
+     ("robustness-freq", {"freq_error": 30.0}, 0.0, 4.0, ORACLE_OPTS, 0),
+     ("fds-k5", {}, 0.0, 3 * FDS_PERIOD, PropagatorOptions(rel_tol=1e-9), 0),
+     ("dd-on", {}, 1.3, 1.8, SCAN_OPTS, 7)],
+)
+def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
+    # the rounding of t0 + m T decides the remainder, so the route must match
+    # the reference bit for bit, not to a tolerance
+    sc = make_preset(preset).with_errors(
+        ControlErrorParams(**{k: mhz_to_angular(v) for k, v in errors.items()})
+    )
+    spec = sc.rotating_spec()
+    z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
+    assert propagator._periods(spec, t1 - t0, opts) >= 2
+    u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
+    assert u.shape == (batch,) * bool(batch) + (2, 2)
+    assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, z))
+
+
 @pytest.mark.parametrize(
     "preset, freq_error_mhz, t",
     [("fds-k5", 0.0, 4.0), ("robustness-freq", -20.0, 2.0),
@@ -230,7 +278,7 @@ def test_stroboscopic_route_batched_dd_segment():
     z = 0.5 * np.linspace(-1.5, 1.5, 7)
     t0, t1 = 1.3, 1.8  # about 18 drive periods between two pi pulses
     u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
-    direct = _stepped_unitary(spec, t0, t1, SCAN_OPTS, SCAN_OPTS.rel_tol, z)
+    direct = _direct(spec, t0, t1, SCAN_OPTS, SCAN_OPTS.rel_tol, z)
     assert u.shape == (7, 2, 2)
     assert np.max(np.abs(u - direct)) <= SCAN_OPTS.rel_tol
     for i, off in enumerate(z):
@@ -290,8 +338,8 @@ def test_stroboscopic_remainder_at_period_multiple():
 RABI_EVENTS = np.concatenate([[0.0], np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)])
 
 
-def _scalar_calls(spec, t0, t1, z):
-    return np.stack([interval_unitary(spec, a, b, SCAN_OPTS, z_offsets=zz)
+def _scalar_calls(spec, t0, t1, z, opts=SCAN_OPTS):
+    return np.stack([interval_unitary(spec, a, b, opts, z_offsets=zz)
                      for a, b, zz in zip(t0, t1, z)])
 
 
@@ -364,8 +412,10 @@ def test_segments_split_into_blocks(passes):
 def test_segments_validate_options_and_shapes():
     spec = make_preset("dd-on").rotating_spec()
     t0, t1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    with pytest.raises(ValueError, match="fixed resolution"):
-        interval_unitary(spec, t0, t1, ORACLE_OPTS, z_offsets=np.zeros((2, 1)))
+    # with refinement, each piece is step-doubled on its own
+    z = np.random.default_rng(6).normal(size=(2, 2))
+    npt.assert_array_equal(interval_unitary(spec, t0, t1, ORACLE_OPTS, z_offsets=z),
+                           _scalar_calls(spec, t0, t1, z, ORACLE_OPTS))
     for z in (None, np.zeros(2), np.zeros((3, 1))):
         with pytest.raises(ValueError, match=r"shape \(S, r\)"):
             interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
