@@ -3,6 +3,7 @@
 from .params import (
     ControlErrorParams,
     FloquetDriveParams,
+    ReadoutModel,
     SensorParams,
     SignalParams,
     angular_to_mhz,
@@ -32,7 +33,6 @@ from .propagator import (
 from .metrology import (
     PureStateParam,
     QfiEstimate,
-    SensitivityParams,
     optimal_sensing_time,
     qfi_exact,
     qfi_theta_phi,
@@ -41,7 +41,6 @@ from .metrology import (
 )
 from .measurement import (
     MonteCarloConfig,
-    ReadoutModel,
     qfi_pipeline,
     read_out,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -21,15 +22,22 @@ import numpy as np
 
 from . import __version__
 from .hamiltonian import effective_coefficients, quasi_energy_shift
-from .measurement import MonteCarloConfig, ReadoutModel
-from .metrology import SensitivityParams, optimal_sensing_time, sensitivity
-from .params import FloquetDriveParams, SensorParams, angular_to_mhz, mhz_to_angular
+from .measurement import MonteCarloConfig
+from .metrology import optimal_sensing_time, sensitivity
+from .params import (
+    FloquetDriveParams,
+    ReadoutModel,
+    SensorParams,
+    angular_to_mhz,
+    mhz_to_angular,
+)
 from .experiments import (
     DD_SIGMA_Z_DEFAULT,
     DdConfig,
     NoiseModel,
     PRESET_NAMES,
     calibrate_noise,
+    grid_has_zero,
     make_preset,
     run_dd_experiment,
     run_qfi_scaling,
@@ -41,11 +49,17 @@ SCHEMA_VERSION = 1
 OUT_DIR_ENV = "FLOQUET_SENSOR_OUT"
 
 
-class _Positive:
-    """Schema entry for a value that must be > 0; for an integer, >= 1."""
+class _Domain:
+    """Schema entry for a value of ``kind`` (a type, or ``[type]`` for a list)
+    that must also pass ``test``; ``bound`` completes "must ..." in the error."""
 
-    def __init__(self, kind: type):
-        self.kind = kind
+    def __init__(self, kind, test, bound: str):
+        self.kind, self.test, self.bound = kind, test, bound
+
+
+def _positive(kind: type) -> _Domain:
+    """A value > 0; for an integer, >= 1."""
+    return _Domain(kind, lambda v: v > 0, "be >= 1" if kind is int else "be > 0")
 
 
 _CONFIG_SCHEMA = {
@@ -56,27 +70,34 @@ _CONFIG_SCHEMA = {
         "signal_amp_mhz": float,
         "detuning_mhz": float,
         "drive_amp_mhz": float,
-        "drive_freq_mhz": _Positive(float),
-        "harmonics": _Positive(int),
-        "contrast": float,
-        "count_rate_per_s": _Positive(float),
-        "detect_time_us": _Positive(float),
-        "t2_us": [_Positive(float)],
-        "tau_us": _Positive(float),
-        "noise_sigma_z_mhz": float,
-        "noise_tau_c_us": _Positive(float),
-        "target_t2_us": _Positive(float),
+        "drive_freq_mhz": _positive(float),
+        "harmonics": _positive(int),
+        "contrast": _Domain(float, lambda v: 0 < v < 1, "lie in (0, 1)"),
+        "count_rate_per_s": _positive(float),
+        "detect_time_us": _positive(float),
+        "t2_us": [_positive(float)],
+        "tau_us": _positive(float),
+        "noise_sigma_z_mhz": _Domain(float, lambda v: v >= 0, "be >= 0"),
+        "noise_tau_c_us": _positive(float),
+        "target_t2_us": _positive(float),
     },
     "run": {
-        "shots": _Positive(int),
-        "repeats": _Positive(int),
+        "shots": _positive(int),
+        "repeats": _positive(int),
         "seed": int,
-        "noise_realizations": _Positive(int),
-        "threads": _Positive(int),
-        "t_grid_us": [float],
+        "noise_realizations": _positive(int),
+        "threads": _positive(int),
+        "t_grid_us": _Domain(
+            [float], lambda v: v[0] >= 0 and all(a < b for a, b in zip(v, v[1:])),
+            "be strictly increasing and >= 0",
+        ),
         "presets": [str],
-        "error_grid_mhz": [float],
-        "sweep_time_us": _Positive(float),
+        "error_grid_mhz": _Domain(
+            [float],
+            lambda v: grid_has_zero(mhz_to_angular(np.asarray(v, dtype=float))),
+            "contain 0 (the unperturbed point)",
+        ),
+        "sweep_time_us": _positive(float),
     },
     "output": {"dir": str, "formats": [str]},
 }
@@ -88,40 +109,34 @@ class ConfigError(click.UsageError):
     """Config-file problem; exits with the usage status code (2)."""
 
 
-def _check_value(value, kind, where: str) -> None:
-    """An int passes where a float is declared; a bool passes as neither.
-    A ``_Positive`` kind also requires the value to be > 0."""
-    positive = isinstance(kind, _Positive)
-    if positive:
-        kind = kind.kind
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    if not ok or isinstance(value, bool):
-        raise ConfigError(
-            f"config key {where} must be {_TYPE_NAMES[kind]}, got {value!r}"
-        )
-    if positive and not value > 0:
-        bound = ">= 1" if kind is int else "> 0"
-        raise ConfigError(f"config key {where} must be {bound}, got {value!r}")
+def _check(value, kind, where: str) -> None:
+    """Reject unknown keys, mistyped or out-of-domain values and empty lists.
 
-
-def _check_keys(data: dict, schema: dict, path: str = "") -> None:
-    """Reject unknown keys, mistyped or out-of-range values and empty lists."""
-    for key, sub in data.items():
-        where = f"{path}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown config key: {where}")
-        kind = schema[key]
-        if isinstance(kind, dict):
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config section {where} must be a table")
-            _check_keys(sub, kind, where + ".")
-        elif isinstance(kind, list):
-            if not isinstance(sub, list) or not sub:
-                raise ConfigError(f"config key {where} must be a non-empty list")
-            for i, item in enumerate(sub):
-                _check_value(item, kind[0], f"{where}[{i}]")
-        else:
-            _check_value(sub, kind, where)
+    An int passes where a float is declared; a bool passes as neither.
+    """
+    if isinstance(kind, _Domain):
+        _check(value, kind.kind, where)
+        if not kind.test(value):
+            raise ConfigError(f"config key {where} must {kind.bound}, got {value!r}")
+    elif isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {where} must be a table")
+        for key, sub in value.items():
+            path = f"{where}.{key}" if where else key
+            if key not in kind:
+                raise ConfigError(f"unknown config key: {path}")
+            _check(sub, kind[key], path)
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config key {where} must be a non-empty list")
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{where}[{i}]")
+    else:
+        types = (int, float) if kind is float else kind
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigError(
+                f"config key {where} must be {_TYPE_NAMES[kind]}, got {value!r}"
+            )
 
 
 def load_config(path: str | None) -> dict:
@@ -185,13 +200,27 @@ class ResultBundle:
         return written
 
 
+def _given_keys(section: dict, convert=None, **keys) -> dict:
+    """``name=section[key]`` (through ``convert``) for each ``name=key`` the
+    config sets; unset keys leave the library's defaults in force."""
+    return {
+        name: section[key] if convert is None else convert(section[key])
+        for name, key in keys.items()
+        if key in section
+    }
+
+
 def _readout_model(cfg: dict) -> ReadoutModel:
+    return ReadoutModel(**_given_keys(
+        cfg.get("physical", {}), count_rate="count_rate_per_s",
+        t_det="detect_time_us", contrast="contrast"))
+
+
+def _sensor(cfg: dict) -> SensorParams:
     phys = cfg.get("physical", {})
-    return ReadoutModel(
-        count_rate=phys.get("count_rate_per_s", 9.5e4),
-        t_det=phys.get("detect_time_us", 0.94),
-        contrast=phys.get("contrast", 0.13),
-    )
+    angular = _given_keys(phys, mhz_to_angular, D="zero_field_splitting_mhz",
+                          gamma_e="gyromagnetic_ratio_mhz_per_g")
+    return SensorParams(**angular, **_given_keys(phys, B0="static_field_g"))
 
 
 def _preset_names(cfg: dict, default: list[str]) -> list[str]:
@@ -204,10 +233,6 @@ def _preset_names(cfg: dict, default: list[str]) -> list[str]:
     return names
 
 
-_DRIVEN_PRESETS = ("fds-k1", "fds-k3", "fds-k5",
-                   "robustness-amp", "robustness-freq", "dd-off", "dd-on")
-
-
 def _build_scenario(name: str, cfg: dict):
     """Preset with the config's physical overrides applied.
 
@@ -215,33 +240,15 @@ def _build_scenario(name: str, cfg: dict):
     patterns only apply to the default drive parameters).
     """
     phys = cfg.get("physical", {})
-    over = {}
-    sensor_keys = (
-        "zero_field_splitting_mhz",
-        "gyromagnetic_ratio_mhz_per_g",
-        "static_field_g",
-    )
-    if any(k in phys for k in sensor_keys):
-        over["sensor"] = SensorParams(
-            D=mhz_to_angular(phys.get("zero_field_splitting_mhz", 2870.0)),
-            gamma_e=mhz_to_angular(phys.get("gyromagnetic_ratio_mhz_per_g", 2.8)),
-            B0=phys.get("static_field_g", 500.0),
-        )
-    if "signal_amp_mhz" in phys:
-        over["omega_s_amp"] = mhz_to_angular(phys["signal_amp_mhz"])
-    if "detuning_mhz" in phys:
-        over["delta"] = mhz_to_angular(phys["detuning_mhz"])
-    if name in _DRIVEN_PRESETS and (
-        "drive_amp_mhz" in phys or "drive_freq_mhz" in phys
-    ):
-        k = int(name[-1]) if name.startswith("fds-k") else 5
-        over["drive"] = FloquetDriveParams(
-            mhz_to_angular(phys.get("drive_amp_mhz", 1.0)),
-            mhz_to_angular(phys.get("drive_freq_mhz", 36.54)),
-            k,
-            (0.5 * math.pi,) * k,
-        )
-    return make_preset(name, **over)
+    over = _given_keys(phys, mhz_to_angular, omega_s_amp="signal_amp_mhz",
+                       delta="detuning_mhz")
+    sc = make_preset(name, sensor=_sensor(cfg), **over)
+    drive = _given_keys(phys, mhz_to_angular, omega_F_amp="drive_amp_mhz",
+                        omega_F_freq="drive_freq_mhz")
+    if drive and sc.drive is not None:
+        k = sc.drive.harmonics
+        sc = replace(sc, drive=replace(sc.drive, phases=(0.5 * math.pi,) * k, **drive))
+    return sc
 
 
 def _t_grid(cfg: dict, default) -> np.ndarray:
@@ -274,7 +281,7 @@ def main(ctx, config_path, out_dir, seed, shots, formats, threads):
     # a flag equal to the value in effect adds no key to the echoed config
     if _given(ctx, "threads") and threads != run.get("threads", 1):
         run["threads"] = threads
-    _check_keys(cfg, _CONFIG_SCHEMA)
+    _check(cfg, _CONFIG_SCHEMA, "")
     # a flag (or the environment) beats the config, the config the default
     if _given(ctx, "out_dir") or "dir" not in out:
         out["dir"] = out_dir
@@ -350,11 +357,12 @@ def qfi(ctx):
     run = cfg.get("run", {})
     seed = run.get("seed", 0)
     shots = run.get("shots")
-    repeats = run.get("repeats", 50)
     presets = _preset_names(cfg, ["fds-k5", "ods-detuned"])
     t_grid = _t_grid(cfg, [1.0, 2.0, 3.0, 3.8, 4.0])
     bundle = ResultBundle("qfi", cfg, seed)
-    mc = None if shots is None else MonteCarloConfig(shots, repeats, seed)
+    mc = None if shots is None else MonteCarloConfig(
+        shots, seed=seed, **_given_keys(run, repeats="repeats")
+    )
     for name in presets:
         rows_out = []
         for row in run_qfi_scaling(
@@ -416,13 +424,12 @@ def robustness(ctx):
     presets = _preset_names(cfg, ["robustness-amp", "robustness-freq"])
     grid = run.get("error_grid_mhz")
     grid = mhz_to_angular(np.asarray(grid, dtype=float)) if grid is not None else None
-    t_sweep = run.get("sweep_time_us", 4.0)
     bundle = ResultBundle("robustness", cfg, seed)
     for name in presets:
         axis = "amplitude" if name.endswith("amp") else "frequency"
         res = run_robustness_sweep(
-            axis, grid=grid, t=t_sweep, preset=_build_scenario(name, cfg),
-            n_workers=threads,
+            axis, grid=grid, preset=_build_scenario(name, cfg), n_workers=threads,
+            **_given_keys(run, t="sweep_time_us"),
         )
         rows = [
             [name, angular_to_mhz(e), q, res.baseline]
@@ -450,18 +457,13 @@ def sensitivity_curves(ctx):
     phys = cfg.get("physical", {})
     seed = cfg.get("run", {}).get("seed", 0)
     t2_values = phys.get("t2_us", [17.9, 162.5])
+    readout, sensor = _readout_model(cfg), _sensor(cfg)
     bundle = ResultBundle("sensitivity", cfg, seed)
     rows = []
     for t2 in t2_values:
-        params = SensitivityParams(
-            contrast=phys.get("contrast", 0.13),
-            count_rate=phys.get("count_rate_per_s", 9.5e4),
-            t_det=phys.get("detect_time_us", 0.94),
-            T2=float(t2),
-        )
-        opt = optimal_sensing_time(params)
+        opt = optimal_sensing_time(t2, readout, sensor)
         for t in np.linspace(0.1 * t2, 3.0 * t2, 60):
-            rows.append([f"T2={t2:g}us", t, sensitivity(params, t)])
+            rows.append([f"T2={t2:g}us", t, sensitivity(t, t2, readout, sensor)])
         bundle.summary.setdefault("by_t2", {})[f"{t2:g}"] = {
             "eta_at_t2_nt_per_sqrthz": opt.eta_at_t2,
             "t_opt_us": opt.t_opt,
@@ -484,24 +486,18 @@ def dd(ctx):
     phys = cfg.get("physical", {})
     seed = run.get("seed", 0)
     shots = run.get("shots")
-    n_real = run.get("noise_realizations", 192)
-    noise_sigma = phys.get("noise_sigma_z_mhz")
-    sigma_z = (
-        mhz_to_angular(noise_sigma) if noise_sigma is not None else DD_SIGMA_Z_DEFAULT
-    )
+    sigma_z = phys.get("noise_sigma_z_mhz")
     noise = NoiseModel(
-        kind="ornstein-uhlenbeck",
-        sigma_z=sigma_z,
-        tau_c=phys.get("noise_tau_c_us", 50.0),
+        "ornstein-uhlenbeck",
+        DD_SIGMA_Z_DEFAULT if sigma_z is None else mhz_to_angular(sigma_z),
+        **_given_keys(phys, tau_c="noise_tau_c_us"),
     )
-    tau = phys.get("tau_us", 0.5)
-    grid = run.get("t_grid_us")
-    grid = np.asarray(grid, dtype=float) if grid is not None else None
+    dd_on = DdConfig(**_given_keys(phys, tau="tau_us"))
     bundle = ResultBundle("dd", cfg, seed)
-    for name, ddcfg in (("dd-off", None), ("dd-on", DdConfig(tau=tau))):
+    for name, ddcfg in (("dd-off", None), ("dd-on", dd_on)):
         scan, fit = run_dd_experiment(
-            _build_scenario(name, cfg), dd=ddcfg, noise=noise, t_grid=grid,
-            shots=shots, n_realizations=n_real, seed=seed,
+            _build_scenario(name, cfg), dd=ddcfg, noise=noise, shots=shots, seed=seed,
+            **_given_keys(run, t_grid="t_grid_us", n_realizations="noise_realizations"),
         )
         rows = [
             [name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)
@@ -529,14 +525,12 @@ def calibrate(ctx):
     phys = cfg.get("physical", {})
     seed = run.get("seed", 0)
     target = phys.get("target_t2_us", 17.9)
-    grid = run.get("t_grid_us")
     noise = calibrate_noise(
         target_t2=target,
-        tau_c=phys.get("noise_tau_c_us", 50.0),
         preset=_build_scenario("dd-off", cfg),
-        t_grid=np.asarray(grid, dtype=float) if grid is not None else None,
-        n_realizations=run.get("noise_realizations", 160),
         seed=seed,
+        **_given_keys(phys, tau_c="noise_tau_c_us"),
+        **_given_keys(run, t_grid="t_grid_us", n_realizations="noise_realizations"),
     )
     bundle = ResultBundle("calibrate", cfg, seed)
     bundle.summary["target_t2_us"] = target

@@ -35,7 +35,6 @@ from .hamiltonian import (
 )
 from .measurement import (
     MonteCarloConfig,
-    ReadoutModel,
     default_omega_grid,
     qfi_pipeline,
     read_out,
@@ -45,6 +44,7 @@ from .params import (
     TWO_PI,
     ControlErrorParams,
     FloquetDriveParams,
+    ReadoutModel,
     SensorParams,
     SignalParams,
     mhz_to_angular,
@@ -221,14 +221,12 @@ class NoiseModel:
     """Detuning (sigma_z-coupled) noise: none, quasi-static or OU.
 
     sigma_z is the standard deviation of the detuning offset in rad/us;
-    tau_c the OU correlation time in us.  ``seed`` is a fallback used when a
-    run does not supply its own.
+    tau_c the OU correlation time in us.
     """
 
     kind: str = "none"
     sigma_z: float = 0.0
     tau_c: float = DD_TAU_C_DEFAULT
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("none", "quasi-static", "ornstein-uhlenbeck"):
@@ -304,7 +302,7 @@ def run_scan(
     dd: DdConfig | None = None,
     shots: int | None = None,
     n_realizations: int = 128,
-    seed: int | None = 0,
+    seed: int = 0,
     model: ReadoutModel = ReadoutModel(),
 ) -> ScanResult:
     """Population-vs-time scan of one sequence family.
@@ -316,9 +314,10 @@ def run_scan(
     reproduced exactly when the pulses commute with the dynamics.
 
     With ``shots`` set, each grid point is additionally read out through the
-    Poisson photon-count model (shots spread evenly over realizations).  A
-    ``seed`` of None falls back to ``noise.seed`` (then 0) for both the noise
-    and the readout streams.  Segments are integrated at ``SCAN_OPTS``.
+    Poisson photon-count model (shots spread evenly over realizations).
+    ``seed`` seeds both the noise and the readout streams; None is rejected
+    rather than drawing fresh OS entropy.  Segments are integrated at
+    ``SCAN_OPTS``.
     """
     scenario = resolve_scenario(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -328,6 +327,8 @@ def run_scan(
         raise ValueError("t_grid must be strictly increasing and non-negative")
     if shots is not None and shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed is None:
+        raise ValueError("seed must be an integer; None would draw OS entropy")
     noise = noise or NoiseModel()
     n_real = n_realizations if noise.kind != "none" else 1
 
@@ -340,8 +341,6 @@ def run_scan(
     is_pulse = np.isin(events, pulses)
 
     mids = 0.5 * (events[:-1] + events[1:])
-    if seed is None:
-        seed = noise.seed or 0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     offsets = noise.sample_segments(mids, n_real, rng)  # detuning, rad/us
 
@@ -525,6 +524,12 @@ def _default_error_grid(error_axis: str) -> np.ndarray:
     raise ValueError("error_axis must be 'amplitude' or 'frequency'")
 
 
+def grid_has_zero(errors) -> bool:
+    """True when an error grid (rad/us) holds the unperturbed point: a value
+    within ``np.isclose``'s default tolerance of zero."""
+    return bool(np.any(np.isclose(errors, 0.0)))
+
+
 def run_robustness_sweep(
     error_axis: str,
     grid=None,
@@ -548,7 +553,7 @@ def run_robustness_sweep(
         preset = "robustness-amp" if error_axis == "amplitude" else "robustness-freq"
     scenario = resolve_scenario(preset)
     errors = np.asarray(grid, dtype=float) if grid is not None else _default_error_grid(error_axis)
-    if not np.any(np.isclose(errors, 0.0)):
+    if not grid_has_zero(errors):
         raise ValueError("error grid must contain zero (the unperturbed point)")
 
     ods = Scenario(
@@ -702,8 +707,7 @@ def calibrate_noise(
         mid = math.sqrt(lo * hi)
         t2_mid = fitted_t2(mid)
         if abs(t2_mid - target_t2) <= 0.05 * target_t2:
-            return NoiseModel(kind="ornstein-uhlenbeck", sigma_z=mid, tau_c=tau_c,
-                              seed=seed)
+            return NoiseModel(kind="ornstein-uhlenbeck", sigma_z=mid, tau_c=tau_c)
         if t2_mid > target_t2:
             lo = mid
         else:

@@ -1,6 +1,7 @@
 """Photon-count readout simulation and estimation from shot noise.
 
-The readout model maps a |0> population to a Poisson mean via linear
+The readout model (``params.ReadoutModel``, shared with the sensitivity
+model in ``metrology``) maps a |0> population to a Poisson mean via linear
 contrast interpolation, mu(p0) = N * t_det * [1 - C * (1 - p0)], with |0>
 the bright state.  ``read_out`` draws the aggregate photon count of a shot
 batch (Poisson with mean shots * mu) for an array of populations in one call
@@ -26,34 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .metrology import QfiEstimate
+from .params import ReadoutModel
 from .propagator import expectation
-
-
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Fluorescence readout statistics.
-
-    count_rate in counts/s, t_det in us, contrast dimensionless.  The bright
-    (|0>) reference mean per shot follows from the first two.
-    """
-
-    count_rate: float = 9.5e4
-    t_det: float = 0.94
-    contrast: float = 0.13
-
-    def __post_init__(self):
-        if not 0.0 < self.contrast < 1.0:
-            raise ValueError("contrast must lie in (0, 1)")
-        if self.count_rate <= 0 or self.t_det <= 0:
-            raise ValueError("count rate and detection time must be positive")
-
-    @property
-    def mu_bright(self) -> float:
-        return self.count_rate * self.t_det * 1e-6
-
-    def mean_counts(self, p0):
-        """Poisson mean for a state with |0> population p0 (scalar or array)."""
-        return self.mu_bright * (1.0 - self.contrast * (1.0 - p0))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Estimation-theoretic analysis: quantum Fisher information and the
 magnetic sensitivity model.
 
+The sensitivity model reads its contrast, count rate and detection time
+from ``params.ReadoutModel`` and the gyromagnetic ratio from
+``params.SensorParams``, the same objects the scans and the QFI pipeline use.
+
 QFI conventions: for a pure-state family |psi(w)> at fixed evolution time,
 given as 2-vectors of amplitudes over {|0>, |1>},
 
@@ -21,9 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import mhz_to_angular
-
-_GAMMA_E_CYCLIC = 28.0  # electron gyromagnetic ratio, Hz / nT
+from .params import ReadoutModel, SensorParams, angular_to_mhz, mhz_to_angular
 
 
 class QfiStepError(RuntimeError):
@@ -51,22 +53,6 @@ class QfiEstimate:
     method: str  # exact-fd | fidelity-fd | theta-phi-fit | monte-carlo
     stderr: float = 0.0
     notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SensitivityParams:
-    """Readout and coherence parameters entering the sensitivity model."""
-
-    contrast: float = 0.13
-    count_rate: float = 9.5e4  # counts / s
-    t_det: float = 0.94  # us
-    T2: float = 17.9  # us
-
-    def __post_init__(self):
-        if not 0.0 < self.contrast < 1.0:
-            raise ValueError("contrast must lie in (0, 1)")
-        if self.count_rate <= 0 or self.t_det <= 0 or self.T2 <= 0:
-            raise ValueError("count rate, detection time and T2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,49 +121,56 @@ def state_from_theta_phi(theta: float, phi: float) -> np.ndarray:
     return np.array([inv * (ct + st * e), inv * (ct - st * e)])
 
 
-def sensitivity(params: SensitivityParams, t: float) -> float:
+def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),
+                sensor: SensorParams = SensorParams()) -> float:
     """Magnetic amplitude sensitivity at sensing time t (us), in nT/sqrt(Hz).
 
-    eta(t) = 1/(gamma_e_cyclic * C * sqrt(N)) * sqrt(1 + t/t_det) / (t e^{-t/T2})
+    eta(t) = 1/(gamma * C * sqrt(N)) * sqrt(1 + t/t_det) / (t e^{-t/T2})
 
-    with gamma_e_cyclic = 28 Hz/nT, the time in the denominator converted to
-    seconds and the proportionality constant fixed to 1 under this unit
-    convention (the calibration that reproduces the published endpoint
-    values).
+    with C, N and t_det from ``readout``, the coherence time T2 = ``t2`` (us)
+    and gamma the sensor's cyclic gyromagnetic ratio in Hz/nT (1 MHz/G =
+    10 Hz/nT; 28 Hz/nT by default).  The time in the denominator is
+    converted to seconds and the proportionality constant fixed to 1 under
+    this unit convention (the calibration that reproduces the published
+    endpoint values).
     """
+    if t2 <= 0:
+        raise ValueError("T2 must be positive")
     if t <= 0:
         raise ValueError("sensing time must be positive")
-    prefactor = 1.0 / (_GAMMA_E_CYCLIC * params.contrast * math.sqrt(params.count_rate))
-    duty = math.sqrt(1.0 + t / params.t_det)
+    gamma = 10.0 * angular_to_mhz(sensor.gamma_e)  # Hz / nT
+    prefactor = 1.0 / (gamma * readout.contrast * math.sqrt(readout.count_rate))
+    duty = math.sqrt(1.0 + t / readout.t_det)
     t_seconds = t * 1e-6
-    return prefactor * duty / (t_seconds * math.exp(-t / params.T2))
+    return prefactor * duty / (t_seconds * math.exp(-t / t2))
 
 
-def optimal_sensing_time(params: SensitivityParams) -> OptimalSensingResult:
+def optimal_sensing_time(t2: float, readout: ReadoutModel = ReadoutModel(),
+                         sensor: SensorParams = SensorParams()) -> OptimalSensingResult:
     """Numerically minimize eta(t) over (0, 10*T2] by golden-section search.
 
     The objective is unimodal (diverges at 0+, grows like e^{t/T2} at large t).
     Also reports eta(T2) for comparison against the published convention.
     """
-    lo = min(params.t_det, params.T2) * 1e-3
-    hi = 10.0 * params.T2
+
+    def eta(t: float) -> float:
+        return sensitivity(t, t2, readout, sensor)
+
+    lo = min(readout.t_det, t2) * 1e-3
+    hi = 10.0 * t2
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = sensitivity(params, c), sensitivity(params, d)
+    fc, fd = eta(c), eta(d)
     while (b - a) > 1e-3 * max(1.0, a):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = sensitivity(params, c)
+            fc = eta(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = sensitivity(params, d)
+            fd = eta(d)
     t_opt = 0.5 * (a + b)
-    return OptimalSensingResult(
-        t_opt=t_opt,
-        eta_opt=sensitivity(params, t_opt),
-        eta_at_t2=sensitivity(params, params.T2),
-    )
+    return OptimalSensingResult(t_opt=t_opt, eta_opt=eta(t_opt), eta_at_t2=eta(t2))

@@ -1,4 +1,5 @@
-"""Parameter types and unit conventions for the two-level spin sensor.
+"""Parameter types and unit conventions for the two-level spin sensor and
+its fluorescence readout.
 
 Internal convention: every frequency-like quantity is an *angular* frequency
 in rad/us, times are in us, fields in Gauss.  User-facing configuration
@@ -53,6 +54,33 @@ class SensorParams:
     def omega_0(self) -> float:
         """Transition frequency D - gamma_e*B0, rad/us."""
         return self.D - self.gamma_e * self.B0
+
+
+@dataclass(frozen=True)
+class ReadoutModel:
+    """Fluorescence readout statistics.
+
+    count_rate in counts/s, t_det in us, contrast dimensionless.  The bright
+    (|0>) reference mean per shot follows from the first two.
+    """
+
+    count_rate: float = 9.5e4
+    t_det: float = 0.94
+    contrast: float = 0.13
+
+    def __post_init__(self):
+        if not 0.0 < self.contrast < 1.0:
+            raise ValueError("contrast must lie in (0, 1)")
+        if self.count_rate <= 0 or self.t_det <= 0:
+            raise ValueError("count rate and detection time must be positive")
+
+    @property
+    def mu_bright(self) -> float:
+        return self.count_rate * self.t_det * 1e-6
+
+    def mean_counts(self, p0):
+        """Poisson mean for a state with |0> population p0 (scalar or array)."""
+        return self.mu_bright * (1.0 - self.contrast * (1.0 - p0))
 
 
 @dataclass(frozen=True)

@@ -336,13 +336,14 @@ def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     """
     batch = () if rows is None else rows.shape[1:]
     us = np.empty((len(pieces),) + batch + (2, 2), dtype=complex)
-    if opts.adaptive:
+    if opts.adaptive or not pieces:  # no pieces: the loop returns the empty stack
         for k, (a, b, tol, seg) in enumerate(pieces):
             z = None if rows is None else rows[seg]
             us[k] = _stepped_unitary(spec, a, b, opts, tol, z)
         return us
-    a, b, _, seg = np.reshape(pieces, (-1, 4)).T
-    z = None if rows is None else rows[seg.astype(int)]  # offsets per piece
+    a, b, _, seg = zip(*pieces)
+    a, b = np.array(a), np.array(b)
+    z = None if rows is None else rows[list(seg)]  # offsets per piece
     steps = np.array([_initial_steps(spec, d, opts) for d in (b - a).tolist()],
                      dtype=int)
     for n in np.unique(steps).tolist():

@@ -40,7 +40,6 @@ from floquet_sensor.measurement import (
     qfi_pipeline,
 )
 from floquet_sensor.metrology import (
-    SensitivityParams,
     qfi_exact,
     qfi_theta_phi,
     sensitivity,
@@ -158,8 +157,8 @@ def test_criterion_3_quasi_energy_shift():
 
 
 def test_criterion_4_sensitivity_endpoints():
-    eta_short = sensitivity(SensitivityParams(T2=17.9), 17.9)
-    eta_long = sensitivity(SensitivityParams(T2=162.5), 162.5)
+    eta_short = sensitivity(17.9, 17.9)
+    eta_long = sensitivity(162.5, 162.5)
     ok = abs(eta_short - 602.0) / 602.0 <= 0.02 and abs(eta_long - 195.0) / 195.0 <= 0.02
     report(
         4, ok, f"eta(17.9us) = {eta_short:.1f} (602 +- 2%), eta(162.5us) = {eta_long:.1f} (195 +- 2%)"

@@ -45,6 +45,23 @@ def test_sensitivity_rows(tmp_path):
     assert header == "series,t_us,eta_nt_per_sqrthz"
 
 
+def test_sensitivity_reads_gyromagnetic_ratio_and_contrast(tmp_path):
+    # eta scales as 1/(gamma C): doubling either halves eta(T2)
+    def eta_at_t2(physical, sub):
+        cfg = write_config(tmp_path, {"physical": physical}, name=f"{sub}.json")
+        res = run_cli(["--config", cfg, "--out", str(tmp_path / sub), "sensitivity"])
+        assert res.exit_code == 0
+        summary = json.loads((tmp_path / sub / "sensitivity_summary.json").read_text())
+        return [v["eta_at_t2_nt_per_sqrthz"] for v in summary["by_t2"].values()]
+
+    base = eta_at_t2({}, "base")
+    for physical in ({"gyromagnetic_ratio_mhz_per_g": 5.6}, {"contrast": 0.26}):
+        sub = next(iter(physical))
+        assert eta_at_t2(physical, sub) == pytest.approx(
+            [b / 2 for b in base], rel=1e-12
+        ), physical
+
+
 def test_rabi_default_preset_tables(tmp_path):
     cfg = write_config(tmp_path, {"run": {"t_grid_us": TINY_GRID}})
     res = run_cli(["--config", cfg, "--out", str(tmp_path / "o"), "rabi"])
@@ -122,6 +139,14 @@ BAD_CONFIGS = [
     ({"physical": {"detect_time_us": 0}}, ["sensitivity"], "physical.detect_time_us"),
     ({"physical": {"count_rate_per_s": -1}}, ["rabi"], "physical.count_rate_per_s"),
     ({"physical": {"drive_freq_mhz": 0}}, ["effective"], "physical.drive_freq_mhz"),
+    # values outside an open interval, a negative noise amplitude, an unsorted
+    # grid and an error grid without 0 once failed deep inside with exit 1
+    # (an unsorted qfi grid once ran and exited 0)
+    ({"physical": {"contrast": 1.5}}, ["sensitivity"], "physical.contrast"),
+    ({"physical": {"noise_sigma_z_mhz": -1}}, ["dd"], "physical.noise_sigma_z_mhz"),
+    ({"run": {"t_grid_us": [1.0, 0.5]}}, ["rabi"], "run.t_grid_us"),
+    ({"run": {"t_grid_us": [2.0, 1.0]}}, ["qfi"], "run.t_grid_us"),
+    ({"run": {"error_grid_mhz": [-0.1, 0.1]}}, ["robustness"], "run.error_grid_mhz"),
     # a top-level scenario key was once accepted and read by no command
     ({"scenario": "fds-k5"}, ["rabi"], "scenario"),
     # a format list empty after stripping once wrote nothing and exited 0
@@ -261,10 +286,15 @@ def test_robustness_smoke_with_custom_grid(tmp_path):
 
 
 def test_robustness_runtime_error_exits_1(tmp_path):
-    # an error grid without the zero point is a runtime failure, not usage
+    # a resonant signal leaves the driven sensor no advantage at zero error:
+    # a runtime failure of a well-formed config, not a usage error
     cfg = write_config(
         tmp_path,
-        {"run": {"presets": ["robustness-amp"], "error_grid_mhz": [0.1, 0.2]}},
+        {
+            "physical": {"detuning_mhz": 0.0},
+            "run": {"presets": ["robustness-amp"], "error_grid_mhz": [0.0],
+                    "sweep_time_us": 1.0},
+        },
     )
     import subprocess, sys
 
@@ -275,7 +305,7 @@ def test_robustness_runtime_error_exits_1(tmp_path):
         text=True,
     )
     assert proc.returncode == 1
-    assert "zero" in proc.stderr
+    assert "no advantage" in proc.stderr
 
 
 def test_dd_smoke_with_tiny_protocol(tmp_path):

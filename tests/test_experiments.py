@@ -111,18 +111,13 @@ def test_scan_with_readout_noise_deterministic():
     assert np.any(c.p0 != a.p0)
 
 
-def test_scan_readout_seed_falls_back_to_noise_seed():
-    grid = [0.5, 1.0]
-    default = run_scan("ods-resonant", grid, shots=1000, seed=0)
-    unseeded = run_scan("ods-resonant", grid, shots=1000, seed=None)
-    npt.assert_array_equal(unseeded.p0, default.p0)
-    noise = NoiseModel(kind="quasi-static", sigma_z=0.3, seed=7)
-    fallback = run_scan("ods-resonant", grid, noise=noise, n_realizations=4,
-                        shots=1000, seed=None)
-    explicit = run_scan("ods-resonant", grid, noise=noise, n_realizations=4,
-                        shots=1000, seed=7)
-    npt.assert_array_equal(fallback.p0, explicit.p0)
-    npt.assert_array_equal(fallback.stderr, explicit.stderr)
+def test_scan_rejects_missing_seed():
+    # SeedSequence(None) would draw fresh OS entropy and break reproducibility
+    noise = NoiseModel(kind="quasi-static", sigma_z=0.3)
+    for shots in (None, 1000):
+        with pytest.raises(ValueError, match="seed"):
+            run_scan("ods-resonant", [0.5, 1.0], noise=noise, n_realizations=4,
+                     shots=shots, seed=None)
 
 
 def test_dd_off_engine_matches_rabi_scan_bitwise():

@@ -10,7 +10,6 @@ from floquet_sensor.hamiltonian import (
 from floquet_sensor.metrology import (
     OptimalSensingResult,
     QfiStepError,
-    SensitivityParams,
     optimal_sensing_time,
     qfi_exact,
     qfi_theta_phi,
@@ -18,7 +17,7 @@ from floquet_sensor.metrology import (
     state_from_theta_phi,
     theta_phi_from_expectations,
 )
-from floquet_sensor.params import SensorParams, SignalParams
+from floquet_sensor.params import ReadoutModel, SensorParams, SignalParams
 from floquet_sensor.propagator import evolve, expectation
 
 TP = 2.0 * math.pi
@@ -172,38 +171,49 @@ def test_detuned_bound_is_looser_than_resonant():
 # ---------------------------------------------------------------- sensitivity
 
 def test_sensitivity_reproduces_published_endpoints():
-    short = SensitivityParams(T2=17.9)
-    assert sensitivity(short, 17.9) == pytest.approx(602.0, rel=0.02)
-    longer = SensitivityParams(T2=162.5)
-    assert sensitivity(longer, 162.5) == pytest.approx(195.0, rel=0.02)
+    assert sensitivity(17.9, 17.9) == pytest.approx(602.0, rel=0.02)
+    assert sensitivity(162.5, 162.5) == pytest.approx(195.0, rel=0.02)
 
 
 def test_sensitivity_diverges_at_short_times():
-    p = SensitivityParams()
-    assert sensitivity(p, 1e-4) > 1e4 * sensitivity(p, p.T2)
+    assert sensitivity(1e-4, 17.9) > 1e4 * sensitivity(17.9, 17.9)
     with pytest.raises(ValueError):
-        sensitivity(p, 0.0)
+        sensitivity(0.0, 17.9)
 
 
 def test_sensitivity_params_validation():
-    with pytest.raises(ValueError):
-        SensitivityParams(contrast=1.5)
-    with pytest.raises(ValueError):
-        SensitivityParams(T2=-1.0)
+    # the readout model checks its contrast; sensitivity checks T2
+    with pytest.raises(ValueError, match="contrast"):
+        ReadoutModel(contrast=1.5)
+    for t2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="T2"):
+            sensitivity(10.0, t2)
+        with pytest.raises(ValueError, match="T2"):
+            optimal_sensing_time(t2)
+
+
+def test_sensitivity_scales_inversely_with_gamma_contrast_and_sqrt_rate():
+    base = sensitivity(17.9, 17.9)
+    sensor = SensorParams(gamma_e=TP * 5.6)
+    assert sensitivity(17.9, 17.9, sensor=sensor) == pytest.approx(base / 2, rel=1e-14)
+    assert sensitivity(17.9, 17.9, ReadoutModel(contrast=0.26)) == pytest.approx(
+        base / 2, rel=1e-14
+    )
+    assert sensitivity(17.9, 17.9, ReadoutModel(count_rate=4 * 9.5e4)) == (
+        pytest.approx(base / 2, rel=1e-14)
+    )
 
 
 def test_optimal_sensing_time():
-    p = SensitivityParams(T2=17.9)
-    res = optimal_sensing_time(p)
+    res = optimal_sensing_time(17.9)
     assert isinstance(res, OptimalSensingResult)
     # far above the detection time the analytic optimum sits at T2/2
-    assert res.t_opt == pytest.approx(0.5 * p.T2, rel=0.15)
+    assert res.t_opt == pytest.approx(0.5 * 17.9, rel=0.15)
     assert res.eta_opt < res.eta_at_t2
-    assert res.eta_at_t2 == pytest.approx(sensitivity(p, p.T2))
+    assert res.eta_at_t2 == pytest.approx(sensitivity(17.9, 17.9))
 
 
 def test_sensitivity_monotone_without_decay():
-    p = SensitivityParams(T2=1e9)
     ts = np.linspace(1.0, 200.0, 40)
-    etas = [sensitivity(p, t) for t in ts]
+    etas = [sensitivity(t, 1e9) for t in ts]
     assert all(b < a for a, b in zip(etas, etas[1:]))
