@@ -10,8 +10,6 @@ from .params import (
     mhz_to_angular,
 )
 from .hamiltonian import (
-    Constant,
-    Cosine,
     Frame,
     HamiltonianSpec,
     PauliTerm,
@@ -31,7 +29,6 @@ from .propagator import (
     rabi_population,
 )
 from .metrology import (
-    PureStateParam,
     QfiEstimate,
     optimal_sensing_time,
     qfi_exact,

@@ -84,7 +84,7 @@ _CONFIG_SCHEMA = {
     "run": {
         "shots": _positive(int),
         "repeats": _positive(int),
-        "seed": int,
+        "seed": _Domain(int, lambda v: v >= 0, "be >= 0"),
         "noise_realizations": _positive(int),
         "threads": _positive(int),
         "t_grid_us": _Domain(
@@ -236,8 +236,9 @@ def _preset_names(cfg: dict, default: list[str]) -> list[str]:
 def _build_scenario(name: str, cfg: dict):
     """Preset with the config's physical overrides applied.
 
-    Drive overrides fall back to quadrature tone phases (the per-preset tuned
-    patterns only apply to the default drive parameters).
+    Drive overrides (amplitude, frequency, harmonic count) fall back to
+    quadrature tone phases (the per-preset tuned patterns only apply to the
+    default drive parameters).
     """
     phys = cfg.get("physical", {})
     over = _given_keys(phys, mhz_to_angular, omega_s_amp="signal_amp_mhz",
@@ -245,8 +246,9 @@ def _build_scenario(name: str, cfg: dict):
     sc = make_preset(name, sensor=_sensor(cfg), **over)
     drive = _given_keys(phys, mhz_to_angular, omega_F_amp="drive_amp_mhz",
                         omega_F_freq="drive_freq_mhz")
+    drive.update(_given_keys(phys, harmonics="harmonics"))
     if drive and sc.drive is not None:
-        k = sc.drive.harmonics
+        k = drive.get("harmonics", sc.drive.harmonics)
         sc = replace(sc, drive=replace(sc.drive, phases=(0.5 * math.pi,) * k, **drive))
     return sc
 
@@ -384,13 +386,9 @@ def qfi(ctx):
 def effective(ctx):
     """Quasi-energy shift, residual detuning and validity diagnostics."""
     cfg = ctx.obj
-    phys = cfg.get("physical", {})
     seed = cfg.get("run", {}).get("seed", 0)
-    k = int(phys.get("harmonics", 5))
-    sc = _build_scenario(f"fds-k{k}" if k in (1, 3, 5) else "fds-k5", cfg)
+    sc = _build_scenario("fds-k5", cfg)
     drive = sc.drive
-    if k not in (1, 3, 5):
-        drive = FloquetDriveParams(drive.omega_F_amp, drive.omega_F_freq, k)
     delta = sc.signal.detuning(sc.sensor)
     shift = quasi_energy_shift(drive)
     cx, cz = effective_coefficients(sc.sensor, sc.signal, drive)

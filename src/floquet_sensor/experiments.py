@@ -12,7 +12,7 @@ longer than any segment), so the propagators of all segments and
 realizations come from one fixed-resolution ``interval_unitary`` call over
 the segment axis (memory bounded by the propagator's block size); the walk
 then multiplies them into the states, applies the pi pulses as
-instantaneous rotations about the drive's micromotion-dressed axis, and
+instantaneous rotations about the drive's micromotion-dressed x axis, and
 records populations at the grid times.
 """
 
@@ -186,22 +186,19 @@ def resolve_scenario(preset: Union[str, Scenario]) -> Scenario:
 
 @dataclass(frozen=True)
 class DdConfig:
-    """Carr-Purcell settings: half-spacing tau and pulse axis.
+    """Carr-Purcell settings: the half-spacing tau.
 
     Pulses fall at tau, 3*tau, 5*tau, ... inside the sensing window (spacing
     tau, 2*tau, ..., 2*tau, tau when the duration is a multiple of 2*tau);
     the count follows from the sensing duration.  Pulses are instantaneous
-    pi rotations about the drive's micromotion-dressed axis.
+    pi rotations about the drive's micromotion-dressed x axis.
     """
 
     tau: float = 0.5
-    axis: str = "x"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError("pulse axis must be x, y or z")
 
     def pulse_times(self, total: float) -> np.ndarray:
         """Pulse instants for a sensing window of the given duration."""
@@ -262,26 +259,21 @@ class NoiseModel:
 # scan engine
 # ---------------------------------------------------------------------------
 
-def _pulse_matrix(scenario: Scenario, axis: str, t_pulse: float) -> np.ndarray:
-    """Instantaneous pi rotation about the drive-dressed axis at t_pulse.
+_PI_X = _pauli_exp(np.array([0.5 * math.pi, 0.0, 0.0]))  # exp(-i (pi/2) sigma_x)
+
+
+def _pulse_matrix(scenario: Scenario, t_pulse: float) -> np.ndarray:
+    """Instantaneous pi rotation about the drive-dressed x axis at t_pulse.
 
     With a periodic drive present the bare axis is conjugated by the
     micromotion frame exp(-iK(t)); without a drive this is the plain Pauli
     rotation.
     """
-    base = _pauli_exp(0.5 * math.pi * _AXIS_VECS[axis])
     if scenario.drive is None or scenario.drive.omega_F_amp == 0.0:
-        return base
+        return _PI_X
     kvec = kick_vector(scenario.drive.perturbed(scenario.errors), t_pulse)
     dress = _pauli_exp(-kvec)  # exp(+iK)
-    return dress.conj().T @ base @ dress
-
-
-_AXIS_VECS = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
+    return dress.conj().T @ _PI_X @ dress
 
 
 @dataclass(frozen=True)
@@ -358,7 +350,7 @@ def run_scan(
         if j > 0:
             psi = np.einsum("rij,rj->ri", u[j - 1], psi)
         if is_pulse[j]:
-            psi = psi @ _pulse_matrix(scenario, dd.axis, tj).T
+            psi = psi @ _pulse_matrix(scenario, tj).T
             parity ^= 1
         if is_grid[j]:
             p0_real[out_idx] = np.abs(psi[:, parity]) ** 2  # echo-frame |0> population
@@ -405,10 +397,16 @@ def fit_decaying_cosine(times, values) -> DecayFit:
     """Nonlinear least squares with FFT-seeded frequency and multi-start T2.
 
     When the best-fit decay constant exceeds the grid span the data carry no
-    decay information and the fit is flagged as a lower bound.
+    decay information and the fit is flagged as a lower bound.  Fewer points
+    than the five fit parameters are rejected.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.size < 5:
+        raise ValueError(
+            "a decaying-cosine fit has 5 parameters and needs at least 5 scan "
+            f"points, got {times.size}"
+        )
     span = times[-1] - times[0]
     offset0 = values.mean()
     resid = values - offset0
@@ -482,8 +480,7 @@ def run_qfi_scaling(
         oracle = scenario.exact_qfi(float(t)).value
         grid = default_omega_grid(scenario.signal.omega_s_amp)
         est = qfi_pipeline(
-            lambda w, tt: scenario.state(w, tt),
-            float(t),
+            lambda w: scenario.state(w, t),
             grid,
             mc=mc,
             model=model,

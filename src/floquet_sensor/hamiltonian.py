@@ -1,7 +1,8 @@
 """Hamiltonian construction for the driven two-level sensor.
 
-A Hamiltonian is represented as a frame-tagged sum of Pauli terms with
-constant or cosine envelopes (``HamiltonianSpec``).  Builders produce the
+A Hamiltonian is represented as a frame-tagged sum of Pauli terms, each a
+tone amplitude * cos(frequency*t + phase) on one axis, with the constants
+as its zero-frequency tones (``HamiltonianSpec``).  Builders produce the
 lab-frame sensing Hamiltonians, the transform to the signal rotating frame
 (with or without the rotating-wave approximation) and the first-order
 time-averaged description of the periodic drive: kick operator, quasi-energy
@@ -14,7 +15,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -39,44 +39,28 @@ class Frame(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Time-independent envelope c(t) = value."""
+class PauliTerm:
+    """One Pauli axis with the coefficient amplitude * cos(frequency*t + phase).
 
-    value: float
-
-
-@dataclass(frozen=True)
-class Cosine:
-    """Sinusoidal envelope c(t) = amplitude * cos(frequency*t + phase).
-
-    All angular units; a phase of -pi/2 yields a sine.
+    All angular units; a zero frequency gives a constant term and a phase of
+    -pi/2 a sine.
     """
 
-    amplitude: float
-    frequency: float
-    phase: float = 0.0
-
-
-Envelope = Union[Constant, Cosine]
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """One Pauli axis with a real-valued envelope."""
-
     axis: str
-    envelope: Envelope
+    amplitude: float
+    frequency: float = 0.0
+    phase: float = 0.0
 
     def __post_init__(self):
         if self.axis not in _PAULI:
             raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
 
     def coefficient(self, t):
-        """Envelope value at time(s) t (scalar or ndarray)."""
-        env = self.envelope
-        if isinstance(env, Constant):
-            return env.value * np.ones_like(np.asarray(t, dtype=float))
-        return env.amplitude * np.cos(env.frequency * np.asarray(t, dtype=float) + env.phase)
+        """Coefficient value at time(s) t (scalar or ndarray)."""
+        t = np.asarray(t, dtype=float)
+        if self.frequency == 0.0:  # a constant: one cos, not one per time
+            return self.amplitude * math.cos(self.phase) * np.ones_like(t)
+        return self.amplitude * np.cos(self.frequency * t + self.phase)
 
 
 @dataclass(frozen=True)
@@ -103,36 +87,28 @@ class HamiltonianSpec:
         return cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z
 
     def max_frequency(self) -> float:
-        """Fastest envelope frequency present (rad/us); 0 for constant specs."""
-        freqs = [abs(term.envelope.frequency) for term in self.terms
-                 if isinstance(term.envelope, Cosine)]
-        return max(freqs, default=0.0)
+        """Fastest term frequency present (rad/us); 0 for constant specs."""
+        return max((abs(term.frequency) for term in self.terms), default=0.0)
 
     @cached_property
     def fundamental(self) -> tuple[float, float]:
         """(f0, defect): the periodicity of the spec, both in rad/us.
 
-        f0 is the smallest nonzero envelope frequency and ``defect`` the
-        largest distance of any envelope frequency from an integer multiple
+        f0 is the smallest nonzero term frequency and ``defect`` the
+        largest distance of any term frequency from an integer multiple
         of f0, so the spec repeats with period 2*pi/f0 up to a phase drift of
         ``defect`` rad/us.  Specs without oscillating terms give (0, 0).
         Computed once per spec.
         """
-        freqs = [abs(term.envelope.frequency) for term in self.terms
-                 if isinstance(term.envelope, Cosine)]
-        freqs = [f for f in freqs if f != 0.0]
+        freqs = [abs(term.frequency) for term in self.terms if term.frequency != 0.0]
         if not freqs:
             return 0.0, 0.0
         f0 = min(freqs)
         return f0, max(abs(f - round(f / f0) * f0) for f in freqs)
 
     def amplitude_scale(self) -> float:
-        """Sum of envelope magnitudes, a bound on the rotation rate (rad/us)."""
-        total = 0.0
-        for term in self.terms:
-            env = term.envelope
-            total += abs(env.value) if isinstance(env, Constant) else abs(env.amplitude)
-        return total
+        """Sum of term amplitude magnitudes, a bound on the rotation rate (rad/us)."""
+        return sum(abs(term.amplitude) for term in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +121,9 @@ def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec
     H(t) = -(omega_0/2) sigma_z + omega_s_amp * cos(omega_s_freq t) sigma_x.
     A zero signal amplitude yields the bare sensor term alone.
     """
-    terms = [PauliTerm("z", Constant(-0.5 * sensor.omega_0))]
+    terms = [PauliTerm("z", -0.5 * sensor.omega_0)]
     if signal.omega_s_amp != 0.0:
-        terms.append(
-            PauliTerm("x", Cosine(signal.omega_s_amp, signal.omega_s_freq))
-        )
+        terms.append(PauliTerm("x", signal.omega_s_amp, signal.omega_s_freq))
     return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
@@ -169,16 +143,9 @@ def build_lab_fds(
     terms = list(build_lab_ods(sensor, signal).terms)
     for l in range(1, drv.harmonics + 1):
         if drv.omega_F_amp != 0.0:
-            terms.append(
-                PauliTerm(
-                    "x",
-                    Cosine(
-                        4.0 * drv.omega_F_amp,
-                        signal.omega_s_freq - l * drv.omega_F_freq,
-                        -drv.tone_phase(l),
-                    ),
-                )
-            )
+            terms.append(PauliTerm("x", 4.0 * drv.omega_F_amp,
+                                   signal.omega_s_freq - l * drv.omega_F_freq,
+                                   -drv.tone_phase(l)))
     return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
@@ -199,11 +166,10 @@ def to_signal_rotating(
     terms: list[PauliTerm] = []
     z_const = 0.5 * ws  # from i (dU/dt) U^dagger
     for term in spec.terms:
-        env = term.envelope
-        if term.axis == "z" and isinstance(env, Constant):
-            z_const += env.value
-        elif term.axis == "x" and isinstance(env, Cosine):
-            amp, wc, ph = env.amplitude, env.frequency, env.phase
+        if term.axis == "z" and term.frequency == 0.0:
+            z_const += term.amplitude * math.cos(term.phase)
+        elif term.axis == "x":
+            amp, wc, ph = term.amplitude, term.frequency, term.phase
             # co-rotating pair at omega_s - w_c
             terms.extend(_rotating_pair(0.5 * amp, ws - wc, -ph))
             if not apply_rwa:
@@ -211,33 +177,26 @@ def to_signal_rotating(
                 terms.extend(_rotating_pair(0.5 * amp, ws + wc, ph))
         else:
             raise ValueError(
-                f"cannot transform lab term ({term.axis}, {env!r}); only constant "
-                "sigma_z and cosine sigma_x terms arise in this sensing model"
+                f"cannot transform lab term {term!r}; only constant sigma_z and "
+                "cosine sigma_x terms arise in this sensing model"
             )
-    terms.insert(0, PauliTerm("z", Constant(z_const)))
+    terms.insert(0, PauliTerm("z", z_const))
     return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
 
 
 def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
     """Terms amp*[cos(freq t + phase) sigma_x + sin(freq t + phase) sigma_y].
 
-    A zero frequency collapses to constants; zero-amplitude pieces are dropped.
+    A zero frequency collapses to x and y constants, since a y tone at phase
+    - pi/2 would keep a round-off sigma_y residue where sin(phase) is 0;
+    zero-amplitude pieces are dropped.
     """
     if amp == 0.0:
         return []
     if freq == 0.0:
-        out = []
-        cx = amp * math.cos(phase)
-        cy = amp * math.sin(phase)
-        if cx != 0.0:
-            out.append(PauliTerm("x", Constant(cx)))
-        if cy != 0.0:
-            out.append(PauliTerm("y", Constant(cy)))
-        return out
-    return [
-        PauliTerm("x", Cosine(amp, freq, phase)),
-        PauliTerm("y", Cosine(amp, freq, phase - 0.5 * math.pi)),
-    ]
+        pair = (PauliTerm("x", amp * math.cos(phase)), PauliTerm("y", amp * math.sin(phase)))
+        return [term for term in pair if term.amplitude != 0.0]
+    return [PauliTerm("x", amp, freq, phase), PauliTerm("y", amp, freq, phase - 0.5 * math.pi)]
 
 
 def build_fds_prime(

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metrology import QfiEstimate
+from .metrology import QfiEstimate, theta_phi_from_expectations
 from .params import ReadoutModel
 from .propagator import expectation
 
@@ -93,9 +93,7 @@ def _fit_qfi_from_expectations(
     inflation E[b_hat^2] = b^2 + Var(b_hat); noiseless fits keep the raw
     slopes since their residuals reflect trajectory curvature, not noise.
     """
-    theta = 0.5 * np.arccos(np.clip(sx, -1.0, 1.0))
-    degenerate = (np.abs(sy) < 1e-12) & (np.abs(sz) < 1e-12)
-    phi = np.where(degenerate, 0.0, np.arctan2(-sy, sz))
+    theta, phi, degenerate = theta_phi_from_expectations(sx, sy, sz)
     branch = np.cumsum(np.round(np.diff(phi, axis=-1) / (2.0 * math.pi)), axis=-1)
     phi[:, 1:] -= 2.0 * math.pi * branch
     ambiguous = np.any(np.abs(np.diff(phi, axis=-1)) > 0.5 * math.pi, axis=-1)
@@ -135,8 +133,7 @@ def default_omega_grid(omega_center: float):
 
 
 def qfi_pipeline(
-    scenario: Callable[[float, float], np.ndarray],
-    t: float,
+    family: Callable[[float], np.ndarray],
     omega_grid,
     mc: MonteCarloConfig | None = None,
     model: ReadoutModel = ReadoutModel(),
@@ -144,10 +141,10 @@ def qfi_pipeline(
 ) -> QfiEstimate:
     """Full estimation pipeline: states -> noisy expectations -> line fits -> QFI.
 
-    ``scenario(omega, t)`` supplies the evolved state (a 2-vector) for each
-    grid amplitude.
-    With ``mc=None`` the expectations are exact and a single deterministic
-    fit is made; otherwise ``mc.repeats`` repeats of Poisson counts over
+    ``family(omega)`` supplies the evolved state (a 2-vector) for each grid
+    amplitude, the state family ``metrology.qfi_exact`` takes.  With
+    ``mc=None`` the expectations are exact and a single deterministic fit is
+    made; otherwise ``mc.repeats`` repeats of Poisson counts over
     ``mc.shots`` shots are drawn in one call from a generator seeded by
     ``SeedSequence(mc.seed)``, ordered (repeat, axis, grid point), and the
     spread of the per-repeat values gives the error bar.
@@ -160,7 +157,7 @@ def qfi_pipeline(
     if omega_center is None:
         omega_center = float(np.mean(omega_grid))
 
-    states = [scenario(float(w), t) for w in omega_grid]
+    states = [family(float(w)) for w in omega_grid]
     exact = np.array([[expectation(s, ax) for s in states] for ax in ("x", "y", "z")])
 
     if mc is None:

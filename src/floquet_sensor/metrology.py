@@ -33,19 +33,6 @@ class QfiStepError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PureStateParam:
-    """(theta, phi) coordinates of a pure state in the |+>/|-> basis.
-
-    ``phi_degenerate`` flags the poles where phi is undefined and has been
-    set to 0 by convention.
-    """
-
-    theta: float
-    phi: float
-    phi_degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class QfiEstimate:
     """A QFI value (us^2) with its provenance and statistical uncertainty."""
 
@@ -99,18 +86,18 @@ def qfi_theta_phi(theta: float, dtheta_domega: float, dphi_domega: float) -> Qfi
     return QfiEstimate(value=value, method="theta-phi-fit")
 
 
-def theta_phi_from_expectations(sx: float, sy: float, sz: float) -> PureStateParam:
-    """Recover (theta, phi) from measured Pauli expectations.
+def theta_phi_from_expectations(sx, sy, sz):
+    """(theta, phi, degenerate) arrays from Pauli expectations, elementwise.
 
     theta = arccos(sx)/2 with sx clamped to [-1, 1] (statistical estimates
     may overshoot); phi = atan2(-sy, sz) covering the full (-pi, pi] branch.
-    The (sy, sz) = (0, 0) pole returns phi = 0 with a degeneracy flag.
+    At the (sy, sz) = (0, 0) pole, where phi is undefined, phi is set to 0
+    and ``degenerate`` is True.
     """
-    sx = min(1.0, max(-1.0, sx))
-    theta = 0.5 * math.acos(sx)
-    if abs(sy) < 1e-12 and abs(sz) < 1e-12:
-        return PureStateParam(theta=theta, phi=0.0, phi_degenerate=True)
-    return PureStateParam(theta=theta, phi=math.atan2(-sy, sz))
+    theta = 0.5 * np.arccos(np.clip(sx, -1.0, 1.0))
+    degenerate = (np.abs(sy) < 1e-12) & (np.abs(sz) < 1e-12)
+    phi = np.where(degenerate, 0.0, np.arctan2(-sy, sz))
+    return theta, phi, degenerate
 
 
 def state_from_theta_phi(theta: float, phi: float) -> np.ndarray:

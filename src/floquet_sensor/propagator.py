@@ -18,7 +18,7 @@ raised to the m-th power by repeated squaring (batched over the sigma_z
 offsets), and only the remainder t1 - (t0 + mT) is integrated directly.
 
 - Periodicity is read from the spec (``HamiltonianSpec.fundamental``): f0 is
-  the smallest nonzero envelope frequency, and the route is taken only when
+  the smallest nonzero term frequency, and the route is taken only when
   every frequency lies within ``defect`` of a multiple of f0 with
   defect * (t1 - t0) <= 1e-3 * rel_tol, and m >= 2.  Rotating-frame
   frequencies computed as omega_s - (omega_s - l omega_F) miss l*omega_F by
@@ -174,7 +174,7 @@ def _initial_steps(
 ) -> int:
     """Starting substep count for an interval.
 
-    Resolves the fastest envelope with at least 40 points per period
+    Resolves the fastest term tone with at least 40 points per period
     (densified for tight tolerances since the local order is fixed) and
     bounds the rotation angle per substep.
     """
@@ -272,7 +272,7 @@ def interval_unitary(
     and only the remainder is integrated directly.  With ``opts.adaptive``
     off, every piece is a single pass at the initial resolution.  Raises
     ``PropagationError`` if doubling fails to converge before the substep
-    count becomes unreasonable.
+    count becomes unreasonable, and ``ValueError`` for a bound t1 < t0.
 
     Arrays of S segment bounds, with ``z_offsets`` of shape (S, r), give the
     (S, r, 2, 2) stack of the S scalar calls, bit for bit; a scalar call is
@@ -297,6 +297,8 @@ def interval_unitary(
     for seg, (a, b) in enumerate(bounds):
         if a == b:
             continue
+        if b < a:
+            raise ValueError(f"interval end {b:g} us precedes its start {a:g} us")
         moving.append(seg)
         m = _periods(spec, b - a, opts)
         if m == 0:
@@ -370,7 +372,7 @@ def evolve(
 
     ``psi0`` holds the amplitudes over {|0>, |1>} and must have unit norm (to
     1e-9).  Returns the (T, 2) complex array of the states at the T grid
-    times.  Cosine envelopes carry absolute phases, so evolution always
+    times.  Term tones carry absolute phases, so evolution always
     anchors at t = 0; the first grid point need not be 0.
     """
     times = np.asarray(times, dtype=float)

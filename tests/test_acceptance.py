@@ -242,8 +242,7 @@ def test_criterion_7_pipeline_fidelity():
         sc = make_preset(name)
         w0 = sc.signal.omega_s_amp
         est = qfi_pipeline(
-            lambda w, tt: sc.state(w, tt),
-            3.8,
+            lambda w: sc.state(w, 3.8),
             default_omega_grid(w0),
             omega_center=w0,
         )
@@ -257,11 +256,11 @@ def test_criterion_7_pipeline_fidelity():
     w0 = sc.signal.omega_s_amp
     grid = default_omega_grid(w0)
     empirical = qfi_pipeline(
-        lambda w, tt: sc.state(w, tt), 3.8, grid,
+        lambda w: sc.state(w, 3.8), grid,
         mc=MonteCarloConfig(100_000, 200, 0), omega_center=w0,
     ).stderr
     reported = qfi_pipeline(
-        lambda w, tt: sc.state(w, tt), 3.8, grid,
+        lambda w: sc.state(w, 3.8), grid,
         mc=MonteCarloConfig(100_000, 50, 1), omega_center=w0,
     ).stderr
     bars_ok = abs(empirical - reported) / empirical <= 0.20

@@ -147,6 +147,11 @@ BAD_CONFIGS = [
     ({"run": {"t_grid_us": [1.0, 0.5]}}, ["rabi"], "run.t_grid_us"),
     ({"run": {"t_grid_us": [2.0, 1.0]}}, ["qfi"], "run.t_grid_us"),
     ({"run": {"error_grid_mhz": [-0.1, 0.1]}}, ["robustness"], "run.error_grid_mhz"),
+    # a negative seed once failed inside numpy with exit 1 (rabi, qfi, dd) or
+    # ran and exited 0 (sensitivity)
+    ({}, ["--seed", "-1", "rabi"], "run.seed"),
+    ({}, ["--seed", "-1", "dd"], "run.seed"),
+    ({"run": {"seed": -2}}, ["sensitivity"], "run.seed"),
     # a top-level scenario key was once accepted and read by no command
     ({"scenario": "fds-k5"}, ["rabi"], "scenario"),
     # a format list empty after stripping once wrote nothing and exited 0
@@ -308,6 +313,26 @@ def test_robustness_runtime_error_exits_1(tmp_path):
     assert "no advantage" in proc.stderr
 
 
+def test_one_point_grid_fit_exits_1_naming_the_point_count(tmp_path):
+    # a decay fit of one scan point once failed inside scipy after numpy
+    # divide-by-zero warnings
+    import subprocess, sys
+
+    cfg = write_config(
+        tmp_path, {"run": {"t_grid_us": [1.0], "noise_realizations": 2}}
+    )
+    for command in ("dd", "calibrate"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "floquet_sensor.cli", "--config", cfg,
+             "--out", str(tmp_path / command), command],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, command
+        assert "needs at least 5 scan points, got 1" in proc.stderr, proc.stderr
+        assert "Warning" not in proc.stderr
+
+
 def test_dd_smoke_with_tiny_protocol(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -370,6 +395,32 @@ def test_effective_with_custom_harmonics(tmp_path):
     assert float(summary["quasi_energy_shift_mhz"]) == pytest.approx(
         8.0 * 1.5 / 36.54, rel=1e-9
     )
+
+
+def test_harmonics_override_applies_to_every_driven_preset(tmp_path):
+    # physical.harmonics was once read by effective alone: qfi on fds-k5
+    # printed the five-tone exact QFI under harmonics 2
+    from floquet_sensor.cli import _build_scenario
+    from floquet_sensor.experiments import PRESET_NAMES, make_preset
+
+    cfg = {"physical": {"harmonics": 2}}
+    for name in PRESET_NAMES:
+        drive = _build_scenario(name, cfg).drive
+        if drive is None:
+            assert make_preset(name).drive is None
+        else:
+            assert drive.harmonics == 2, name
+            assert drive.phases == (0.5 * math.pi,) * 2, name
+    path = write_config(
+        tmp_path, {**cfg, "run": {"t_grid_us": [1.0], "presets": ["fds-k5"]}}
+    )
+    res = run_cli(["--config", path, "--out", str(tmp_path / "o"), "qfi"])
+    assert res.exit_code == 0
+    row = (tmp_path / "o" / "qfi_fds-k5.csv").read_text().splitlines()[1].split(",")
+    two_tone = _build_scenario("fds-k5", cfg).exact_qfi(1.0).value
+    five_tone = make_preset("fds-k5").exact_qfi(1.0).value
+    assert float(row[5]) == two_tone
+    assert abs(two_tone - five_tone) > 1e-3 * five_tone
 
 
 def test_physical_overrides_change_dynamics(tmp_path):

@@ -53,8 +53,6 @@ def test_preset_overrides():
 def test_dd_config_validation_and_pulse_times():
     with pytest.raises(ValueError):
         DdConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        DdConfig(axis="w")
     dd = DdConfig(tau=0.5)
     npt.assert_allclose(dd.pulse_times(4.0), [0.5, 1.5, 2.5, 3.5])
     assert dd.pulse_times(0.8).size == 0  # shorter than 2 tau
@@ -158,7 +156,7 @@ def _per_segment_walk(preset, t_grid, noise, dd, n_realizations, seed):
                                  z_offsets=0.5 * offsets[:, j - 1])
             psi = np.einsum("rij,rj->ri", u, psi)
         if tj in pulses:
-            psi = psi @ _pulse_matrix(scenario, dd.axis, tj).T
+            psi = psi @ _pulse_matrix(scenario, tj).T
             parity ^= 1
         if tj in t_grid:
             pops = np.abs(psi[:, parity]) ** 2
@@ -237,6 +235,13 @@ def test_fit_flags_lower_bound_without_decay():
     fit = fit_decaying_cosine(t, clean)
     assert fit.t2_is_lower_bound
     assert fit.T2 > 30.0
+
+
+def test_fit_rejects_fewer_points_than_parameters():
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="at least 5 scan points, got"):
+            fit_decaying_cosine(t[:n], np.cos(t[:n]))
 
 
 # --------------------------------------------------------------- qfi scaling

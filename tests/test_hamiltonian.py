@@ -5,8 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from floquet_sensor.hamiltonian import (
-    Constant,
-    Cosine,
     Frame,
     HamiltonianSpec,
     PauliTerm,
@@ -153,6 +151,24 @@ def test_rotating_frame_rejects_wrong_frame():
     rot = to_signal_rotating(build_lab_ods(sensor, signal), signal)
     with pytest.raises(ValueError):
         to_signal_rotating(rot, signal)
+    # lab terms outside constant sigma_z and cosine sigma_x are rejected
+    for term in (PauliTerm("y", 1.0, 2.0), PauliTerm("z", 1.0, 2.0)):
+        lab = HamiltonianSpec(Frame.LAB, (term,))
+        with pytest.raises(ValueError, match="cannot transform lab term"):
+            to_signal_rotating(lab, signal)
+
+
+def test_zero_frequency_terms_are_exact_constants():
+    ts = np.linspace(0.0, 7.3, 11)
+    npt.assert_array_equal(PauliTerm("z", 0.3).coefficient(ts), np.full(11, 0.3))
+    npt.assert_array_equal(PauliTerm("x", 0.3, 0.0, math.pi).coefficient(ts),
+                           np.full(11, -0.3))
+    # a resonant co-rotating pair collapses to an x constant with no y residue
+    sensor = paper_sensor()
+    signal = paper_signal(sensor, delta_mhz=0.0)
+    rot = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+    assert [(term.axis, term.frequency) for term in rot.terms] == [("z", 0.0), ("x", 0.0)]
+    assert rot.terms[1].amplitude == 0.5 * signal.omega_s_amp
 
 
 def test_rwa_off_keeps_counter_rotating_terms():
@@ -198,13 +214,7 @@ def test_fds_prime_cancelling_amp_error_reduces_to_ods():
 def test_fds_prime_k5_has_five_harmonic_pairs():
     sensor = paper_sensor()
     spec = build_fds_prime(sensor, paper_signal(sensor), paper_drive(k=5))
-    freqs = sorted(
-        {
-            round(term.envelope.frequency, 6)
-            for term in spec.terms
-            if isinstance(term.envelope, Cosine)
-        }
-    )
+    freqs = sorted({round(term.frequency, 6) for term in spec.terms if term.frequency != 0.0})
     expected = [round(l * mhz_to_angular(36.54), 6) for l in range(1, 6)]
     assert freqs == expected
 
@@ -312,13 +322,10 @@ def test_spec_evaluation_is_hermitian():
         for _ in range(int(rng.integers(1, 6))):
             axis = "xyz"[int(rng.integers(3))]
             if rng.random() < 0.4:
-                terms.append(PauliTerm(axis, Constant(rng.normal())))
+                terms.append(PauliTerm(axis, rng.normal()))
             else:
                 terms.append(
-                    PauliTerm(
-                        axis,
-                        Cosine(rng.normal(), rng.uniform(0, 50), rng.uniform(-3, 3)),
-                    )
+                    PauliTerm(axis, rng.normal(), rng.uniform(0, 50), rng.uniform(-3, 3))
                 )
         spec = HamiltonianSpec(Frame.SIGNAL_ROTATING, tuple(terms))
         for t in rng.uniform(0.0, 10.0, 5):

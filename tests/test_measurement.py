@@ -12,7 +12,6 @@ from floquet_sensor.measurement import (
     qfi_pipeline,
     read_out,
 )
-from floquet_sensor.metrology import theta_phi_from_expectations
 from floquet_sensor.params import SensorParams, SignalParams
 from floquet_sensor.hamiltonian import build_lab_ods, to_signal_rotating
 from floquet_sensor.propagator import evolve
@@ -128,23 +127,15 @@ def test_read_out_estimate_unclamped():
 
 # --------------------------------------------------------------- qfi pipeline
 
-def resonant_scenario(amp0):
-    sensor = SensorParams()
-
-    def scenario(w, t):
-        signal = SignalParams.from_detuning(sensor, w, 0.0)
-        spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
-        return evolve(spec, KET0, [t])[-1]
-
-    return scenario
+def resonant_family(t):
+    """The resonant states at time t as a family of the signal amplitude."""
+    return lambda w: resonant_state(w, t)
 
 
 def test_pipeline_noiseless_resonant_reaches_quadratic():
     w0 = TP * 0.5
     t = 3.8
-    est = qfi_pipeline(
-        resonant_scenario(w0), t, default_omega_grid(w0), omega_center=w0
-    )
+    est = qfi_pipeline(resonant_family(t), default_omega_grid(w0), omega_center=w0)
     assert est.method == "theta-phi-fit"
     assert est.value == pytest.approx(t**2, rel=1e-6)
 
@@ -152,17 +143,17 @@ def test_pipeline_noiseless_resonant_reaches_quadratic():
 def test_pipeline_zero_dependence_scenario():
     fixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     est = qfi_pipeline(
-        lambda w, t: fixed, 2.0, default_omega_grid(TP * 0.5), omega_center=TP * 0.5
+        lambda w: fixed, default_omega_grid(TP * 0.5), omega_center=TP * 0.5
     )
     assert abs(est.value) < 1e-9
 
 
 def test_pipeline_grid_validation():
-    sc = resonant_scenario(TP * 0.5)
+    family = resonant_family(1.0)
     with pytest.raises(ValueError):
-        qfi_pipeline(sc, 1.0, [1.0, 2.0])
+        qfi_pipeline(family, [1.0, 2.0])
     with pytest.raises(ValueError):
-        qfi_pipeline(sc, 1.0, [1.0, 1.0, 1.0])
+        qfi_pipeline(family, [1.0, 1.0, 1.0])
 
 
 def test_pipeline_monte_carlo_determinism_and_consistency():
@@ -170,8 +161,8 @@ def test_pipeline_monte_carlo_determinism_and_consistency():
     t = 2.0
     grid = default_omega_grid(w0)
     mc = MonteCarloConfig(shots=100_000, repeats=20, seed=3)
-    a = qfi_pipeline(resonant_scenario(w0), t, grid, mc=mc, omega_center=w0)
-    b = qfi_pipeline(resonant_scenario(w0), t, grid, mc=mc, omega_center=w0)
+    a = qfi_pipeline(resonant_family(t), grid, mc=mc, omega_center=w0)
+    b = qfi_pipeline(resonant_family(t), grid, mc=mc, omega_center=w0)
     assert a.value == b.value and a.stderr == b.stderr  # identical seeds
     assert a.method == "monte-carlo"
     # estimate consistent with the noiseless truth within its own error bar
@@ -185,8 +176,7 @@ def test_pipeline_error_shrinks_with_shots():
     spreads = []
     for shots in (10_000, 1_000_000):
         est = qfi_pipeline(
-            resonant_scenario(w0),
-            2.0,
+            resonant_family(2.0),
             grid,
             mc=MonteCarloConfig(shots=shots, repeats=16, seed=6),
             omega_center=w0,
@@ -205,15 +195,17 @@ def test_monte_carlo_config_validation():
 # ------------------------------------------------- batched fit vs scalar oracle
 
 def _scalar_fit_oracle(omega_grid, sx, sy, sz, omega_center, debias):
-    """The per-repeat fit the batched one replaced: theta_phi_from_expectations
-    per point, sequential nearest-branch unwrap, np.polyfit lines."""
+    """The per-repeat fit the batched one replaced: a scalar (theta, phi)
+    conversion per point, sequential nearest-branch unwrap, np.polyfit lines."""
     notes = []
     theta, phi = np.empty(len(omega_grid)), np.empty(len(omega_grid))
     for i in range(len(omega_grid)):
-        p = theta_phi_from_expectations(sx[i], sy[i], sz[i])
-        theta[i], phi[i] = p.theta, p.phi
-        if p.phi_degenerate:
+        theta[i] = 0.5 * math.acos(min(1.0, max(-1.0, sx[i])))
+        if abs(sy[i]) < 1e-12 and abs(sz[i]) < 1e-12:
+            phi[i] = 0.0
             notes.append(f"phi degenerate at grid point {i}")
+        else:
+            phi[i] = math.atan2(-sy[i], sz[i])
     for i in range(1, len(phi)):
         phi[i] -= TP * round((phi[i] - phi[i - 1]) / TP)
     if np.any(np.abs(np.diff(phi)) > 0.5 * math.pi):
@@ -265,8 +257,7 @@ def test_pipeline_monte_carlo_notes_and_warning_count():
     # 1000 shots: noise large enough to trip unwrap notes in some repeats
     mc = MonteCarloConfig(shots=1_000, repeats=200, seed=2)
     with pytest.warns(UserWarning, match=r"\d+ fit notes over 200 repeats") as rec:
-        est = qfi_pipeline(resonant_scenario(w0), 0.2, grid, mc=mc,
-                           omega_center=w0)
+        est = qfi_pipeline(resonant_family(0.2), grid, mc=mc, omega_center=w0)
     assert est.notes == tuple(sorted(set(est.notes)))
     count = int(str(rec[0].message).split()[0])
     assert count >= len(est.notes) > 0
@@ -276,7 +267,7 @@ def test_pipeline_monte_carlo_resonant_mean_within_5_sem():
     w0 = TP * 0.5
     t = 3.8
     mc = MonteCarloConfig(shots=100_000, repeats=2000, seed=0)
-    est = qfi_pipeline(resonant_scenario(w0), t, default_omega_grid(w0),
+    est = qfi_pipeline(resonant_family(t), default_omega_grid(w0),
                        mc=mc, omega_center=w0)
     sem = est.stderr / math.sqrt(mc.repeats)
     assert abs(est.value - t**2) < 5.0 * sem

@@ -133,28 +133,30 @@ def test_parameterization_formula_matches_state_derivative():
 
 
 def test_theta_phi_from_expectations_examples():
-    p = theta_phi_from_expectations(1.0, 0.0, 0.0)
-    assert p.theta == pytest.approx(0.0)
-    p = theta_phi_from_expectations(0.0, 0.0, 1.0)
-    assert (p.theta, p.phi) == (pytest.approx(math.pi / 4.0), pytest.approx(0.0))
-    p = theta_phi_from_expectations(0.0, -1.0, 0.0)
-    assert p.phi == pytest.approx(math.pi / 2.0)
-    # statistical overshoot is clamped, pole is flagged
-    assert theta_phi_from_expectations(1.2, 0.5, 0.5).theta == 0.0
-    assert theta_phi_from_expectations(1.0, 0.0, 0.0).phi_degenerate
+    theta, phi, degenerate = theta_phi_from_expectations(
+        np.array([1.0, 0.0, 0.0, 1.2]),
+        np.array([0.0, 0.0, -1.0, 0.5]),
+        np.array([0.0, 1.0, 0.0, 0.5]),
+    )
+    assert theta[:3] == pytest.approx([0.0, math.pi / 4.0, math.pi / 4.0])
+    assert phi[1:3] == pytest.approx([0.0, math.pi / 2.0])
+    # statistical overshoot is clamped, the pole is flagged with phi = 0
+    assert theta[3] == 0.0
+    assert phi[0] == 0.0
+    assert degenerate.tolist() == [True, False, False, False]
 
 
 def test_theta_phi_roundtrip():
     rng = np.random.default_rng(13)
-    for _ in range(50):
-        theta = rng.uniform(0.05, math.pi / 2.0 - 0.05)
-        phi = rng.uniform(-math.pi + 1e-6, math.pi)
-        s = state_from_theta_phi(theta, phi)
-        p = theta_phi_from_expectations(
-            expectation(s, "x"), expectation(s, "y"), expectation(s, "z")
-        )
-        assert p.theta == pytest.approx(theta, abs=1e-9)
-        assert p.phi == pytest.approx(phi, abs=1e-9)
+    theta = rng.uniform(0.05, math.pi / 2.0 - 0.05, 50)
+    phi = rng.uniform(-math.pi + 1e-6, math.pi, 50)
+    states = [state_from_theta_phi(a, b) for a, b in zip(theta, phi)]
+    got_theta, got_phi, degenerate = theta_phi_from_expectations(
+        *(np.array([expectation(s, ax) for s in states]) for ax in "xyz")
+    )
+    np.testing.assert_allclose(got_theta, theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got_phi, phi, rtol=0, atol=1e-9)
+    assert not degenerate.any()
 
 
 # ------------------------------------------------------ resonant vs detuned

@@ -8,8 +8,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from floquet_sensor.hamiltonian import (
-    Constant,
-    Cosine,
     Frame,
     HamiltonianSpec,
     PauliTerm,
@@ -52,9 +50,9 @@ def constant_spec(cx, cy, cz):
     return HamiltonianSpec(
         Frame.SIGNAL_ROTATING,
         (
-            PauliTerm("x", Constant(cx)),
-            PauliTerm("y", Constant(cy)),
-            PauliTerm("z", Constant(cz)),
+            PauliTerm("x", cx),
+            PauliTerm("y", cy),
+            PauliTerm("z", cz),
         ),
     )
 
@@ -182,7 +180,7 @@ def test_evolve_validates_grid():
 
 def test_pathological_spec_reported():
     crazy = HamiltonianSpec(
-        Frame.SIGNAL_ROTATING, (PauliTerm("x", Cosine(1.0, 1e15)),)
+        Frame.SIGNAL_ROTATING, (PauliTerm("x", 1.0, 1e15),)
     )
     with pytest.raises(PropagationError):
         evolve(crazy, KET0, [1.0])
@@ -283,7 +281,7 @@ def test_stroboscopic_route_batched_dd_segment():
     assert np.max(np.abs(u - direct)) <= SCAN_OPTS.rel_tol
     for i, off in enumerate(z):
         shifted = HamiltonianSpec(
-            spec.frame, spec.terms + (PauliTerm("z", Constant(off)),)
+            spec.frame, spec.terms + (PauliTerm("z", off),)
         )
         single = interval_unitary(shifted, t0, t1, SCAN_OPTS)
         npt.assert_allclose(u[i], single, atol=SCAN_OPTS.rel_tol)
@@ -422,6 +420,16 @@ def test_segments_validate_options_and_shapes():
     assert interval_unitary(
         spec, t0[:0], t1[:0], SCAN_OPTS, z_offsets=np.zeros((0, 2))
     ).shape == (0, 2, 2, 2)
+
+
+def test_reversed_bounds_rejected():
+    spec = make_preset("fds-k5").rotating_spec()
+    for opts in (ORACLE_OPTS, SCAN_OPTS):
+        with pytest.raises(ValueError, match="precedes its start"):
+            interval_unitary(spec, 1.0, 0.5, opts)
+        with pytest.raises(ValueError, match="precedes its start"):
+            interval_unitary(spec, np.array([0.0, 1.0]), np.array([0.5, 0.5]), opts,
+                             z_offsets=np.zeros((2, 1)))
 
 
 # ----------------------------------------------------------- closed forms
