@@ -33,6 +33,7 @@ from .params import (
 )
 from .experiments import (
     DD_SIGMA_Z_DEFAULT,
+    DECAY_FIT_MIN_POINTS,
     DdConfig,
     NoiseModel,
     PRESET_NAMES,
@@ -208,6 +209,18 @@ def _given_keys(section: dict, convert=None, **keys) -> dict:
         for name, key in keys.items()
         if key in section
     }
+
+
+def _decay_scan_keys(run: dict) -> dict:
+    """The ``run`` keys of a decay-fitted scan, checked before any scan runs:
+    a ``t_grid_us`` needs a point per parameter of the decaying-cosine fit."""
+    grid = run.get("t_grid_us")
+    if grid is not None and len(grid) < DECAY_FIT_MIN_POINTS:
+        raise ConfigError(
+            f"config key run.t_grid_us must hold at least {DECAY_FIT_MIN_POINTS} "
+            f"points for the decay fit, got {len(grid)}"
+        )
+    return _given_keys(run, t_grid="t_grid_us", n_realizations="noise_realizations")
 
 
 def _readout_model(cfg: dict) -> ReadoutModel:
@@ -491,11 +504,12 @@ def dd(ctx):
         **_given_keys(phys, tau_c="noise_tau_c_us"),
     )
     dd_on = DdConfig(**_given_keys(phys, tau="tau_us"))
+    scan_keys = _decay_scan_keys(run)
     bundle = ResultBundle("dd", cfg, seed)
     for name, ddcfg in (("dd-off", None), ("dd-on", dd_on)):
         scan, fit = run_dd_experiment(
             _build_scenario(name, cfg), dd=ddcfg, noise=noise, shots=shots, seed=seed,
-            **_given_keys(run, t_grid="t_grid_us", n_realizations="noise_realizations"),
+            **scan_keys,
         )
         rows = [
             [name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)
@@ -528,7 +542,7 @@ def calibrate(ctx):
         preset=_build_scenario("dd-off", cfg),
         seed=seed,
         **_given_keys(phys, tau_c="noise_tau_c_us"),
-        **_given_keys(run, t_grid="t_grid_us", n_realizations="noise_realizations"),
+        **_decay_scan_keys(run),
     )
     bundle = ResultBundle("calibrate", cfg, seed)
     bundle.summary["target_t2_us"] = target

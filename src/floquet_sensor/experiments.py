@@ -393,19 +393,23 @@ class DecayFit:
     t2_is_lower_bound: bool = False
 
 
+#: parameters of the decaying-cosine fit, and so the fewest scan points it takes
+DECAY_FIT_MIN_POINTS = 5
+
+
 def fit_decaying_cosine(times, values) -> DecayFit:
     """Nonlinear least squares with FFT-seeded frequency and multi-start T2.
 
     When the best-fit decay constant exceeds the grid span the data carry no
     decay information and the fit is flagged as a lower bound.  Fewer points
-    than the five fit parameters are rejected.
+    than the five fit parameters are rejected.  The Jacobian is analytic.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.size < 5:
+    if times.size < DECAY_FIT_MIN_POINTS:
         raise ValueError(
-            "a decaying-cosine fit has 5 parameters and needs at least 5 scan "
-            f"points, got {times.size}"
+            f"a decaying-cosine fit has {DECAY_FIT_MIN_POINTS} parameters and needs "
+            f"at least {DECAY_FIT_MIN_POINTS} scan points, got {times.size}"
         )
     span = times[-1] - times[0]
     offset0 = values.mean()
@@ -421,6 +425,12 @@ def fit_decaying_cosine(times, values) -> DecayFit:
     def model(t, a, b, t2, w, ph):
         return a + b * np.exp(-t / t2) * np.cos(w * t + ph)
 
+    def jac(t, a, b, t2, w, ph):
+        decay = np.exp(-t / t2)
+        ec, es = decay * np.cos(w * t + ph), decay * np.sin(w * t + ph)
+        return np.stack([np.ones_like(t), ec, b * ec * t / (t2 * t2), -b * es * t,
+                         -b * es], axis=-1)
+
     best = None
     for t2_try in (span / 4.0, span, 4.0 * span, 100.0 * span):
         try:
@@ -429,6 +439,7 @@ def fit_decaying_cosine(times, values) -> DecayFit:
                 times,
                 values,
                 p0=[offset0, b0, t2_try, w0, 0.0],
+                jac=jac,
                 bounds=(
                     [-1.0, -2.0, 1e-3, 0.0, -TWO_PI],
                     [2.0, 2.0, 1e6, 10.0 * w0 + 1.0, TWO_PI],

@@ -207,13 +207,27 @@ def build_fds_prime(
 ) -> HamiltonianSpec:
     """Rotating-frame driven-sensor Hamiltonian (RWA applied).
 
-    Convenience constructor equal to
-    ``to_signal_rotating(build_lab_fds(...), signal)``:
+    ``to_signal_rotating(build_lab_fds(...), signal)``, with the drive tones
+    at exact multiples of one frequency:
 
         (Delta/2) sigma_z + (omega_s_amp/2) sigma_x
         + 2*omega_F_amp * sum_l [cos(l omega_F t) sigma_x + sin(l omega_F t) sigma_y]
+
+    The transform forms each tone frequency as omega_s - (omega_s - l omega_F),
+    which misses l times the first one by round-off under drive errors and
+    so breaks the spec's periodicity.  Here the first tone's frequency f1 is
+    formed that way and tone l is put at l * f1, so the spec is periodic in
+    2*pi/f1 with no frequency defect, and it equals the transform bit for bit
+    wherever the transform's tones are already exact multiples of f1 (at the
+    presets' default drives).
     """
-    return to_signal_rotating(build_lab_fds(sensor, signal, drive, errors), signal)
+    drv = drive.perturbed(errors)
+    ws = signal.omega_s_freq
+    f1 = ws - (ws - drv.omega_F_freq)
+    terms = list(to_signal_rotating(build_lab_ods(sensor, signal), signal).terms)
+    for l in range(1, drv.harmonics + 1):
+        terms.extend(_rotating_pair(2.0 * drv.omega_F_amp, l * f1, drv.tone_phase(l)))
+    return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -8,31 +8,44 @@ step doubling until two resolutions agree to ``rel_tol``.  For
 time-independent specs every substep is exact, so the first doubling already
 agrees: two passes per interval.
 
+Every propagator here is in SU(2), so inside this module it is a quaternion:
+four reals (w, x, y, z) with U = w I - i (x sigma_x + y sigma_y + z sigma_z),
+in arrays of shape (..., 4).  The substep exponential is
+(cos|q|, sin|q| q/|q|) for a generator q, and the product of two elements
+is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
 Everything is vectorized over substeps (and optionally over a batch of
 sigma_z offsets, used for noise-ensemble averaging), with the running
-product accumulated by pairwise matrix-multiply reduction.
+product accumulated by pairwise reduction.  A sigma_z offset moves only the
+z component of the Hamiltonian, so the generators' cross-product term is
+computed once and corrected per offset.  Complex 2x2 matrices are formed
+only at the public boundary (``interval_unitary``, ``evolve``,
+``micromotion_error``).
 
 Periodic specs take a stroboscopic route over long intervals: with T the
 drive period, U(t0 + mT, t0) = U_T(t0)^m, so one period is integrated and
-raised to the m-th power by repeated squaring (batched over the sigma_z
-offsets), and only the remainder t1 - (t0 + mT) is integrated directly.
+raised to the m-th power, and only the remainder t1 - (t0 + mT) is
+integrated directly.
 
 - Periodicity is read from the spec (``HamiltonianSpec.fundamental``): f0 is
   the smallest nonzero term frequency, and the route is taken only when
   every frequency lies within ``defect`` of a multiple of f0 with
-  defect * (t1 - t0) <= 1e-3 * rel_tol, and m >= 2.  Rotating-frame
-  frequencies computed as omega_s - (omega_s - l omega_F) miss l*omega_F by
-  round-off (a few 1e-12 rad/us); lab-frame and RWA-off driven specs miss by
-  a sizable fraction of f0.  Those, constant specs and intervals shorter than
-  2T are integrated directly, exactly as without the route.
+  defect * (t1 - t0) <= 1e-3 * rel_tol, and m >= 2.  Rotating-frame driven
+  specs carry their drive tones at exact multiples of the first tone's
+  frequency (defect 0, see ``build_fds_prime``); lab-frame and RWA-off
+  driven specs miss by a sizable fraction of f0.
+  Those, constant specs and intervals shorter than 2T are integrated
+  directly, exactly as without the route.
 - Step doubling refines U_T until two resolutions agree to rel_tol / m;
   since ||A^m - B^m|| <= m ||A - B|| for unitaries, the m-period product
   keeps the rel_tol contract.  Where rel_tol / m would fall below 3e-13,
   which step doubling of one period cannot resolve above round-off, the
   interval is integrated directly.  Without refinement U_T uses the substep
   density the direct path would use on one period.
-- U_T is projected onto SU(2), [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1,
-  before powering, so its round-off unitarity defect is not multiplied by m.
+- The power has a closed form (the Cayley-Klein parameters of SU(2)): with
+  U_T = cos(a) I - i sin(a) n.sigma, a = atan2(|v|, w) and n = v/|v|,
+  U_T^m = cos(m a) I - i sin(m a) n.sigma.  a and n do not depend on the
+  quaternion's norm, so the power is unit to round-off however far U_T has
+  drifted off SU(2), and that defect is not multiplied by m.
 
 Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
 with sigma_z offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
@@ -88,25 +101,93 @@ class PropagatorOptions:
 
 
 # ---------------------------------------------------------------------------
-# core stepping machinery
+# core stepping machinery: SU(2) elements as quaternions
 # ---------------------------------------------------------------------------
+#
+# A quaternion array has shape (..., 4) and holds (w, x, y, z) with
+# U = w I - i (x sigma_x + y sigma_y + z sigma_z); unit norm is SU(2).
+
+def _quat_exp(q: np.ndarray) -> np.ndarray:
+    """exp(-i q.sigma) for Pauli vectors q, shape (..., 3) -> quaternions (..., 4)."""
+    qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
+    n = np.sqrt(qx * qx + qy * qy + qz * qz)
+    # sin(n)/n, with its limit 1 at n = 0
+    s = np.divide(np.sin(n), n, out=np.ones_like(n), where=n > 0.0)
+    out = np.empty(q.shape[:-1] + (4,))
+    out[..., 0] = np.cos(n)
+    out[..., 1] = s * qx
+    out[..., 2] = s * qy
+    out[..., 3] = s * qz
+    return out
+
+
+def _quat_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Quaternions of the products U_a U_b (b acts first), broadcast over leading axes.
+
+    w = wa wb - va.vb and v = wa vb + wb va + va x vb.
+    """
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + bw * ax + ay * bz - az * by
+    out[..., 2] = aw * by + bw * ay + az * bx - ax * bz
+    out[..., 3] = aw * bz + bw * az + ax * by - ay * bx
+    return out
+
+
+def _quat_reduce(qs: np.ndarray) -> np.ndarray:
+    """Chronological product q[..., n-1, :] ... q[..., 0, :] via pairwise reduction."""
+    while qs.shape[-2] > 1:
+        n = qs.shape[-2]
+        out = np.empty(qs.shape[:-2] + ((n + 1) // 2, 4))
+        _quat_mul(qs[..., 1::2, :], qs[..., 0:n - 1:2, :], out[..., :n // 2, :])
+        if n % 2:  # the unpaired last factor carries over
+            out[..., -1, :] = qs[..., -1, :]
+        qs = out
+    return qs[..., 0, :]
+
+
+def _quat_power(u: np.ndarray, m: int) -> np.ndarray:
+    """U^m = cos(m a) I - i sin(m a) n.sigma for U = cos(a) I - i sin(a) n.sigma.
+
+    a = atan2(|v|, w) and n = v/|v| do not depend on the norm of (w, v), so
+    the power is unit to round-off even where u carries a norm defect;
+    |v| = 0 gives cos(m a) I.
+    """
+    w, v = u[..., 0], u[..., 1:]
+    vn = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+    angle = m * np.arctan2(vn, w)
+    scale = np.divide(np.sin(angle), vn, out=np.zeros_like(vn), where=vn > 0.0)
+    out = np.empty_like(u)
+    out[..., 0] = np.cos(angle)
+    out[..., 1:] = v * scale[..., None]
+    return out
+
+
+# (re, im) of the entries 00, 01, 10, 11 of U from (w, x, y, z): each column
+# holds one signed 1, so the product with it is exact
+_TO_MATRIX = np.zeros((4, 8))
+_TO_MATRIX[[0, 3, 2, 1, 2, 1, 0, 3], range(8)] = [1, -1, -1, -1, 1, -1, 1, 1]
+
+
+def _quat_matrix(u: np.ndarray) -> np.ndarray:
+    """Complex 2x2 matrices [[w - iz, -y - ix], [y - ix, w + iz]] of quaternions u."""
+    return (u @ _TO_MATRIX).view(complex).reshape(u.shape[:-1] + (2, 2))
+
 
 def _pauli_exp(q: np.ndarray) -> np.ndarray:
     """exp(-i q.sigma) for an array of Pauli vectors q, shape (..., 3) -> (..., 2, 2)."""
-    n = np.sqrt(np.sum(q * q, axis=-1))
-    c = np.cos(n)
-    s = np.sinc(n / np.pi)  # sin(n)/n, well-defined at n = 0
-    qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
-    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    u[..., 0, 0] = c - 1j * s * qz
-    u[..., 0, 1] = (-1j * qx - qy) * s
-    u[..., 1, 0] = (-1j * qx + qy) * s
-    u[..., 1, 1] = c + 1j * s * qz
-    return u
+    return _quat_matrix(_quat_exp(q))
 
 
 def _reduce_product(us: np.ndarray) -> np.ndarray:
-    """Chronological product u[..., n-1] @ ... @ u[..., 0] via pairwise reduction."""
+    """Chronological product u[..., n-1] @ ... @ u[..., 0] of complex 2x2 matrices.
+
+    The complex counterpart of ``_quat_reduce``, kept as a reference for
+    tests and layer timings; propagation runs on quaternions.
+    """
     while us.shape[-3] > 1:
         n = us.shape[-3]
         if n % 2:
@@ -126,45 +207,52 @@ def _step_generators(
     Fourth order from the two Gauss points per substep:
     q = (h/2)(p1 + p2) + (sqrt(3) h^2 / 6) (p2 x p1) with p_i = H(t_i) Pauli
     vectors.  ``z_offsets`` (shape (r,)) adds a constant sigma_z coefficient
-    per batch member.  Bounds may be arrays of P pieces, with ``z_offsets``
-    of shape (P, r); a leading piece axis is then added to the result.
+    d per batch member; it moves only the z component of p1 and p2, so
+    (p2 + d z) x (p1 + d z) = p2 x p1 + d z x (p1 - p2) and the offset-free
+    part is computed once.  Bounds may be arrays of P pieces, with
+    ``z_offsets`` of shape (P, r); a leading piece axis is then added to the
+    result.
     """
-    h = (t1 - t0) / n
-    pieces = np.ndim(h) > 0
-    if pieces:  # one row of substeps per piece
-        t0, h = t0[:, None], h[:, None]
+    h = hz = (t1 - t0) / n
+    if np.ndim(h) > 0:  # one row of substeps per piece, (P, r, n) with offsets
+        t0, h, hz = t0[:, None], h[:, None], h[:, None, None]
     mids = t0 + (np.arange(n) + 0.5) * h
     gauss = 0.5 * h / _SQRT3
     p1 = spec.coefficients(mids - gauss)
     p2 = spec.coefficients(mids + gauss)
-    if z_offsets is not None:
-        z = np.asarray(z_offsets, dtype=float)
-        shape = z.shape + p1.shape[-2:]
-        p1 = np.broadcast_to(p1[..., None, :, :], shape).copy()
-        p2 = np.broadcast_to(p2[..., None, :, :], shape).copy()
-        p1[..., 2] += z[..., None]
-        p2[..., 2] += z[..., None]
-    if pieces:  # broadcast each piece's step over its batch, substep and Pauli axes
-        h = h.reshape((-1,) + (1,) * (p1.ndim - 1))
-    return 0.5 * h * (p1 + p2) + (_SQRT3 * h * h / 6.0) * np.cross(p2, p1)
+    half, c = 0.5 * h, _SQRT3 * h * h / 6.0
+    x1, y1, z1 = p1[..., 0], p1[..., 1], p1[..., 2]
+    x2, y2, z2 = p2[..., 0], p2[..., 1], p2[..., 2]
+    qx = half * (x1 + x2) + c * (y2 * z1 - z2 * y1)
+    qy = half * (y1 + y2) + c * (z2 * x1 - x2 * z1)
+    qz = half * (z1 + z2) + c * (x2 * y1 - y2 * x1)
+    if z_offsets is None:
+        return np.stack([qx, qy, qz], axis=-1)
+    z = np.asarray(z_offsets, dtype=float)[..., None]  # (..., r, 1)
+    q = np.empty(z.shape[:-1] + qx.shape[-1:] + (3,))
+    q[..., 0] = qx[..., None, :] - z * (c * (y1 - y2))[..., None, :]
+    q[..., 1] = qy[..., None, :] + z * (c * (x1 - x2))[..., None, :]
+    q[..., 2] = qz[..., None, :] + z * hz
+    return q
 
 
 def _interval_unitary(
     spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
 ) -> np.ndarray:
-    """Propagator over [t0, t1] in n substeps, chunked for memory.
+    """Quaternion propagator over [t0, t1] in n substeps, chunked for memory.
 
-    ``t0`` and ``t1`` may be arrays of P pieces that share the resolution n,
-    with ``z_offsets`` of shape (P, r); the result is then (P, r, 2, 2).
+    Shape (4,), or (r, 4) with ``z_offsets`` of shape (r,).  ``t0`` and
+    ``t1`` may be arrays of P pieces that share the resolution n, with
+    ``z_offsets`` of shape (P, r); the result is then (P, r, 4).
     """
-    batch = () if z_offsets is None else np.shape(z_offsets)
-    total = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
+    total = None
     done = 0
     h = (t1 - t0) / n
     while done < n:
         m = min(_CHUNK, n - done)
         q = _step_generators(spec, t0 + done * h, t0 + (done + m) * h, m, z_offsets)
-        total = _reduce_product(_pauli_exp(q)) @ total
+        chunk = _quat_reduce(_quat_exp(q))
+        total = chunk if total is None else _quat_mul(chunk, total)
         done += m
     return total
 
@@ -210,7 +298,7 @@ def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) ->
 
 def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float,
                      opts: PropagatorOptions, tol: float, z_offsets=None) -> np.ndarray:
-    """Direct propagator over [t0, t1]: step doubling until agreement to ``tol``.
+    """Direct quaternion propagator over [t0, t1]: step doubling until agreement to ``tol``.
 
     Doubling stops with ``PropagationError`` as soon as the residual fails to
     shrink, since below the round-off floor further doublings only cost time.
@@ -226,7 +314,10 @@ def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float,
                 f"rel_tol = {tol:g}"
             )
         u_next = _interval_unitary(spec, t0, t1, n, z_offsets)
-        step = float(np.max(np.abs(u_next - u_prev)))
+        # max abs over the complex matrix entries: |w - iz| and |-y - ix|
+        d = u_next - u_prev
+        step = float(np.max(np.maximum(np.hypot(d[..., 0], d[..., 3]),
+                                       np.hypot(d[..., 1], d[..., 2]))))
         if step < tol:
             return u_next
         if step >= residual:
@@ -243,20 +334,6 @@ def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float,
     )
 
 
-def _su2_project(u: np.ndarray) -> np.ndarray:
-    """Nearest matrix of the form [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1."""
-    a = 0.5 * (u[..., 0, 0] + u[..., 1, 1].conj())
-    b = 0.5 * (u[..., 1, 0] - u[..., 0, 1].conj())
-    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    a, b = a / norm, b / norm
-    out = np.empty_like(u)
-    out[..., 0, 0] = a
-    out[..., 0, 1] = -b.conj()
-    out[..., 1, 0] = b
-    out[..., 1, 1] = a.conj()
-    return out
-
-
 def interval_unitary(
     spec: HamiltonianSpec,
     t0,
@@ -268,8 +345,8 @@ def interval_unitary(
 
     A periodic spec over an interval of m >= 2 periods T is propagated
     stroboscopically, U(t0 + mT, t0) = U_T(t0)^m: one period is refined to
-    ``opts.rel_tol / m``, projected onto SU(2) and raised to the m-th power,
-    and only the remainder is integrated directly.  With ``opts.adaptive``
+    ``opts.rel_tol / m`` and raised to the m-th power in closed form, and
+    only the remainder is integrated directly.  With ``opts.adaptive``
     off, every piece is a single pass at the initial resolution.  Raises
     ``PropagationError`` if doubling fails to converge before the substep
     count becomes unreasonable, and ``ValueError`` for a bound t1 < t0.
@@ -314,20 +391,23 @@ def interval_unitary(
         heads.append((a, a + period, opts.rel_tol / m, seg))
     us = _piece_unitaries(spec, heads + tails, opts, rows)
     u = us[:len(heads)]
+    # one piece is indexed by an integer: list indexing costs microseconds
     for m, k in strobe.items():
-        u[k] = np.linalg.matrix_power(_su2_project(u[k]), m)
+        k = k[0] if len(k) == 1 else k
+        u[k] = _quat_power(u[k], m)
     if rest:
-        u[rest] = us[len(heads):] @ u[rest]
+        k, tail = (rest[0], us[-1]) if len(rest) == 1 else (rest, us[len(heads):])
+        u[k] = _quat_mul(tail, u[k])
     if len(moving) < len(bounds):  # zero-length segments take the identity
-        out = np.empty((len(bounds),) + u.shape[1:], dtype=complex)
-        out[:] = np.eye(2)
+        out = np.zeros((len(bounds),) + u.shape[1:])
+        out[..., 0] = 1.0
         out[moving] = u
         u = out
-    return u if segments else u[0]
+    return _quat_matrix(u if segments else u[0])
 
 
 def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
-    """Propagators of the P pieces (start, end, tol, segment), shape (P, ..., 2, 2).
+    """Quaternion propagators of the P pieces (start, end, tol, segment), (P, ..., 4).
 
     ``rows[segment]`` holds the sigma_z offsets of a piece (none if ``rows``
     is None).  With ``opts.adaptive`` each piece is refined to its tolerance
@@ -337,7 +417,7 @@ def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     piece takes the kernel's scalar form.
     """
     batch = () if rows is None else rows.shape[1:]
-    us = np.empty((len(pieces),) + batch + (2, 2), dtype=complex)
+    us = np.empty((len(pieces),) + batch + (4,))
     if opts.adaptive or not pieces:  # no pieces: the loop returns the empty stack
         for k, (a, b, tol, seg) in enumerate(pieces):
             z = None if rows is None else rows[seg]

@@ -313,9 +313,9 @@ def test_robustness_runtime_error_exits_1(tmp_path):
     assert "no advantage" in proc.stderr
 
 
-def test_one_point_grid_fit_exits_1_naming_the_point_count(tmp_path):
-    # a decay fit of one scan point once failed inside scipy after numpy
-    # divide-by-zero warnings
+def test_short_fit_grid_exits_2_naming_the_key_and_point_count(tmp_path):
+    # a grid shorter than the decay fit's 5 parameters is rejected before any
+    # scan runs; it once failed only after the first scan, with exit 1
     import subprocess, sys
 
     cfg = write_config(
@@ -328,9 +328,10 @@ def test_one_point_grid_fit_exits_1_naming_the_point_count(tmp_path):
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 1, command
-        assert "needs at least 5 scan points, got 1" in proc.stderr, proc.stderr
-        assert "Warning" not in proc.stderr
+        assert proc.returncode == 2, command
+        assert "run.t_grid_us" in proc.stderr, proc.stderr
+        assert "at least 5 points for the decay fit, got 1" in proc.stderr, proc.stderr
+        assert not (tmp_path / command).exists()
 
 
 def test_dd_smoke_with_tiny_protocol(tmp_path):

@@ -219,6 +219,38 @@ def test_fds_prime_k5_has_five_harmonic_pairs():
     assert freqs == expected
 
 
+def test_fds_prime_drive_tones_are_exact_multiples():
+    # over the default robustness grids every tone frequency is an exact
+    # multiple of the first; built as omega_s - (omega_s - l omega_F) they
+    # missed it by up to 4.5e-12 rad/us, and 23 of the 51 frequency points
+    # fell off the stroboscopic route
+    from floquet_sensor.experiments import _default_error_grid, make_preset
+
+    for axis, preset, key in (("frequency", "robustness-freq", "freq_error"),
+                              ("amplitude", "robustness-amp", "amp_error")):
+        sc = make_preset(preset)
+        for err in _default_error_grid(axis):
+            errors = ControlErrorParams(**{key: float(err)})
+            spec = sc.with_errors(errors).rotating_spec()
+            f0, defect = spec.fundamental
+            assert defect == 0.0
+            drive = sc.drive.perturbed(errors)
+            if drive.omega_F_amp == 0.0:  # a cancelled drive leaves a constant spec
+                assert f0 == 0.0
+            else:
+                assert f0 == pytest.approx(drive.omega_F_freq, rel=1e-15)
+
+
+def test_fds_prime_equals_composition_bit_for_bit_at_preset_drives():
+    from floquet_sensor.experiments import PRESET_NAMES, make_preset
+
+    for name in PRESET_NAMES:
+        sc = make_preset(name)
+        if sc.drive is not None:
+            lab = build_lab_fds(sc.sensor, sc.signal, sc.drive)
+            assert sc.rotating_spec() == to_signal_rotating(lab, sc.signal), name
+
+
 # ----------------------------------------------------- kick operator / shift
 
 def test_kick_zero_amplitude():

@@ -32,8 +32,15 @@ from floquet_sensor import propagator
 from floquet_sensor.propagator import (
     _interval_unitary,
     _initial_steps,
+    _pauli_exp,
+    _quat_exp,
+    _quat_matrix,
+    _quat_mul,
+    _quat_power,
+    _quat_reduce,
+    _reduce_product,
+    _step_generators,
     _stepped_unitary,
-    _su2_project,
     PropagationError,
     PropagatorOptions,
     evolve,
@@ -163,8 +170,8 @@ def test_self_convergence_contract():
     # changes the propagator below rel_tol
     spec, _, _, _ = fds_paper_spec(k=1)
     n = _initial_steps(spec, 1.0, PropagatorOptions(rel_tol=1e-9))
-    a = _interval_unitary(spec, 0.0, 1.0, n)
-    b = _interval_unitary(spec, 0.0, 1.0, 2 * n)
+    a = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, n))
+    b = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, 2 * n))
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -204,7 +211,7 @@ def _unitarity_defect(u):
 
 
 def _direct(spec, t0, t1, opts, tol, z=None):
-    """Direct integration of one interval: step doubling, or one fixed pass."""
+    """Direct quaternion propagator of one interval: step doubling, or one fixed pass."""
     if opts.adaptive:
         return _stepped_unitary(spec, t0, t1, opts, tol, z)
     return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts), z)
@@ -214,14 +221,14 @@ def _scalar_route(spec, t0, t1, opts, z=None):
     """Reference: the stroboscopic route written out for one scalar interval."""
     m = propagator._periods(spec, t1 - t0, opts)
     if m == 0:
-        return _direct(spec, t0, t1, opts, opts.rel_tol, z)
+        return _quat_matrix(_direct(spec, t0, t1, opts, opts.rel_tol, z))
     period = TWO_PI / spec.fundamental[0]
     t_mid = t0 + m * period
     u_period = _direct(spec, t0, t0 + period, opts, opts.rel_tol / m, z)
-    u = np.linalg.matrix_power(_su2_project(u_period), m)
+    u = _quat_power(u_period, m)
     if t1 - t_mid > 16.0 * math.ulp(t1):  # a remainder within round-off is skipped
-        u = _direct(spec, t_mid, t1, opts, opts.rel_tol, z) @ u
-    return u
+        u = _quat_mul(_direct(spec, t_mid, t1, opts, opts.rel_tol, z), u)
+    return _quat_matrix(u)
 
 
 FDS_PERIOD = TP / make_preset("fds-k5").rotating_spec().fundamental[0]
@@ -249,6 +256,153 @@ def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
     assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, z))
 
 
+# The complex path the quaternion core replaced, as an oracle: generators with
+# p1 and p2 copied per z offset, complex 2x2 exponentials and products, and
+# repeated squaring of the SU(2) projection of the period propagator.
+
+def _su2_project(u):
+    """Nearest matrix of the form [[a, -b*], [b, a*]] with |a|^2 + |b|^2 = 1."""
+    a = 0.5 * (u[..., 0, 0] + u[..., 1, 1].conj())
+    b = 0.5 * (u[..., 1, 0] - u[..., 0, 1].conj())
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a, b = a / norm, b / norm
+    out = np.empty_like(u)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = -b.conj()
+    out[..., 1, 0] = b
+    out[..., 1, 1] = a.conj()
+    return out
+
+
+def _copied_generators(spec, t0, t1, n, z_offsets=None):
+    """Magnus generators with p1 and p2 copied once per z offset."""
+    h = (t1 - t0) / n
+    pieces = np.ndim(h) > 0
+    if pieces:
+        t0, h = t0[:, None], h[:, None]
+    mids = t0 + (np.arange(n) + 0.5) * h
+    gauss = 0.5 * h / math.sqrt(3.0)
+    p1 = spec.coefficients(mids - gauss)
+    p2 = spec.coefficients(mids + gauss)
+    if z_offsets is not None:
+        z = np.asarray(z_offsets, dtype=float)
+        shape = z.shape + p1.shape[-2:]
+        p1 = np.broadcast_to(p1[..., None, :, :], shape).copy()
+        p2 = np.broadcast_to(p2[..., None, :, :], shape).copy()
+        p1[..., 2] += z[..., None]
+        p2[..., 2] += z[..., None]
+    if pieces:
+        h = h.reshape((-1,) + (1,) * (p1.ndim - 1))
+    return 0.5 * h * (p1 + p2) + (math.sqrt(3.0) * h * h / 6.0) * np.cross(p2, p1)
+
+
+def _complex_direct(spec, t0, t1, opts, tol, z=None):
+    """Complex direct propagator: step doubling, or one fixed pass."""
+    n = _initial_steps(spec, t1 - t0, opts)
+    u = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
+    for _ in range(opts.adaptive * 24):
+        n *= 2
+        u_next = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
+        if np.max(np.abs(u_next - u)) < tol:
+            return u_next
+        u = u_next
+    assert not opts.adaptive, "complex step doubling did not converge"
+    return u
+
+
+def _complex_route(spec, t0, t1, opts, z=None):
+    """The route rule of ``_scalar_route`` on the complex path."""
+    m = propagator._periods(spec, t1 - t0, opts)
+    if m == 0:
+        return _complex_direct(spec, t0, t1, opts, opts.rel_tol, z)
+    period = TWO_PI / spec.fundamental[0]
+    t_mid = t0 + m * period
+    u_period = _complex_direct(spec, t0, t0 + period, opts, opts.rel_tol / m, z)
+    u = np.linalg.matrix_power(_su2_project(u_period), m)
+    if t1 - t_mid > 16.0 * math.ulp(t1):
+        u = _complex_direct(spec, t_mid, t1, opts, opts.rel_tol, z) @ u
+    return u
+
+
+@pytest.mark.parametrize(
+    "preset, errors, t0, t1, opts, batch",
+    [("fds-k5", {}, 0.0, 4.0, ORACLE_OPTS, 0),
+     ("robustness-amp", {"amp_error": -0.98}, 0.0, 4.0, ORACLE_OPTS, 0),
+     ("robustness-freq", {"freq_error": -20.0}, 0.0, 4.0, ORACLE_OPTS, 0),
+     ("dd-on", {}, 1.3, 1.8, SCAN_OPTS, 7),
+     ("fds-k5", {}, 0.3, 0.33, ORACLE_OPTS, 0),  # direct: under two periods
+     ("ods-detuned", {}, 0.0, 4.0, ORACLE_OPTS, 0),  # direct: constant spec
+     ("dd-off", {}, 0.2, 0.7, SCAN_OPTS, 5)],
+)
+def test_route_matches_complex_composition(preset, errors, t0, t1, opts, batch):
+    sc = make_preset(preset).with_errors(
+        ControlErrorParams(**{k: mhz_to_angular(v) for k, v in errors.items()})
+    )
+    spec = sc.rotating_spec()
+    z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
+    u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
+    npt.assert_allclose(u, _complex_route(spec, t0, t1, opts, z), rtol=0, atol=1e-13)
+
+
+def test_segment_route_matches_complex_composition():
+    spec = make_preset("dd-on").rotating_spec()
+    period = TP / spec.fundamental[0]
+    t0 = np.array([0.0, 0.3, 1.3, 2.0, 2.5])
+    t1 = t0 + np.array([3 * period, 2.4 * period, 0.5, 5.5 * period, 0.0])
+    z = np.random.default_rng(8).normal(size=(t0.size, 3))
+    u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
+    ref = np.stack([_complex_route(spec, a, b, SCAN_OPTS, zz) if b > a
+                    else np.broadcast_to(np.eye(2), (3, 2, 2))
+                    for a, b, zz in zip(t0, t1, z)])
+    npt.assert_allclose(u, ref, rtol=0, atol=1e-13)
+
+
+def test_quaternion_kernel_matches_complex_products():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 1000):
+        q = rng.normal(scale=0.05, size=(3, n, 3))
+        npt.assert_allclose(_quat_matrix(_quat_reduce(_quat_exp(q))),
+                            _reduce_product(_pauli_exp(q)), rtol=0, atol=1e-13)
+    # the one exponential formula against the matrix exponential, and at q = 0
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for v in rng.normal(scale=2.0, size=(5, 3)):
+        npt.assert_allclose(_pauli_exp(v), expm(-1j * np.tensordot(v, sigma, 1)),
+                            rtol=0, atol=1e-14)
+    assert np.array_equal(_quat_exp(np.zeros(3)), [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("m", [2, 3, 146])
+def test_closed_form_power_matches_repeated_squaring(m):
+    rng = np.random.default_rng(m)
+    u = rng.normal(size=(6, 4))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    u[0] = [math.cos(1e-9), 1e-9, 0.0, 0.0]  # a near-identity period
+    npt.assert_allclose(_quat_matrix(_quat_power(u, m)),
+                        np.linalg.matrix_power(_quat_matrix(u), m), rtol=0, atol=1e-13)
+    # a round-off norm defect is normalized away, like the SU(2) projection
+    off = _quat_matrix(u) * (1.0 + 1e-9)
+    npt.assert_allclose(_quat_matrix(_quat_power(u * (1.0 + 1e-9), m)),
+                        np.linalg.matrix_power(_su2_project(off), m), rtol=0, atol=1e-13)
+    # |v| = 0: the identity, and -I to the m-th power
+    eye = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    npt.assert_array_equal(_quat_power(eye, m),
+                           [[1.0, 0.0, 0.0, 0.0], [(-1.0) ** m, 0.0, 0.0, 0.0]])
+
+
+def test_split_generators_match_copied_generators():
+    spec = make_preset("dd-on").rotating_spec()
+    z = np.random.default_rng(3).normal(size=5)
+    for z_offsets in (None, z):
+        npt.assert_allclose(_step_generators(spec, 1.3, 1.8, 40, z_offsets),
+                            _copied_generators(spec, 1.3, 1.8, 40, z_offsets),
+                            rtol=0, atol=1e-15)
+    t0, t1 = np.array([0.1, 0.4, 2.0]), np.array([0.3, 0.5, 2.2])
+    zz = np.random.default_rng(4).normal(size=(3, 5))
+    q = _step_generators(spec, t0, t1, 40, zz)
+    assert q.shape == (3, 5, 40, 3)
+    npt.assert_allclose(q, _copied_generators(spec, t0, t1, 40, zz), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "preset, freq_error_mhz, t",
     [("fds-k5", 0.0, 4.0), ("robustness-freq", -20.0, 2.0),
@@ -262,13 +416,13 @@ def test_stroboscopic_route_matches_direct_kernel(preset, freq_error_mhz, t):
     f0, defect = spec.fundamental
     assert t * f0 / TP > 2.0
     u = interval_unitary(spec, 0.0, t, ORACLE_OPTS)
-    direct = _stepped_unitary(spec, 0.0, t, ORACLE_OPTS, ORACLE_OPTS.rel_tol)
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, ORACLE_OPTS, ORACLE_OPTS.rel_tol))
     assert np.max(np.abs(u - direct)) <= 1e-10
-    # frequencies built as omega_s - (omega_s - l omega_F) miss l*f0 by round-off;
-    # at -20 MHz by 3.6e-12 rad/us, which is within budget at 2 us but not at 4 us
-    on_route = defect * t <= 1e-3 * ORACLE_OPTS.rel_tol
-    assert on_route == (preset == "fds-k5" or t == 2.0 or freq_error_mhz == 30.0)
-    assert np.array_equal(u, direct) != on_route
+    # drive frequencies are exact multiples of omega_F, so every point takes the
+    # route (frequencies built as omega_s - (omega_s - l omega_F) missed l*f0 by
+    # 3.6e-12 rad/us at -20 MHz, which sent the 4 us case to direct integration)
+    assert defect == 0.0
+    assert not np.array_equal(u, direct)
 
 
 def test_stroboscopic_route_batched_dd_segment():
@@ -276,7 +430,7 @@ def test_stroboscopic_route_batched_dd_segment():
     z = 0.5 * np.linspace(-1.5, 1.5, 7)
     t0, t1 = 1.3, 1.8  # about 18 drive periods between two pi pulses
     u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
-    direct = _direct(spec, t0, t1, SCAN_OPTS, SCAN_OPTS.rel_tol, z)
+    direct = _quat_matrix(_direct(spec, t0, t1, SCAN_OPTS, SCAN_OPTS.rel_tol, z))
     assert u.shape == (7, 2, 2)
     assert np.max(np.abs(u - direct)) <= SCAN_OPTS.rel_tol
     for i, off in enumerate(z):
@@ -306,14 +460,15 @@ def test_stroboscopic_route_falls_back_bit_identically():
         assert m < 2 or defect > 0.1 * f0 or opts.rel_tol / m < 1e-13
         assert np.array_equal(
             interval_unitary(spec, t0, t1, opts),
-            _stepped_unitary(spec, t0, t1, opts, opts.rel_tol),
+            _quat_matrix(_stepped_unitary(spec, t0, t1, opts, opts.rel_tol)),
         )
 
 
 def test_stroboscopic_power_stays_unitary():
-    # without the SU(2) projection the 146th power drifts off unitarity by
-    # 2e-12 here; the fidelity cross-check of qfi_exact reads a norm error eta
-    # as a QFI error of 8 eta / h^2
+    # repeated squaring of the unprojected period propagator drifts off
+    # unitarity by 2e-12 here, while the closed-form power is unit by
+    # construction; the fidelity cross-check of qfi_exact reads a norm error
+    # eta as a QFI error of 8 eta / h^2
     sc = make_preset("robustness-amp").with_errors(
         ControlErrorParams(amp_error=mhz_to_angular(-0.98))
     )
@@ -327,7 +482,7 @@ def test_stroboscopic_remainder_at_period_multiple():
     period = TP / spec.fundamental[0]
     opts = PropagatorOptions(rel_tol=1e-9)
     u = interval_unitary(spec, 0.0, 3 * period, opts)
-    direct = _stepped_unitary(spec, 0.0, 3 * period, opts, opts.rel_tol)
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, opts, opts.rel_tol))
     assert np.max(np.abs(u - direct)) <= 1e-9
 
 
