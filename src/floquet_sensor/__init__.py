@@ -1,7 +1,6 @@
 """Simulation and estimation toolkit for a periodically driven two-level sensor."""
 
 from .params import (
-    ControlErrorParams,
     FloquetDriveParams,
     ReadoutModel,
     SensorParams,

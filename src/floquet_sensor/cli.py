@@ -95,8 +95,9 @@ _CONFIG_SCHEMA = {
         "presets": [str],
         "error_grid_mhz": _Domain(
             [float],
-            lambda v: grid_has_zero(mhz_to_angular(np.asarray(v, dtype=float))),
-            "contain 0 (the unperturbed point)",
+            lambda v: all(a < b for a, b in zip(v, v[1:]))
+            and grid_has_zero(mhz_to_angular(np.asarray(v, dtype=float))),
+            "be strictly increasing and contain 0 (the unperturbed point)",
         ),
         "sweep_time_us": _positive(float),
     },
@@ -111,7 +112,8 @@ class ConfigError(click.UsageError):
 
 
 def _check(value, kind, where: str) -> None:
-    """Reject unknown keys, mistyped or out-of-domain values and empty lists.
+    """Reject unknown keys, mistyped, non-finite or out-of-domain values and
+    empty lists.
 
     An int passes where a float is declared; a bool passes as neither.
     """
@@ -138,6 +140,8 @@ def _check(value, kind, where: str) -> None:
             raise ConfigError(
                 f"config key {where} must be {_TYPE_NAMES[kind]}, got {value!r}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {where} must be finite, got {value!r}")
 
 
 def load_config(path: str | None) -> dict:

@@ -18,12 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import (
-    ControlErrorParams,
-    FloquetDriveParams,
-    SensorParams,
-    SignalParams,
-)
+from .params import FloquetDriveParams, SensorParams, SignalParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -128,10 +123,7 @@ def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec
 
 
 def build_lab_fds(
-    sensor: SensorParams,
-    signal: SignalParams,
-    drive: FloquetDriveParams,
-    errors: ControlErrorParams = ControlErrorParams(),
+    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
 ) -> HamiltonianSpec:
     """Lab-frame Hamiltonian of the periodically driven sensor.
 
@@ -139,13 +131,12 @@ def build_lab_fds(
     lab tone 4*omega_F_amp * cos[(omega_s - l*omega_F) t] sigma_x (the factor
     4 maps the lab amplitude onto the rotating-frame convention).
     """
-    drv = drive.perturbed(errors)
     terms = list(build_lab_ods(sensor, signal).terms)
-    for l in range(1, drv.harmonics + 1):
-        if drv.omega_F_amp != 0.0:
-            terms.append(PauliTerm("x", 4.0 * drv.omega_F_amp,
-                                   signal.omega_s_freq - l * drv.omega_F_freq,
-                                   -drv.tone_phase(l)))
+    for l in range(1, drive.harmonics + 1):
+        if drive.omega_F_amp != 0.0:
+            terms.append(PauliTerm("x", 4.0 * drive.omega_F_amp,
+                                   signal.omega_s_freq - l * drive.omega_F_freq,
+                                   -drive.tone_phase(l)))
     return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
@@ -200,10 +191,7 @@ def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
 
 
 def build_fds_prime(
-    sensor: SensorParams,
-    signal: SignalParams,
-    drive: FloquetDriveParams,
-    errors: ControlErrorParams = ControlErrorParams(),
+    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
 ) -> HamiltonianSpec:
     """Rotating-frame driven-sensor Hamiltonian (RWA applied).
 
@@ -221,12 +209,11 @@ def build_fds_prime(
     wherever the transform's tones are already exact multiples of f1 (at the
     presets' default drives).
     """
-    drv = drive.perturbed(errors)
     ws = signal.omega_s_freq
-    f1 = ws - (ws - drv.omega_F_freq)
+    f1 = ws - (ws - drive.omega_F_freq)
     terms = list(to_signal_rotating(build_lab_ods(sensor, signal), signal).terms)
-    for l in range(1, drv.harmonics + 1):
-        terms.extend(_rotating_pair(2.0 * drv.omega_F_amp, l * f1, drv.tone_phase(l)))
+    for l in range(1, drive.harmonics + 1):
+        terms.extend(_rotating_pair(2.0 * drive.omega_F_amp, l * f1, drive.tone_phase(l)))
     return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
 
 

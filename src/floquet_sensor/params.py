@@ -116,14 +116,6 @@ class SignalParams:
 
 
 @dataclass(frozen=True)
-class ControlErrorParams:
-    """Additive control-drive errors: amplitude and frequency offsets, rad/us."""
-
-    amp_error: float = 0.0
-    freq_error: float = 0.0
-
-
-@dataclass(frozen=True)
 class FloquetDriveParams:
     """Periodic control drive: amplitude, fundamental frequency and harmonic count.
 
@@ -169,8 +161,10 @@ class FloquetDriveParams:
             return math.inf
         return self.omega_F_freq / scale
 
-    def perturbed(self, errors: ControlErrorParams) -> "FloquetDriveParams":
-        """Apply additive amplitude/frequency errors.
+    def perturbed(
+        self, amp_error: float = 0.0, freq_error: float = 0.0
+    ) -> "FloquetDriveParams":
+        """The drive with additive amplitude and frequency errors, rad/us.
 
         Raises
         ------
@@ -178,8 +172,8 @@ class FloquetDriveParams:
             If the perturbed amplitude is negative or the perturbed
             frequency is non-positive.
         """
-        amp = self.omega_F_amp + errors.amp_error
-        freq = self.omega_F_freq + errors.freq_error
+        amp = self.omega_F_amp + amp_error
+        freq = self.omega_F_freq + freq_error
         if amp < 0:
             raise ValueError(f"perturbed drive amplitude is negative ({amp:g} rad/us)")
         return FloquetDriveParams(

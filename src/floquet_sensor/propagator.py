@@ -100,6 +100,15 @@ class PropagatorOptions:
     adaptive: bool = True
 
 
+def _require_finite(name: str, times) -> None:
+    """Raise ``ValueError`` naming ``name`` if any of ``times`` is NaN or infinite."""
+    times = np.asarray(times, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        bad = times[~finite] if times.ndim else times
+        raise ValueError(f"{name} must be finite, got {float(bad.flat[0])!r}")
+
+
 # ---------------------------------------------------------------------------
 # core stepping machinery: SU(2) elements as quaternions
 # ---------------------------------------------------------------------------
@@ -349,7 +358,8 @@ def interval_unitary(
     only the remainder is integrated directly.  With ``opts.adaptive``
     off, every piece is a single pass at the initial resolution.  Raises
     ``PropagationError`` if doubling fails to converge before the substep
-    count becomes unreasonable, and ``ValueError`` for a bound t1 < t0.
+    count becomes unreasonable, and ``ValueError`` for a bound t1 < t0 or a
+    bound that is not finite.
 
     Arrays of S segment bounds, with ``z_offsets`` of shape (S, r), give the
     (S, r, 2, 2) stack of the S scalar calls, bit for bit; a scalar call is
@@ -367,6 +377,8 @@ def interval_unitary(
     else:
         bounds = [(float(t0), float(t1))]
         rows = None if z_offsets is None else np.asarray(z_offsets, dtype=float)[None]
+    _require_finite("interval bound t0", t0)
+    _require_finite("interval bound t1", t1)
     # the route rule per segment, as pieces (start, end, tolerance, segment):
     # heads holds each moving segment's direct interval or one period (at
     # rel_tol / m), in order; tails the remainders of the heads in ``rest``
@@ -458,6 +470,7 @@ def evolve(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D grid")
+    _require_finite("times", times)
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times must be sorted and non-negative")
     psi = np.asarray(psi0, dtype=complex)

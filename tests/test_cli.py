@@ -147,6 +147,12 @@ BAD_CONFIGS = [
     ({"run": {"t_grid_us": [1.0, 0.5]}}, ["rabi"], "run.t_grid_us"),
     ({"run": {"t_grid_us": [2.0, 1.0]}}, ["qfi"], "run.t_grid_us"),
     ({"run": {"error_grid_mhz": [-0.1, 0.1]}}, ["robustness"], "run.error_grid_mhz"),
+    # an unsorted error grid once gave a wrong advantage interval and exited 0
+    ({"run": {"error_grid_mhz": [0.125, 0, -0.175]}}, ["robustness"], "run.error_grid_mhz"),
+    # json parses NaN and Infinity: the first once ran and wrote NaN into the
+    # summary, the second failed deep inside with exit 1
+    ({"physical": {"detuning_mhz": float("nan")}}, ["effective"], "physical.detuning_mhz"),
+    ({"run": {"t_grid_us": [0.5, float("inf")]}}, ["rabi"], "run.t_grid_us[1]"),
     # a negative seed once failed inside numpy with exit 1 (rabi, qfi, dd) or
     # ran and exited 0 (sensitivity)
     ({}, ["--seed", "-1", "rabi"], "run.seed"),

@@ -19,8 +19,8 @@ from floquet_sensor.experiments import (
     run_robustness_sweep,
     run_scan,
 )
-from floquet_sensor.params import ControlErrorParams, mhz_to_angular
-from floquet_sensor.propagator import interval_unitary, rabi_population
+from floquet_sensor.params import mhz_to_angular
+from floquet_sensor.propagator import evolve, interval_unitary, rabi_population
 
 TP = 2.0 * math.pi
 
@@ -46,6 +46,83 @@ def test_preset_overrides():
     assert sc.signal.omega_s_amp == 1.0
     with pytest.raises(TypeError):
         make_preset("ods-detuned", bogus=1)
+
+
+# Every preset's signal (amplitude, detuning, carrier) and drive (amplitude,
+# frequency, harmonics, phases) in rad/us, as the presets were first defined;
+# compared exactly, so the table in ``experiments`` cannot drift
+_HALF_MHZ, _DETUNING = 3.141592653589793, 3.1415926535901235
+_CARRIER = 9239.423994207584
+_QUADRATURE5 = (1.5707963267948966,) * 5
+_DRIVE = (6.283185307179586, 229.58759112434208)
+PINNED_PRESETS = {
+    "ods-resonant": (_HALF_MHZ, 0.0, 9236.282401553994, None),
+    "ods-detuned": (_HALF_MHZ, _DETUNING, _CARRIER, None),
+    "fds-k1": (_HALF_MHZ, _DETUNING, _CARRIER, _DRIVE + (1, (3.141592653589793,))),
+    "fds-k3": (_HALF_MHZ, _DETUNING, _CARRIER, _DRIVE + (3, (2.8508, 2.5662, 2.2602))),
+    "fds-k5": (_HALF_MHZ, _DETUNING, _CARRIER,
+               _DRIVE + (5, (1.7077, 1.3964, 5.4336, 1.8585, 2.0134))),
+    "robustness-amp": (1.382300767579509, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
+    "robustness-freq": (1.382300767579509, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
+    "dd-off": (0.7853981633974483, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
+    "dd-on": (0.7853981633974483, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
+}
+
+
+def test_preset_names_follow_the_table():
+    assert PRESET_NAMES == tuple(PINNED_PRESETS)
+
+
+@pytest.mark.parametrize("name", list(PINNED_PRESETS))
+def test_preset_values_pinned(name):
+    amp, detuning, carrier, drive = PINNED_PRESETS[name]
+    sc = make_preset(name)
+    assert sc.signal.omega_s_amp == amp
+    assert sc.signal.detuning(sc.sensor) == detuning
+    assert sc.signal.omega_s_freq == carrier
+    if drive is None:
+        assert sc.drive is None
+    else:
+        d = sc.drive
+        assert (d.omega_F_amp, d.omega_F_freq, d.harmonics, d.phases) == drive
+
+
+def test_with_errors_replaces_the_drive_by_its_perturbation():
+    sc = make_preset("fds-k5")
+    e = mhz_to_angular(0.3)
+    assert sc.with_errors(amp_error=e).drive == sc.drive.perturbed(amp_error=e)
+    assert sc.with_errors(freq_error=-e).drive == sc.drive.perturbed(freq_error=-e)
+    assert sc.with_errors(amp_error=e).signal == sc.signal
+
+
+def test_with_errors_on_undriven_scenario_raises():
+    # the errors were once stored and then ignored by the undriven spec
+    with pytest.raises(ValueError, match="no drive"):
+        make_preset("ods-detuned").with_errors(amp_error=mhz_to_angular(5.0))
+
+
+def _ods_spec():
+    return make_preset("ods-resonant").rotating_spec()
+
+
+@pytest.mark.parametrize("call, bound", [
+    # once returned |0> silently: a NaN time never compares above the last one
+    pytest.param(lambda: evolve(_ods_spec(), (1, 0), [math.nan]), "times", id="evolve"),
+    # once an OverflowError from the pulse count
+    pytest.param(lambda: run_scan("dd-on", [0.5, math.inf], dd=DdConfig(0.5)), "t_grid",
+                 id="run_scan-dd"),
+    # these two once failed converting a NaN period count to an integer
+    pytest.param(lambda: run_scan("ods-resonant", [0.5, math.inf]), "t_grid",
+                 id="run_scan"),
+    pytest.param(lambda: interval_unitary(_ods_spec(), 0.0, math.nan),
+                 "interval bound t1", id="interval_unitary"),
+    pytest.param(lambda: interval_unitary(_ods_spec(), [0.0, -math.inf], [1.0, 2.0],
+                                          z_offsets=np.zeros((2, 1))),
+                 "interval bound t0", id="interval_unitary-segments"),
+])
+def test_non_finite_times_rejected_naming_the_bound(call, bound):
+    with pytest.raises(ValueError, match=f"^{bound} must be finite"):
+        call()
 
 
 # -------------------------------------------------------- decoupling pulses
@@ -271,7 +348,7 @@ def test_exact_qfi_passes_fidelity_check_at_large_amplitude_errors():
     # QFI, so the least margin
     sc = make_preset("robustness-amp")
     for err_mhz in (-0.98, 0.98):
-        errored = sc.with_errors(ControlErrorParams(amp_error=mhz_to_angular(err_mhz)))
+        errored = sc.with_errors(amp_error=mhz_to_angular(err_mhz))
         q = errored.exact_qfi(4.0)
         assert 0.0 < q.value <= 16.0
 
@@ -284,6 +361,14 @@ def test_robustness_validation():
     for n_workers in (0, -1):
         with pytest.raises(ValueError, match="n_workers"):
             run_robustness_sweep("amplitude", n_workers=n_workers)
+
+
+@pytest.mark.parametrize("grid_mhz", [[0.125, 0.0, -0.175], [0.125, -0.175, 0.0]])
+def test_robustness_rejects_unsorted_grid(grid_mhz):
+    # the interval walk assumes a sorted grid: these once returned the
+    # interval [0.125, -0.175] and [0.125, 0.0] MHz
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_robustness_sweep("amplitude", grid=mhz_to_angular(np.array(grid_mhz)))
 
 
 # ----------------------------------------------------------------- noise

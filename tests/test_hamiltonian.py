@@ -21,7 +21,6 @@ from floquet_sensor.hamiltonian import (
     to_signal_rotating,
 )
 from floquet_sensor.params import (
-    ControlErrorParams,
     FloquetDriveParams,
     SensorParams,
     SignalParams,
@@ -78,8 +77,8 @@ def test_drive_validity_ratio():
 def test_perturbed_drive_errors():
     d = paper_drive(k=1)
     with pytest.raises(ValueError):
-        d.perturbed(ControlErrorParams(amp_error=-2.0 * d.omega_F_amp))
-    p = d.perturbed(ControlErrorParams(amp_error=0.5, freq_error=-1.0))
+        d.perturbed(amp_error=-2.0 * d.omega_F_amp)
+    p = d.perturbed(amp_error=0.5, freq_error=-1.0)
     assert p.omega_F_amp == pytest.approx(d.omega_F_amp + 0.5)
     assert p.omega_F_freq == pytest.approx(d.omega_F_freq - 1.0)
 
@@ -204,8 +203,7 @@ def test_fds_prime_cancelling_amp_error_reduces_to_ods():
     sensor = paper_sensor()
     signal = paper_signal(sensor)
     drive = paper_drive(k=3)
-    errors = ControlErrorParams(amp_error=-drive.omega_F_amp)
-    reduced = build_fds_prime(sensor, signal, drive, errors)
+    reduced = build_fds_prime(sensor, signal, drive.perturbed(amp_error=-drive.omega_F_amp))
     plain = to_signal_rotating(build_lab_ods(sensor, signal), signal)
     for t in (0.0, 0.456):
         npt.assert_allclose(reduced.matrix(t), plain.matrix(t), atol=1e-12)
@@ -230,11 +228,11 @@ def test_fds_prime_drive_tones_are_exact_multiples():
                               ("amplitude", "robustness-amp", "amp_error")):
         sc = make_preset(preset)
         for err in _default_error_grid(axis):
-            errors = ControlErrorParams(**{key: float(err)})
-            spec = sc.with_errors(errors).rotating_spec()
+            errors = {key: float(err)}
+            spec = sc.with_errors(**errors).rotating_spec()
             f0, defect = spec.fundamental
             assert defect == 0.0
-            drive = sc.drive.perturbed(errors)
+            drive = sc.drive.perturbed(**errors)
             if drive.omega_F_amp == 0.0:  # a cancelled drive leaves a constant spec
                 assert f0 == 0.0
             else:

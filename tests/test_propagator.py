@@ -22,7 +22,6 @@ from floquet_sensor.hamiltonian import (
 from floquet_sensor.experiments import ORACLE_OPTS, SCAN_OPTS, make_preset
 from floquet_sensor.params import (
     TWO_PI,
-    ControlErrorParams,
     FloquetDriveParams,
     SensorParams,
     SignalParams,
@@ -234,6 +233,14 @@ def _scalar_route(spec, t0, t1, opts, z=None):
 FDS_PERIOD = TP / make_preset("fds-k5").rotating_spec().fundamental[0]
 
 
+def _errored_spec(preset: str, errors: dict):
+    """Rotating spec of a preset with control errors given in MHz."""
+    sc = make_preset(preset)
+    if errors:
+        sc = sc.with_errors(**{k: mhz_to_angular(v) for k, v in errors.items()})
+    return sc.rotating_spec()
+
+
 @pytest.mark.parametrize(
     "preset, errors, t0, t1, opts, batch",
     [("fds-k5", {}, 0.0, 4.0, ORACLE_OPTS, 0),
@@ -245,10 +252,7 @@ FDS_PERIOD = TP / make_preset("fds-k5").rotating_spec().fundamental[0]
 def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
     # the rounding of t0 + m T decides the remainder, so the route must match
     # the reference bit for bit, not to a tolerance
-    sc = make_preset(preset).with_errors(
-        ControlErrorParams(**{k: mhz_to_angular(v) for k, v in errors.items()})
-    )
-    spec = sc.rotating_spec()
+    spec = _errored_spec(preset, errors)
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
     assert propagator._periods(spec, t1 - t0, opts) >= 2
     u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
@@ -335,10 +339,7 @@ def _complex_route(spec, t0, t1, opts, z=None):
      ("dd-off", {}, 0.2, 0.7, SCAN_OPTS, 5)],
 )
 def test_route_matches_complex_composition(preset, errors, t0, t1, opts, batch):
-    sc = make_preset(preset).with_errors(
-        ControlErrorParams(**{k: mhz_to_angular(v) for k, v in errors.items()})
-    )
-    spec = sc.rotating_spec()
+    spec = _errored_spec(preset, errors)
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
     u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
     npt.assert_allclose(u, _complex_route(spec, t0, t1, opts, z), rtol=0, atol=1e-13)
@@ -409,9 +410,7 @@ def test_split_generators_match_copied_generators():
      ("robustness-freq", -20.0, 4.0), ("robustness-freq", 30.0, 4.0)],
 )
 def test_stroboscopic_route_matches_direct_kernel(preset, freq_error_mhz, t):
-    sc = make_preset(preset).with_errors(
-        ControlErrorParams(freq_error=mhz_to_angular(freq_error_mhz))
-    )
+    sc = make_preset(preset).with_errors(freq_error=mhz_to_angular(freq_error_mhz))
     spec = sc.rotating_spec()
     f0, defect = spec.fundamental
     assert t * f0 / TP > 2.0
@@ -469,9 +468,7 @@ def test_stroboscopic_power_stays_unitary():
     # unitarity by 2e-12 here, while the closed-form power is unit by
     # construction; the fidelity cross-check of qfi_exact reads a norm error
     # eta as a QFI error of 8 eta / h^2
-    sc = make_preset("robustness-amp").with_errors(
-        ControlErrorParams(amp_error=mhz_to_angular(-0.98))
-    )
+    sc = make_preset("robustness-amp").with_errors(amp_error=mhz_to_angular(-0.98))
     spec = sc.rotating_spec()
     assert int(4.0 * spec.fundamental[0] / TP) == 146
     assert _unitarity_defect(interval_unitary(spec, 0.0, 4.0, ORACLE_OPTS)) <= 1e-12
