@@ -428,6 +428,10 @@ def effective(ctx):
     _finish(cfg, bundle)
 
 
+#: the control-error axis that each robustness preset sweeps
+_ROBUSTNESS_AXES = {"robustness-amp": "amplitude", "robustness-freq": "frequency"}
+
+
 @main.command()
 @click.pass_context
 def robustness(ctx):
@@ -436,14 +440,20 @@ def robustness(ctx):
     run = cfg.get("run", {})
     seed = run.get("seed", 0)
     threads = run.get("threads", 1)
-    presets = _preset_names(cfg, ["robustness-amp", "robustness-freq"])
+    presets = _preset_names(cfg, list(_ROBUSTNESS_AXES))
+    for name in presets:
+        if name not in _ROBUSTNESS_AXES:
+            raise ConfigError(
+                f"config key run.presets: robustness sweeps only "
+                f"{', '.join(_ROBUSTNESS_AXES)}, got {name!r}"
+            )
     grid = run.get("error_grid_mhz")
     grid = mhz_to_angular(np.asarray(grid, dtype=float)) if grid is not None else None
     bundle = ResultBundle("robustness", cfg, seed)
     for name in presets:
-        axis = "amplitude" if name.endswith("amp") else "frequency"
         res = run_robustness_sweep(
-            axis, grid=grid, preset=_build_scenario(name, cfg), n_workers=threads,
+            _ROBUSTNESS_AXES[name], grid=grid, preset=_build_scenario(name, cfg),
+            n_workers=threads,
             **_given_keys(run, t="sweep_time_us"),
         )
         rows = [

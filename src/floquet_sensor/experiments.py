@@ -514,7 +514,7 @@ def _default_error_grid(error_axis: str) -> np.ndarray:
         return mhz_to_angular(np.linspace(-1.0, 1.0, 101))
     if error_axis == "frequency":
         return mhz_to_angular(np.linspace(-20.0, 30.0, 51))
-    raise ValueError("error_axis must be 'amplitude' or 'frequency'")
+    raise ValueError(f"error_axis must be 'amplitude' or 'frequency', got {error_axis!r}")
 
 
 def grid_has_zero(errors) -> bool:
@@ -543,10 +543,11 @@ def run_robustness_sweep(
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
+    default_grid = _default_error_grid(error_axis)  # rejects an unknown axis
     if preset is None:
         preset = "robustness-amp" if error_axis == "amplitude" else "robustness-freq"
     scenario = resolve_scenario(preset)
-    errors = np.asarray(grid, dtype=float) if grid is not None else _default_error_grid(error_axis)
+    errors = default_grid if grid is None else np.asarray(grid, dtype=float)
     if errors.ndim != 1 or not np.all(np.diff(errors) > 0):
         raise ValueError(f"error grid must be strictly increasing, got {errors.tolist()}")
     if not grid_has_zero(errors):

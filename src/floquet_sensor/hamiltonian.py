@@ -69,12 +69,47 @@ class HamiltonianSpec:
         """Pauli coefficient vector(s) (cx, cy, cz) at time(s) t.
 
         Returns shape (3,) for scalar t, (n, 3) for an array of n times.
+        The constants are summed once, and a rotating pair takes one cos and
+        one sin of its argument (``_tones``).
         """
         t_arr = np.asarray(t, dtype=float)
-        out = np.zeros(t_arr.shape + (3,))
-        for term in self.terms:
+        constants, pairs, singles = self._tones
+        out = np.empty(t_arr.shape + (3,))
+        out[...] = constants
+        for amplitude, frequency, phase in pairs:
+            arg = frequency * t_arr + phase
+            out[..., 0] += amplitude * np.cos(arg)
+            out[..., 1] += amplitude * np.sin(arg)
+        for term in singles:
             out[..., _AXIS_INDEX[term.axis]] += term.coefficient(t_arr)
         return out
+
+    @cached_property
+    def _tones(self) -> tuple[np.ndarray, list[tuple[float, float, float]], list[PauliTerm]]:
+        """The terms grouped for ``coefficients``, once per spec.
+
+        (constants, pairs, singles): the summed (x, y, z) vector of the
+        zero-frequency terms; (amplitude, frequency, phase) of each rotating
+        pair, an x tone directly followed by the y tone of the same amplitude
+        and frequency at the x phase - pi/2 (as ``_rotating_pair`` builds
+        them), so amplitude * (cos, sin) of one argument; and every other
+        oscillating term.
+        """
+        constants = np.zeros(3)
+        pairs, singles = [], []
+        terms, i = self.terms, 0
+        while i < len(terms):
+            term = terms[i]
+            partner = PauliTerm("y", term.amplitude, term.frequency, term.phase - 0.5 * math.pi)
+            if term.frequency == 0.0:
+                constants[_AXIS_INDEX[term.axis]] += term.coefficient(0.0)
+            elif term.axis == "x" and terms[i + 1:i + 2] == (partner,):
+                pairs.append((term.amplitude, term.frequency, term.phase))
+                i += 1
+            else:
+                singles.append(term)
+            i += 1
+        return constants, pairs, singles
 
     def matrix(self, t: float) -> np.ndarray:
         """2x2 Hermitian matrix at time t."""

@@ -1,12 +1,15 @@
 """Time evolution of two-level states under a ``HamiltonianSpec``.
 
 The integrator splits an interval into substeps and applies the exact 2x2
-exponential of a fourth-order (two-point Gauss) average of the Hamiltonian
-on each substep.  Every substep is exactly unitary, so norm is preserved to
-round-off regardless of step size; accuracy is controlled by Richardson-style
-step doubling until two resolutions agree to ``rel_tol``.  For
-time-independent specs every substep is exact, so the first doubling already
-agrees: two passes per interval.
+exponential of a sixth-order Magnus generator on each substep: the
+three-Gauss-point commutator integrator of Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009), sec. 5.  Every substep is exactly unitary, so
+norm is preserved to round-off regardless of step size; accuracy is
+controlled by Richardson-style step doubling until two resolutions agree to
+``rel_tol``.  The starting substep count follows from the order and from
+the tolerance of the piece being integrated, as a whole number per drive
+period (``_initial_steps``).  A time-independent spec has no truncation
+error at all, so an interval takes one exact exponential and no doubling.
 
 Every propagator here is in SU(2), so inside this module it is a quaternion:
 four reals (w, x, y, z) with U = w I - i (x sigma_x + y sigma_y + z sigma_z),
@@ -16,8 +19,9 @@ is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
 Everything is vectorized over substeps (and optionally over a batch of
 sigma_z offsets, used for noise-ensemble averaging), with the running
 product accumulated by pairwise reduction.  A sigma_z offset moves only the
-z component of the Hamiltonian, so the generators' cross-product term is
-computed once and corrected per offset.  Complex 2x2 matrices are formed
+z component of the Hamiltonian, so the coefficients are evaluated once per
+pass and only the generator terms that involve the mean field are computed
+per offset.  Complex 2x2 matrices are formed
 only at the public boundary (``interval_unitary``, ``evolve``,
 ``micromotion_error``).
 
@@ -39,8 +43,9 @@ integrated directly.
   since ||A^m - B^m|| <= m ||A - B|| for unitaries, the m-period product
   keeps the rel_tol contract.  Where rel_tol / m would fall below 3e-13,
   which step doubling of one period cannot resolve above round-off, the
-  interval is integrated directly.  Without refinement U_T uses the substep
-  density the direct path would use on one period.
+  interval is integrated directly.  Without refinement U_T takes the
+  substep count of the direct path at rel_tol: n_T per period, the same for
+  every period piece.
 - The power has a closed form (the Cayley-Klein parameters of SU(2)): with
   U_T = cos(a) I - i sin(a) n.sigma, a = atan2(|v|, w) and n = v/|v|,
   U_T^m = cos(m a) I - i sin(m a) n.sigma.  a and n do not depend on the
@@ -68,16 +73,22 @@ import numpy as np
 from .hamiltonian import HamiltonianSpec, kick_operator
 from .params import FloquetDriveParams, TWO_PI
 
-_SQRT3 = math.sqrt(3.0)
+_SQRT15 = math.sqrt(15.0)
+_GAUSS = _SQRT15 / 10.0  # outer Gauss nodes at t_mid -+ _GAUSS h
 _CHUNK = 1 << 16  # substeps per vectorized chunk; bounds peak memory
 # substeps x batch members per pass over a group of segment pieces; larger
 # blocks save little Python overhead and raise the peak memory of a scan
 _BLOCK = 4096
-# step doubling of one drive period reaches a round-off floor near 1e-13 (it
-# stalled at 1e-13 for up to 70% of sampled period starts of the robustness
-# and dd presets, at 2e-13 for none), so the stroboscopic route is not used
-# when it would need a period tolerance below this
+# step doubling of one drive period reaches a round-off floor near 1e-13:
+# with the sixth-order substep it stalled for 205 of 840 sampled periods at
+# 2e-14, 5 at 1e-13 and none at 2e-13 or 3e-13 (60 starts in [0, 160] us on
+# each of 14 driven specs: the dd and fds presets and the robustness presets
+# over their error ranges), so the stroboscopic route is not used when it
+# would need a period tolerance below this
 _MIN_PERIOD_TOL = 3e-13
+# relative slack of the substep count's rounding: a count this close to an
+# integer is round-off in an interval's length, not a need for one more substep
+_SLACK = 1e-9
 
 
 class PropagationError(RuntimeError):
@@ -208,41 +219,64 @@ def _reduce_product(us: np.ndarray) -> np.ndarray:
     return us[..., 0, :, :]
 
 
+def _cross(a, b):
+    """Components of a x b for vectors given as component triples."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
 def _step_generators(
     spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
 ) -> np.ndarray:
     """Magnus generators q for n substeps of [t0, t1], shape (n, 3) or (r, n, 3).
 
-    Fourth order from the two Gauss points per substep:
-    q = (h/2)(p1 + p2) + (sqrt(3) h^2 / 6) (p2 x p1) with p_i = H(t_i) Pauli
-    vectors.  ``z_offsets`` (shape (r,)) adds a constant sigma_z coefficient
-    d per batch member; it moves only the z component of p1 and p2, so
-    (p2 + d z) x (p1 + d z) = p2 x p1 + d z x (p1 - p2) and the offset-free
-    part is computed once.  Bounds may be arrays of P pieces, with
-    ``z_offsets`` of shape (P, r); a leading piece axis is then added to the
-    result.
+    Sixth order from the three Gauss points t_mid - g h, t_mid and
+    t_mid + g h (g = sqrt(15)/10) per substep, with p1, p2, p3 the Pauli
+    vectors of H there (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009), sec. 5; a commutator of Pauli vectors is 2 a x b):
+
+        a1 = h p2,  a2 = (sqrt(15) h/3)(p3 - p1),  a3 = (10 h/3)(p3 - 2 p2 + p1)
+        c1 = 2 a1 x a2,  c2 = -(1/30) a1 x (2 a3 + c1)
+        q = a1 + a3/12 + (1/120)(-20 a1 - a3 + c1) x (a2 + c2)
+
+    ``z_offsets`` (shape (r,)) adds a constant sigma_z coefficient d per
+    batch member.  It moves only the z component of a1, by h d, so the
+    coefficients are evaluated once and a2, a3 are shared by all members;
+    only the terms that involve a1 are computed per member.  A constant
+    spec has a2 = a3 = 0, so q = h p is exact and takes one coefficient
+    evaluation.  Bounds may be arrays of P pieces, with ``z_offsets`` of
+    shape (P, r); a leading piece axis is then added to the result.
     """
     h = hz = (t1 - t0) / n
     if np.ndim(h) > 0:  # one row of substeps per piece, (P, r, n) with offsets
         t0, h, hz = t0[:, None], h[:, None], h[:, None, None]
     mids = t0 + (np.arange(n) + 0.5) * h
-    gauss = 0.5 * h / _SQRT3
-    p1 = spec.coefficients(mids - gauss)
-    p2 = spec.coefficients(mids + gauss)
-    half, c = 0.5 * h, _SQRT3 * h * h / 6.0
-    x1, y1, z1 = p1[..., 0], p1[..., 1], p1[..., 2]
-    x2, y2, z2 = p2[..., 0], p2[..., 1], p2[..., 2]
-    qx = half * (x1 + x2) + c * (y2 * z1 - z2 * y1)
-    qy = half * (y1 + y2) + c * (z2 * x1 - x2 * z1)
-    qz = half * (z1 + z2) + c * (x2 * y1 - y2 * x1)
-    if z_offsets is None:
-        return np.stack([qx, qy, qz], axis=-1)
-    z = np.asarray(z_offsets, dtype=float)[..., None]  # (..., r, 1)
-    q = np.empty(z.shape[:-1] + qx.shape[-1:] + (3,))
-    q[..., 0] = qx[..., None, :] - z * (c * (y1 - y2))[..., None, :]
-    q[..., 1] = qy[..., None, :] + z * (c * (x1 - x2))[..., None, :]
-    q[..., 2] = qz[..., None, :] + z * hz
-    return q
+    z = None if z_offsets is None else np.asarray(z_offsets, dtype=float)[..., None]
+    p2 = spec.coefficients(mids)
+    a1 = [h * p2[..., 0], h * p2[..., 1], h * p2[..., 2]]
+    if z is not None:  # offsets get an axis before the substeps: (..., r, n)
+        a1 = [a1[0][..., None, :], a1[1][..., None, :], a1[2][..., None, :] + z * hz]
+    if spec.fundamental[0] == 0.0:
+        q = a1
+    else:
+        g = _GAUSS * h
+        p1 = spec.coefficients(mids - g)
+        p3 = spec.coefficients(mids + g)
+        k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
+        a2 = [k2 * (p3[..., i] - p1[..., i]) for i in range(3)]
+        a3 = [k3 * (p3[..., i] - 2.0 * p2[..., i] + p1[..., i]) for i in range(3)]
+        if z is not None:
+            a2 = [c[..., None, :] for c in a2]
+            a3 = [c[..., None, :] for c in a3]
+        c1 = [2.0 * c for c in _cross(a1, a2)]
+        c2 = [c / -30.0 for c in _cross(a1, [2.0 * e + c for e, c in zip(a3, c1)])]
+        uv = _cross([-20.0 * a - e + c for a, e, c in zip(a1, a3, c1)],
+                    [b + c for b, c in zip(a2, c2)])
+        q = [a + e / 12.0 + c / 120.0 for a, e, c in zip(a1, a3, uv)]
+    out = np.empty(np.broadcast_shapes(*(c.shape for c in q)) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = q
+    return out
 
 
 def _interval_unitary(
@@ -266,25 +300,35 @@ def _interval_unitary(
     return total
 
 
-def _initial_steps(
-    spec: HamiltonianSpec, duration: float, opts: PropagatorOptions
-) -> int:
-    """Starting substep count for an interval.
+def _initial_steps(spec: HamiltonianSpec, duration: float, tol: float) -> int:
+    """Starting substep count for an interval of ``duration`` at tolerance ``tol``.
 
-    Resolves the fastest term tone with at least 40 points per period
-    (densified for tight tolerances since the local order is fixed) and
-    bounds the rotation angle per substep.
+    A constant spec takes one substep, whose exponential is exact.  Any
+    other spec takes a whole number n_T of substeps per period T = 2 pi/f0
+    of its fundamental: 8 (1e-6/tol_T)^(1/6) per period of the fastest tone
+    (the sixth-order error per substep falls as h^7), and at least 8 per
+    2 pi of the rotation-rate bound ``amplitude_scale``.  The errors of the
+    periods add up, so an interval of m >= 1 whole periods is resolved for
+    tol_T = tol / m per period, the tolerance of the stroboscopic route's
+    one-period piece.  An interval takes its length's share of n_T per
+    period.  A count within 1e-9 (relative) of an integer is not rounded
+    up, so every one-period piece takes exactly n_T substeps, whatever the
+    round-off in its length.
     """
-    per_period = 40.0 * max(1.0, (1e-6 / max(opts.rel_tol, 1e-14)) ** 0.25)
-    n_osc = duration * spec.max_frequency() / TWO_PI * per_period
-    n_rot = duration * spec.amplitude_scale() / TWO_PI * 8.0
-    n = max(2.0, n_osc, n_rot)
+    f0 = spec.fundamental[0]
+    if f0 == 0.0:
+        return 1
+    tol_period = tol / max(1, int(duration * f0 / TWO_PI))
+    per_tone = 8.0 * max(1.0, (1e-6 / max(tol_period, 1e-14)) ** (1.0 / 6.0))
+    rate = max(spec.max_frequency() * per_tone, spec.amplitude_scale() * 8.0)
+    per_period = math.ceil(rate / f0 * (1.0 - _SLACK))
+    n = duration * f0 / TWO_PI * per_period
     if n > 5e8:
         raise PropagationError(
             f"interval of {duration:g} us needs ~{n:.3g} substeps at this "
             "tolerance; spec is too oscillatory for the available resolution"
         )
-    return int(math.ceil(n))
+    return max(1, math.ceil(n * (1.0 - _SLACK)))
 
 
 def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) -> int:
@@ -305,15 +349,18 @@ def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) ->
     return m
 
 
-def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float,
-                     opts: PropagatorOptions, tol: float, z_offsets=None) -> np.ndarray:
+def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, tol: float,
+                     z_offsets=None) -> np.ndarray:
     """Direct quaternion propagator over [t0, t1]: step doubling until agreement to ``tol``.
 
+    A constant spec takes its one exact exponential, with no doubling.
     Doubling stops with ``PropagationError`` as soon as the residual fails to
     shrink, since below the round-off floor further doublings only cost time.
     """
-    n = _initial_steps(spec, t1 - t0, opts)
+    n = _initial_steps(spec, t1 - t0, tol)
     u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
+    if spec.fundamental[0] == 0.0:
+        return u_prev
     residual = math.inf
     for _ in range(24):
         n *= 2
@@ -433,12 +480,12 @@ def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     if opts.adaptive or not pieces:  # no pieces: the loop returns the empty stack
         for k, (a, b, tol, seg) in enumerate(pieces):
             z = None if rows is None else rows[seg]
-            us[k] = _stepped_unitary(spec, a, b, opts, tol, z)
+            us[k] = _stepped_unitary(spec, a, b, tol, z)
         return us
     a, b, _, seg = zip(*pieces)
     a, b = np.array(a), np.array(b)
     z = None if rows is None else rows[list(seg)]  # offsets per piece
-    steps = np.array([_initial_steps(spec, d, opts) for d in (b - a).tolist()],
+    steps = np.array([_initial_steps(spec, d, opts.rel_tol) for d in (b - a).tolist()],
                      dtype=int)
     for n in np.unique(steps).tolist():
         group = np.flatnonzero(steps == n)

@@ -149,6 +149,11 @@ BAD_CONFIGS = [
     ({"run": {"error_grid_mhz": [-0.1, 0.1]}}, ["robustness"], "run.error_grid_mhz"),
     # an unsorted error grid once gave a wrong advantage interval and exited 0
     ({"run": {"error_grid_mhz": [0.125, 0, -0.175]}}, ["robustness"], "run.error_grid_mhz"),
+    # the error axis once came from the name's suffix: fds-k5 ran a frequency
+    # sweep and exited 0, ods-detuned failed deep inside with exit 1
+    ({"run": {"presets": ["fds-k5"], "error_grid_mhz": [-0.1, 0, 0.1]}}, ["robustness"],
+     "run.presets"),
+    ({"run": {"presets": ["ods-detuned"]}}, ["robustness"], "run.presets"),
     # json parses NaN and Infinity: the first once ran and wrote NaN into the
     # summary, the second failed deep inside with exit 1
     ({"physical": {"detuning_mhz": float("nan")}}, ["effective"], "physical.detuning_mhz"),

@@ -356,6 +356,10 @@ def test_exact_qfi_passes_fidelity_check_at_large_amplitude_errors():
 def test_robustness_validation():
     with pytest.raises(ValueError):
         run_robustness_sweep("phase")
+    # an explicit grid once skipped the check and ran a frequency sweep
+    # labelled "phase"
+    with pytest.raises(ValueError, match="error_axis must be .* got 'phase'"):
+        run_robustness_sweep("phase", grid=[-0.5, 0.0, 0.5], t=1.0)
     with pytest.raises(ValueError):
         run_robustness_sweep("amplitude", grid=mhz_to_angular(np.array([0.1, 0.2])))
     for n_workers in (0, -1):

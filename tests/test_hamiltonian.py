@@ -209,6 +209,46 @@ def test_fds_prime_cancelling_amp_error_reduces_to_ods():
         npt.assert_allclose(reduced.matrix(t), plain.matrix(t), atol=1e-12)
 
 
+def _term_sum(spec, t):
+    """Reference for ``coefficients``: every term's own cosine, summed in term order."""
+    out = np.zeros(np.shape(t) + (3,))
+    for term in spec.terms:
+        out[..., "xyz".index(term.axis)] += term.coefficient(t)
+    return out
+
+
+def test_coefficients_pair_rotating_terms():
+    sensor = paper_sensor()
+    signal = paper_signal(sensor)
+    drive = paper_drive(k=5)
+    lab = build_lab_fds(sensor, signal, drive)
+    fds = build_fds_prime(sensor, signal, drive)
+    x, y = fds.terms[2], fds.terms[3]  # the first drive pair
+    mixed = HamiltonianSpec(Frame.SIGNAL_ROTATING, (
+        y, PauliTerm("z", 0.7), x,  # a y tone ahead of its x partner: no pair
+        x, y,  # a pair
+        PauliTerm("y", 0.3, 5.0, 0.1),  # a y tone without a partner
+        PauliTerm("z", 0.2, 3.0), PauliTerm("x", 0.4, 0.0, 2.0),
+    ))
+    specs = {"fds": (fds, 5), "lab": (lab, 0), "mixed": (mixed, 1),
+             "rwa-off": (to_signal_rotating(lab, signal, apply_rwa=False), 11)}
+    t = np.linspace(0.0, 160.0, 4001)
+    for name, (spec, n_pairs) in specs.items():
+        assert len(spec._tones[1]) == n_pairs, name
+        ref = _term_sum(spec, t)
+        # a pair's y term is the sine of the x argument, not the cosine of
+        # that argument - pi/2: the two differ by the rounding of the
+        # argument, a few ulp of |frequency t| + |phase|, times the amplitude
+        bound = 4.0 * np.finfo(float).eps * sum(
+            abs(term.amplitude) * (abs(term.frequency) * t + abs(term.phase) + 1.0)
+            for term in spec.terms)
+        dev = np.abs(spec.coefficients(t) - ref)
+        assert np.all(dev <= bound[:, None]), name
+    # constants first in term order, and no y tone in a pair: bit for bit
+    npt.assert_array_equal(lab.coefficients(t), _term_sum(lab, t))
+    assert fds.coefficients(0.3).shape == (3,)
+
+
 def test_fds_prime_k5_has_five_harmonic_pairs():
     sensor = paper_sensor()
     spec = build_fds_prime(sensor, paper_signal(sensor), paper_drive(k=5))

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +20,15 @@ from floquet_sensor.hamiltonian import (
     effective_coefficients,
     to_signal_rotating,
 )
-from floquet_sensor.experiments import ORACLE_OPTS, SCAN_OPTS, make_preset
+from floquet_sensor.experiments import (
+    ORACLE_OPTS,
+    SCAN_OPTS,
+    DdConfig,
+    NoiseModel,
+    default_dd_grid,
+    make_preset,
+    run_scan,
+)
 from floquet_sensor.params import (
     TWO_PI,
     FloquetDriveParams,
@@ -168,7 +177,7 @@ def test_self_convergence_contract():
     # at the starting resolution for rel_tol 1e-9, doubling the substep count
     # changes the propagator below rel_tol
     spec, _, _, _ = fds_paper_spec(k=1)
-    n = _initial_steps(spec, 1.0, PropagatorOptions(rel_tol=1e-9))
+    n = _initial_steps(spec, 1.0, 1e-9)
     a = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, n))
     b = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, 2 * n))
     assert np.max(np.abs(a - b)) < 1e-9
@@ -194,12 +203,14 @@ def test_pathological_spec_reported():
 
 def test_step_doubling_stall_fails_fast():
     # below the round-off floor the residual stops shrinking; without the
-    # stall check one fds-k5 period at rel_tol 3e-14 doubled for minutes
+    # stall check one fds-k5 period at rel_tol 3e-14 doubled for minutes.
+    # The sixth-order substep reaches 1e-15 on this period, so the tolerance
+    # here lies below any round-off floor
     spec = make_preset("fds-k5").rotating_spec()
     period = TP / spec.fundamental[0]
     start = time.perf_counter()
     with pytest.raises(PropagationError, match=r"stalled .* residual reached \d"):
-        interval_unitary(spec, 0.0, period, PropagatorOptions(rel_tol=1e-15))
+        interval_unitary(spec, 0.0, period, PropagatorOptions(rel_tol=1e-17))
     assert time.perf_counter() - start < 5.0
 
 
@@ -212,8 +223,8 @@ def _unitarity_defect(u):
 def _direct(spec, t0, t1, opts, tol, z=None):
     """Direct quaternion propagator of one interval: step doubling, or one fixed pass."""
     if opts.adaptive:
-        return _stepped_unitary(spec, t0, t1, opts, tol, z)
-    return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts), z)
+        return _stepped_unitary(spec, t0, t1, tol, z)
+    return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts.rel_tol), z)
 
 
 def _scalar_route(spec, t0, t1, opts, z=None):
@@ -261,7 +272,7 @@ def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
 
 
 # The complex path the quaternion core replaced, as an oracle: generators with
-# p1 and p2 copied per z offset, complex 2x2 exponentials and products, and
+# p1, p2 and p3 copied per z offset, complex 2x2 exponentials and products, and
 # repeated squaring of the SU(2) projection of the period propagator.
 
 def _su2_project(u):
@@ -278,40 +289,62 @@ def _su2_project(u):
     return out
 
 
-def _copied_generators(spec, t0, t1, n, z_offsets=None):
-    """Magnus generators with p1 and p2 copied once per z offset."""
+def _gauss_vectors(spec, t0, t1, n, z_offsets, nodes):
+    """Substep length h and the Pauli vectors at t_mid + c h for each node c.
+
+    With ``z_offsets`` every vector is copied once per offset.  For arrays
+    of piece bounds, h is shaped to broadcast against the vectors.
+    """
     h = (t1 - t0) / n
     pieces = np.ndim(h) > 0
     if pieces:
         t0, h = t0[:, None], h[:, None]
     mids = t0 + (np.arange(n) + 0.5) * h
-    gauss = 0.5 * h / math.sqrt(3.0)
-    p1 = spec.coefficients(mids - gauss)
-    p2 = spec.coefficients(mids + gauss)
+    ps = [spec.coefficients(mids + c * h) for c in nodes]
     if z_offsets is not None:
         z = np.asarray(z_offsets, dtype=float)
-        shape = z.shape + p1.shape[-2:]
-        p1 = np.broadcast_to(p1[..., None, :, :], shape).copy()
-        p2 = np.broadcast_to(p2[..., None, :, :], shape).copy()
-        p1[..., 2] += z[..., None]
-        p2[..., 2] += z[..., None]
+        shape = z.shape + ps[0].shape[-2:]
+        ps = [np.broadcast_to(p[..., None, :, :], shape).copy() for p in ps]
+        for p in ps:
+            p[..., 2] += z[..., None]
     if pieces:
-        h = h.reshape((-1,) + (1,) * (p1.ndim - 1))
+        h = h.reshape((-1,) + (1,) * (ps[0].ndim - 1))
+    return h, ps
+
+
+def _copied_generators(spec, t0, t1, n, z_offsets=None):
+    """Sixth-order Magnus generators with p1, p2 and p3 copied per z offset."""
+    g = math.sqrt(15.0) / 10.0
+    h, (p1, p2, p3) = _gauss_vectors(spec, t0, t1, n, z_offsets, (-g, 0.0, g))
+    a1 = h * p2
+    a2 = (math.sqrt(15.0) * h / 3.0) * (p3 - p1)
+    a3 = (10.0 * h / 3.0) * (p3 - 2.0 * p2 + p1)
+    c1 = 2.0 * np.cross(a1, a2)
+    c2 = -np.cross(a1, 2.0 * a3 + c1) / 30.0
+    return a1 + a3 / 12.0 + np.cross(-20.0 * a1 - a3 + c1, a2 + c2) / 120.0
+
+
+def _fourth_order_generators(spec, t0, t1, n, z_offsets=None):
+    """The fourth-order (two-point Gauss) Magnus generators the sixth-order
+    substep replaced: q = (h/2)(p1 + p2) + (sqrt(3) h^2/6)(p2 x p1)."""
+    g = 0.5 / math.sqrt(3.0)
+    h, (p1, p2) = _gauss_vectors(spec, t0, t1, n, z_offsets, (-g, g))
     return 0.5 * h * (p1 + p2) + (math.sqrt(3.0) * h * h / 6.0) * np.cross(p2, p1)
 
 
 def _complex_direct(spec, t0, t1, opts, tol, z=None):
     """Complex direct propagator: step doubling, or one fixed pass."""
-    n = _initial_steps(spec, t1 - t0, opts)
+    n = _initial_steps(spec, t1 - t0, tol if opts.adaptive else opts.rel_tol)
     u = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
-    for _ in range(opts.adaptive * 24):
+    if not opts.adaptive or spec.max_frequency() == 0.0:  # one exact exponential
+        return u
+    for _ in range(24):
         n *= 2
         u_next = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
         if np.max(np.abs(u_next - u)) < tol:
             return u_next
         u = u_next
-    assert not opts.adaptive, "complex step doubling did not converge"
-    return u
+    raise AssertionError("complex step doubling did not converge")
 
 
 def _complex_route(spec, t0, t1, opts, z=None):
@@ -356,6 +389,67 @@ def test_segment_route_matches_complex_composition():
                     else np.broadcast_to(np.eye(2), (3, 2, 2))
                     for a, b, zz in zip(t0, t1, z)])
     npt.assert_allclose(u, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "preset, errors, t0, t1, batch",
+    [("fds-k5", {}, 0.3, 0.6, 0),  # ten periods and a remainder
+     ("robustness-freq", {"freq_error": -20.0}, 0.0, 0.5, 0),
+     ("dd-on", {}, 1.3, 1.8, 3),
+     ("fds-k5", {}, 0.3, 0.33, 0)],  # direct: under two periods
+)
+def test_sixth_order_route_matches_fourth_order_oracle(preset, errors, t0, t1, batch):
+    spec = _errored_spec(preset, errors)
+    z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
+    u = interval_unitary(spec, t0, t1, PropagatorOptions(rel_tol=1e-11), z_offsets=z)
+    # 4000 fourth-order substeps per drive period: 4e-14 error per period
+    n = math.ceil((t1 - t0) * spec.fundamental[0] / TP * 4000)
+    ref = _reduce_product(_pauli_exp(_fourth_order_generators(spec, t0, t1, n, z)))
+    npt.assert_allclose(u, ref, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("preset", ["dd-off", "fds-k5"])
+def test_substep_is_sixth_order(preset):
+    # one drive period at the scan density (40 substeps) and at twice it: the
+    # error falls by 2^6 = 64, against 16 for the fourth-order substep
+    spec = make_preset(preset).rotating_spec()
+    period = TP / spec.fundamental[0]
+    assert _initial_steps(spec, period, SCAN_OPTS.rel_tol) == 40
+    t0 = 0.37
+    ref = _quat_matrix(_interval_unitary(spec, t0, t0 + period, 2000))
+    err = [np.max(np.abs(_quat_matrix(_interval_unitary(spec, t0, t0 + period, n)) - ref))
+           for n in (40, 80)]
+    assert err[0] < 2e-8
+    assert err[0] >= 50.0 * err[1]
+
+
+def test_constant_spec_takes_one_exact_exponential(passes):
+    spec = constant_spec(1.3, -0.4, 2.1)
+    t0, t1 = 0.2, 1.7
+    ref = expm(-1j * (t1 - t0) * spec.matrix(0.0))
+    for opts in (ORACLE_OPTS, SCAN_OPTS, PropagatorOptions(rel_tol=1e-14)):
+        passes.clear()
+        u = interval_unitary(spec, t0, t1, opts)
+        assert [(n, d.size) for n, d in passes] == [(1, 1)]  # no step doubling
+        npt.assert_allclose(u, ref, rtol=0, atol=1e-15)
+    # sigma_z offsets, and the segment axis: one substep per segment, in one
+    # pass per segment with refinement and one pass for both without
+    z = np.array([[-0.7, 0.0, 0.9], [0.3, 0.5, -1.1]])
+    for opts, expected in ((ORACLE_OPTS, [(1, 1), (1, 1)]), (SCAN_OPTS, [(1, 2)])):
+        passes.clear()
+        u = interval_unitary(spec, np.array([t0, 0.5]), np.array([t1, 2.5]), opts,
+                             z_offsets=z)
+        assert [(n, d.size) for n, d in passes] == expected
+    for (a, b), row, us in zip([(t0, t1), (0.5, 2.5)], z, u):
+        for off, ui in zip(row, us):
+            shifted = spec.matrix(0.0) + off * SIGMA_Z
+            npt.assert_allclose(ui, expm(-1j * (b - a) * shifted), rtol=0, atol=1e-15)
+    # the closed-form Rabi population of the undriven sensor
+    sc = make_preset("ods-detuned")
+    amp, delta = sc.signal.omega_s_amp, sc.signal.detuning(sc.sensor)
+    for t in (0.3, 1.0, 3.8):
+        p0 = abs(interval_unitary(sc.rotating_spec(), 0.0, t, ORACLE_OPTS)[0, 0]) ** 2
+        assert abs(p0 - rabi_population(amp, delta, t)) <= 1e-15
 
 
 def test_quaternion_kernel_matches_complex_products():
@@ -415,7 +509,7 @@ def test_stroboscopic_route_matches_direct_kernel(preset, freq_error_mhz, t):
     f0, defect = spec.fundamental
     assert t * f0 / TP > 2.0
     u = interval_unitary(spec, 0.0, t, ORACLE_OPTS)
-    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, ORACLE_OPTS, ORACLE_OPTS.rel_tol))
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, ORACLE_OPTS.rel_tol))
     assert np.max(np.abs(u - direct)) <= 1e-10
     # drive frequencies are exact multiples of omega_F, so every point takes the
     # route (frequencies built as omega_s - (omega_s - l omega_F) missed l*f0 by
@@ -459,7 +553,7 @@ def test_stroboscopic_route_falls_back_bit_identically():
         assert m < 2 or defect > 0.1 * f0 or opts.rel_tol / m < 1e-13
         assert np.array_equal(
             interval_unitary(spec, t0, t1, opts),
-            _quat_matrix(_stepped_unitary(spec, t0, t1, opts, opts.rel_tol)),
+            _quat_matrix(_stepped_unitary(spec, t0, t1, opts.rel_tol)),
         )
 
 
@@ -479,7 +573,7 @@ def test_stroboscopic_remainder_at_period_multiple():
     period = TP / spec.fundamental[0]
     opts = PropagatorOptions(rel_tol=1e-9)
     u = interval_unitary(spec, 0.0, 3 * period, opts)
-    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, opts, opts.rel_tol))
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, opts.rel_tol))
     assert np.max(np.abs(u - direct)) <= 1e-9
 
 
@@ -501,12 +595,12 @@ def _assert_segments_match_scalar_calls(spec, t0, t1, z):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """(substeps, pieces) of every fixed-resolution pass, in call order."""
+    """(substeps, piece durations) of every fixed-resolution pass, in call order."""
     seen = []
     kernel = propagator._interval_unitary
 
     def counted(spec, t0, t1, n, z_offsets=None):
-        seen.append((n, np.size(t0)))
+        seen.append((n, np.atleast_1d(np.subtract(t1, t0))))
         return kernel(spec, t0, t1, n, z_offsets)
 
     monkeypatch.setattr(propagator, "_interval_unitary", counted)
@@ -552,11 +646,33 @@ def test_segments_split_into_blocks(passes):
     )
     # every pass stays within the block budget, a group spans several passes,
     # and the substeps are those of the scalar calls
-    assert all(n * pieces * 3 <= propagator._BLOCK for n, pieces in passes)
+    assert all(n * d.size * 3 <= propagator._BLOCK for n, d in passes)
     assert len(passes) > len({n for n, _ in passes})
-    assert sum(n * pieces for n, pieces in passes) == sum(
-        propagator._initial_steps(spec, d, SCAN_OPTS) for d in t1 - t0
+    assert sum(n * d.size for n, d in passes) == sum(
+        propagator._initial_steps(spec, d, SCAN_OPTS.rel_tol) for d in t1 - t0
     )
+
+
+@pytest.mark.parametrize("preset, dd", [("dd-off", None), ("dd-on", DdConfig())])
+def test_scan_period_pieces_take_one_substep_count(passes, preset, dd):
+    # the default dd scans at SCAN_OPTS: counts were once rounded up from the
+    # length of each period piece, ceil(200 +- 1e-11), which split the pieces
+    # into 200- and 201-substep passes, and a one-ulp change of omega_F moved
+    # pieces between the two
+    sc = make_preset(preset)
+
+    def scan(drive):
+        passes.clear()
+        run_scan(replace(sc, drive=drive), default_dd_grid(dd is not None), dd=dd,
+                 noise=NoiseModel("ornstein-uhlenbeck", 0.7), n_realizations=2, seed=0)
+        period = TP / replace(sc, drive=drive).rotating_spec().fundamental[0]
+        return len(passes), {n for n, d in passes if np.any(np.abs(d - period) < 1e-9)}
+
+    count, period_steps = scan(sc.drive)
+    assert period_steps == {40}  # 8 substeps per period of the fifth tone
+    for step in (math.inf, -math.inf):
+        freq = np.nextafter(sc.drive.omega_F_freq, step)
+        assert scan(replace(sc.drive, omega_F_freq=freq)) == (count, {40})
 
 
 def test_segments_validate_options_and_shapes():
