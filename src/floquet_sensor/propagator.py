@@ -300,7 +300,7 @@ def _interval_unitary(
     return total
 
 
-def _initial_steps(spec: HamiltonianSpec, duration: float, tol: float) -> int:
+def _initial_steps(spec: HamiltonianSpec, duration, tol: float):
     """Starting substep count for an interval of ``duration`` at tolerance ``tol``.
 
     A constant spec takes one substep, whose exponential is exact.  Any
@@ -314,21 +314,36 @@ def _initial_steps(spec: HamiltonianSpec, duration: float, tol: float) -> int:
     period.  A count within 1e-9 (relative) of an integer is not rounded
     up, so every one-period piece takes exactly n_T substeps, whatever the
     round-off in its length.
+
+    ``duration`` may be an array of interval lengths, which gives an int
+    array of counts: n_T is worked out once per distinct whole-period count
+    m, and the rest is one array expression.  A scalar gives an int.
     """
+    lengths = np.asarray(duration, dtype=float)
     f0 = spec.fundamental[0]
     if f0 == 0.0:
-        return 1
-    tol_period = tol / max(1, int(duration * f0 / TWO_PI))
-    per_tone = 8.0 * max(1.0, (1e-6 / max(tol_period, 1e-14)) ** (1.0 / 6.0))
-    rate = max(spec.max_frequency() * per_tone, spec.amplitude_scale() * 8.0)
-    per_period = math.ceil(rate / f0 * (1.0 - _SLACK))
-    n = duration * f0 / TWO_PI * per_period
-    if n > 5e8:
+        return 1 if lengths.ndim == 0 else np.ones(lengths.shape, dtype=int)
+    fastest, rate_bound = spec.max_frequency(), spec.amplitude_scale() * 8.0
+
+    def per_period(m: int) -> int:  # n_T at the period tolerance tol / m
+        per_tone = 8.0 * max(1.0, (1e-6 / max(tol / m, 1e-14)) ** (1.0 / 6.0))
+        return math.ceil(max(fastest * per_tone, rate_bound) / f0 * (1.0 - _SLACK))
+
+    periods = lengths * f0 / TWO_PI
+    if periods.ndim == 0:
+        n = periods * per_period(max(1, int(periods)))
+    else:
+        whole, where = np.unique(np.maximum(1, periods.astype(int)), return_inverse=True)
+        counts = np.array([per_period(m) for m in whole.tolist()])
+        n = periods * counts[where.reshape(periods.shape)]
+    if np.any(n > 5e8):
+        k = np.flatnonzero(n > 5e8)[0]
         raise PropagationError(
-            f"interval of {duration:g} us needs ~{n:.3g} substeps at this "
+            f"interval of {lengths.flat[k]:g} us needs ~{n.flat[k]:.3g} substeps at this "
             "tolerance; spec is too oscillatory for the available resolution"
         )
-    return max(1, math.ceil(n * (1.0 - _SLACK)))
+    steps = np.maximum(1, np.ceil(n * (1.0 - _SLACK))).astype(int)
+    return int(steps) if steps.ndim == 0 else steps
 
 
 def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) -> int:
@@ -485,8 +500,7 @@ def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     a, b, _, seg = zip(*pieces)
     a, b = np.array(a), np.array(b)
     z = None if rows is None else rows[list(seg)]  # offsets per piece
-    steps = np.array([_initial_steps(spec, d, opts.rel_tol) for d in (b - a).tolist()],
-                     dtype=int)
+    steps = _initial_steps(spec, b - a, opts.rel_tol)
     for n in np.unique(steps).tolist():
         group = np.flatnonzero(steps == n)
         per_block = max(1, _BLOCK // (n * max(1, math.prod(batch))))

@@ -345,6 +345,25 @@ def test_short_fit_grid_exits_2_naming_the_key_and_point_count(tmp_path):
         assert not (tmp_path / command).exists()
 
 
+def test_cli_import_leaves_out_scipy_and_loads_lazy_numpy_submodules():
+    # scipy.optimize took most of the CLI's start-up; without it the numpy
+    # submodules it used to pull in must still load with the package, not
+    # inside the first command body
+    import subprocess, sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, floquet_sensor.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "floquet_sensor.experiments" in loaded
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    assert {"numpy.random", "numpy.fft", "numpy.ma"} <= loaded
+
+
 def test_dd_smoke_with_tiny_protocol(tmp_path):
     cfg = write_config(
         tmp_path,

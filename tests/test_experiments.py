@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import curve_fit
 
 from floquet_sensor.experiments import (
     DD_SIGMA_Z_DEFAULT,
@@ -319,6 +320,89 @@ def test_fit_rejects_fewer_points_than_parameters():
     for n in (1, 4):
         with pytest.raises(ValueError, match="at least 5 scan points, got"):
             fit_decaying_cosine(t[:n], np.cos(t[:n]))
+
+
+_T = np.linspace(1.0, 10.0, 20)
+
+
+@pytest.mark.parametrize("times, values, match", [
+    # without a finiteness check the fit returned T2 = 11.19 with a NaN residual
+    (_T, np.where(np.arange(20) == 7, np.nan, 0.5), "^values must be finite"),
+    (np.append(_T[:-1], np.inf), np.full(20, 0.5), "^times must be finite"),
+    # and T2 = NaN for decreasing times
+    (_T[::-1], np.cos(_T[::-1]), "^times must be strictly increasing"),
+    (np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0]), np.ones(6), "^times must be strictly increasing"),
+    (_T, np.ones(19), "^values must have one entry per time"),
+    (_T.reshape(4, 5), np.ones((4, 5)), "^times must be a 1-D array"),
+    (_T, np.ones((20, 1)), "^values must be a 1-D array"),
+], ids=["nan-value", "inf-time", "decreasing", "repeated-time", "lengths", "2-d-times",
+        "2-d-values"])
+def test_fit_rejects_malformed_input_naming_the_argument(times, values, match):
+    with pytest.raises(ValueError, match=match):
+        fit_decaying_cosine(times, values)
+
+
+def test_fit_amplitude_is_non_negative_and_phase_carries_the_sign():
+    t = np.linspace(0.3, 40.0, 120)
+    fit = fit_decaying_cosine(t, 0.5 - 0.45 * np.exp(-t / 12.0) * np.cos(0.9 * t + 0.2))
+    assert fit.amplitude == pytest.approx(0.45, rel=1e-9)
+    assert math.cos(fit.phase - 0.2) == pytest.approx(-1.0, abs=1e-12)
+    assert (fit.T2, fit.frequency, fit.offset) == pytest.approx((12.0, 0.9, 0.5), rel=1e-9)
+
+
+def _curve_fit_oracle(times, values):
+    """Reference decay fit: scipy's bounded ``curve_fit`` (trust-region
+    reflective) from the same FFT seed and four T2 starts, as the package fit
+    it before the variable-projection fit.  Returns (T2, RMS residual)."""
+    span = times[-1] - times[0]
+    offset0 = values.mean()
+    resid = values - offset0
+    uniform_t = np.linspace(times[0], times[-1], 4 * times.size)
+    uniform_v = np.interp(uniform_t, times, resid)
+    spectrum = np.abs(np.fft.rfft(uniform_v * np.hanning(uniform_v.size)))
+    freqs = np.fft.rfftfreq(uniform_v.size, uniform_t[1] - uniform_t[0])
+    w0 = TP * freqs[1 + int(np.argmax(spectrum[1:]))]
+    b0 = float(np.max(np.abs(resid)))
+
+    def model(t, a, b, t2, w, ph):
+        return a + b * np.exp(-t / t2) * np.cos(w * t + ph)
+
+    def jac(t, a, b, t2, w, ph):
+        decay = np.exp(-t / t2)
+        ec, es = decay * np.cos(w * t + ph), decay * np.sin(w * t + ph)
+        return np.stack([np.ones_like(t), ec, b * ec * t / (t2 * t2), -b * es * t,
+                         -b * es], axis=-1)
+
+    best = None
+    for t2_try in (span / 4.0, span, 4.0 * span, 100.0 * span):
+        try:
+            popt, _ = curve_fit(
+                model, times, values, p0=[offset0, b0, t2_try, w0, 0.0], jac=jac,
+                bounds=([-1.0, -2.0, 1e-3, 0.0, -TP], [2.0, 2.0, 1e6, 10.0 * w0 + 1.0, TP]),
+                maxfev=20000,
+            )
+        except RuntimeError:
+            continue
+        r = float(np.sqrt(np.mean((model(times, *popt) - values) ** 2)))
+        if best is None or r < best[1]:
+            best = (float(popt[2]), r)
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_realizations", [2, 16])
+@pytest.mark.parametrize("preset, dd", [("dd-off", None), ("dd-on", DdConfig())],
+                         ids=["dd-off", "dd-on"])
+def test_fit_matches_curve_fit_oracle_on_dd_scans(preset, dd, n_realizations, seed):
+    # the default dd grids: the variable-projection fit reaches at least the
+    # oracle's least squares, at the same T2
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT)
+    scan = run_scan(preset, default_dd_grid(dd is not None), noise=noise, dd=dd,
+                    n_realizations=n_realizations, seed=seed)
+    fit = fit_decaying_cosine(scan.times, scan.p0)
+    t2, residual = _curve_fit_oracle(scan.times, scan.p0)
+    assert fit.residual <= residual * (1.0 + 1e-9)
+    assert fit.T2 == pytest.approx(t2, rel=1e-4)
 
 
 # --------------------------------------------------------------- qfi scaling

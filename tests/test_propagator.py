@@ -675,6 +675,44 @@ def test_scan_period_pieces_take_one_substep_count(passes, preset, dd):
         assert scan(replace(sc.drive, omega_F_freq=freq)) == (count, {40})
 
 
+def _scalar_initial_steps(spec, duration, tol):
+    """The substep-count rule of ``_initial_steps``, one interval at a time,
+    as it was written before the counts of a scan became one array expression."""
+    f0 = spec.fundamental[0]
+    if f0 == 0.0:
+        return 1
+    tol_period = tol / max(1, int(duration * f0 / TP))
+    per_tone = 8.0 * max(1.0, (1e-6 / max(tol_period, 1e-14)) ** (1.0 / 6.0))
+    rate = max(spec.max_frequency() * per_tone, spec.amplitude_scale() * 8.0)
+    per_period = math.ceil(rate / f0 * (1.0 - propagator._SLACK))
+    n = duration * f0 / TP * per_period
+    return max(1, math.ceil(n * (1.0 - propagator._SLACK)))
+
+
+@pytest.mark.parametrize("preset, dd, grid", [
+    ("dd-off", None, default_dd_grid(dd=False)),
+    ("dd-on", DdConfig(), default_dd_grid(dd=True)),
+    ("fds-k5", None, RABI_EVENTS[1:]),
+], ids=["dd-off", "dd-on", "rabi-fds-k5"])
+def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
+    # every piece of the default dd scans and of the rabi command's fds-k5
+    # scan takes the count of the one-interval rule, bit for bit
+    spec = make_preset(preset).rotating_spec()
+    noise = NoiseModel("ornstein-uhlenbeck", 0.7) if preset != "fds-k5" else None
+    run_scan(preset, grid, noise=noise, dd=dd, n_realizations=2, seed=0)
+    durations = np.concatenate([d for _, d in passes])
+    expected = [_scalar_initial_steps(spec, d, SCAN_OPTS.rel_tol) for d in durations.tolist()]
+    assert np.concatenate([np.full(d.size, n) for n, d in passes]).tolist() == expected
+    counts = _initial_steps(spec, durations, SCAN_OPTS.rel_tol)
+    assert counts.dtype == int and counts.tolist() == expected
+    # long direct intervals of a non-periodic lab-frame spec span many periods
+    lab = build_lab_fds(SensorParams(), make_preset("fds-k5").signal, make_preset("fds-k5").drive)
+    lengths = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
+    assert _initial_steps(lab, lengths, 1e-8).tolist() == [
+        _scalar_initial_steps(lab, d, 1e-8) for d in lengths.tolist()]
+    assert _initial_steps(lab, 2.5, 1e-8) == _scalar_initial_steps(lab, 2.5, 1e-8)
+
+
 def test_segments_validate_options_and_shapes():
     spec = make_preset("dd-on").rotating_spec()
     t0, t1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
