@@ -519,11 +519,12 @@ def dd(ctx):
     )
     dd_on = DdConfig(**_given_keys(phys, tau="tau_us"))
     scan_keys = _decay_scan_keys(run)
+    model = _readout_model(cfg)
     bundle = ResultBundle("dd", cfg, seed)
     for name, ddcfg in (("dd-off", None), ("dd-on", dd_on)):
         scan, fit = run_dd_experiment(
             _build_scenario(name, cfg), dd=ddcfg, noise=noise, shots=shots, seed=seed,
-            **scan_keys,
+            model=model, **scan_keys,
         )
         rows = [
             [name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)

@@ -771,8 +771,12 @@ def run_dd_experiment(
     shots: int | None = None,
     n_realizations: int = 192,
     seed: int = 0,
+    model: ReadoutModel = ReadoutModel(),
 ) -> tuple[ScanResult, DecayFit]:
-    """Coherence scan with optional Carr-Purcell decoupling, plus decay fit."""
+    """Coherence scan with optional Carr-Purcell decoupling, plus decay fit.
+
+    With ``shots`` set, the scan is read out through ``model``.
+    """
     if noise is None:
         noise = NoiseModel(
             kind="ornstein-uhlenbeck", sigma_z=DD_SIGMA_Z_DEFAULT, tau_c=DD_TAU_C_DEFAULT
@@ -787,6 +791,7 @@ def run_dd_experiment(
         shots=shots,
         n_realizations=n_realizations,
         seed=seed,
+        model=model,
     )
     fit = fit_decaying_cosine(scan.times, scan.p0)
     return scan, fit

@@ -16,14 +16,20 @@ four reals (w, x, y, z) with U = w I - i (x sigma_x + y sigma_y + z sigma_z),
 in arrays of shape (..., 4).  The substep exponential is
 (cos|q|, sin|q| q/|q|) for a generator q, and the product of two elements
 is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
-Everything is vectorized over substeps (and optionally over a batch of
-sigma_z offsets, used for noise-ensemble averaging), with the running
-product accumulated by pairwise reduction.  A sigma_z offset moves only the
-z component of the Hamiltonian, so the coefficients are evaluated once per
-pass and only the generator terms that involve the mean field are computed
-per offset.  Complex 2x2 matrices are formed
-only at the public boundary (``interval_unitary``, ``evolve``,
+Everything is vectorized over substeps, with the running product
+accumulated by pairwise reduction.  Complex 2x2 matrices are formed only at
+the public boundary (``interval_unitary``, ``evolve``,
 ``micromotion_error``).
+
+One broadcasting rule batches the kernel.  It takes interval bounds and
+sigma_z offsets (a constant sigma_z coefficient each, used for
+noise-ensemble averaging; 0.0 for none), and each takes a trailing substep
+axis before they broadcast together.  An offset moves only the z component
+of the lowest-order generator term, so that term takes the offsets' shape,
+while the coefficients and every other term keep the bounds' shape and are
+evaluated once for all offsets.  A scalar interval with r offsets gives
+(r, 4) propagators; P pieces with bounds of shape (P, 1) and offsets of
+shape (P, r) give (P, r, 4); scalar bounds with the offset 0.0 give (4,).
 
 Periodic specs take a stroboscopic route over long intervals: with T the
 drive period, U(t0 + mT, t0) = U_T(t0)^m, so one period is integrated and
@@ -226,10 +232,11 @@ def _cross(a, b):
     return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
 
 
-def _step_generators(
-    spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
-) -> np.ndarray:
-    """Magnus generators q for n substeps of [t0, t1], shape (n, 3) or (r, n, 3).
+def _step_generators(spec: HamiltonianSpec, t0, t1, n: int, z_offsets) -> np.ndarray:
+    """Magnus generators q for n substeps of [t0, t1], shape (..., n, 3).
+
+    The leading shape is that of the bounds and the offsets broadcast
+    together, by the broadcasting rule of the module docstring.
 
     Sixth order from the three Gauss points t_mid - g h, t_mid and
     t_mid + g h (g = sqrt(15)/10) per substep, with p1, p2, p3 the Pauli
@@ -240,23 +247,17 @@ def _step_generators(
         c1 = 2 a1 x a2,  c2 = -(1/30) a1 x (2 a3 + c1)
         q = a1 + a3/12 + (1/120)(-20 a1 - a3 + c1) x (a2 + c2)
 
-    ``z_offsets`` (shape (r,)) adds a constant sigma_z coefficient d per
-    batch member.  It moves only the z component of a1, by h d, so the
-    coefficients are evaluated once and a2, a3 are shared by all members;
-    only the terms that involve a1 are computed per member.  A constant
-    spec has a2 = a3 = 0, so q = h p is exact and takes one coefficient
-    evaluation.  Bounds may be arrays of P pieces, with ``z_offsets`` of
-    shape (P, r); a leading piece axis is then added to the result.
+    ``z_offsets`` adds a constant sigma_z coefficient d (0.0 for none).  It
+    moves only the z component of a1, by h d, so the coefficients, a2 and a3
+    keep the bounds' shape and are shared by every offset.  A constant spec
+    has a2 = a3 = 0, so q = h p is exact and takes one coefficient evaluation.
     """
-    h = hz = (t1 - t0) / n
-    if np.ndim(h) > 0:  # one row of substeps per piece, (P, r, n) with offsets
-        t0, h, hz = t0[:, None], h[:, None], h[:, None, None]
+    t0, t1 = np.asarray(t0)[..., None], np.asarray(t1)[..., None]
+    h = (t1 - t0) / n
     mids = t0 + (np.arange(n) + 0.5) * h
-    z = None if z_offsets is None else np.asarray(z_offsets, dtype=float)[..., None]
+    d = np.asarray(z_offsets, dtype=float)[..., None]
     p2 = spec.coefficients(mids)
-    a1 = [h * p2[..., 0], h * p2[..., 1], h * p2[..., 2]]
-    if z is not None:  # offsets get an axis before the substeps: (..., r, n)
-        a1 = [a1[0][..., None, :], a1[1][..., None, :], a1[2][..., None, :] + z * hz]
+    a1 = [h * p2[..., 0], h * p2[..., 1], h * p2[..., 2] + d * h]
     if spec.fundamental[0] == 0.0:
         q = a1
     else:
@@ -266,9 +267,6 @@ def _step_generators(
         k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
         a2 = [k2 * (p3[..., i] - p1[..., i]) for i in range(3)]
         a3 = [k3 * (p3[..., i] - 2.0 * p2[..., i] + p1[..., i]) for i in range(3)]
-        if z is not None:
-            a2 = [c[..., None, :] for c in a2]
-            a3 = [c[..., None, :] for c in a3]
         c1 = [2.0 * c for c in _cross(a1, a2)]
         c2 = [c / -30.0 for c in _cross(a1, [2.0 * e + c for e, c in zip(a3, c1)])]
         uv = _cross([-20.0 * a - e + c for a, e, c in zip(a1, a3, c1)],
@@ -279,14 +277,10 @@ def _step_generators(
     return out
 
 
-def _interval_unitary(
-    spec: HamiltonianSpec, t0, t1, n: int, z_offsets=None
-) -> np.ndarray:
+def _interval_unitary(spec: HamiltonianSpec, t0, t1, n: int, z_offsets) -> np.ndarray:
     """Quaternion propagator over [t0, t1] in n substeps, chunked for memory.
 
-    Shape (4,), or (r, 4) with ``z_offsets`` of shape (r,).  ``t0`` and
-    ``t1`` may be arrays of P pieces that share the resolution n, with
-    ``z_offsets`` of shape (P, r); the result is then (P, r, 4).
+    Shape (..., 4), with the leading shape of ``_step_generators``.
     """
     total = None
     done = 0
@@ -365,7 +359,7 @@ def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) ->
 
 
 def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, tol: float,
-                     z_offsets=None) -> np.ndarray:
+                     z_offsets) -> np.ndarray:
     """Direct quaternion propagator over [t0, t1]: step doubling until agreement to ``tol``.
 
     A constant spec takes its one exact exponential, with no doubling.
@@ -438,7 +432,7 @@ def interval_unitary(
         bounds = list(zip(t0.tolist(), t1.tolist()))
     else:
         bounds = [(float(t0), float(t1))]
-        rows = None if z_offsets is None else np.asarray(z_offsets, dtype=float)[None]
+        rows = np.asarray(0.0 if z_offsets is None else z_offsets, dtype=float)[None]
     _require_finite("interval bound t0", t0)
     _require_finite("interval bound t1", t1)
     # the route rule per segment, as pieces (start, end, tolerance, segment):
@@ -483,31 +477,32 @@ def interval_unitary(
 def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     """Quaternion propagators of the P pieces (start, end, tol, segment), (P, ..., 4).
 
-    ``rows[segment]`` holds the sigma_z offsets of a piece (none if ``rows``
-    is None).  With ``opts.adaptive`` each piece is refined to its tolerance
-    on its own.  Otherwise pieces are grouped by substep count n, and each
-    group is passed to ``_interval_unitary`` in blocks of at most ``_BLOCK``
-    substeps x batch members (at least one piece per block); a block of one
-    piece takes the kernel's scalar form.
+    ``rows[segment]`` holds the sigma_z offsets of a piece.  With
+    ``opts.adaptive`` each piece is refined to its tolerance on its own.
+    Otherwise pieces are grouped by substep count n, and each group is passed
+    to ``_interval_unitary`` in blocks of at most ``_BLOCK`` substeps x batch
+    members (at least one piece per block).  The bounds take one unit axis
+    per batch axis of the offsets; a block of one piece is indexed by an
+    integer, so its bounds drop the piece axis.
     """
-    batch = () if rows is None else rows.shape[1:]
+    batch = rows.shape[1:]
     us = np.empty((len(pieces),) + batch + (4,))
     if opts.adaptive or not pieces:  # no pieces: the loop returns the empty stack
         for k, (a, b, tol, seg) in enumerate(pieces):
-            z = None if rows is None else rows[seg]
-            us[k] = _stepped_unitary(spec, a, b, tol, z)
+            us[k] = _stepped_unitary(spec, a, b, tol, rows[seg])
         return us
     a, b, _, seg = zip(*pieces)
     a, b = np.array(a), np.array(b)
-    z = None if rows is None else rows[list(seg)]  # offsets per piece
     steps = _initial_steps(spec, b - a, opts.rel_tol)
+    unit = (...,) + (None,) * len(batch)
+    a, b, z = a[unit], b[unit], rows[list(seg)]  # offsets per piece
     for n in np.unique(steps).tolist():
         group = np.flatnonzero(steps == n)
         per_block = max(1, _BLOCK // (n * max(1, math.prod(batch))))
         for start in range(0, group.size, per_block):
             idx = group[start:start + per_block]
             k = idx[0] if idx.size == 1 else idx
-            us[k] = _interval_unitary(spec, a[k], b[k], n, None if z is None else z[k])
+            us[k] = _interval_unitary(spec, a[k], b[k], n, z[k])
     return us
 
 

@@ -385,6 +385,25 @@ def test_dd_smoke_with_tiny_protocol(tmp_path):
         assert len(lines) == 17
 
 
+def test_dd_shots_read_out_through_the_configured_readout(tmp_path):
+    # --shots draws photon counts from the physical readout keys, as rabi does
+    run = {"noise_realizations": 2, "t_grid_us": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}
+
+    def tables(physical, sub):
+        cfg = write_config(tmp_path, {"run": run, **physical}, name=f"{sub}.json")
+        res = run_cli(["--config", cfg, "--shots", "1000", "--seed", "1",
+                       "--out", str(tmp_path / sub), "dd"])
+        assert res.exit_code == 0
+        return [(tmp_path / sub / f"dd_{name}.csv").read_text()
+                for name in ("dd-off", "dd-on")]
+
+    base = tables({}, "base")
+    assert tables({}, "again") == base
+    weak = tables({"physical": {"contrast": 0.5, "count_rate_per_s": 1e6}}, "weak")
+    for default, configured in zip(base, weak):
+        assert default != configured
+
+
 def test_calibrate_smoke_with_reduced_protocol(tmp_path):
     # plumbing check on a deliberately small protocol; the full-resolution
     # calibration is exercised by the acceptance suite

@@ -178,8 +178,8 @@ def test_self_convergence_contract():
     # changes the propagator below rel_tol
     spec, _, _, _ = fds_paper_spec(k=1)
     n = _initial_steps(spec, 1.0, 1e-9)
-    a = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, n))
-    b = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, 2 * n))
+    a = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, n, 0.0))
+    b = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, 2 * n, 0.0))
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -220,14 +220,14 @@ def _unitarity_defect(u):
     return np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(2)))
 
 
-def _direct(spec, t0, t1, opts, tol, z=None):
+def _direct(spec, t0, t1, opts, tol, z=0.0):
     """Direct quaternion propagator of one interval: step doubling, or one fixed pass."""
     if opts.adaptive:
         return _stepped_unitary(spec, t0, t1, tol, z)
     return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts.rel_tol), z)
 
 
-def _scalar_route(spec, t0, t1, opts, z=None):
+def _scalar_route(spec, t0, t1, opts, z=0.0):
     """Reference: the stroboscopic route written out for one scalar interval."""
     m = propagator._periods(spec, t1 - t0, opts)
     if m == 0:
@@ -268,7 +268,7 @@ def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
     assert propagator._periods(spec, t1 - t0, opts) >= 2
     u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
     assert u.shape == (batch,) * bool(batch) + (2, 2)
-    assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, z))
+    assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, 0.0 if z is None else z))
 
 
 # The complex path the quaternion core replaced, as an oracle: generators with
@@ -416,8 +416,8 @@ def test_substep_is_sixth_order(preset):
     period = TP / spec.fundamental[0]
     assert _initial_steps(spec, period, SCAN_OPTS.rel_tol) == 40
     t0 = 0.37
-    ref = _quat_matrix(_interval_unitary(spec, t0, t0 + period, 2000))
-    err = [np.max(np.abs(_quat_matrix(_interval_unitary(spec, t0, t0 + period, n)) - ref))
+    ref = _quat_matrix(_interval_unitary(spec, t0, t0 + period, 2000, 0.0))
+    err = [np.max(np.abs(_quat_matrix(_interval_unitary(spec, t0, t0 + period, n, 0.0)) - ref))
            for n in (40, 80)]
     assert err[0] < 2e-8
     assert err[0] >= 50.0 * err[1]
@@ -487,15 +487,32 @@ def test_closed_form_power_matches_repeated_squaring(m):
 def test_split_generators_match_copied_generators():
     spec = make_preset("dd-on").rotating_spec()
     z = np.random.default_rng(3).normal(size=5)
-    for z_offsets in (None, z):
+    for z_offsets, copied in ((0.0, None), (z, z)):
         npt.assert_allclose(_step_generators(spec, 1.3, 1.8, 40, z_offsets),
-                            _copied_generators(spec, 1.3, 1.8, 40, z_offsets),
+                            _copied_generators(spec, 1.3, 1.8, 40, copied),
                             rtol=0, atol=1e-15)
     t0, t1 = np.array([0.1, 0.4, 2.0]), np.array([0.3, 0.5, 2.2])
     zz = np.random.default_rng(4).normal(size=(3, 5))
-    q = _step_generators(spec, t0, t1, 40, zz)
+    q = _step_generators(spec, t0[:, None], t1[:, None], 40, zz)
     assert q.shape == (3, 5, 40, 3)
     npt.assert_allclose(q, _copied_generators(spec, t0, t1, 40, zz), rtol=0, atol=1e-15)
+
+
+def test_kernel_broadcasts_offsets_against_bounds():
+    # one rule for every batch shape, bit for bit: a block of P pieces x r
+    # offsets with (P, 1) bounds is the P lone-piece calls, and the offset 0.0
+    # is its one-member form
+    t0, t1 = np.array([0.1, 0.4, 2.0]), np.array([0.3, 0.5, 2.2])
+    z = np.random.default_rng(9).normal(size=(3, 5))
+    for spec in (make_preset("dd-on").rotating_spec(), constant_spec(1.3, -0.4, 2.1)):
+        block = _interval_unitary(spec, t0[:, None], t1[:, None], 40, z)
+        assert block.shape == (3, 5, 4)
+        lone = np.stack([_interval_unitary(spec, a, b, 40, zz)
+                         for a, b, zz in zip(t0, t1, z)])
+        npt.assert_array_equal(block, lone)
+        u = _interval_unitary(spec, 0.1, 0.3, 40, 0.0)
+        assert u.shape == (4,)
+        npt.assert_array_equal(u[None], _interval_unitary(spec, 0.1, 0.3, 40, np.zeros(1)))
 
 
 @pytest.mark.parametrize(
@@ -509,7 +526,7 @@ def test_stroboscopic_route_matches_direct_kernel(preset, freq_error_mhz, t):
     f0, defect = spec.fundamental
     assert t * f0 / TP > 2.0
     u = interval_unitary(spec, 0.0, t, ORACLE_OPTS)
-    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, ORACLE_OPTS.rel_tol))
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, ORACLE_OPTS.rel_tol, 0.0))
     assert np.max(np.abs(u - direct)) <= 1e-10
     # drive frequencies are exact multiples of omega_F, so every point takes the
     # route (frequencies built as omega_s - (omega_s - l omega_F) missed l*f0 by
@@ -553,7 +570,7 @@ def test_stroboscopic_route_falls_back_bit_identically():
         assert m < 2 or defect > 0.1 * f0 or opts.rel_tol / m < 1e-13
         assert np.array_equal(
             interval_unitary(spec, t0, t1, opts),
-            _quat_matrix(_stepped_unitary(spec, t0, t1, opts.rel_tol)),
+            _quat_matrix(_stepped_unitary(spec, t0, t1, opts.rel_tol, 0.0)),
         )
 
 
@@ -573,7 +590,7 @@ def test_stroboscopic_remainder_at_period_multiple():
     period = TP / spec.fundamental[0]
     opts = PropagatorOptions(rel_tol=1e-9)
     u = interval_unitary(spec, 0.0, 3 * period, opts)
-    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, opts.rel_tol))
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, opts.rel_tol, 0.0))
     assert np.max(np.abs(u - direct)) <= 1e-9
 
 
@@ -599,8 +616,8 @@ def passes(monkeypatch):
     seen = []
     kernel = propagator._interval_unitary
 
-    def counted(spec, t0, t1, n, z_offsets=None):
-        seen.append((n, np.atleast_1d(np.subtract(t1, t0))))
+    def counted(spec, t0, t1, n, z_offsets):
+        seen.append((n, np.ravel(np.subtract(t1, t0))))
         return kernel(spec, t0, t1, n, z_offsets)
 
     monkeypatch.setattr(propagator, "_interval_unitary", counted)
