@@ -106,6 +106,31 @@ _CONFIG_SCHEMA = {
 # a list value is declared as [element type] and must not be empty
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
+# The config keys each command reads; ``main`` rejects any other key rather
+# than accept a setting and ignore it.  Every command reads the output keys
+# and the seed (echoed in its summary).
+_COMMON_KEYS = ("output.dir", "output.formats", "run.seed")
+_SENSOR_KEYS = ("physical.zero_field_splitting_mhz",
+                "physical.gyromagnetic_ratio_mhz_per_g", "physical.static_field_g")
+_SCENARIO_KEYS = _SENSOR_KEYS + (
+    "physical.signal_amp_mhz", "physical.detuning_mhz", "physical.drive_amp_mhz",
+    "physical.drive_freq_mhz", "physical.harmonics")
+_READOUT_KEYS = ("physical.contrast", "physical.count_rate_per_s", "physical.detect_time_us")
+_COMMAND_KEYS = {
+    "rabi": {*_SCENARIO_KEYS, *_READOUT_KEYS, "run.shots", "run.presets", "run.t_grid_us"},
+    "qfi": {*_SCENARIO_KEYS, *_READOUT_KEYS, "run.shots", "run.repeats", "run.presets",
+            "run.t_grid_us"},
+    "effective": {*_SCENARIO_KEYS},
+    "robustness": {*_SCENARIO_KEYS, "run.threads", "run.presets", "run.error_grid_mhz",
+                   "run.sweep_time_us"},
+    "sensitivity": {*_SENSOR_KEYS, *_READOUT_KEYS, "physical.t2_us"},
+    "dd": {*_SCENARIO_KEYS, *_READOUT_KEYS, "run.shots", "run.t_grid_us",
+           "run.noise_realizations", "physical.noise_sigma_z_mhz",
+           "physical.noise_tau_c_us", "physical.tau_us"},
+    "calibrate": {*_SCENARIO_KEYS, "run.t_grid_us", "run.noise_realizations",
+                  "physical.target_t2_us", "physical.noise_tau_c_us"},
+}
+
 
 class ConfigError(click.UsageError):
     """Config-file problem; exits with the usage status code (2)."""
@@ -160,6 +185,8 @@ def load_config(path: str | None) -> dict:
 
 def _fmt(x) -> str:
     """Round-trip-stable float formatting for deterministic output files."""
+    if type(x) is float or type(x) is np.float64:  # the common case, first
+        return float.__repr__(x)
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):
@@ -293,14 +320,24 @@ def main(ctx, config_path, out_dir, seed, shots, formats, threads):
     """Microwave-amplitude sensing simulator for a driven two-level sensor."""
     cfg = load_config(config_path)
     run, out = _section(cfg, "run"), _section(cfg, "output")
+    flags = {}  # config key -> the flag that set it
     if seed is not None:
         run["seed"] = seed
     if shots is not None:
         run["shots"] = shots
+        flags["run.shots"] = "--shots"
     # a flag equal to the value in effect adds no key to the echoed config
     if _given(ctx, "threads") and threads != run.get("threads", 1):
         run["threads"] = threads
+        flags["run.threads"] = "--threads"
     _check(cfg, _CONFIG_SCHEMA, "")
+    command = ctx.invoked_subcommand
+    for section, values in cfg.items():
+        for key in values:
+            path = f"{section}.{key}"
+            if path not in _COMMON_KEYS and path not in _COMMAND_KEYS[command]:
+                origin = f" (from {flags[path]})" if path in flags else ""
+                raise ConfigError(f"config key {path}{origin} is not read by {command}")
     # a flag (or the environment) beats the config, the config the default
     if _given(ctx, "out_dir") or "dir" not in out:
         out["dir"] = out_dir

@@ -11,10 +11,12 @@ instants of ``DdConfig.pulse_times``.  The detuning noise is held constant
 over each segment between adjacent events (the correlation time is far
 longer than any segment), so the propagators of all segments and
 realizations come from one fixed-resolution ``interval_unitary`` call over
-the segment axis (memory bounded by the propagator's block size); the walk
-then multiplies them into the states, applies the pi pulses as
-instantaneous rotations about the drive's micromotion-dressed x axis, and
-records populations at the grid times.
+the segment axis (memory bounded by the propagator's block size).  The walk
+(``_walk``) has no loop over events: it reads the segment propagators back
+as quaternions, interleaves the pi pulses (instantaneous rotations about the
+drive's micromotion-dressed x axis, all dressed in one vectorized call), takes
+every running product in one work-efficient prefix product and reads the
+populations at the grid times from the quaternions.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ from .params import (
 )
 from .propagator import (
     PropagatorOptions,
-    _pauli_exp,
+    _quat_exp,
+    _quat_mul,
+    _quat_prefix,
     _require_finite,
     evolve,
     interval_unitary,
@@ -249,21 +253,54 @@ class NoiseModel:
 # scan engine
 # ---------------------------------------------------------------------------
 
-_PI_X = _pauli_exp(np.array([0.5 * math.pi, 0.0, 0.0]))  # exp(-i (pi/2) sigma_x)
+# the pi rotation exp(-i (pi/2) sigma_x) = -i sigma_x as a quaternion (w, x, y, z)
+_X_PULSE = np.array([0.0, 1.0, 0.0, 0.0])
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _pulse_matrix(scenario: Scenario, t_pulse: float) -> np.ndarray:
-    """Instantaneous pi rotation about the drive-dressed x axis at t_pulse.
+def _pulse_quaternions(scenario: Scenario, times) -> np.ndarray:
+    """Quaternions (n, 4) of the instantaneous pi rotations at the n ``times``.
 
-    With a periodic drive present the bare axis is conjugated by the
-    micromotion frame exp(-iK(t)); without a drive this is the plain Pauli
-    rotation.
+    Each is a pi rotation about the drive-dressed x axis: the bare rotation X
+    conjugated by the micromotion frame d = exp(+iK(t)), conj(d) X d, one
+    vectorized call for all pulses.  Without a drive it is X itself.
     """
+    times = np.asarray(times, dtype=float)
     if scenario.drive is None or scenario.drive.omega_F_amp == 0.0:
-        return _PI_X
-    kvec = kick_vector(scenario.drive, t_pulse)
-    dress = _pauli_exp(-kvec)  # exp(+iK)
-    return dress.conj().T @ _PI_X @ dress
+        return np.broadcast_to(_X_PULSE, times.shape + (4,))
+    dress = _quat_exp(-kick_vector(scenario.drive, times))  # exp(+iK)
+    return _quat_mul(_quat_mul(dress * _CONJUGATE, _X_PULSE), dress)
+
+
+def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
+          is_grid: np.ndarray) -> np.ndarray:
+    """|0> populations (grid events, realizations) of a scan started in |0>.
+
+    ``u`` is the complex (S, r, 2, 2) stack of the propagators of the S
+    segments between S + 1 events, ``pulses`` the (n, 4) quaternions of the
+    pulses at the n events flagged in ``is_pulse``, and ``is_grid`` flags the
+    events read out.  The segment quaternions are read back from ``u``
+    exactly (u00 = w - iz, u10 = y - ix), each pulse follows the segment that
+    ends at its event, and one prefix product (``_quat_prefix``) gives the
+    propagator to every factor at once, after an identity for time 0.  A
+    grid event reads its last factor: U|0> = (w - iz, y - ix), so the
+    echo-frame |0> population is w^2 + z^2 after an even number of pulses and
+    x^2 + y^2 after an odd one.
+    """
+    n_seg, n_real = u.shape[:2]
+    pulses_upto = np.cumsum(is_pulse)  # pulses at or before each event
+    factors = np.empty((1 + n_seg + len(pulses), n_real, 4))
+    factors[0] = (1.0, 0.0, 0.0, 0.0)
+    u00, u10 = u[:, :, 0, 0], u[:, :, 1, 0]
+    seg = 1 + np.arange(n_seg) + pulses_upto[:-1]
+    factors[seg] = np.stack([u00.real, -u10.imag, u10.real, -u00.imag], axis=-1)
+    at = np.flatnonzero(is_pulse)
+    factors[at + pulses_upto[at]] = pulses[:, None]
+    grid = np.flatnonzero(is_grid)
+    q = _quat_prefix(factors)[grid + pulses_upto[grid]]
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    odd = (pulses_upto[grid] % 2 == 1)[:, None]
+    return np.where(odd, x * x + y * y, w * w + z * z)
 
 
 @dataclass(frozen=True)
@@ -332,20 +369,7 @@ def run_scan(
         scenario.rotating_spec(), events[:-1], events[1:], SCAN_OPTS,
         z_offsets=0.5 * offsets.T,
     )
-    psi = np.zeros((n_real, 2), dtype=complex)
-    psi[:, 0] = 1.0  # polarized start
-    parity = 0
-    p0_real = np.empty((t_grid.size, n_real))
-    out_idx = 0
-    for j, tj in enumerate(events):
-        if j > 0:
-            psi = np.einsum("rij,rj->ri", u[j - 1], psi)
-        if is_pulse[j]:
-            psi = psi @ _pulse_matrix(scenario, tj).T
-            parity ^= 1
-        if is_grid[j]:
-            p0_real[out_idx] = np.abs(psi[:, parity]) ** 2  # echo-frame |0> population
-            out_idx += 1
+    p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
 
     p0_mean = p0_real.mean(axis=1)
     if n_real > 1:

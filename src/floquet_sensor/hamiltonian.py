@@ -11,6 +11,7 @@ shift and the coefficients of the effective Hamiltonian.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -69,31 +70,44 @@ class HamiltonianSpec:
         """Pauli coefficient vector(s) (cx, cy, cz) at time(s) t.
 
         Returns shape (3,) for scalar t, (n, 3) for an array of n times.
-        The constants are summed once, and a rotating pair takes one cos and
-        one sin of its argument (``_tones``).
+        The constants are summed once.  The rotating pairs, grouped by base
+        frequency f (``_tones``), sum to one phasor polynomial per group,
+        cx + i cy = sum_k c_k z^k with z = exp(i f t), evaluated by Horner's
+        rule: one cos and one sin of f t per group, whatever its harmonics.
         """
         t_arr = np.asarray(t, dtype=float)
-        constants, pairs, singles = self._tones
+        constants, groups, singles = self._tones
         out = np.empty(t_arr.shape + (3,))
         out[...] = constants
-        for amplitude, frequency, phase in pairs:
-            arg = frequency * t_arr + phase
-            out[..., 0] += amplitude * np.cos(arg)
-            out[..., 1] += amplitude * np.sin(arg)
+        for frequency, coefs in groups:
+            arg = frequency * t_arr
+            z = np.empty(t_arr.shape, dtype=complex)
+            z.real, z.imag = np.cos(arg), np.sin(arg)
+            phasor = coefs[-1] * z
+            for c in coefs[-2::-1]:
+                phasor += c
+                phasor *= z
+            out[..., 0] += phasor.real
+            out[..., 1] += phasor.imag
         for term in singles:
             out[..., _AXIS_INDEX[term.axis]] += term.coefficient(t_arr)
         return out
 
     @cached_property
-    def _tones(self) -> tuple[np.ndarray, list[tuple[float, float, float]], list[PauliTerm]]:
+    def _tones(self) -> tuple[np.ndarray, list[tuple[float, list[complex]]], list[PauliTerm]]:
         """The terms grouped for ``coefficients``, once per spec.
 
-        (constants, pairs, singles): the summed (x, y, z) vector of the
-        zero-frequency terms; (amplitude, frequency, phase) of each rotating
-        pair, an x tone directly followed by the y tone of the same amplitude
-        and frequency at the x phase - pi/2 (as ``_rotating_pair`` builds
-        them), so amplitude * (cos, sin) of one argument; and every other
-        oscillating term.
+        (constants, groups, singles): the summed (x, y, z) vector of the
+        zero-frequency terms; the rotating pairs, each an x tone directly
+        followed by the y tone of the same amplitude and frequency at the x
+        phase - pi/2 (as ``_rotating_pair`` builds them), so amplitude *
+        (cos, sin) of one argument; and every other oscillating term.  The
+        pairs are taken in order of |frequency|, and a pair at exactly k times
+        the base frequency f of an earlier group (integer k >= 1,
+        ``k * f == frequency``) joins that group as its coefficient
+        c_k = amplitude * exp(i phase); any other pair starts a group of its
+        own.  A group is (f, [c_1, ..., c_K]), with zeros for the missing
+        harmonics.
         """
         constants = np.zeros(3)
         pairs, singles = [], []
@@ -104,12 +118,25 @@ class HamiltonianSpec:
             if term.frequency == 0.0:
                 constants[_AXIS_INDEX[term.axis]] += term.coefficient(0.0)
             elif term.axis == "x" and terms[i + 1:i + 2] == (partner,):
-                pairs.append((term.amplitude, term.frequency, term.phase))
+                pairs.append(term)
                 i += 1
             else:
                 singles.append(term)
             i += 1
-        return constants, pairs, singles
+        groups: dict[float, dict[int, complex]] = {}
+        for term in sorted(pairs, key=lambda term: abs(term.frequency)):
+            c = term.amplitude * cmath.exp(1j * term.phase)
+            for f, coefs in groups.items():
+                k = round(term.frequency / f)
+                if k >= 1 and k * f == term.frequency:
+                    coefs[k] = coefs.get(k, 0.0) + c
+                    break
+            else:
+                groups[term.frequency] = {1: c}
+        return constants, [
+            (f, [coefs.get(k, 0.0) for k in range(1, max(coefs) + 1)])
+            for f, coefs in groups.items()
+        ], singles
 
     def matrix(self, t: float) -> np.ndarray:
         """2x2 Hermitian matrix at time t."""

@@ -175,6 +175,26 @@ def _quat_reduce(qs: np.ndarray) -> np.ndarray:
     return qs[..., 0, :]
 
 
+def _quat_prefix(qs: np.ndarray) -> np.ndarray:
+    """Running chronological products q[k] ... q[0] for every k along axis 0.
+
+    A work-efficient scan (Blelloch, CMU-CS-90-190, 1990): adjacent pairs
+    q[2k+1] q[2k] are multiplied, their running products found by
+    recursion fill the odd slots, and each even slot 2k > 0 is
+    q[2k] times the odd slot before it.  O(n) quaternion products in
+    2 log2(n) vectorized calls.
+    """
+    n = qs.shape[0]
+    if n <= 1:
+        return qs.copy()
+    odd = _quat_prefix(_quat_mul(qs[1::2], qs[0:n - 1:2]))
+    out = np.empty_like(qs)
+    out[0] = qs[0]
+    out[1::2] = odd
+    _quat_mul(qs[2::2], odd[:(n - 1) // 2], out[2::2])
+    return out
+
+
 def _quat_power(u: np.ndarray, m: int) -> np.ndarray:
     """U^m = cos(m a) I - i sin(m a) n.sigma for U = cos(a) I - i sin(a) n.sigma.
 

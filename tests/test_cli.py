@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from floquet_sensor.cli import main
+from floquet_sensor.cli import _COMMAND_KEYS, _COMMON_KEYS, _CONFIG_SCHEMA, main
 
 TINY_GRID = [0.5, 1.0, 1.5, 2.0]
 
@@ -171,6 +171,19 @@ BAD_CONFIGS = [
     # an unknown format in the config once wrote nothing and exited 0
     ({"output": {"formats": ["csv", "xml"]}}, ["effective"], "output.formats"),
     ({"output": {"formats": ["json"]}}, ["--format", "xml", "effective"], "--format"),
+    # a schema key that the command does not read was once accepted, and
+    # ignored, with exit 0
+    ({"physical": {"tau_us": 0.25, "target_t2_us": 10.0},
+      "run": {"threads": 2, "sweep_time_us": 2.0, "t_grid_us": TINY_GRID}},
+     ["rabi"], "config key physical.tau_us is not read by rabi"),
+    ({"physical": {"target_t2_us": 10.0}}, ["rabi"], "physical.target_t2_us"),
+    ({"run": {"threads": 2}}, ["rabi"], "run.threads"),
+    ({"run": {"sweep_time_us": 2.0}}, ["rabi"], "run.sweep_time_us"),
+    ({}, ["--shots", "1000", "effective"], "run.shots (from --shots) is not read by effective"),
+    ({}, ["--threads", "2", "dd"], "run.threads (from --threads)"),
+    ({"run": {"presets": ["dd-on"]}}, ["dd"], "run.presets"),
+    ({"physical": {"signal_amp_mhz": 0.3}}, ["sensitivity"], "physical.signal_amp_mhz"),
+    ({"physical": {"contrast": 0.2}}, ["effective"], "physical.contrast"),
 ]
 
 
@@ -182,6 +195,22 @@ def test_unknown_config_key_rejected(tmp_path):
         assert res.exit_code == 2, data
         assert where in res.output, (data, res.output)
         assert not out.exists()  # no partial output
+
+
+def test_flag_at_the_value_in_effect_adds_no_key(tmp_path):
+    # --threads 1 equals the default, so every command takes it
+    res = run_cli(["--threads", "1", "--out", str(tmp_path), "effective"])
+    assert res.exit_code == 0
+    summary = json.loads((tmp_path / "effective_summary.json").read_text())
+    assert "threads" not in summary["config"]["run"]
+
+
+def test_every_command_has_a_key_table_of_schema_keys():
+    assert set(_COMMAND_KEYS) == set(main.commands)
+    schema = {f"{section}.{key}" for section, keys in _CONFIG_SCHEMA.items() for key in keys}
+    for keys in _COMMAND_KEYS.values():
+        assert keys <= schema
+    assert set(_COMMON_KEYS) <= schema
 
 
 def test_unknown_scenario_rejected(tmp_path):

@@ -11,7 +11,8 @@ from floquet_sensor.experiments import (
     DdConfig,
     NoiseModel,
     PRESET_NAMES,
-    _pulse_matrix,
+    _pulse_quaternions,
+    _walk,
     calibrate_noise,
     default_dd_grid,
     fit_decaying_cosine,
@@ -21,7 +22,8 @@ from floquet_sensor.experiments import (
     run_scan,
 )
 from floquet_sensor.params import mhz_to_angular
-from floquet_sensor.propagator import evolve, interval_unitary, rabi_population
+from floquet_sensor.hamiltonian import kick_vector
+from floquet_sensor.propagator import _pauli_exp, evolve, interval_unitary, rabi_population
 
 TP = 2.0 * math.pi
 
@@ -209,11 +211,24 @@ def test_dd_off_engine_matches_rabi_scan_bitwise():
     npt.assert_array_equal(plain.stderr, via_dd.stderr)
 
 
-def _per_segment_walk(preset, t_grid, noise, dd, n_realizations, seed):
-    """Reference scan: one scalar interval_unitary call per event interval.
+_PI_X = _pauli_exp(np.array([0.5 * math.pi, 0.0, 0.0]))  # exp(-i (pi/2) sigma_x)
 
-    The walk ``run_scan`` made before its segments were batched; returns
-    (p0, stderr) without readout noise.
+
+def _pulse_matrix(scenario, t_pulse):
+    """Reference pi pulse at t_pulse as a complex matrix: the bare rotation
+    conjugated by the micromotion frame exp(+iK), or the bare one undriven."""
+    if scenario.drive is None or scenario.drive.omega_F_amp == 0.0:
+        return _PI_X
+    dress = _pauli_exp(-kick_vector(scenario.drive, t_pulse))  # exp(+iK)
+    return dress.conj().T @ _PI_X @ dress
+
+
+def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed):
+    """One scalar interval_unitary call per event interval, as ``run_scan``
+    made them before its segments were batched.
+
+    Returns the scenario, the events, their pulse and grid flags and the
+    (S, r, 2, 2) stack of the segment propagators.
     """
     scenario = make_preset(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -224,37 +239,85 @@ def _per_segment_walk(preset, t_grid, noise, dd, n_realizations, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     offsets = noise.sample_segments(mids, n_real, rng)
     spec = scenario.rotating_spec()
-    psi = np.zeros((n_real, 2), dtype=complex)
+    u = np.stack([
+        interval_unitary(spec, events[j - 1], events[j], SCAN_OPTS,
+                         z_offsets=0.5 * offsets[:, j - 1])
+        for j in range(1, events.size)
+    ])
+    return scenario, events, np.isin(events, pulses), np.isin(events, t_grid), u
+
+
+def _stats(p0_real):
+    """(mean, stderr) of each grid row of populations, row by row."""
+    n_real = p0_real.shape[1]
+    return (np.array([pops.mean() for pops in p0_real]),
+            np.array([pops.std(ddof=1) / math.sqrt(n_real) if n_real > 1 else 0.0
+                      for pops in p0_real]))
+
+
+def _sequential_walk(scenario, events, is_pulse, is_grid, u):
+    """Reference walk: the complex states of every realization, multiplied
+    segment by segment, with each pulse as a complex matrix."""
+    psi = np.zeros((u.shape[1], 2), dtype=complex)
     psi[:, 0] = 1.0
     parity = 0
-    p0, err = [], []
+    p0 = []
     for j, tj in enumerate(events):
         if j > 0:
-            u = interval_unitary(spec, events[j - 1], tj, SCAN_OPTS,
-                                 z_offsets=0.5 * offsets[:, j - 1])
-            psi = np.einsum("rij,rj->ri", u, psi)
-        if tj in pulses:
+            psi = np.einsum("rij,rj->ri", u[j - 1], psi)
+        if is_pulse[j]:
             psi = psi @ _pulse_matrix(scenario, tj).T
             parity ^= 1
-        if tj in t_grid:
-            pops = np.abs(psi[:, parity]) ** 2
-            p0.append(pops.mean())
-            err.append(pops.std(ddof=1) / math.sqrt(n_real) if n_real > 1 else 0.0)
-    return np.array(p0), np.array(err)
+        if is_grid[j]:
+            p0.append(np.abs(psi[:, parity]) ** 2)
+    return np.array(p0)
 
 
-@pytest.mark.parametrize("preset, dd, noise, grid", [
+_WALK_CASES = pytest.mark.parametrize("preset, dd, noise, grid", [
     # the rabi command's default grid, noiseless (one realization)
     ("fds-k5", None, NoiseModel(), np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)),
     ("dd-on", DdConfig(tau=0.5), NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
      default_dd_grid(dd=True)[:120]),
+    # a grid time at 0 (the identity) and pulses between grid times
+    ("dd-on", DdConfig(tau=0.25), NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
+     np.arange(0.0, 20.0, 0.5)),
 ])
+
+
+@_WALK_CASES
 def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
+    # the per-segment scalar calls through the same walk: pins segment batching
     scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
     assert (scan.pulse_times.size > 0) == (dd is not None)
-    p0, err = _per_segment_walk(preset, grid, noise, dd, 3, seed=3)
+    scenario, events, is_pulse, is_grid, u = _per_segment_unitaries(
+        preset, grid, noise, dd, 3, seed=3)
+    p0, err = _stats(_walk(u, _pulse_quaternions(scenario, events[is_pulse]),
+                           is_pulse, is_grid))
     npt.assert_array_equal(scan.p0, p0)
     npt.assert_array_equal(scan.stderr, err)
+
+
+@_WALK_CASES
+def test_scan_matches_sequential_complex_walk(preset, dd, noise, grid):
+    # the prefix product regroups the quaternion products and reads
+    # populations from quaternions: a few 1e-14 apart from the sequential walk
+    scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
+    p0, err = _stats(_sequential_walk(*_per_segment_unitaries(
+        preset, grid, noise, dd, 3, seed=3)))
+    npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-12)
+    npt.assert_allclose(scan.stderr, err, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["dd-on", "fds-k3", "ods-detuned"])
+def test_pulse_quaternions_match_complex_pulse_matrices(preset):
+    scenario = make_preset(preset)
+    times = np.linspace(0.0, 160.0, 37)
+    pulses = _pulse_quaternions(scenario, times)
+    assert pulses.shape == (times.size, 4)
+    for t, q in zip(times, pulses):
+        w, x, y, z = q
+        mat = np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
+        npt.assert_allclose(mat, _pulse_matrix(scenario, t), rtol=0, atol=1e-15)
 
 
 def test_grid_time_next_to_a_pulse_gets_no_second_pulse():

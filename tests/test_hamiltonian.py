@@ -230,11 +230,14 @@ def test_coefficients_pair_rotating_terms():
         PauliTerm("y", 0.3, 5.0, 0.1),  # a y tone without a partner
         PauliTerm("z", 0.2, 3.0), PauliTerm("x", 0.4, 0.0, 2.0),
     ))
-    specs = {"fds": (fds, 5), "lab": (lab, 0), "mixed": (mixed, 1),
-             "rwa-off": (to_signal_rotating(lab, signal, apply_rwa=False), 11)}
+    # (frequency groups, rotating pairs): the fds drive tones are exact
+    # multiples of the first, and so are rwa-off's five co-rotating drive pairs
+    specs = {"fds": (fds, (1, 5)), "lab": (lab, (0, 0)), "mixed": (mixed, (1, 1)),
+             "rwa-off": (to_signal_rotating(lab, signal, apply_rwa=False), (7, 11))}
     t = np.linspace(0.0, 160.0, 4001)
     for name, (spec, n_pairs) in specs.items():
-        assert len(spec._tones[1]) == n_pairs, name
+        groups = spec._tones[1]
+        assert (len(groups), sum(np.count_nonzero(c) for _, c in groups)) == n_pairs, name
         ref = _term_sum(spec, t)
         # a pair's y term is the sine of the x argument, not the cosine of
         # that argument - pi/2: the two differ by the rounding of the
@@ -247,6 +250,31 @@ def test_coefficients_pair_rotating_terms():
     # constants first in term order, and no y tone in a pair: bit for bit
     npt.assert_array_equal(lab.coefficients(t), _term_sum(lab, t))
     assert fds.coefficients(0.3).shape == (3,)
+
+
+def _pair(amplitude, frequency, phase):
+    return (PauliTerm("x", amplitude, frequency, phase),
+            PauliTerm("y", amplitude, frequency, phase - 0.5 * math.pi))
+
+
+def test_coefficients_horner_over_sparse_harmonics():
+    # harmonics 3 and 1 of one base frequency (out of order, with no
+    # harmonic 2) and a pair at no multiple of it: two groups, one Horner
+    # polynomial each
+    f = mhz_to_angular(36.54)
+    spec = HamiltonianSpec(Frame.SIGNAL_ROTATING, (
+        PauliTerm("z", 0.5),
+        *_pair(0.8, 3.0 * f, 1.1), *_pair(1.3, f, -0.4), *_pair(0.6, 0.37 * f, 2.5),
+    ))
+    groups = spec._tones[1]
+    assert [(freq, len(c)) for freq, c in groups] == [(0.37 * f, 1), (f, 3)]
+    assert groups[1][1][1] == 0.0
+    t = np.linspace(0.0, 160.0, 4001)
+    bound = 4.0 * np.finfo(float).eps * sum(
+        abs(term.amplitude) * (abs(term.frequency) * t + abs(term.phase) + 1.0)
+        for term in spec.terms)
+    dev = np.abs(spec.coefficients(t) - _term_sum(spec, t))
+    assert np.all(dev <= bound[:, None])
 
 
 def test_fds_prime_k5_has_five_harmonic_pairs():

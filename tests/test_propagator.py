@@ -45,6 +45,7 @@ from floquet_sensor.propagator import (
     _quat_matrix,
     _quat_mul,
     _quat_power,
+    _quat_prefix,
     _quat_reduce,
     _reduce_product,
     _step_generators,
@@ -464,6 +465,18 @@ def test_quaternion_kernel_matches_complex_products():
         npt.assert_allclose(_pauli_exp(v), expm(-1j * np.tensordot(v, sigma, 1)),
                             rtol=0, atol=1e-14)
     assert np.array_equal(_quat_exp(np.zeros(3)), [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 640])
+def test_prefix_products_match_sequential_fold(n):
+    q = _quat_exp(np.random.default_rng(n).normal(size=(n, 6, 3)))
+    fold = [q[0]]
+    for k in range(1, n):
+        fold.append(_quat_mul(q[k], fold[-1]))
+    prefix = _quat_prefix(q)
+    assert prefix.shape == q.shape
+    npt.assert_array_equal(prefix[0], q[0])
+    npt.assert_allclose(prefix, np.array(fold), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [2, 3, 146])
