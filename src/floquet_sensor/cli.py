@@ -6,6 +6,13 @@ writes plot-ready CSV tables (long format, one row per grid point, units in
 the header) and one JSON summary per run.  Identical config and seed produce
 byte-identical output files.
 
+``main`` checks the config against ``_CONFIG_SCHEMA`` and hands it to the
+command in a ``_ConfigReader``.  The command reads every key it uses through
+the reader, then calls ``done``, which rejects (exit 2) any config key that
+no read took, and only then works: a key is read only where it changes the
+result (the readout keys and ``run.repeats`` only under ``run.shots``), so a
+setting the command would ignore is refused.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
@@ -105,31 +112,6 @@ _CONFIG_SCHEMA = {
 }
 # a list value is declared as [element type] and must not be empty
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
-
-# The config keys each command reads; ``main`` rejects any other key rather
-# than accept a setting and ignore it.  Every command reads the output keys
-# and the seed (echoed in its summary).
-_COMMON_KEYS = ("output.dir", "output.formats", "run.seed")
-_SENSOR_KEYS = ("physical.zero_field_splitting_mhz",
-                "physical.gyromagnetic_ratio_mhz_per_g", "physical.static_field_g")
-_SCENARIO_KEYS = _SENSOR_KEYS + (
-    "physical.signal_amp_mhz", "physical.detuning_mhz", "physical.drive_amp_mhz",
-    "physical.drive_freq_mhz", "physical.harmonics")
-_READOUT_KEYS = ("physical.contrast", "physical.count_rate_per_s", "physical.detect_time_us")
-_COMMAND_KEYS = {
-    "rabi": {*_SCENARIO_KEYS, *_READOUT_KEYS, "run.shots", "run.presets", "run.t_grid_us"},
-    "qfi": {*_SCENARIO_KEYS, *_READOUT_KEYS, "run.shots", "run.repeats", "run.presets",
-            "run.t_grid_us"},
-    "effective": {*_SCENARIO_KEYS},
-    "robustness": {*_SCENARIO_KEYS, "run.threads", "run.presets", "run.error_grid_mhz",
-                   "run.sweep_time_us"},
-    "sensitivity": {*_SENSOR_KEYS, *_READOUT_KEYS, "physical.t2_us"},
-    "dd": {*_SCENARIO_KEYS, *_READOUT_KEYS, "run.shots", "run.t_grid_us",
-           "run.noise_realizations", "physical.noise_sigma_z_mhz",
-           "physical.noise_tau_c_us", "physical.tau_us"},
-    "calibrate": {*_SCENARIO_KEYS, "run.t_grid_us", "run.noise_realizations",
-                  "physical.target_t2_us", "physical.noise_tau_c_us"},
-}
 
 
 class ConfigError(click.UsageError):
@@ -232,73 +214,109 @@ class ResultBundle:
         return written
 
 
-def _given_keys(section: dict, convert=None, **keys) -> dict:
-    """``name=section[key]`` (through ``convert``) for each ``name=key`` the
-    config sets; unset keys leave the library's defaults in force."""
-    return {
-        name: section[key] if convert is None else convert(section[key])
-        for name, key in keys.items()
-        if key in section
-    }
+class _ConfigReader:
+    """The checked config of one run, read by its command one key at a time.
+
+    ``get`` and ``given`` record each key they read (a key outside the schema
+    is a programming error); ``done`` rejects the first config key, in config
+    order, that no read took.  ``flags`` maps a config key to the flag that
+    set it; ``main`` sets ``output``, the (directory, formats) written to.
+    """
+
+    def __init__(self, data: dict, command: str, flags: dict):
+        self.data, self.command, self._flags = data, command, flags
+        self._read: set[str] = set()
+
+    def get(self, path: str, default=None):
+        section, _, key = path.partition(".")
+        if key not in _CONFIG_SCHEMA.get(section, ()):
+            raise KeyError(f"{path} is not a config key")
+        self._read.add(path)
+        return self.data.get(section, {}).get(key, default)
+
+    def given(self, convert=None, **paths) -> dict:
+        """``name=value`` (through ``convert``) for each ``name=path`` the
+        config sets; unset keys leave the library's defaults in force."""
+        values = {name: self.get(path) for name, path in paths.items()}
+        return {name: v if convert is None else convert(v)
+                for name, v in values.items() if v is not None}
+
+    def done(self) -> None:
+        for section, values in self.data.items():
+            for key in values:
+                path = f"{section}.{key}"
+                if path not in self._read:
+                    origin = f" (from {self._flags[path]})" if path in self._flags else ""
+                    raise ConfigError(
+                        f"config key {path}{origin} is not read by {self.command}")
 
 
-def _decay_scan_keys(run: dict) -> dict:
+def _decay_scan_keys(cfg: _ConfigReader) -> dict:
     """The ``run`` keys of a decay-fitted scan, checked before any scan runs:
     a ``t_grid_us`` needs a point per parameter of the decaying-cosine fit."""
-    grid = run.get("t_grid_us")
-    if grid is not None and len(grid) < DECAY_FIT_MIN_POINTS:
+    keys = cfg.given(t_grid="run.t_grid_us", n_realizations="run.noise_realizations")
+    if "t_grid" in keys and len(keys["t_grid"]) < DECAY_FIT_MIN_POINTS:
         raise ConfigError(
             f"config key run.t_grid_us must hold at least {DECAY_FIT_MIN_POINTS} "
-            f"points for the decay fit, got {len(grid)}"
+            f"points for the decay fit, got {len(keys['t_grid'])}"
         )
-    return _given_keys(run, t_grid="t_grid_us", n_realizations="noise_realizations")
+    return keys
 
 
-def _readout_model(cfg: dict) -> ReadoutModel:
-    return ReadoutModel(**_given_keys(
-        cfg.get("physical", {}), count_rate="count_rate_per_s",
-        t_det="detect_time_us", contrast="contrast"))
+def _readout_model(cfg: _ConfigReader) -> ReadoutModel:
+    return ReadoutModel(**cfg.given(
+        count_rate="physical.count_rate_per_s", t_det="physical.detect_time_us",
+        contrast="physical.contrast"))
 
 
-def _sensor(cfg: dict) -> SensorParams:
-    phys = cfg.get("physical", {})
-    angular = _given_keys(phys, mhz_to_angular, D="zero_field_splitting_mhz",
-                          gamma_e="gyromagnetic_ratio_mhz_per_g")
-    return SensorParams(**angular, **_given_keys(phys, B0="static_field_g"))
+def _shots(cfg: _ConfigReader) -> tuple[int | None, ReadoutModel]:
+    """``run.shots`` and the readout its photon counts are drawn through; the
+    readout keys change nothing without shots, and are read only with them."""
+    shots = cfg.get("run.shots")
+    return shots, ReadoutModel() if shots is None else _readout_model(cfg)
 
 
-def _preset_names(cfg: dict, default: list[str]) -> list[str]:
-    names = cfg.get("run", {}).get("presets", default)
-    for n in names:
-        if n not in PRESET_NAMES:
-            raise ConfigError(
-                f"unknown scenario name {n!r}; choose from {', '.join(PRESET_NAMES)}"
-            )
-    return names
+def _sensor(cfg: _ConfigReader) -> SensorParams:
+    return SensorParams(
+        **cfg.given(mhz_to_angular, D="physical.zero_field_splitting_mhz",
+                    gamma_e="physical.gyromagnetic_ratio_mhz_per_g"),
+        **cfg.given(B0="physical.static_field_g"),
+    )
 
 
-def _build_scenario(name: str, cfg: dict):
+def _build_scenario(name: str, cfg: _ConfigReader):
     """Preset with the config's physical overrides applied.
 
     Drive overrides (amplitude, frequency, harmonic count) fall back to
     quadrature tone phases (the per-preset tuned patterns only apply to the
     default drive parameters).
     """
-    phys = cfg.get("physical", {})
-    over = _given_keys(phys, mhz_to_angular, omega_s_amp="signal_amp_mhz",
-                       delta="detuning_mhz")
+    over = cfg.given(mhz_to_angular, omega_s_amp="physical.signal_amp_mhz",
+                     delta="physical.detuning_mhz")
     sc = make_preset(name, sensor=_sensor(cfg), **over)
-    drive = _given_keys(phys, mhz_to_angular, omega_F_amp="drive_amp_mhz",
-                        omega_F_freq="drive_freq_mhz")
-    drive.update(_given_keys(phys, harmonics="harmonics"))
+    drive = cfg.given(mhz_to_angular, omega_F_amp="physical.drive_amp_mhz",
+                      omega_F_freq="physical.drive_freq_mhz")
+    drive.update(cfg.given(harmonics="physical.harmonics"))
     if drive and sc.drive is not None:
         k = drive.get("harmonics", sc.drive.harmonics)
         sc = replace(sc, drive=replace(sc.drive, phases=(0.5 * math.pi,) * k, **drive))
     return sc
 
 
-def _t_grid(cfg: dict, default) -> np.ndarray:
-    return np.asarray(cfg.get("run", {}).get("t_grid_us", default), dtype=float)
+def _scenarios(cfg: _ConfigReader, default: list[str]) -> list[tuple]:
+    """(name, scenario) for each of ``run.presets``, or of ``default``."""
+    names = cfg.get("run.presets", default)
+    for n in names:
+        if n not in PRESET_NAMES:
+            raise ConfigError(
+                f"config key run.presets: unknown scenario name {n!r}; "
+                f"choose from {', '.join(PRESET_NAMES)}"
+            )
+    return [(n, _build_scenario(n, cfg)) for n in names]
+
+
+def _t_grid(cfg: _ConfigReader, default) -> np.ndarray:
+    return np.asarray(cfg.get("run.t_grid_us", default), dtype=float)
 
 
 @click.group()
@@ -318,8 +336,8 @@ def _t_grid(cfg: dict, default) -> np.ndarray:
 @click.pass_context
 def main(ctx, config_path, out_dir, seed, shots, formats, threads):
     """Microwave-amplitude sensing simulator for a driven two-level sensor."""
-    cfg = load_config(config_path)
-    run, out = _section(cfg, "run"), _section(cfg, "output")
+    data = load_config(config_path)
+    run, out = _section(data, "run"), _section(data, "output")
     flags = {}  # config key -> the flag that set it
     if seed is not None:
         run["seed"] = seed
@@ -330,14 +348,7 @@ def main(ctx, config_path, out_dir, seed, shots, formats, threads):
     if _given(ctx, "threads") and threads != run.get("threads", 1):
         run["threads"] = threads
         flags["run.threads"] = "--threads"
-    _check(cfg, _CONFIG_SCHEMA, "")
-    command = ctx.invoked_subcommand
-    for section, values in cfg.items():
-        for key in values:
-            path = f"{section}.{key}"
-            if path not in _COMMON_KEYS and path not in _COMMAND_KEYS[command]:
-                origin = f" (from {flags[path]})" if path in flags else ""
-                raise ConfigError(f"config key {path}{origin} is not read by {command}")
+    _check(data, _CONFIG_SCHEMA, "")
     # a flag (or the environment) beats the config, the config the default
     if _given(ctx, "out_dir") or "dir" not in out:
         out["dir"] = out_dir
@@ -350,7 +361,9 @@ def main(ctx, config_path, out_dir, seed, shots, formats, threads):
     for f in out["formats"]:
         if f not in ("csv", "json"):
             raise ConfigError(f"{where}: unknown output format {f!r}")
-    ctx.obj = cfg
+    cfg = ctx.obj = _ConfigReader(data, ctx.invoked_subcommand, flags)
+    # every command writes its results here, through ``_finish``
+    cfg.output = Path(cfg.get("output.dir")), tuple(cfg.get("output.formats"))
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -367,10 +380,8 @@ def _given(ctx, name: str) -> bool:
     )
 
 
-def _finish(cfg: dict, bundle: ResultBundle):
-    out_dir = Path(cfg["output"]["dir"])
-    written = bundle.write(out_dir, tuple(cfg["output"]["formats"]))
-    for path in written:
+def _finish(cfg: _ConfigReader, bundle: ResultBundle):
+    for path in bundle.write(*cfg.output):
         click.echo(f"wrote {path}")
 
 
@@ -379,26 +390,18 @@ def _finish(cfg: dict, bundle: ResultBundle):
 def rabi(ctx):
     """Rabi population scans for the standard presets."""
     cfg = ctx.obj
-    run = cfg.get("run", {})
-    seed = run.get("seed", 0)
-    shots = run.get("shots")
-    presets = _preset_names(
+    seed = cfg.get("run.seed", 0)
+    shots, model = _shots(cfg)
+    scenarios = _scenarios(
         cfg, ["ods-resonant", "ods-detuned", "fds-k1", "fds-k3", "fds-k5"]
     )
     t_grid = _t_grid(cfg, np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10))
-    bundle = ResultBundle("rabi", cfg, seed)
-    model = _readout_model(cfg)
-    for name in presets:
-        scan = run_scan(
-            _build_scenario(name, cfg), t_grid, shots=shots, seed=seed, model=model
-        )
-        rows = [
-            [name, t, p, e]
-            for t, p, e in zip(scan.times, scan.p0, scan.stderr)
-        ]
-        bundle.add_table(
-            name, ["series", "t_us", "p0", "p0_stderr"], rows
-        )
+    cfg.done()
+    bundle = ResultBundle("rabi", cfg.data, seed)
+    for name, sc in scenarios:
+        scan = run_scan(sc, t_grid, shots=shots, seed=seed, model=model)
+        rows = [[name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)]
+        bundle.add_table(name, ["series", "t_us", "p0", "p0_stderr"], rows)
         bundle.summary.setdefault("contrast_by_preset", {})[name] = float(
             np.max(scan.p0) - np.min(scan.p0)
         )
@@ -410,27 +413,22 @@ def rabi(ctx):
 def qfi(ctx):
     """Fisher-information scaling against the exact oracle."""
     cfg = ctx.obj
-    run = cfg.get("run", {})
-    seed = run.get("seed", 0)
-    shots = run.get("shots")
-    presets = _preset_names(cfg, ["fds-k5", "ods-detuned"])
-    t_grid = _t_grid(cfg, [1.0, 2.0, 3.0, 3.8, 4.0])
-    bundle = ResultBundle("qfi", cfg, seed)
+    seed = cfg.get("run.seed", 0)
+    shots, model = _shots(cfg)
     mc = None if shots is None else MonteCarloConfig(
-        shots, seed=seed, **_given_keys(run, repeats="repeats")
+        shots, seed=seed, **cfg.given(repeats="run.repeats")
     )
-    for name in presets:
-        rows_out = []
-        for row in run_qfi_scaling(
-            _build_scenario(name, cfg), t_grid, mc=mc, model=_readout_model(cfg),
-        ):
-            rows_out.append(
-                [name, row.t, row.qfi, row.stderr, row.qfi_over_t2, row.qfi_exact]
-            )
+    scenarios = _scenarios(cfg, ["fds-k5", "ods-detuned"])
+    t_grid = _t_grid(cfg, [1.0, 2.0, 3.0, 3.8, 4.0])
+    cfg.done()
+    bundle = ResultBundle("qfi", cfg.data, seed)
+    for name, sc in scenarios:
+        rows = [[name, r.t, r.qfi, r.stderr, r.qfi_over_t2, r.qfi_exact]
+                for r in run_qfi_scaling(sc, t_grid, mc=mc, model=model)]
         bundle.add_table(
             name,
             ["series", "t_us", "qfi_us2", "qfi_stderr_us2", "qfi_over_t2", "qfi_exact_us2"],
-            rows_out,
+            rows,
         )
     _finish(cfg, bundle)
 
@@ -440,14 +438,15 @@ def qfi(ctx):
 def effective(ctx):
     """Quasi-energy shift, residual detuning and validity diagnostics."""
     cfg = ctx.obj
-    seed = cfg.get("run", {}).get("seed", 0)
+    seed = cfg.get("run.seed", 0)
     sc = _build_scenario("fds-k5", cfg)
+    cfg.done()
     drive = sc.drive
     delta = sc.signal.detuning(sc.sensor)
     shift = quasi_energy_shift(drive)
     cx, cz = effective_coefficients(sc.sensor, sc.signal, drive)
     ratio = drive.validity_ratio(sc.signal.omega_s_amp, delta)
-    bundle = ResultBundle("effective", cfg, seed)
+    bundle = ResultBundle("effective", cfg.data, seed)
     bundle.summary["quasi_energy_shift_mhz"] = angular_to_mhz(shift)
     bundle.summary["detuning_mhz"] = angular_to_mhz(delta)
     bundle.summary["residual_detuning_mhz"] = angular_to_mhz(delta - shift)
@@ -474,24 +473,23 @@ _ROBUSTNESS_AXES = {"robustness-amp": "amplitude", "robustness-freq": "frequency
 def robustness(ctx):
     """Control-error sweeps of the driven sensor's Fisher information."""
     cfg = ctx.obj
-    run = cfg.get("run", {})
-    seed = run.get("seed", 0)
-    threads = run.get("threads", 1)
-    presets = _preset_names(cfg, list(_ROBUSTNESS_AXES))
-    for name in presets:
+    seed = cfg.get("run.seed", 0)
+    threads = cfg.get("run.threads", 1)
+    scenarios = _scenarios(cfg, list(_ROBUSTNESS_AXES))
+    for name, _ in scenarios:
         if name not in _ROBUSTNESS_AXES:
             raise ConfigError(
                 f"config key run.presets: robustness sweeps only "
                 f"{', '.join(_ROBUSTNESS_AXES)}, got {name!r}"
             )
-    grid = run.get("error_grid_mhz")
+    grid = cfg.get("run.error_grid_mhz")
     grid = mhz_to_angular(np.asarray(grid, dtype=float)) if grid is not None else None
-    bundle = ResultBundle("robustness", cfg, seed)
-    for name in presets:
+    sweep_time = cfg.given(t="run.sweep_time_us")
+    cfg.done()
+    bundle = ResultBundle("robustness", cfg.data, seed)
+    for name, sc in scenarios:
         res = run_robustness_sweep(
-            _ROBUSTNESS_AXES[name], grid=grid, preset=_build_scenario(name, cfg),
-            n_workers=threads,
-            **_given_keys(run, t="sweep_time_us"),
+            _ROBUSTNESS_AXES[name], grid=grid, preset=sc, n_workers=threads, **sweep_time,
         )
         rows = [
             [name, angular_to_mhz(e), q, res.baseline]
@@ -516,11 +514,11 @@ def robustness(ctx):
 def sensitivity_curves(ctx):
     """Magnetic sensitivity curves and optima."""
     cfg = ctx.obj
-    phys = cfg.get("physical", {})
-    seed = cfg.get("run", {}).get("seed", 0)
-    t2_values = phys.get("t2_us", [17.9, 162.5])
+    seed = cfg.get("run.seed", 0)
+    t2_values = cfg.get("physical.t2_us", [17.9, 162.5])
     readout, sensor = _readout_model(cfg), _sensor(cfg)
-    bundle = ResultBundle("sensitivity", cfg, seed)
+    cfg.done()
+    bundle = ResultBundle("sensitivity", cfg.data, seed)
     rows = []
     for t2 in t2_values:
         opt = optimal_sensing_time(t2, readout, sensor)
@@ -544,28 +542,25 @@ def sensitivity_curves(ctx):
 def dd(ctx):
     """Coherence scans with and without Carr-Purcell decoupling."""
     cfg = ctx.obj
-    run = cfg.get("run", {})
-    phys = cfg.get("physical", {})
-    seed = run.get("seed", 0)
-    shots = run.get("shots")
-    sigma_z = phys.get("noise_sigma_z_mhz")
+    seed = cfg.get("run.seed", 0)
+    shots, model = _shots(cfg)
+    sigma_z = cfg.get("physical.noise_sigma_z_mhz")
     noise = NoiseModel(
         "ornstein-uhlenbeck",
         DD_SIGMA_Z_DEFAULT if sigma_z is None else mhz_to_angular(sigma_z),
-        **_given_keys(phys, tau_c="noise_tau_c_us"),
+        **cfg.given(tau_c="physical.noise_tau_c_us"),
     )
-    dd_on = DdConfig(**_given_keys(phys, tau="tau_us"))
-    scan_keys = _decay_scan_keys(run)
-    model = _readout_model(cfg)
-    bundle = ResultBundle("dd", cfg, seed)
-    for name, ddcfg in (("dd-off", None), ("dd-on", dd_on)):
+    dd_on = DdConfig(**cfg.given(tau="physical.tau_us"))
+    arms = [(name, _build_scenario(name, cfg), ddcfg)
+            for name, ddcfg in (("dd-off", None), ("dd-on", dd_on))]
+    scan_keys = _decay_scan_keys(cfg)
+    cfg.done()
+    bundle = ResultBundle("dd", cfg.data, seed)
+    for name, sc, ddcfg in arms:
         scan, fit = run_dd_experiment(
-            _build_scenario(name, cfg), dd=ddcfg, noise=noise, shots=shots, seed=seed,
-            model=model, **scan_keys,
+            sc, dd=ddcfg, noise=noise, shots=shots, seed=seed, model=model, **scan_keys,
         )
-        rows = [
-            [name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)
-        ]
+        rows = [[name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)]
         bundle.add_table(name, ["series", "t_us", "p0", "p0_stderr"], rows)
         bundle.summary.setdefault("fits", {})[name] = {
             "t2_us": fit.T2,
@@ -585,18 +580,13 @@ def dd(ctx):
 def calibrate(ctx):
     """Calibrate the noise amplitude to a target pulse-free decay time."""
     cfg = ctx.obj
-    run = cfg.get("run", {})
-    phys = cfg.get("physical", {})
-    seed = run.get("seed", 0)
-    target = phys.get("target_t2_us", 17.9)
-    noise = calibrate_noise(
-        target_t2=target,
-        preset=_build_scenario("dd-off", cfg),
-        seed=seed,
-        **_given_keys(phys, tau_c="noise_tau_c_us"),
-        **_decay_scan_keys(run),
-    )
-    bundle = ResultBundle("calibrate", cfg, seed)
+    seed = cfg.get("run.seed", 0)
+    target = cfg.get("physical.target_t2_us", 17.9)
+    preset = _build_scenario("dd-off", cfg)
+    keys = {**cfg.given(tau_c="physical.noise_tau_c_us"), **_decay_scan_keys(cfg)}
+    cfg.done()
+    noise = calibrate_noise(target_t2=target, preset=preset, seed=seed, **keys)
+    bundle = ResultBundle("calibrate", cfg.data, seed)
     bundle.summary["target_t2_us"] = target
     bundle.summary["sigma_z_rad_per_us"] = noise.sigma_z
     bundle.summary["sigma_z_mhz"] = angular_to_mhz(noise.sigma_z)

@@ -559,8 +559,9 @@ def fit_decaying_cosine(times, values) -> DecayFit:
     are solved for exactly at every (T2, w) and the Levenberg-Marquardt
     iteration runs on (log T2, w) alone (Golub & Pereyra, SIAM J. Numer.
     Anal. 10, 413 (1973)), with an analytic Jacobian.  w is seeded from the
-    dominant FFT bin; T2 starts at span/4, span, 4 span and 100 span, all
-    four run as one batch, and the start with the least RMS residual wins.
+    dominant FFT bin; T2 starts at span/4, span, 4 span and 100 span, plus
+    one start (span, w = 0) for a decay without oscillation; all five run as
+    one batch, and the start with the least RMS residual wins.
     Bounds: T2 in [1e-3, 1e6] us and w in [0, 10 w_seed + 1].  The amplitude
     b = hypot(c, s) is non-negative.
 
@@ -596,7 +597,10 @@ def fit_decaying_cosine(times, values) -> DecayFit:
     freqs = np.fft.rfftfreq(uniform_v.size, uniform_t[1] - uniform_t[0])
     w0 = TWO_PI * freqs[1 + int(np.argmax(spectrum[1:]))]
 
-    starts = np.array([[math.log(k * span), w0] for k in (0.25, 1.0, 4.0, 100.0)])
+    # at w = 0 the sine column drops out and the w-Jacobian is 0, so the last
+    # start fits a + c exp(-t/T2): a decay without oscillation
+    starts = np.array([[math.log(k * span), w0] for k in (0.25, 1.0, 4.0, 100.0)]
+                      + [[math.log(span), 0.0]])
     params, coef = _fit_batch(times, values, starts, 10.0 * w0 + 1.0)
     t2, w = np.exp(params[:, 0]), params[:, 1]
     a, c, s = coef[:, 0], coef[:, 1], coef[:, 2]

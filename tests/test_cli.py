@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from floquet_sensor.cli import _COMMAND_KEYS, _COMMON_KEYS, _CONFIG_SCHEMA, main
+from floquet_sensor.cli import _CONFIG_SCHEMA, _ConfigReader, main
 
 TINY_GRID = [0.5, 1.0, 1.5, 2.0]
 
@@ -184,6 +184,16 @@ BAD_CONFIGS = [
     ({"run": {"presets": ["dd-on"]}}, ["dd"], "run.presets"),
     ({"physical": {"signal_amp_mhz": 0.3}}, ["sensitivity"], "physical.signal_amp_mhz"),
     ({"physical": {"contrast": 0.2}}, ["effective"], "physical.contrast"),
+    # the readout keys and run.repeats matter only under --shots; without it
+    # they were once accepted, and ignored, with exit 0
+    ({"physical": {"contrast": 0.3}, "run": {"repeats": 7}}, ["qfi"],
+     "config key physical.contrast is not read by qfi"),
+    ({"run": {"repeats": 7}}, ["qfi"], "run.repeats"),
+    ({"physical": {"count_rate_per_s": 1e6}}, ["rabi"], "physical.count_rate_per_s"),
+    ({"physical": {"detect_time_us": 0.4}}, ["dd"], "physical.detect_time_us"),
+    # an unknown preset name once exited 2 without naming the key
+    ({"run": {"presets": ["fds-k9"], "t_grid_us": TINY_GRID}}, ["rabi"],
+     "config key run.presets: unknown scenario name 'fds-k9'"),
 ]
 
 
@@ -205,23 +215,38 @@ def test_flag_at_the_value_in_effect_adds_no_key(tmp_path):
     assert "threads" not in summary["config"]["run"]
 
 
-def test_every_command_has_a_key_table_of_schema_keys():
-    assert set(_COMMAND_KEYS) == set(main.commands)
-    schema = {f"{section}.{key}" for section, keys in _CONFIG_SCHEMA.items() for key in keys}
-    for keys in _COMMAND_KEYS.values():
-        assert keys <= schema
-    assert set(_COMMON_KEYS) <= schema
+class _Stop(Exception):
+    """Raised in place of the command's work, once its reads are checked."""
 
 
-def test_unknown_scenario_rejected(tmp_path):
-    cfg = write_config(
-        tmp_path, {"run": {"presets": ["fds-k9"], "t_grid_us": TINY_GRID}}
-    )
-    res = CliRunner().invoke(
-        main, ["--config", cfg, "--out", str(tmp_path / "o"), "rabi"]
-    )
-    assert res.exit_code == 2
+def test_commands_read_every_schema_key_before_any_work(tmp_path, monkeypatch):
+    # every command makes all its reads before done(), so stopping there runs
+    # no scan; with and without --shots the commands read every schema key,
+    # and --threads 1, which the benchmark passes to every command, adds no
+    # key that a command leaves unread
+    read, past_done = set(), set()
+    check = _ConfigReader.done
+
+    def check_and_stop(reader):
+        read.update(reader._read)
+        check(reader)
+        past_done.add(reader.command)
+        raise _Stop
+
+    monkeypatch.setattr(_ConfigReader, "done", check_and_stop)
+    out = str(tmp_path / "o")
+    for command in main.commands:
+        res = CliRunner().invoke(main, ["--threads", "1", "--out", out, command])
+        assert isinstance(res.exception, _Stop), (command, res.output)
+    past_done.clear()
+    for command in main.commands:
+        CliRunner().invoke(main, ["--threads", "1", "--shots", "1000", "--out", out, command])
+    assert past_done == {"rabi", "qfi", "dd"}
+    assert read == {f"{s}.{k}" for s, keys in _CONFIG_SCHEMA.items() for k in keys}
     assert not (tmp_path / "o").exists()
+    # a read of a key outside the schema is a programming error
+    with pytest.raises(KeyError, match="run.shot is not a config key"):
+        _ConfigReader({}, "rabi", {}).get("run.shot")
 
 
 EMPTY_LISTS = [
@@ -483,8 +508,9 @@ def test_harmonics_override_applies_to_every_driven_preset(tmp_path):
     from floquet_sensor.experiments import PRESET_NAMES, make_preset
 
     cfg = {"physical": {"harmonics": 2}}
+    reader = _ConfigReader(cfg, "qfi", {})
     for name in PRESET_NAMES:
-        drive = _build_scenario(name, cfg).drive
+        drive = _build_scenario(name, reader).drive
         if drive is None:
             assert make_preset(name).drive is None
         else:
@@ -496,7 +522,7 @@ def test_harmonics_override_applies_to_every_driven_preset(tmp_path):
     res = run_cli(["--config", path, "--out", str(tmp_path / "o"), "qfi"])
     assert res.exit_code == 0
     row = (tmp_path / "o" / "qfi_fds-k5.csv").read_text().splitlines()[1].split(",")
-    two_tone = _build_scenario("fds-k5", cfg).exact_qfi(1.0).value
+    two_tone = _build_scenario("fds-k5", reader).exact_qfi(1.0).value
     five_tone = make_preset("fds-k5").exact_qfi(1.0).value
     assert float(row[5]) == two_tone
     assert abs(two_tone - five_tone) > 1e-3 * five_tone

@@ -378,6 +378,23 @@ def test_fit_flags_lower_bound_without_decay():
     assert fit.T2 > 30.0
 
 
+def test_fit_decay_without_oscillation():
+    # every start once ran at the FFT-seeded frequency: on a pure decay the
+    # fit ended at w ~ 5e-11 with an amplitude of 1.6e7 and T2 = 8.117
+    t = np.linspace(0.3, 40.0, 120)
+    clean = 0.5 + 0.4 * np.exp(-t / 8.0)
+    fit = fit_decaying_cosine(t, clean)
+    assert (fit.T2, fit.amplitude, fit.offset) == pytest.approx((8.0, 0.4, 0.5), rel=1e-9)
+    assert fit.frequency == 0.0
+    assert fit.residual < 1e-12
+    # with noise it once gave T2 = 8.95 at an amplitude of 1.4e5
+    noisy = clean + np.random.default_rng(1).normal(scale=0.01, size=t.size)
+    fit = fit_decaying_cosine(t, noisy)
+    assert fit.T2 == pytest.approx(8.0, rel=0.05)
+    assert fit.amplitude == pytest.approx(0.4, rel=0.05)
+    assert fit.residual < 0.0085
+
+
 def test_fit_rejects_fewer_points_than_parameters():
     t = np.array([1.0, 2.0, 3.0, 4.0])
     for n in (1, 4):
