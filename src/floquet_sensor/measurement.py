@@ -9,6 +9,8 @@ and inverts the model.  The full estimation pipeline measures Pauli
 expectations over a small grid of signal amplitudes, converts them to
 (theta, phi), fits straight lines and evaluates the algebraic
 Fisher-information form, with Monte Carlo repetition supplying error bars.
+The states of the whole grid come from one call of an array state family
+(``family(amps)`` -> (k, 2), the contract of ``metrology``).
 
 Random streams: each Monte Carlo call of ``qfi_pipeline`` seeds one
 generator from ``SeedSequence(mc.seed)`` and makes a single Poisson draw of
@@ -133,7 +135,7 @@ def default_omega_grid(omega_center: float):
 
 
 def qfi_pipeline(
-    family: Callable[[float], np.ndarray],
+    family: Callable[[np.ndarray], np.ndarray],
     omega_grid,
     mc: MonteCarloConfig | None = None,
     model: ReadoutModel = ReadoutModel(),
@@ -141,8 +143,9 @@ def qfi_pipeline(
 ) -> QfiEstimate:
     """Full estimation pipeline: states -> noisy expectations -> line fits -> QFI.
 
-    ``family(omega)`` supplies the evolved state (a 2-vector) for each grid
-    amplitude, the state family ``metrology.qfi_exact`` takes.  With
+    ``family(omega_grid)`` supplies the (k, 2) evolved states of the k grid
+    amplitudes in one call, the array state family ``metrology.qfi_exact``
+    takes.  With
     ``mc=None`` the expectations are exact and a single deterministic fit is
     made; otherwise ``mc.repeats`` repeats of Poisson counts over
     ``mc.shots`` shots are drawn in one call from a generator seeded by
@@ -157,7 +160,7 @@ def qfi_pipeline(
     if omega_center is None:
         omega_center = float(np.mean(omega_grid))
 
-    states = [family(float(w)) for w in omega_grid]
+    states = family(omega_grid)
     exact = np.array([[expectation(s, ax) for s in states] for ax in ("x", "y", "z")])
 
     if mc is None:

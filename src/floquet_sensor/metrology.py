@@ -15,6 +15,11 @@ us^2.  The equivalent (theta, phi) form for
 |psi> = cos(theta)|+> + sin(theta) e^{i phi} |-> is
 
     I = 4 (d theta/d w)^2 + sin^2(2 theta) (d phi/d w)^2.
+
+A state family is an array function: ``family(amps)`` takes a 1-D array of
+k amplitudes and returns the (k, 2) array of their states, so that a whole
+finite-difference stencil (or a pipeline grid) is one call, and
+``Scenario.states`` evolves it in one batched propagation.
 """
 
 from __future__ import annotations
@@ -50,19 +55,21 @@ class OptimalSensingResult:
 
 
 def qfi_exact(
-    family: Callable[[float], np.ndarray],
+    family: Callable[[np.ndarray], np.ndarray],
     omega: float,
     h: float | None = None,
 ) -> QfiEstimate:
     """QFI of a state family by central finite differences.
 
-    The state-derivative form is cross-checked against the fidelity form
-    I ~ 8 (1 - |<psi(w)|psi(w+h)>|) / h^2; a disagreement beyond 1 percent
-    (above a small absolute floor) raises ``QfiStepError`` with both values.
+    The family is called once, on the three amplitudes omega - h, omega and
+    omega + h.  The state-derivative form is cross-checked against the
+    fidelity form I ~ 8 (1 - |<psi(w)|psi(w+h)>|) / h^2; a disagreement
+    beyond 1 percent (above a small absolute floor) raises ``QfiStepError``
+    with both values.
     """
     if h is None:
         h = 1e-4 * max(abs(omega), mhz_to_angular(0.1))
-    psi_m, psi_0, psi_p = (family(w) for w in (omega - h, omega, omega + h))
+    psi_m, psi_0, psi_p = family(np.array([omega - h, omega, omega + h]))
 
     dpsi = (psi_p - psi_m) / (2.0 * h)
     overlap = np.vdot(psi_0, dpsi)

@@ -22,14 +22,22 @@ the public boundary (``interval_unitary``, ``evolve``,
 ``micromotion_error``).
 
 One broadcasting rule batches the kernel.  It takes interval bounds and
-sigma_z offsets (a constant sigma_z coefficient each, used for
-noise-ensemble averaging; 0.0 for none), and each takes a trailing substep
-axis before they broadcast together.  An offset moves only the z component
-of the lowest-order generator term, so that term takes the offsets' shape,
-while the coefficients and every other term keep the bounds' shape and are
+offsets, one entry per batch member, and each takes a trailing substep
+axis before they broadcast together.  An offset is a constant added to the
+spec's Pauli coefficients: a real entry d adds d sigma_z (the detuning
+noise of an ensemble member; 0.0 for none), and a complex entry adds
+Re(d) sigma_z + Im(d) sigma_x (the amplitude family of the QFI oracle and
+pipeline: a signal amplitude w enters the center-amplitude spec as the
+offset 0.5j (w - omega_s_amp)).  Real offsets stay in float arithmetic
+and touch only the z component.  An offset moves only the
+lowest-order generator term, so that term takes the offsets' shape, while
+the coefficients and every other term keep the bounds' shape and are
 evaluated once for all offsets.  A scalar interval with r offsets gives
 (r, 4) propagators; P pieces with bounds of shape (P, 1) and offsets of
 shape (P, r) give (P, r, 4); scalar bounds with the offset 0.0 give (4,).
+The offsets are never widened by a Pauli axis, so the kernel's substep
+work is always n times the offsets' size.  Non-finite offsets are
+rejected, as are non-finite bounds.
 
 Periodic specs take a stroboscopic route over long intervals: with T the
 drive period, U(t0 + mT, t0) = U_T(t0)^m, so one period is integrated and
@@ -59,7 +67,7 @@ integrated directly.
   drifted off SU(2), and that defect is not multiplied by m.
 
 Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
-with sigma_z offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
+with offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
 the S scalar calls, bit for bit; a scalar call is the one-segment case of
 the same route.  The route rule splits each segment into pieces (a direct
 interval, or one period and an optional remainder).  With refinement each
@@ -117,13 +125,18 @@ class PropagatorOptions:
     adaptive: bool = True
 
 
-def _require_finite(name: str, times) -> None:
-    """Raise ``ValueError`` naming ``name`` if any of ``times`` is NaN or infinite."""
-    times = np.asarray(times, dtype=float)
-    finite = np.isfinite(times)
+def _as_numbers(values) -> np.ndarray:
+    """``values`` as a float array, or as a complex one where they hold complex numbers."""
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
+def _require_finite(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name`` if any of ``values`` is NaN or infinite."""
+    values = _as_numbers(values)
+    finite = np.isfinite(values)
     if not finite.all():
-        bad = times[~finite] if times.ndim else times
-        raise ValueError(f"{name} must be finite, got {float(bad.flat[0])!r}")
+        bad = values[~finite] if values.ndim else values
+        raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +280,21 @@ def _step_generators(spec: HamiltonianSpec, t0, t1, n: int, z_offsets) -> np.nda
         c1 = 2 a1 x a2,  c2 = -(1/30) a1 x (2 a3 + c1)
         q = a1 + a3/12 + (1/120)(-20 a1 - a3 + c1) x (a2 + c2)
 
-    ``z_offsets`` adds a constant sigma_z coefficient d (0.0 for none).  It
-    moves only the z component of a1, by h d, so the coefficients, a2 and a3
-    keep the bounds' shape and are shared by every offset.  A constant spec
-    has a2 = a3 = 0, so q = h p is exact and takes one coefficient evaluation.
+    ``z_offsets`` adds a constant coefficient d (0.0 for none): d sigma_z for
+    a real d, Re(d) sigma_z + Im(d) sigma_x for a complex one.  It moves only
+    a1, by h d, so the coefficients, a2 and a3 keep the bounds' shape and are
+    shared by every offset.  A constant spec has a2 = a3 = 0, so q = h p is
+    exact and takes one coefficient evaluation.
     """
     t0, t1 = np.asarray(t0)[..., None], np.asarray(t1)[..., None]
     h = (t1 - t0) / n
     mids = t0 + (np.arange(n) + 0.5) * h
-    d = np.asarray(z_offsets, dtype=float)[..., None]
+    d = _as_numbers(z_offsets)[..., None]
     p2 = spec.coefficients(mids)
-    a1 = [h * p2[..., 0], h * p2[..., 1], h * p2[..., 2] + d * h]
+    if np.iscomplexobj(d):
+        a1 = [h * p2[..., 0] + d.imag * h, h * p2[..., 1], h * p2[..., 2] + d.real * h]
+    else:
+        a1 = [h * p2[..., 0], h * p2[..., 1], h * p2[..., 2] + d * h]
     if spec.fundamental[0] == 0.0:
         q = a1
     else:
@@ -384,7 +401,10 @@ def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, tol: float,
 
     A constant spec takes its one exact exponential, with no doubling.
     Doubling stops with ``PropagationError`` as soon as the residual fails to
-    shrink, since below the round-off floor further doublings only cost time.
+    shrink, since below the round-off floor further doublings only cost time,
+    and as soon as it is not a number, which no doubling mends.
+    The residual is the largest over the batch members, so they share one
+    substep count.
     """
     n = _initial_steps(spec, t1 - t0, tol)
     u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
@@ -405,6 +425,11 @@ def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, tol: float,
                                        np.hypot(d[..., 1], d[..., 2]))))
         if step < tol:
             return u_next
+        if math.isnan(step):
+            raise PropagationError(
+                f"step doubling on [{t0:g}, {t1:g}] us gave a residual that is "
+                f"not a number at {n} substeps (a coefficient or offset is not finite)"
+            )
         if step >= residual:
             raise PropagationError(
                 f"step doubling stalled on [{t0:g}, {t1:g}] us: the residual "
@@ -435,16 +460,18 @@ def interval_unitary(
     off, every piece is a single pass at the initial resolution.  Raises
     ``PropagationError`` if doubling fails to converge before the substep
     count becomes unreasonable, and ``ValueError`` for a bound t1 < t0 or a
-    bound that is not finite.
+    bound or offset that is not finite.
 
-    Arrays of S segment bounds, with ``z_offsets`` of shape (S, r), give the
-    (S, r, 2, 2) stack of the S scalar calls, bit for bit; a scalar call is
-    the one-segment case.
+    ``z_offsets`` batches the call over constant offsets by the module's
+    broadcasting rule: a real entry d adds d sigma_z to the spec, a complex
+    one Re(d) sigma_z + Im(d) sigma_x.  Arrays of S segment bounds, with
+    ``z_offsets`` of shape (S, r), give the (S, r, 2, 2) stack of the S
+    scalar calls, bit for bit; a scalar call is the one-segment case.
     """
     segments = bool(np.ndim(t0) or np.ndim(t1))
     if segments:
         t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-        rows = None if z_offsets is None else np.asarray(z_offsets, dtype=float)
+        rows = None if z_offsets is None else _as_numbers(z_offsets)
         if (t0.ndim != 1 or t1.shape != t0.shape or rows is None or rows.ndim != 2
                 or rows.shape[0] != t0.size):
             raise ValueError("array segment bounds t0, t1 need shape (S,) and "
@@ -452,9 +479,10 @@ def interval_unitary(
         bounds = list(zip(t0.tolist(), t1.tolist()))
     else:
         bounds = [(float(t0), float(t1))]
-        rows = np.asarray(0.0 if z_offsets is None else z_offsets, dtype=float)[None]
+        rows = _as_numbers(0.0 if z_offsets is None else z_offsets)[None]
     _require_finite("interval bound t0", t0)
     _require_finite("interval bound t1", t1)
+    _require_finite("z_offsets", rows)
     # the route rule per segment, as pieces (start, end, tolerance, segment):
     # heads holds each moving segment's direct interval or one period (at
     # rel_tol / m), in order; tails the remainders of the heads in ``rest``
@@ -497,7 +525,7 @@ def interval_unitary(
 def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     """Quaternion propagators of the P pieces (start, end, tol, segment), (P, ..., 4).
 
-    ``rows[segment]`` holds the sigma_z offsets of a piece.  With
+    ``rows[segment]`` holds the offsets of a piece.  With
     ``opts.adaptive`` each piece is refined to its tolerance on its own.
     Otherwise pieces are grouped by substep count n, and each group is passed
     to ``_interval_unitary`` in blocks of at most ``_BLOCK`` substeps x batch

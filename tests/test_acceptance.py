@@ -69,15 +69,20 @@ def report(num: int, passed: bool, detail: str):
     assert passed, f"criterion {num}: {detail}"
 
 
+def pointwise(state):
+    """The array state family of a scalar ``state(w)``, one amplitude at a time."""
+    return lambda amps: np.array([state(w) for w in amps])
+
+
 def ods_family(delta: float, t: float, sensor=None):
     sensor = sensor or SensorParams()
 
-    def family(amp):
+    def state(amp):
         signal = SignalParams.from_detuning(sensor, amp, delta)
         spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
         return evolve(spec, KET0, [t])[-1]
 
-    return family
+    return pointwise(state)
 
 
 def test_criterion_1_resonant_heisenberg_scaling():
@@ -186,10 +191,10 @@ def test_criterion_5_closed_form_oracles():
         b1, b2 = rng.normal(scale=2.0, size=2)
         algebraic = qfi_theta_phi(a0, a1, b1).value
         numeric = qfi_exact(
-            lambda w: state_from_theta_phi(
+            pointwise(lambda w: state_from_theta_phi(
                 a0 + a1 * (w - w0) + 0.5 * a2 * (w - w0) ** 2,
                 b1 * (w - w0) + 0.5 * b2 * (w - w0) ** 2,
-            ),
+            )),
             w0,
             h=1e-5 * w0,  # analytic family: step well below its curvature scale
         ).value
@@ -242,7 +247,7 @@ def test_criterion_7_pipeline_fidelity():
         sc = make_preset(name)
         w0 = sc.signal.omega_s_amp
         est = qfi_pipeline(
-            lambda w: sc.state(w, 3.8),
+            lambda amps: sc.states(amps, 3.8),
             default_omega_grid(w0),
             omega_center=w0,
         )
@@ -256,11 +261,11 @@ def test_criterion_7_pipeline_fidelity():
     w0 = sc.signal.omega_s_amp
     grid = default_omega_grid(w0)
     empirical = qfi_pipeline(
-        lambda w: sc.state(w, 3.8), grid,
+        lambda amps: sc.states(amps, 3.8), grid,
         mc=MonteCarloConfig(100_000, 200, 0), omega_center=w0,
     ).stderr
     reported = qfi_pipeline(
-        lambda w: sc.state(w, 3.8), grid,
+        lambda amps: sc.states(amps, 3.8), grid,
         mc=MonteCarloConfig(100_000, 50, 1), omega_center=w0,
     ).stderr
     bars_ok = abs(empirical - reported) / empirical <= 0.20

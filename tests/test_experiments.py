@@ -5,8 +5,10 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import curve_fit
 
+from floquet_sensor import propagator
 from floquet_sensor.experiments import (
     DD_SIGMA_Z_DEFAULT,
+    ORACLE_OPTS,
     SCAN_OPTS,
     DdConfig,
     NoiseModel,
@@ -21,6 +23,8 @@ from floquet_sensor.experiments import (
     run_robustness_sweep,
     run_scan,
 )
+from floquet_sensor.measurement import default_omega_grid, qfi_pipeline
+from floquet_sensor.metrology import qfi_exact
 from floquet_sensor.params import mhz_to_angular
 from floquet_sensor.hamiltonian import kick_vector
 from floquet_sensor.propagator import _pauli_exp, evolve, interval_unitary, rabi_population
@@ -495,6 +499,59 @@ def test_qfi_scaling_noiseless_tracks_oracle():
     assert rows[0].qfi_over_t2 == pytest.approx(rows[0].qfi, rel=1e-12)
 
 
+def _rebuilt_family(scenario, t):
+    """The state family one amplitude at a time, each evolved on the spec
+    rebuilt at its amplitude: the per-amplitude loop that ``Scenario.states``
+    batches, kept as its oracle."""
+    return lambda amps: np.array([evolve(scenario.rotating_spec(float(w)), (1, 0), [t],
+                                         ORACLE_OPTS)[-1] for w in amps])
+
+
+# the presets of the QFI figures, and the robustness sweep's amplitude errors
+_FAMILY_CASES = [(make_preset(name), t)
+                 for name in ("fds-k1", "fds-k3", "fds-k5", "robustness-amp",
+                              "robustness-freq", "dd-off")
+                 for t in (0.5, 1.0, 3.8, 4.0, 6.0)] + [
+    (make_preset("robustness-amp").with_errors(amp_error=mhz_to_angular(e)), 4.0)
+    for e in np.linspace(-1.0, 1.0, 9)]
+
+
+def test_batched_oracle_matches_per_amplitude_loop():
+    worst = 0.0
+    for sc, t in _FAMILY_CASES:
+        batched = sc.exact_qfi(t).value
+        looped = qfi_exact(_rebuilt_family(sc, t), sc.signal.omega_s_amp).value
+        worst = max(worst, abs(batched - looped) / looped)
+    assert worst <= 1e-9
+
+
+def test_batched_pipeline_matches_per_amplitude_loop():
+    worst = 0.0
+    for sc, t in _FAMILY_CASES:
+        w0 = sc.signal.omega_s_amp
+        grid = default_omega_grid(w0)
+        batched = qfi_pipeline(lambda amps: sc.states(amps, t), grid, omega_center=w0)
+        looped = qfi_pipeline(_rebuilt_family(sc, t), grid, omega_center=w0)
+        worst = max(worst, abs(batched.value - looped.value) / looped.value)
+    assert worst <= 1e-9
+
+
+def test_oracle_takes_one_kernel_pass_per_resolution(monkeypatch):
+    # the three finite-difference states are members of one evolution: one
+    # drive period refined from 198 to 396 substeps, then the remainder from
+    # 14 to 28; one state at a time this took 12 passes of one member
+    seen = []
+    kernel = propagator._interval_unitary
+
+    def counted(spec, t0, t1, n, z_offsets):
+        seen.append((n, np.asarray(z_offsets).size))
+        return kernel(spec, t0, t1, n, z_offsets)
+
+    monkeypatch.setattr(propagator, "_interval_unitary", counted)
+    make_preset("robustness-amp").exact_qfi(4.0)
+    assert seen == [(198, 3), (396, 3), (14, 3), (28, 3)]
+
+
 # ---------------------------------------------------------------- robustness
 
 def test_robustness_sweep_smoke():
@@ -529,6 +586,17 @@ def test_robustness_validation():
     for n_workers in (0, -1):
         with pytest.raises(ValueError, match="n_workers"):
             run_robustness_sweep("amplitude", n_workers=n_workers)
+
+
+def test_robustness_thread_pool_matches_serial_sweep():
+    # both grid ends keep the advantage at 4 us, so no bisection runs
+    grid = mhz_to_angular(np.array([-0.15, 0.0, 0.1]))
+    serial = run_robustness_sweep("amplitude", grid=grid, t=4.0)
+    pooled = run_robustness_sweep("amplitude", grid=grid, t=4.0, n_workers=2)
+    npt.assert_array_equal(pooled.qfi_fds, serial.qfi_fds)
+    assert pooled.baseline == serial.baseline
+    assert pooled.interval == serial.interval
+    assert pooled.interval_open == serial.interval_open == (True, True)
 
 
 @pytest.mark.parametrize("grid_mhz", [[0.125, 0.0, -0.175], [0.125, -0.175, 0.0]])

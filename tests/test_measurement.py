@@ -128,8 +128,8 @@ def test_read_out_estimate_unclamped():
 # --------------------------------------------------------------- qfi pipeline
 
 def resonant_family(t):
-    """The resonant states at time t as a family of the signal amplitude."""
-    return lambda w: resonant_state(w, t)
+    """The resonant states at time t as an array family of the signal amplitude."""
+    return lambda amps: np.array([resonant_state(w, t) for w in amps])
 
 
 def test_pipeline_noiseless_resonant_reaches_quadratic():
@@ -143,7 +143,8 @@ def test_pipeline_noiseless_resonant_reaches_quadratic():
 def test_pipeline_zero_dependence_scenario():
     fixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     est = qfi_pipeline(
-        lambda w: fixed, default_omega_grid(TP * 0.5), omega_center=TP * 0.5
+        lambda amps: np.tile(fixed, (len(amps), 1)), default_omega_grid(TP * 0.5),
+        omega_center=TP * 0.5,
     )
     assert abs(est.value) < 1e-9
 

@@ -43,15 +43,20 @@ def detuned_rabi_qfi(amp, delta, t):
     )
 
 
+def pointwise(state):
+    """The array state family of a scalar ``state(w)``, one amplitude at a time."""
+    return lambda amps: np.array([state(w) for w in amps])
+
+
 def ods_family(amp0, delta, t):
     sensor = SensorParams()
 
-    def family(amp):
+    def state(amp):
         signal = SignalParams.from_detuning(sensor, amp, delta)
         spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
         return evolve(spec, KET0, [t])[-1]
 
-    return family
+    return pointwise(state)
 
 
 # ------------------------------------------------------------------ qfi_exact
@@ -67,7 +72,7 @@ def test_qfi_exact_resonant_reaches_quadratic_scaling():
 
 def test_qfi_exact_constant_family_is_zero():
     fixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    est = qfi_exact(lambda w: fixed, TP * 0.5)
+    est = qfi_exact(pointwise(lambda w: fixed), TP * 0.5)
     assert abs(est.value) < 1e-6
 
 
@@ -83,11 +88,11 @@ def test_qfi_exact_matches_closed_form_off_resonance():
 def test_qfi_exact_reports_step_breakdown():
     # a family discontinuous on the finite-difference scale breaks the
     # derivative/fidelity cross-check
-    def family(w):
+    def state(w):
         return KET0 if w < TP * 0.5 else KET1
 
     with pytest.raises(QfiStepError):
-        qfi_exact(family, TP * 0.5)
+        qfi_exact(pointwise(state), TP * 0.5)
 
 
 def test_qfi_upper_bound_randomized():
@@ -127,7 +132,7 @@ def test_parameterization_formula_matches_state_derivative():
 
         algebraic = qfi_theta_phi(theta(w0), a1, b1).value
         numeric = qfi_exact(
-            lambda w: state_from_theta_phi(theta(w), phi(w)), w0
+            pointwise(lambda w: state_from_theta_phi(theta(w), phi(w))), w0
         ).value
         assert numeric == pytest.approx(algebraic, rel=1e-6, abs=1e-9)
 

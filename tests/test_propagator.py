@@ -528,6 +528,92 @@ def test_kernel_broadcasts_offsets_against_bounds():
         npt.assert_array_equal(u[None], _interval_unitary(spec, 0.1, 0.3, 40, np.zeros(1)))
 
 
+# ------------------------------------------------------------------ offsets
+
+@pytest.mark.parametrize("opts", [ORACLE_OPTS, SCAN_OPTS], ids=["oracle", "scan"])
+def test_sigma_x_offsets_match_rebuilt_specs(opts):
+    # the amplitude family of the QFI oracle and pipeline: the signal
+    # amplitude w is the rotating-frame sigma_x coefficient w/2, so the
+    # imaginary offset 0.5 (w - Omega) on the center spec is the spec rebuilt
+    # at w.  Amplitudes: the oracle's Omega -+ h and the pipeline's grid
+    worst = 0.0
+    for name in ("fds-k1", "fds-k3", "fds-k5", "robustness-amp", "dd-on", "ods-detuned"):
+        sc = make_preset(name)
+        om = sc.signal.omega_s_amp
+        amps = np.concatenate([om + np.array([-1e-4, 1e-4]) * om,
+                               om * (1.0 + 0.025 * np.linspace(-1.0, 1.0, 7))])
+        for t in (0.3, 1.0, 4.0):
+            u = interval_unitary(sc.rotating_spec(), 0.0, t, opts, 0.5j * (amps - om))
+            assert u.shape == (amps.size, 2, 2)
+            rebuilt = np.stack([interval_unitary(sc.rotating_spec(w), 0.0, t, opts)
+                                for w in amps])
+            worst = max(worst, float(np.max(np.abs(u - rebuilt))))
+    assert worst <= 1e-13
+
+
+def test_complex_offsets_add_sigma_z_and_sigma_x():
+    # the real part is the sigma_z offset with the bits of a real offset
+    spec = make_preset("dd-on").rotating_spec()
+    z = np.random.default_rng(8).normal(size=5)
+    npt.assert_array_equal(_interval_unitary(spec, 1.3, 1.8, 40, z + 0j),
+                           _interval_unitary(spec, 1.3, 1.8, 40, z))
+    const = constant_spec(1.3, -0.4, 2.1)
+    d = np.array([0.7 - 0.2j, -1.1 + 0.9j])
+    u = interval_unitary(const, 0.2, 1.7, ORACLE_OPTS, d)
+    for off, ui in zip(d, u):
+        shifted = const.matrix(0.0) + off.real * SIGMA_Z + off.imag * SIGMA_X
+        npt.assert_allclose(ui, expm(-1.5j * shifted), rtol=0, atol=1e-14)
+
+
+@pytest.fixture
+def pass_cap(monkeypatch):
+    """Kernel passes counted and capped at 12, so a runaway doubling fails fast.
+
+    Each doubling doubles the substeps of a pass, so without a cap a doubling
+    that never stops takes up to 2^24 times the starting substeps: a hang.
+    """
+    kernel = propagator._interval_unitary
+    seen = []
+
+    def capped(spec, t0, t1, n, z_offsets):
+        seen.append(n)
+        assert len(seen) <= 12, f"runaway step doubling: {seen}"
+        return kernel(spec, t0, t1, n, z_offsets)
+
+    monkeypatch.setattr(propagator, "_interval_unitary", capped)
+    return seen
+
+
+@pytest.mark.parametrize("opts", [ORACLE_OPTS, SCAN_OPTS], ids=["oracle", "scan"])
+@pytest.mark.parametrize("offsets", [math.nan, [0.0, math.inf], [0.1j, complex(0.0, math.nan)]],
+                         ids=["nan", "inf", "complex-nan"])
+def test_non_finite_offsets_rejected(pass_cap, opts, offsets):
+    # a NaN offset once made every residual NaN, which neither converged nor
+    # stalled, so step doubling ran on towards 2^24 times the substeps; without
+    # refinement it returned NaN propagators
+    spec = make_preset("fds-k5").rotating_spec()
+    with pytest.raises(ValueError, match="^z_offsets must be finite"):
+        interval_unitary(spec, 0.0, 1.0, opts, offsets)
+    rows = np.zeros((2, 2), dtype=np.asarray(offsets).dtype)
+    rows[1] = offsets
+    with pytest.raises(ValueError, match="^z_offsets must be finite"):
+        interval_unitary(spec, [0.0, 0.5], [0.5, 1.0], opts, z_offsets=rows)
+    assert pass_cap == []
+
+
+def test_non_finite_residual_stops_step_doubling(pass_cap):
+    spec = make_preset("fds-k5").rotating_spec()
+    with pytest.raises(PropagationError, match="not a number"):
+        _stepped_unitary(spec, 0.0, 1.0, ORACLE_OPTS.rel_tol, math.nan)
+    assert len(pass_cap) == 2
+    pass_cap.clear()
+    nan_tone = HamiltonianSpec(Frame.SIGNAL_ROTATING,
+                               (PauliTerm("z", 1.0), PauliTerm("x", math.nan, 5.0)))
+    with pytest.raises(PropagationError, match="not a number"):
+        interval_unitary(nan_tone, 0.0, 1.0, ORACLE_OPTS)
+    assert len(pass_cap) == 2
+
+
 @pytest.mark.parametrize(
     "preset, freq_error_mhz, t",
     [("fds-k5", 0.0, 4.0), ("robustness-freq", -20.0, 2.0),
