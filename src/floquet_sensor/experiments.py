@@ -93,11 +93,10 @@ class Scenario:
     signal: SignalParams
     drive: FloquetDriveParams | None = None
 
-    def rotating_spec(self, omega_s_amp: float | None = None) -> HamiltonianSpec:
-        sig = self.signal if omega_s_amp is None else self.signal.with_amp(omega_s_amp)
+    def rotating_spec(self) -> HamiltonianSpec:
         if self.drive is None:
-            return to_signal_rotating(build_lab_ods(self.sensor, sig), sig)
-        return build_fds_prime(self.sensor, sig, self.drive)
+            return to_signal_rotating(build_lab_ods(self.sensor, self.signal), self.signal)
+        return build_fds_prime(self.sensor, self.signal, self.drive)
 
     def states(self, amps, t, opts: PropagatorOptions = ORACLE_OPTS) -> np.ndarray:
         """States at time t, evolved from |0>, at the k signal amplitudes ``amps``: (k, 2).
@@ -797,9 +796,9 @@ def default_dd_grid(dd: bool) -> np.ndarray:
 
 
 def run_dd_experiment(
-    preset: Union[str, Scenario] = "dd-on",
+    preset: Union[str, Scenario],
+    noise: NoiseModel,
     dd: DdConfig | None = None,
-    noise: NoiseModel | None = None,
     t_grid=None,
     shots: int | None = None,
     n_realizations: int = 192,
@@ -810,10 +809,6 @@ def run_dd_experiment(
 
     With ``shots`` set, the scan is read out through ``model``.
     """
-    if noise is None:
-        noise = NoiseModel(
-            kind="ornstein-uhlenbeck", sigma_z=DD_SIGMA_Z_DEFAULT, tau_c=DD_TAU_C_DEFAULT
-        )
     if t_grid is None:
         t_grid = default_dd_grid(dd is not None)
     scan = run_scan(

@@ -42,7 +42,7 @@ class QfiEstimate:
     """A QFI value (us^2) with its provenance and statistical uncertainty."""
 
     value: float
-    method: str  # exact-fd | fidelity-fd | theta-phi-fit | monte-carlo
+    method: str  # exact-fd | theta-phi-fit | monte-carlo
     stderr: float = 0.0
     notes: tuple[str, ...] = ()
 
@@ -62,10 +62,11 @@ def qfi_exact(
     """QFI of a state family by central finite differences.
 
     The family is called once, on the three amplitudes omega - h, omega and
-    omega + h.  The state-derivative form is cross-checked against the
-    fidelity form I ~ 8 (1 - |<psi(w)|psi(w+h)>|) / h^2; a disagreement
-    beyond 1 percent (above a small absolute floor) raises ``QfiStepError``
-    with both values.
+    omega + h.  The step h defaults to 1e-4 max(|omega|, 2 pi x 0.1 MHz); an
+    analytic family may take a finer one.  The state-derivative form is
+    cross-checked against the fidelity form
+    I ~ 8 (1 - |<psi(w)|psi(w+h)>|) / h^2; a disagreement beyond 1 percent
+    (above a small absolute floor) raises ``QfiStepError`` with both values.
     """
     if h is None:
         h = 1e-4 * max(abs(omega), mhz_to_angular(0.1))

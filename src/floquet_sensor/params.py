@@ -111,9 +111,6 @@ class SignalParams:
         """Build a signal at given detuning from the sensor resonance."""
         return cls(omega_s_amp=omega_s_amp, omega_s_freq=sensor.omega_0 + delta)
 
-    def with_amp(self, omega_s_amp: float) -> "SignalParams":
-        return SignalParams(omega_s_amp=omega_s_amp, omega_s_freq=self.omega_s_freq)
-
 
 @dataclass(frozen=True)
 class FloquetDriveParams:

@@ -57,9 +57,8 @@ integrated directly.
   since ||A^m - B^m|| <= m ||A - B|| for unitaries, the m-period product
   keeps the rel_tol contract.  Where rel_tol / m would fall below 3e-13,
   which step doubling of one period cannot resolve above round-off, the
-  interval is integrated directly.  Without refinement U_T takes the
-  substep count of the direct path at rel_tol: n_T per period, the same for
-  every period piece.
+  interval is integrated directly.  Without refinement U_T is one period at
+  rel_tol: n_T substeps, the same for every period piece.
 - The power has a closed form (the Cayley-Klein parameters of SU(2)): with
   U_T = cos(a) I - i sin(a) n.sigma, a = atan2(|v|, w) and n = v/|v|,
   U_T^m = cos(m a) I - i sin(m a) n.sigma.  a and n do not depend on the
@@ -70,10 +69,13 @@ Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
 with offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
 the S scalar calls, bit for bit; a scalar call is the one-segment case of
 the same route.  The route rule splits each segment into pieces (a direct
-interval, or one period and an optional remainder).  With refinement each
-piece is step-doubled on its own; without refinement the pieces are grouped
-by substep count and run through passes widened to a leading piece axis, in
-blocks of at most ``_BLOCK`` substeps x batch members, so a scan's peak
+interval, or one period and an optional remainder), each with the tolerance
+it starts at.  One rule (``_initial_steps``) gives every piece of a call its
+starting substep count, and one pass routine (``_stepped_unitary``) runs
+them: the pieces are grouped by count and each group goes through it in
+blocks.  With refinement a block is one piece, step-doubled to its own
+tolerance; without, a block is a single pass widened to a leading piece
+axis, of at most ``_BLOCK`` substeps x batch members, so a scan's peak
 memory does not grow with its segment count.
 """
 
@@ -331,50 +333,44 @@ def _interval_unitary(spec: HamiltonianSpec, t0, t1, n: int, z_offsets) -> np.nd
     return total
 
 
-def _initial_steps(spec: HamiltonianSpec, duration, tol: float):
-    """Starting substep count for an interval of ``duration`` at tolerance ``tol``.
+def _initial_steps(spec: HamiltonianSpec, duration, tol):
+    """Starting substep counts for intervals of ``duration`` at tolerance ``tol``.
 
-    A constant spec takes one substep, whose exponential is exact.  Any
-    other spec takes a whole number n_T of substeps per period T = 2 pi/f0
-    of its fundamental: 8 (1e-6/tol_T)^(1/6) per period of the fastest tone
-    (the sixth-order error per substep falls as h^7), and at least 8 per
-    2 pi of the rotation-rate bound ``amplitude_scale``.  The errors of the
-    periods add up, so an interval of m >= 1 whole periods is resolved for
-    tol_T = tol / m per period, the tolerance of the stroboscopic route's
-    one-period piece.  An interval takes its length's share of n_T per
-    period.  A count within 1e-9 (relative) of an integer is not rounded
-    up, so every one-period piece takes exactly n_T substeps, whatever the
-    round-off in its length.
-
-    ``duration`` may be an array of interval lengths, which gives an int
-    array of counts: n_T is worked out once per distinct whole-period count
-    m, and the rest is one array expression.  A scalar gives an int.
+    ``duration`` is one interval length or an array of them, and ``tol`` one
+    tolerance or one per interval; the counts are an int array of the
+    lengths' shape.  A constant spec takes one substep, whose exponential is
+    exact.  Any other spec takes a whole number n_T of substeps per period
+    T = 2 pi/f0 of its fundamental: 8 (1e-6/tol_T)^(1/6) per period of the
+    fastest tone (the sixth-order error per substep falls as h^7), and at
+    least 8 per 2 pi of the rotation-rate bound ``amplitude_scale``.  The
+    errors of the periods add up, so an interval of m >= 1 whole periods is
+    resolved for tol_T = tol / m per period, the tolerance of the
+    stroboscopic route's one-period piece.  An interval takes its length's
+    share of n_T per period, and n_T is worked out once per distinct tol_T.
+    A count within 1e-9 (relative) of an integer is not rounded up, so every
+    one-period piece takes exactly n_T substeps, whatever the round-off in
+    its length.
     """
-    lengths = np.asarray(duration, dtype=float)
     f0 = spec.fundamental[0]
     if f0 == 0.0:
-        return 1 if lengths.ndim == 0 else np.ones(lengths.shape, dtype=int)
-    fastest, rate_bound = spec.max_frequency(), spec.amplitude_scale() * 8.0
-
-    def per_period(m: int) -> int:  # n_T at the period tolerance tol / m
-        per_tone = 8.0 * max(1.0, (1e-6 / max(tol / m, 1e-14)) ** (1.0 / 6.0))
-        return math.ceil(max(fastest * per_tone, rate_bound) / f0 * (1.0 - _SLACK))
-
+        return np.ones(np.shape(duration), dtype=int)
+    lengths = np.asarray(duration, dtype=float)
     periods = lengths * f0 / TWO_PI
-    if periods.ndim == 0:
-        n = periods * per_period(max(1, int(periods)))
-    else:
-        whole, where = np.unique(np.maximum(1, periods.astype(int)), return_inverse=True)
-        counts = np.array([per_period(m) for m in whole.tolist()])
-        n = periods * counts[where.reshape(periods.shape)]
+    tol_period = np.asarray(tol, dtype=float) / np.maximum(1, periods.astype(int))
+    fastest, rate_bound = spec.max_frequency(), spec.amplitude_scale() * 8.0
+    per_period = np.empty(tol_period.shape, dtype=int)  # n_T of each interval
+    for tol_t in set(tol_period.ravel().tolist()):
+        per_tone = 8.0 * max(1.0, (1e-6 / max(tol_t, 1e-14)) ** (1.0 / 6.0))
+        n_t = math.ceil(max(fastest * per_tone, rate_bound) / f0 * (1.0 - _SLACK))
+        per_period[tol_period == tol_t] = n_t
+    n = periods * per_period
     if np.any(n > 5e8):
         k = np.flatnonzero(n > 5e8)[0]
         raise PropagationError(
             f"interval of {lengths.flat[k]:g} us needs ~{n.flat[k]:.3g} substeps at this "
             "tolerance; spec is too oscillatory for the available resolution"
         )
-    steps = np.maximum(1, np.ceil(n * (1.0 - _SLACK))).astype(int)
-    return int(steps) if steps.ndim == 0 else steps
+    return np.maximum(1, np.ceil(n * (1.0 - _SLACK))).astype(int)
 
 
 def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) -> int:
@@ -395,24 +391,24 @@ def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) ->
     return m
 
 
-def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, tol: float,
+def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
                      z_offsets) -> np.ndarray:
-    """Direct quaternion propagator over [t0, t1]: step doubling until agreement to ``tol``.
+    """Quaternion propagator over [t0, t1] from a first pass of n substeps.
 
-    A constant spec takes its one exact exponential, with no doubling.
-    Doubling stops with ``PropagationError`` as soon as the residual fails to
-    shrink, since below the round-off floor further doublings only cost time,
-    and as soon as it is not a number, which no doubling mends.
-    The residual is the largest over the batch members, so they share one
-    substep count.
+    With ``tol`` None the first pass is the result.  Otherwise the substep
+    count doubles until two passes agree to ``tol``; a constant spec takes
+    its one exact exponential, with no doubling.  Doubling stops with
+    ``PropagationError`` as soon as the residual fails to shrink, since
+    below the round-off floor further doublings only cost time, and as soon
+    as it is not a number, which no doubling mends.  The residual is the
+    largest over the batch members, so they share one substep count.
     """
-    n = _initial_steps(spec, t1 - t0, tol)
     u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
-    if spec.fundamental[0] == 0.0:
+    if tol is None or spec.fundamental[0] == 0.0:
         return u_prev
     residual = math.inf
     for _ in range(24):
-        n *= 2
+        n = 2 * n  # not in place: n may be the caller's array
         if (t1 - t0) / n < 1e-13:
             raise PropagationError(
                 f"substep size underflow on [{t0:g}, {t1:g}] us before reaching "
@@ -484,8 +480,9 @@ def interval_unitary(
     _require_finite("interval bound t1", t1)
     _require_finite("z_offsets", rows)
     # the route rule per segment, as pieces (start, end, tolerance, segment):
-    # heads holds each moving segment's direct interval or one period (at
-    # rel_tol / m), in order; tails the remainders of the heads in ``rest``
+    # heads holds each moving segment's direct interval or one period, in
+    # order; tails the remainders of the heads in ``rest``.  A refined period
+    # piece starts at rel_tol / m, every other piece at rel_tol
     heads, tails, moving, strobe, rest = [], [], [], {}, []
     for seg, (a, b) in enumerate(bounds):
         if a == b:
@@ -504,16 +501,13 @@ def interval_unitary(
         if b - t_mid > 16.0 * math.ulp(b):
             rest.append(len(heads))
             tails.append((t_mid, b, opts.rel_tol, seg))
-        heads.append((a, a + period, opts.rel_tol / m, seg))
+        heads.append((a, a + period, opts.rel_tol / m if opts.adaptive else opts.rel_tol, seg))
     us = _piece_unitaries(spec, heads + tails, opts, rows)
     u = us[:len(heads)]
-    # one piece is indexed by an integer: list indexing costs microseconds
     for m, k in strobe.items():
-        k = k[0] if len(k) == 1 else k
         u[k] = _quat_power(u[k], m)
     if rest:
-        k, tail = (rest[0], us[-1]) if len(rest) == 1 else (rest, us[len(heads):])
-        u[k] = _quat_mul(tail, u[k])
+        u[rest] = _quat_mul(us[len(heads):], u[rest])
     if len(moving) < len(bounds):  # zero-length segments take the identity
         out = np.zeros((len(bounds),) + u.shape[1:])
         out[..., 0] = 1.0
@@ -525,32 +519,34 @@ def interval_unitary(
 def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
     """Quaternion propagators of the P pieces (start, end, tol, segment), (P, ..., 4).
 
-    ``rows[segment]`` holds the offsets of a piece.  With
-    ``opts.adaptive`` each piece is refined to its tolerance on its own.
-    Otherwise pieces are grouped by substep count n, and each group is passed
-    to ``_interval_unitary`` in blocks of at most ``_BLOCK`` substeps x batch
-    members (at least one piece per block).  The bounds take one unit axis
-    per batch axis of the offsets; a block of one piece is indexed by an
-    integer, so its bounds drop the piece axis.
+    ``rows[segment]`` holds the offsets of a piece, and ``tol`` the tolerance
+    its substep count n starts from.  The pieces are grouped by n, in the
+    order of each group's first piece, and every block of a group goes
+    through ``_stepped_unitary``.  With ``opts.adaptive`` a block is one
+    piece at its own scalar bounds, refined to its own tolerance.  Otherwise
+    it is a single pass over at most ``_BLOCK`` substeps x batch members (at
+    least one piece), whose bounds take a leading piece axis and one unit
+    axis per batch axis of the offsets.
     """
     batch = rows.shape[1:]
-    us = np.empty((len(pieces),) + batch + (4,))
-    if opts.adaptive or not pieces:  # no pieces: the loop returns the empty stack
-        for k, (a, b, tol, seg) in enumerate(pieces):
-            us[k] = _stepped_unitary(spec, a, b, tol, rows[seg])
-        return us
-    a, b, _, seg = zip(*pieces)
-    a, b = np.array(a), np.array(b)
-    steps = _initial_steps(spec, b - a, opts.rel_tol)
+    a, b, tol, seg = np.array(pieces, dtype=float).reshape(-1, 4).T
+    steps = _initial_steps(spec, b - a, tol)
     unit = (...,) + (None,) * len(batch)
-    a, b, z = a[unit], b[unit], rows[list(seg)]  # offsets per piece
-    for n in np.unique(steps).tolist():
-        group = np.flatnonzero(steps == n)
-        per_block = max(1, _BLOCK // (n * max(1, math.prod(batch))))
-        for start in range(0, group.size, per_block):
-            idx = group[start:start + per_block]
-            k = idx[0] if idx.size == 1 else idx
-            us[k] = _interval_unitary(spec, a[k], b[k], n, z[k])
+    a, b, seg = a[unit], b[unit], seg.astype(int)
+    members = max(1, math.prod(batch))
+    us = np.empty((len(pieces),) + batch + (4,))
+    groups = {}  # piece indices by count, in the order of each count's first piece
+    for k, n in enumerate(steps.tolist()):
+        groups.setdefault(n, []).append(k)
+    for n, group in groups.items():
+        if opts.adaptive:  # one piece a block, at its own bounds and tolerance
+            blocks = [(k, *pieces[k]) for k in group]
+        else:  # one pass a block, over a leading piece axis
+            size, group = max(1, _BLOCK // (n * members)), np.array(group)
+            blocks = [(k, a[k], b[k], None, seg[k])
+                      for k in (group[i:i + size] for i in range(0, group.size, size))]
+        for k, t0, t1, refine, segs in blocks:
+            us[k] = _stepped_unitary(spec, t0, t1, n, refine, rows[segs])
     return us
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -503,7 +504,10 @@ def _rebuilt_family(scenario, t):
     """The state family one amplitude at a time, each evolved on the spec
     rebuilt at its amplitude: the per-amplitude loop that ``Scenario.states``
     batches, kept as its oracle."""
-    return lambda amps: np.array([evolve(scenario.rotating_spec(float(w)), (1, 0), [t],
+    def rebuilt(w):
+        return replace(scenario, signal=replace(scenario.signal, omega_s_amp=float(w)))
+
+    return lambda amps: np.array([evolve(rebuilt(w).rotating_spec(), (1, 0), [t],
                                          ORACLE_OPTS)[-1] for w in amps])
 
 

@@ -142,10 +142,14 @@ def test_pipeline_noiseless_resonant_reaches_quadratic():
 
 def test_pipeline_zero_dependence_scenario():
     fixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    est = qfi_pipeline(
-        lambda amps: np.tile(fixed, (len(amps), 1)), default_omega_grid(TP * 0.5),
-        omega_center=TP * 0.5,
-    )
+    grid = default_omega_grid(TP * 0.5)
+    with pytest.warns(UserWarning, match=r"^phi degenerate at grid point \d+$") as notes:
+        est = qfi_pipeline(
+            lambda amps: np.tile(fixed, (len(amps), 1)), grid, omega_center=TP * 0.5,
+        )
+    # the state does not move, so every grid point is noted as degenerate
+    assert [str(n.message) for n in notes] == [
+        f"phi degenerate at grid point {i}" for i in range(len(grid))]
     assert abs(est.value) < 1e-9
 
 
@@ -175,14 +179,17 @@ def test_pipeline_error_shrinks_with_shots():
     w0 = TP * 0.5
     grid = default_omega_grid(w0)
     spreads = []
-    for shots in (10_000, 1_000_000):
-        est = qfi_pipeline(
-            resonant_family(2.0),
-            grid,
-            mc=MonteCarloConfig(shots=shots, repeats=16, seed=6),
-            omega_center=w0,
-        )
-        spreads.append(est.stderr)
+    # at 10,000 shots half of the repeats leave a phi fit note
+    with pytest.warns(UserWarning, match=r"^8 fit notes over 16 repeats$") as notes:
+        for shots in (10_000, 1_000_000):
+            est = qfi_pipeline(
+                resonant_family(2.0),
+                grid,
+                mc=MonteCarloConfig(shots=shots, repeats=16, seed=6),
+                omega_center=w0,
+            )
+            spreads.append(est.stderr)
+    assert len(notes) == 1
     assert spreads[1] < 0.3 * spreads[0]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -215,6 +216,19 @@ def test_step_doubling_stall_fails_fast():
     assert time.perf_counter() - start < 5.0
 
 
+def test_stalled_segment_named_by_its_bounds():
+    # a refined call over segment bounds, with a batch of offsets per
+    # segment, refines each piece on its own, and a piece that stalls names
+    # its segment's bounds as numbers
+    spec = make_preset("fds-k5").rotating_spec()
+    period = TP / spec.fundamental[0]
+    t0, t1 = np.array([0.2, 0.5]), np.array([0.2, 0.5 + period])  # the first does not move
+    z = np.random.default_rng(9).normal(scale=0.1, size=(2, 3))
+    with pytest.raises(PropagationError,
+                       match=re.escape(f"stalled on [{t0[1]:g}, {t1[1]:g}] us")):
+        interval_unitary(spec, t0, t1, PropagatorOptions(rel_tol=1e-17), z_offsets=z)
+
+
 # ------------------------------------------------------ stroboscopic route
 
 def _unitarity_defect(u):
@@ -224,7 +238,7 @@ def _unitarity_defect(u):
 def _direct(spec, t0, t1, opts, tol, z=0.0):
     """Direct quaternion propagator of one interval: step doubling, or one fixed pass."""
     if opts.adaptive:
-        return _stepped_unitary(spec, t0, t1, tol, z)
+        return _stepped_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, tol), tol, z)
     return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts.rel_tol), z)
 
 
@@ -545,8 +559,10 @@ def test_sigma_x_offsets_match_rebuilt_specs(opts):
         for t in (0.3, 1.0, 4.0):
             u = interval_unitary(sc.rotating_spec(), 0.0, t, opts, 0.5j * (amps - om))
             assert u.shape == (amps.size, 2, 2)
-            rebuilt = np.stack([interval_unitary(sc.rotating_spec(w), 0.0, t, opts)
-                                for w in amps])
+            rebuilt = np.stack([
+                interval_unitary(replace(sc, signal=replace(sc.signal, omega_s_amp=w))
+                                 .rotating_spec(), 0.0, t, opts)
+                for w in amps])
             worst = max(worst, float(np.max(np.abs(u - rebuilt))))
     assert worst <= 1e-13
 
@@ -603,8 +619,9 @@ def test_non_finite_offsets_rejected(pass_cap, opts, offsets):
 
 def test_non_finite_residual_stops_step_doubling(pass_cap):
     spec = make_preset("fds-k5").rotating_spec()
+    tol = ORACLE_OPTS.rel_tol
     with pytest.raises(PropagationError, match="not a number"):
-        _stepped_unitary(spec, 0.0, 1.0, ORACLE_OPTS.rel_tol, math.nan)
+        _stepped_unitary(spec, 0.0, 1.0, _initial_steps(spec, 1.0, tol), tol, math.nan)
     assert len(pass_cap) == 2
     pass_cap.clear()
     nan_tone = HamiltonianSpec(Frame.SIGNAL_ROTATING,
@@ -625,7 +642,8 @@ def test_stroboscopic_route_matches_direct_kernel(preset, freq_error_mhz, t):
     f0, defect = spec.fundamental
     assert t * f0 / TP > 2.0
     u = interval_unitary(spec, 0.0, t, ORACLE_OPTS)
-    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, ORACLE_OPTS.rel_tol, 0.0))
+    tol = ORACLE_OPTS.rel_tol
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, t, _initial_steps(spec, t, tol), tol, 0.0))
     assert np.max(np.abs(u - direct)) <= 1e-10
     # drive frequencies are exact multiples of omega_F, so every point takes the
     # route (frequencies built as omega_s - (omega_s - l omega_F) missed l*f0 by
@@ -667,9 +685,10 @@ def test_stroboscopic_route_falls_back_bit_identically():
         f0, defect = spec.fundamental
         m = int((t1 - t0) * f0 / TP)
         assert m < 2 or defect > 0.1 * f0 or opts.rel_tol / m < 1e-13
+        n = _initial_steps(spec, t1 - t0, opts.rel_tol)
         assert np.array_equal(
             interval_unitary(spec, t0, t1, opts),
-            _quat_matrix(_stepped_unitary(spec, t0, t1, opts.rel_tol, 0.0)),
+            _quat_matrix(_stepped_unitary(spec, t0, t1, n, opts.rel_tol, 0.0)),
         )
 
 
@@ -689,7 +708,8 @@ def test_stroboscopic_remainder_at_period_multiple():
     period = TP / spec.fundamental[0]
     opts = PropagatorOptions(rel_tol=1e-9)
     u = interval_unitary(spec, 0.0, 3 * period, opts)
-    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, opts.rel_tol, 0.0))
+    n = _initial_steps(spec, 3 * period, opts.rel_tol)
+    direct = _quat_matrix(_stepped_unitary(spec, 0.0, 3 * period, n, opts.rel_tol, 0.0))
     assert np.max(np.abs(u - direct)) <= 1e-9
 
 
@@ -767,6 +787,33 @@ def test_segments_split_into_blocks(passes):
     assert sum(n * d.size for n, d in passes) == sum(
         propagator._initial_steps(spec, d, SCAN_OPTS.rel_tol) for d in t1 - t0
     )
+
+
+def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
+    # every piece of a call takes its starting count from one call of the
+    # step rule, refined or not, and the groups of equal counts run in the
+    # order of their first piece
+    rule = propagator._initial_steps
+    calls = []
+
+    def counted(spec, duration, tol):
+        calls.append(np.size(duration))
+        return rule(spec, duration, tol)
+
+    monkeypatch.setattr(propagator, "_initial_steps", counted)
+    spec = make_preset("fds-k5").rotating_spec()
+    interval_unitary(spec, 0.0, 4.0, ORACLE_OPTS)  # one period and a remainder
+    assert calls == [2]
+    calls.clear()
+    passes.clear()
+    t0 = np.array([0.0, 0.1, 0.2, 0.3])
+    t1 = t0 + np.array([0.04, 0.01, 0.04, 0.02])  # direct pieces, under two periods
+    assert not any(propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0)
+    interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=np.zeros((t0.size, 2)))
+    assert calls == [t0.size]
+    counts = [int(rule(spec, d, SCAN_OPTS.rel_tol)) for d in t1 - t0]
+    assert counts[0] > counts[3] > counts[1]
+    assert [n for n, _ in passes] == [counts[0], counts[1], counts[3]]
 
 
 @pytest.mark.parametrize("preset, dd", [("dd-off", None), ("dd-on", DdConfig())])
