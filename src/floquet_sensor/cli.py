@@ -178,6 +178,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fmt_column(values) -> list[str]:
+    """``_fmt`` of every entry of one table column.  A float array is
+    formatted as a whole, ``float.__repr__`` over its ``tolist()``: the same
+    text at a fraction of the per-entry cost."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return list(map(float.__repr__, values.tolist()))
+    return [_fmt(v) for v in values]
+
+
 class ResultBundle:
     """Summary document plus named tables, written as JSON + CSV files."""
 
@@ -190,19 +199,23 @@ class ResultBundle:
             "seed": seed,
             "config": config,
         }
-        self.tables: list[tuple[str, list[str], list[list]]] = []
+        self.tables: list[tuple[str, list[str], list]] = []
 
-    def add_table(self, name: str, header: list[str], rows: list[list]):
-        self.tables.append((name, header, rows))
+    def add_table(self, name: str, header: list[str], columns: list):
+        """A table given by its columns, one per header entry: each a sequence
+        of values, all of one length, or one string that fills every row of
+        its column."""
+        self.tables.append((name, header, columns))
 
     def write(self, out_dir: Path, formats: tuple[str, ...]) -> list[Path]:
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         if "csv" in formats:
-            for name, header, rows in self.tables:
+            for name, header, columns in self.tables:
                 path = out_dir / f"{self.command}_{name}.csv"
-                lines = [",".join(header)]
-                lines += [",".join(_fmt(v) for v in row) for row in rows]
+                n = next(len(c) for c in columns if not isinstance(c, str))
+                cells = [[c] * n if isinstance(c, str) else _fmt_column(c) for c in columns]
+                lines = [",".join(header), *map(",".join, zip(*cells))]
                 path.write_text("\n".join(lines) + "\n")
                 written.append(path)
         if "json" in formats:
@@ -400,8 +413,8 @@ def rabi(ctx):
     bundle = ResultBundle("rabi", cfg.data, seed)
     for name, sc in scenarios:
         scan = run_scan(sc, t_grid, shots=shots, seed=seed, model=model)
-        rows = [[name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)]
-        bundle.add_table(name, ["series", "t_us", "p0", "p0_stderr"], rows)
+        bundle.add_table(name, ["series", "t_us", "p0", "p0_stderr"],
+                         [name, scan.times, scan.p0, scan.stderr])
         bundle.summary.setdefault("contrast_by_preset", {})[name] = float(
             np.max(scan.p0) - np.min(scan.p0)
         )
@@ -423,12 +436,12 @@ def qfi(ctx):
     cfg.done()
     bundle = ResultBundle("qfi", cfg.data, seed)
     for name, sc in scenarios:
-        rows = [[name, r.t, r.qfi, r.stderr, r.qfi_over_t2, r.qfi_exact]
-                for r in run_qfi_scaling(sc, t_grid, mc=mc, model=model)]
+        rows = np.array([[r.t, r.qfi, r.stderr, r.qfi_over_t2, r.qfi_exact]
+                         for r in run_qfi_scaling(sc, t_grid, mc=mc, model=model)])
         bundle.add_table(
             name,
             ["series", "t_us", "qfi_us2", "qfi_stderr_us2", "qfi_over_t2", "qfi_exact_us2"],
-            rows,
+            [name, *rows.T],
         )
     _finish(cfg, bundle)
 
@@ -453,11 +466,10 @@ def effective(ctx):
     bundle.summary["validity_ratio"] = ratio
     bundle.summary["sigma_x_coeff_mhz"] = angular_to_mhz(cx)
     bundle.summary["sigma_z_coeff_mhz"] = angular_to_mhz(cz)
-    rows = []
-    for l in range(1, drive.harmonics + 1):
-        partial = FloquetDriveParams(drive.omega_F_amp, drive.omega_F_freq, l)
-        rows.append([l, angular_to_mhz(quasi_energy_shift(partial))])
-    bundle.add_table("shift_by_harmonic", ["harmonics", "shift_mhz"], rows)
+    harmonics = range(1, drive.harmonics + 1)
+    shifts = [angular_to_mhz(quasi_energy_shift(
+        FloquetDriveParams(drive.omega_F_amp, drive.omega_F_freq, l))) for l in harmonics]
+    bundle.add_table("shift_by_harmonic", ["harmonics", "shift_mhz"], [harmonics, shifts])
     click.echo(f"quasi-energy shift: {angular_to_mhz(shift):.6f} MHz")
     click.echo(f"residual detuning:  {angular_to_mhz(delta - shift):.6f} MHz")
     click.echo(f"validity ratio:     {ratio:.2f}")
@@ -491,14 +503,11 @@ def robustness(ctx):
         res = run_robustness_sweep(
             _ROBUSTNESS_AXES[name], grid=grid, preset=sc, n_workers=threads, **sweep_time,
         )
-        rows = [
-            [name, angular_to_mhz(e), q, res.baseline]
-            for e, q in zip(res.errors, res.qfi_fds)
-        ]
         bundle.add_table(
             name,
             ["series", "error_mhz", "qfi_fds_us2", "qfi_ods_baseline_us2"],
-            rows,
+            [name, angular_to_mhz(res.errors), res.qfi_fds,
+             np.full(res.errors.size, res.baseline)],
         )
         bundle.summary.setdefault("advantage_interval_mhz", {})[name] = {
             "low": angular_to_mhz(res.interval[0]),
@@ -519,11 +528,13 @@ def sensitivity_curves(ctx):
     readout, sensor = _readout_model(cfg), _sensor(cfg)
     cfg.done()
     bundle = ResultBundle("sensitivity", cfg.data, seed)
-    rows = []
+    series, times, etas = [], [], []
     for t2 in t2_values:
         opt = optimal_sensing_time(t2, readout, sensor)
         for t in np.linspace(0.1 * t2, 3.0 * t2, 60):
-            rows.append([f"T2={t2:g}us", t, sensitivity(t, t2, readout, sensor)])
+            series.append(f"T2={t2:g}us")
+            times.append(t)
+            etas.append(sensitivity(t, t2, readout, sensor))
         bundle.summary.setdefault("by_t2", {})[f"{t2:g}"] = {
             "eta_at_t2_nt_per_sqrthz": opt.eta_at_t2,
             "t_opt_us": opt.t_opt,
@@ -533,7 +544,7 @@ def sensitivity_curves(ctx):
             f"T2 = {t2:g} us: eta(T2) = {opt.eta_at_t2:.1f} nT/sqrt(Hz), "
             f"optimum {opt.eta_opt:.1f} at t = {opt.t_opt:.2f} us"
         )
-    bundle.add_table("curves", ["series", "t_us", "eta_nt_per_sqrthz"], rows)
+    bundle.add_table("curves", ["series", "t_us", "eta_nt_per_sqrthz"], [series, times, etas])
     _finish(cfg, bundle)
 
 
@@ -560,8 +571,8 @@ def dd(ctx):
         scan, fit = run_dd_experiment(
             sc, dd=ddcfg, noise=noise, shots=shots, seed=seed, model=model, **scan_keys,
         )
-        rows = [[name, t, p, e] for t, p, e in zip(scan.times, scan.p0, scan.stderr)]
-        bundle.add_table(name, ["series", "t_us", "p0", "p0_stderr"], rows)
+        bundle.add_table(name, ["series", "t_us", "p0", "p0_stderr"],
+                         [name, scan.times, scan.p0, scan.stderr])
         bundle.summary.setdefault("fits", {})[name] = {
             "t2_us": fit.T2,
             "t2_is_lower_bound": fit.t2_is_lower_bound,

@@ -9,14 +9,24 @@ under the names the command-line interface exposes; one table,
 sorted event list: the scan's grid times merged with the Carr-Purcell pulse
 instants of ``DdConfig.pulse_times``.  The detuning noise is held constant
 over each segment between adjacent events (the correlation time is far
-longer than any segment), so the propagators of all segments and
-realizations come from one fixed-resolution ``interval_unitary`` call over
-the segment axis (memory bounded by the propagator's block size).  The walk
-(``_walk``) has no loop over events: it reads the segment propagators back
-as quaternions, interleaves the pi pulses (instantaneous rotations about the
-drive's micromotion-dressed x axis, all dressed in one vectorized call), takes
-every running product in one work-efficient prefix product and reads the
-populations at the grid times from the quaternions.
+longer than any segment).  The segment propagators take one of two routes:
+
+- A noisy scan, or one of a constant or non-periodic spec, propagates all
+  segments and realizations in one fixed-resolution ``interval_unitary``
+  call over the segment axis (memory bounded by the propagator's block
+  size).
+- A noiseless scan of a periodic spec (every offset zero; a zero-amplitude
+  ensemble counts) folds its events into one drive period
+  (``_folded_segments``): every event is anchored at t = 0 through the
+  pieces of one period and a closed-form power of it, so the scan keeps
+  the rel_tol of ``SCAN_OPTS`` however many segments it has, and its
+  identical realizations share the result.
+
+The walk (``_walk``) has no loop over events: it reads the segment
+propagators back as quaternions, interleaves the pi pulses (instantaneous
+rotations about the drive's micromotion-dressed x axis, all dressed in one
+vectorized call), takes every running product in one work-efficient prefix
+product and reads the populations at the grid times from the quaternions.
 """
 
 from __future__ import annotations
@@ -59,8 +69,12 @@ from .params import (
 )
 from .propagator import (
     PropagatorOptions,
+    _matrix_quat,
+    _periods,
     _quat_exp,
+    _quat_matrix,
     _quat_mul,
+    _quat_power,
     _quat_prefix,
     _require_finite,
     interval_unitary,
@@ -260,6 +274,7 @@ class NoiseModel:
 # the pi rotation exp(-i (pi/2) sigma_x) = -i sigma_x as a quaternion (w, x, y, z)
 _X_PULSE = np.array([0.0, 1.0, 0.0, 0.0])
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _pulse_quaternions(scenario: Scenario, times) -> np.ndarray:
@@ -294,10 +309,9 @@ def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
     n_seg, n_real = u.shape[:2]
     pulses_upto = np.cumsum(is_pulse)  # pulses at or before each event
     factors = np.empty((1 + n_seg + len(pulses), n_real, 4))
-    factors[0] = (1.0, 0.0, 0.0, 0.0)
-    u00, u10 = u[:, :, 0, 0], u[:, :, 1, 0]
+    factors[0] = _IDENTITY
     seg = 1 + np.arange(n_seg) + pulses_upto[:-1]
-    factors[seg] = np.stack([u00.real, -u10.imag, u10.real, -u00.imag], axis=-1)
+    factors[seg] = _matrix_quat(u)
     at = np.flatnonzero(is_pulse)
     factors[at + pulses_upto[at]] = pulses[:, None]
     grid = np.flatnonzero(is_grid)
@@ -305,6 +319,45 @@ def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     odd = (pulses_upto[grid] % 2 == 1)[:, None]
     return np.where(odd, x * x + y * y, w * w + z * z)
+
+
+def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | None:
+    """Propagators (S, 2, 2) of the S segments between the events of a
+    noiseless scan, from one folded drive period; None where the spec is
+    constant, or fails the periodicity or round-off rule of the
+    stroboscopic route (``propagator._periods``) over the scan.
+
+    ``events`` are strictly increasing from 0.  With T the drive period,
+    every event is anchored at t = 0: U(e, 0) = U(r_e, 0) U_T^m_e, with
+    m_e = floor(e/T) and r_e = e - m_e T.  The period [0, T] is cut at the
+    sorted remainders, and the pieces take one fixed-resolution
+    ``interval_unitary`` call at the period tolerance rel_tol / m_max of
+    the route.  One prefix product of the pieces gives every U(r_e, 0), and
+    its last product is U_T; one closed-form power raises U_T to every m_e.
+    The segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger telescope, so the
+    scan's error does not grow with its segment count.
+    """
+    # the refined route's rule, so that rel_tol / m_max stays above round-off
+    m_max = _periods(spec, float(events[-1]), PropagatorOptions(SCAN_OPTS.rel_tol))
+    if m_max == 0:
+        return None
+    period = TWO_PI / spec.fundamental[0]
+    whole = np.floor(events / period)
+    rest = np.clip(events - whole * period, 0.0, period)  # round-off may leave [0, T]
+    # the cuts, in order from the remainder 0 of the event at t = 0 to T; a
+    # piece between equal cuts takes the identity
+    order = np.argsort(rest, kind="stable")
+    cuts = np.append(rest[order], period)
+    pieces = interval_unitary(
+        spec, cuts[:-1], cuts[1:], PropagatorOptions(SCAN_OPTS.rel_tol / m_max, adaptive=False),
+        z_offsets=np.zeros((events.size, 1)),
+    )
+    anchors = _quat_prefix(_matrix_quat(pieces[:, 0]))  # U(cut, 0) of cuts[1:]
+    anchored = np.empty((events.size, 4))
+    anchored[order[0]] = _IDENTITY
+    anchored[order[1:]] = anchors[:-1]
+    anchored = _quat_mul(anchored, _quat_power(anchors[-1], whole.astype(int)))
+    return _quat_matrix(_quat_mul(anchored[1:], anchored[:-1] * _CONJUGATE))
 
 
 @dataclass(frozen=True)
@@ -339,8 +392,16 @@ def run_scan(
     With ``shots`` set, each grid point is additionally read out through the
     Poisson photon-count model (shots spread evenly over realizations).
     ``seed`` seeds both the noise and the readout streams; None is rejected
-    rather than drawing fresh OS entropy.  Segments are integrated at
-    ``SCAN_OPTS``.
+    rather than drawing fresh OS entropy.
+
+    Segments are integrated at ``SCAN_OPTS``.  Where every offset is zero
+    and the spec is periodic (``_folded_segments``), each event e is anchored
+    at t = 0, U(e, 0) = U(r_e, 0) U_T^m_e with m_e whole drive periods and
+    remainder r_e, all from one folded period at rel_tol / m_max, and the
+    segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger enter the walk; so a
+    noiseless scan stays within rel_tol at every grid time.  Otherwise the
+    segments are propagated one by one, each to rel_tol, in one batched
+    call.
     """
     scenario = resolve_scenario(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -368,11 +429,14 @@ def run_scan(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     offsets = noise.sample_segments(mids, n_real, rng)  # detuning, rad/us
 
-    # events are strictly increasing, so every segment has t1 > t0
-    u = interval_unitary(
-        scenario.rotating_spec(), events[:-1], events[1:], SCAN_OPTS,
-        z_offsets=0.5 * offsets.T,
-    )
+    spec = scenario.rotating_spec()
+    folded = None if offsets.any() else _folded_segments(spec, events)
+    if folded is not None:  # the identical realizations share it
+        u = np.broadcast_to(folded[:, None], (mids.size, n_real, 2, 2))
+    else:
+        # events are strictly increasing, so every segment has t1 > t0
+        u = interval_unitary(spec, events[:-1], events[1:], SCAN_OPTS,
+                             z_offsets=0.5 * offsets.T)
     p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
 
     p0_mean = p0_real.mean(axis=1)

@@ -76,7 +76,9 @@ them: the pieces are grouped by count and each group goes through it in
 blocks.  With refinement a block is one piece, step-doubled to its own
 tolerance; without, a block is a single pass widened to a leading piece
 axis, of at most ``_BLOCK`` substeps x batch members, so a scan's peak
-memory does not grow with its segment count.
+memory does not grow with its segment count.  The period pieces of a call
+are then raised to their powers m in one ``_quat_power`` call, which takes
+an array of exponents.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ def _as_numbers(values) -> np.ndarray:
     return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
 
 
-def _require_finite(name: str, values) -> None:
-    """Raise ``ValueError`` naming ``name`` if any of ``values`` is NaN or infinite."""
-    values = _as_numbers(values)
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``name`` if any entry of the array ``values``
+    is NaN or infinite."""
     finite = np.isfinite(values)
     if not finite.all():
         bad = values[~finite] if values.ndim else values
@@ -210,18 +212,21 @@ def _quat_prefix(qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quat_power(u: np.ndarray, m: int) -> np.ndarray:
+def _quat_power(u: np.ndarray, m) -> np.ndarray:
     """U^m = cos(m a) I - i sin(m a) n.sigma for U = cos(a) I - i sin(a) n.sigma.
 
-    a = atan2(|v|, w) and n = v/|v| do not depend on the norm of (w, v), so
-    the power is unit to round-off even where u carries a norm defect;
-    |v| = 0 gives cos(m a) I.
+    ``m`` is one integer or an integer array that broadcasts against the
+    leading shape of ``u``; the result has the broadcast shape, and each
+    entry is the bits of the scalar call at its exponent.  a = atan2(|v|, w)
+    and n = v/|v| do not depend on the norm of (w, v), so the power is unit
+    to round-off even where u carries a norm defect; |v| = 0 gives cos(m a) I.
     """
     w, v = u[..., 0], u[..., 1:]
     vn = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
     angle = m * np.arctan2(vn, w)
+    vn = np.broadcast_to(vn, angle.shape)
     scale = np.divide(np.sin(angle), vn, out=np.zeros_like(vn), where=vn > 0.0)
-    out = np.empty_like(u)
+    out = np.empty(angle.shape + (4,))
     out[..., 0] = np.cos(angle)
     out[..., 1:] = v * scale[..., None]
     return out
@@ -236,6 +241,13 @@ _TO_MATRIX[[0, 3, 2, 1, 2, 1, 0, 3], range(8)] = [1, -1, -1, -1, 1, -1, 1, 1]
 def _quat_matrix(u: np.ndarray) -> np.ndarray:
     """Complex 2x2 matrices [[w - iz, -y - ix], [y - ix, w + iz]] of quaternions u."""
     return (u @ _TO_MATRIX).view(complex).reshape(u.shape[:-1] + (2, 2))
+
+
+def _matrix_quat(u: np.ndarray) -> np.ndarray:
+    """Quaternions (..., 4) of complex SU(2) matrices u, (..., 2, 2): the exact
+    inverse of ``_quat_matrix``, w = Re u00, x = -Im u10, y = Re u10, z = -Im u00."""
+    u00, u10 = u[..., 0, 0], u[..., 1, 0]
+    return np.stack([u00.real, -u10.imag, u10.real, -u00.imag], axis=-1)
 
 
 def _pauli_exp(q: np.ndarray) -> np.ndarray:
@@ -465,8 +477,9 @@ def interval_unitary(
     scalar calls, bit for bit; a scalar call is the one-segment case.
     """
     segments = bool(np.ndim(t0) or np.ndim(t1))
+    # each input converted once, and that conversion checked
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     if segments:
-        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
         rows = None if z_offsets is None else _as_numbers(z_offsets)
         if (t0.ndim != 1 or t1.shape != t0.shape or rows is None or rows.ndim != 2
                 or rows.shape[0] != t0.size):
@@ -474,7 +487,7 @@ def interval_unitary(
                              "z_offsets shape (S, r)")
         bounds = list(zip(t0.tolist(), t1.tolist()))
     else:
-        bounds = [(float(t0), float(t1))]
+        bounds = [(t0.item(), t1.item())]
         rows = _as_numbers(0.0 if z_offsets is None else z_offsets)[None]
     _require_finite("interval bound t0", t0)
     _require_finite("interval bound t1", t1)
@@ -483,7 +496,7 @@ def interval_unitary(
     # heads holds each moving segment's direct interval or one period, in
     # order; tails the remainders of the heads in ``rest``.  A refined period
     # piece starts at rel_tol / m, every other piece at rel_tol
-    heads, tails, moving, strobe, rest = [], [], [], {}, []
+    heads, tails, moving, strobe, powers, rest = [], [], [], [], [], []
     for seg, (a, b) in enumerate(bounds):
         if a == b:
             continue
@@ -496,7 +509,8 @@ def interval_unitary(
             continue
         period = TWO_PI / spec.fundamental[0]
         t_mid = a + m * period
-        strobe.setdefault(m, []).append(len(heads))
+        strobe.append(len(heads))
+        powers.append(m)
         # a remainder within round-off of t0 + mT is skipped
         if b - t_mid > 16.0 * math.ulp(b):
             rest.append(len(heads))
@@ -504,8 +518,8 @@ def interval_unitary(
         heads.append((a, a + period, opts.rel_tol / m if opts.adaptive else opts.rel_tol, seg))
     us = _piece_unitaries(spec, heads + tails, opts, rows)
     u = us[:len(heads)]
-    for m, k in strobe.items():
-        u[k] = _quat_power(u[k], m)
+    if strobe:
+        u[strobe] = _quat_power(u[strobe], np.reshape(powers, (-1,) + (1,) * (u.ndim - 2)))
     if rest:
         u[rest] = _quat_mul(us[len(heads):], u[rest])
     if len(moving) < len(bounds):  # zero-length segments take the identity

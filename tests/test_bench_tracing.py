@@ -45,16 +45,20 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
 
     try:
         propagator._interval_unitary = counted
-        # fixed-resolution blocks of pieces x realizations, then the
+        # fixed-resolution blocks of pieces x realizations, the pieces of
+        # the one folded drive period of a noiseless scan, then the
         # step-doubled scalar calls of the exact-QFI oracle
         run_scan("dd-on", np.arange(0.5, 6.0 + 1e-9, 0.5),
                  noise=NoiseModel("ornstein-uhlenbeck", 0.7), dd=DdConfig(),
                  n_realizations=3, seed=0)
+        noisy = len(seen)
+        run_scan("fds-k5", np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10))
+        folded = len(seen) - noisy
         make_preset("fds-k5").exact_qfi(1.0)
     finally:
         tracer.restore()  # rebinds the kernel itself
     assert propagator._interval_unitary is propagator_kernel
-    assert len({members for _, members in seen}) > 1
+    assert folded > 0 and len({members for _, members in seen}) > 1
     metrics = tracer.layer_metrics()
     assert metrics["propagator.passes"] == len(seen)
     assert metrics["propagator.substeps"] == sum(n * members for n, members in seen)

@@ -4,7 +4,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from floquet_sensor.cli import _CONFIG_SCHEMA, _ConfigReader, main
+from floquet_sensor import cli
+from floquet_sensor.cli import _CONFIG_SCHEMA, _ConfigReader, _fmt, main
 
 TINY_GRID = [0.5, 1.0, 1.5, 2.0]
 
@@ -585,3 +586,48 @@ def test_calibrate_uses_physical_overrides(tmp_path, monkeypatch):
     preset = seen["preset"]
     assert preset.name == "dd-off"
     assert preset.signal.omega_s_amp == pytest.approx(2.0 * math.pi * 0.2)
+
+
+def _row_wise_csv(header, columns):
+    """A table's CSV text formatted one cell at a time, as rows of ``_fmt``."""
+    n = next(len(c) for c in columns if not isinstance(c, str))
+    rows = [[c if isinstance(c, str) else c[i] for c in columns] for i in range(n)]
+    return "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row)
+                                            for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--shots", "3000", "rabi"], {"run": {"t_grid_us": TINY_GRID}}),
+    (["rabi"], {"run": {"t_grid_us": TINY_GRID, "presets": ["fds-k3", "ods-detuned"]}}),
+    (["qfi"], {"run": {"t_grid_us": [0.0, 2.0], "presets": ["ods-detuned"]}}),
+    (["--shots", "50000", "qfi"], {"run": {"t_grid_us": [2.0], "presets": ["fds-k5"],
+                                           "repeats": 8}}),
+    (["effective"], None),
+    (["robustness"], {"run": {"presets": ["robustness-amp"],
+                              "error_grid_mhz": [-0.5, 0.0, 0.5], "sweep_time_us": 1.0}}),
+    (["sensitivity"], None),
+    (["dd"], {"physical": {"noise_sigma_z_mhz": 0.05},
+              "run": {"t_grid_us": [float(t) for t in range(1, 17)],
+                      "noise_realizations": 4}}),
+], ids=["rabi-shots", "rabi", "qfi", "qfi-shots", "effective", "robustness",
+        "sensitivity", "dd"])
+def test_csv_tables_match_the_row_wise_format(tmp_path, monkeypatch, flags, config):
+    # the writer formats whole float columns at once; every byte must be the
+    # one _fmt gives cell by cell
+    tables = []
+    write = cli.ResultBundle.write
+
+    def recording(bundle, out_dir, formats):
+        tables.extend((bundle.command, name, header, columns)
+                      for name, header, columns in bundle.tables)
+        return write(bundle, out_dir, formats)
+
+    monkeypatch.setattr(cli.ResultBundle, "write", recording)
+    args = ["--out", str(tmp_path / "o"), "--seed", "5"]
+    if config is not None:
+        args = ["--config", write_config(tmp_path, config)] + args
+    assert run_cli(args + flags).exit_code == 0
+    assert tables
+    for command, name, header, columns in tables:
+        text = (tmp_path / "o" / f"{command}_{name}.csv").read_text()
+        assert text == _row_wise_csv(header, columns), name

@@ -228,9 +228,9 @@ def _pulse_matrix(scenario, t_pulse):
     return dress.conj().T @ _PI_X @ dress
 
 
-def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed):
-    """One scalar interval_unitary call per event interval, as ``run_scan``
-    made them before its segments were batched.
+def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts=SCAN_OPTS):
+    """One scalar interval_unitary call per event interval at ``opts``, as
+    ``run_scan`` made them for a noisy scan before its segments were batched.
 
     Returns the scenario, the events, their pulse and grid flags and the
     (S, r, 2, 2) stack of the segment propagators.
@@ -245,7 +245,7 @@ def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed):
     offsets = noise.sample_segments(mids, n_real, rng)
     spec = scenario.rotating_spec()
     u = np.stack([
-        interval_unitary(spec, events[j - 1], events[j], SCAN_OPTS,
+        interval_unitary(spec, events[j - 1], events[j], opts,
                          z_offsets=0.5 * offsets[:, j - 1])
         for j in range(1, events.size)
     ])
@@ -278,14 +278,16 @@ def _sequential_walk(scenario, events, is_pulse, is_grid, u):
     return np.array(p0)
 
 
+# noisy scans take one propagator per segment; a noiseless periodic scan
+# folds its events into one drive period (see the reference tests below)
 _WALK_CASES = pytest.mark.parametrize("preset, dd, noise, grid", [
-    # the rabi command's default grid, noiseless (one realization)
-    ("fds-k5", None, NoiseModel(), np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)),
-    ("dd-on", DdConfig(tau=0.5), NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
-     default_dd_grid(dd=True)[:120]),
+    pytest.param("dd-on", DdConfig(tau=0.5),
+                 NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
+                 default_dd_grid(dd=True)[:120], id="dd-on-dd1-noise1-grid1"),
     # a grid time at 0 (the identity) and pulses between grid times
-    ("dd-on", DdConfig(tau=0.25), NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
-     np.arange(0.0, 20.0, 0.5)),
+    pytest.param("dd-on", DdConfig(tau=0.25),
+                 NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
+                 np.arange(0.0, 20.0, 0.5), id="dd-on-dd2-noise2-grid2"),
 ])
 
 
@@ -311,6 +313,66 @@ def test_scan_matches_sequential_complex_walk(preset, dd, noise, grid):
         preset, grid, noise, dd, 3, seed=3)))
     npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-12)
     npt.assert_allclose(scan.stderr, err, rtol=0, atol=1e-12)
+
+
+RABI_GRID = np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)  # the rabi command's default
+REF_OPTS = propagator.PropagatorOptions(rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["fds-k1", "fds-k3", "fds-k5"])
+def test_noiseless_scan_keeps_its_tolerance_at_every_grid_point(preset):
+    # each grid time was once the end of a chain of segments, each held to
+    # rel_tol = 1e-6: fds-k1 strayed by 1.29e-6 from the converged value.
+    # Anchored at t = 0 through one folded drive period, no point strays by
+    # more than 1.4e-9.  The reference chains rel_tol-1e-12 intervals, and
+    # agrees with interval_unitary(spec, 0, t) at 1e-12 where checked
+    scenario = make_preset(preset)
+    spec = scenario.rotating_spec()
+    scan = run_scan(preset, RABI_GRID)
+    assert scan.n_realizations == 1 and np.all(scan.stderr == 0.0)
+    reference = np.abs(evolve(spec, (1.0, 0.0), RABI_GRID, REF_OPTS)[:, 0]) ** 2
+    npt.assert_allclose(scan.p0, reference, rtol=0, atol=1e-8)
+    for k in (RABI_GRID.size // 2, -1):
+        t = float(RABI_GRID[k])
+        anchored = abs(interval_unitary(spec, 0.0, t, REF_OPTS)[0, 0]) ** 2
+        assert abs(reference[k] - anchored) < 1e-11
+        assert abs(scan.p0[k] - anchored) < 1e-8
+
+
+def test_noiseless_scan_with_pulses_matches_refined_sequential_walk():
+    # the telescoped segment factors U(e_s, 0) U(e_s-1, 0)^dagger through the
+    # same walk as noisy scans, pi pulses included (tau = 0.5: one at every
+    # other grid time), against complex states multiplied segment by segment
+    # with each segment refined to rel_tol 1e-12.  The per-segment route at
+    # rel_tol 1e-6 was 3.9e-8 off on this grid
+    grid, dd = default_dd_grid(dd=True)[:40], DdConfig(tau=0.5)
+    scan = run_scan("dd-on", grid, dd=dd)
+    assert scan.pulse_times.size == 20
+    p0, _ = _stats(_sequential_walk(*_per_segment_unitaries(
+        "dd-on", grid, NoiseModel(), dd, 1, seed=0, opts=REF_OPTS)))
+    npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel("ornstein-uhlenbeck", 0.0),
+                                   NoiseModel("quasi-static", 0.0)], ids=["ou", "quasi-static"])
+def test_zero_noise_ensemble_folds_once_for_all_realizations(noise, monkeypatch):
+    # every offset is zero, so the identical realizations share the folded
+    # period of the noiseless scan: one kernel member, and the same
+    # populations up to the round-off of their mean
+    grid = default_dd_grid(dd=False)[:40]
+    plain = run_scan("dd-off", grid)
+    members = []
+    kernel = propagator._interval_unitary
+
+    def counted(spec, t0, t1, n, z_offsets):
+        members.append(np.shape(z_offsets)[1:])
+        return kernel(spec, t0, t1, n, z_offsets)
+
+    monkeypatch.setattr(propagator, "_interval_unitary", counted)
+    ensemble = run_scan("dd-off", grid, noise=noise, n_realizations=3, seed=4)
+    assert ensemble.n_realizations == 3 and set(members) == {(1,)}
+    npt.assert_allclose(ensemble.p0, plain.p0, rtol=0, atol=1e-15)
+    npt.assert_allclose(ensemble.stderr, 0.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("preset", ["dd-on", "fds-k3", "ods-detuned"])

@@ -511,6 +511,26 @@ def test_closed_form_power_matches_repeated_squaring(m):
                            [[1.0, 0.0, 0.0, 0.0], [(-1.0) ** m, 0.0, 0.0, 0.0]])
 
 
+def test_power_takes_an_array_of_exponents():
+    # one call for many exponents: each entry the bits of its scalar call,
+    # and the repeated product to round-off
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(3, 4))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    m = np.array([[0], [1], [2], [5], [37]])
+    powers = _quat_power(u, m)
+    assert powers.shape == (5, 3, 4)
+    for row, k in zip(powers, m[:, 0].tolist()):
+        npt.assert_array_equal(row, _quat_power(u, k))
+        repeated = np.broadcast_to([1.0, 0.0, 0.0, 0.0], u.shape)
+        for _ in range(k):
+            repeated = _quat_mul(u, repeated)
+        npt.assert_allclose(row, repeated, rtol=0, atol=1e-14)
+    # one exponent per element of the leading shape
+    npt.assert_array_equal(_quat_power(u, np.array([3, 0, 8])),
+                           [_quat_power(u[i], k) for i, k in enumerate([3, 0, 8])])
+
+
 def test_split_generators_match_copied_generators():
     spec = make_preset("dd-on").rotating_spec()
     z = np.random.default_rng(3).normal(size=5)
@@ -859,14 +879,19 @@ def _scalar_initial_steps(spec, duration, tol):
 ], ids=["dd-off", "dd-on", "rabi-fds-k5"])
 def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
     # every piece of the default dd scans and of the rabi command's fds-k5
-    # scan takes the count of the one-interval rule, bit for bit
+    # scan takes the count of the one-interval rule, bit for bit.  The
+    # noiseless rabi scan integrates the pieces of one folded drive period,
+    # at the period tolerance rel_tol / m of its whole periods m
     spec = make_preset(preset).rotating_spec()
     noise = NoiseModel("ornstein-uhlenbeck", 0.7) if preset != "fds-k5" else None
+    tol = SCAN_OPTS.rel_tol
+    if noise is None:
+        tol /= propagator._periods(spec, grid[-1], SCAN_OPTS)
     run_scan(preset, grid, noise=noise, dd=dd, n_realizations=2, seed=0)
     durations = np.concatenate([d for _, d in passes])
-    expected = [_scalar_initial_steps(spec, d, SCAN_OPTS.rel_tol) for d in durations.tolist()]
+    expected = [_scalar_initial_steps(spec, d, tol) for d in durations.tolist()]
     assert np.concatenate([np.full(d.size, n) for n, d in passes]).tolist() == expected
-    counts = _initial_steps(spec, durations, SCAN_OPTS.rel_tol)
+    counts = _initial_steps(spec, durations, tol)
     assert counts.dtype == int and counts.tolist() == expected
     # long direct intervals of a non-periodic lab-frame spec span many periods
     lab = build_lab_fds(SensorParams(), make_preset("fds-k5").signal, make_preset("fds-k5").drive)
