@@ -14,6 +14,7 @@ from floquet_sensor.experiments import (
     DdConfig,
     NoiseModel,
     PRESET_NAMES,
+    _folded_segments,
     _pulse_quaternions,
     _walk,
     calibrate_noise,
@@ -228,6 +229,15 @@ def _pulse_matrix(scenario, t_pulse):
     return dress.conj().T @ _PI_X @ dress
 
 
+def _scan_events(t_grid, dd):
+    """The events of a scan as ``run_scan`` lays them out, with their pulse
+    and grid flags."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    pulses = dd.pulse_times(float(t_grid[-1])) if dd is not None else np.empty(0)
+    events = np.unique(np.concatenate([[0.0], t_grid, pulses]))
+    return events, np.isin(events, pulses), np.isin(events, t_grid)
+
+
 def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts=SCAN_OPTS):
     """One scalar interval_unitary call per event interval at ``opts``, as
     ``run_scan`` made them for a noisy scan before its segments were batched.
@@ -236,10 +246,8 @@ def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts
     (S, r, 2, 2) stack of the segment propagators.
     """
     scenario = make_preset(preset)
-    t_grid = np.asarray(t_grid, dtype=float)
     n_real = n_realizations if noise.kind != "none" else 1
-    pulses = dd.pulse_times(float(t_grid[-1])) if dd is not None else np.empty(0)
-    events = np.unique(np.concatenate([[0.0], t_grid, pulses]))
+    events, is_pulse, is_grid = _scan_events(t_grid, dd)
     mids = 0.5 * (events[:-1] + events[1:])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     offsets = noise.sample_segments(mids, n_real, rng)
@@ -249,7 +257,21 @@ def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts
                          z_offsets=0.5 * offsets[:, j - 1])
         for j in range(1, events.size)
     ])
-    return scenario, events, np.isin(events, pulses), np.isin(events, t_grid), u
+    return scenario, events, is_pulse, is_grid, u
+
+
+def _scan_segments(preset, t_grid, noise, dd, n_realizations, seed):
+    """The segment propagators ``run_scan`` walks, as ``_per_segment_unitaries``
+    returns them: one scalar call per segment for a noisy scan, the folded
+    factors U(e_s, 0) U(e_s-1, 0)^dagger of one drive period for a noiseless
+    one (every noiseless case here is periodic)."""
+    if noise.kind != "none":
+        return _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed)
+    scenario = make_preset(preset)
+    events, is_pulse, is_grid = _scan_events(t_grid, dd)
+    folded = _folded_segments(scenario.rotating_spec(), events)
+    assert folded is not None
+    return scenario, events, is_pulse, is_grid, folded[:, None]
 
 
 def _stats(p0_real):
@@ -278,9 +300,13 @@ def _sequential_walk(scenario, events, is_pulse, is_grid, u):
     return np.array(p0)
 
 
+RABI_GRID = np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)  # the rabi command's default
+REF_OPTS = propagator.PropagatorOptions(rel_tol=1e-12)
+
 # noisy scans take one propagator per segment; a noiseless periodic scan
-# folds its events into one drive period (see the reference tests below)
+# folds its events into one drive period (its accuracy: the reference tests below)
 _WALK_CASES = pytest.mark.parametrize("preset, dd, noise, grid", [
+    pytest.param("fds-k5", None, NoiseModel(), RABI_GRID, id="fds-k5-None-noise0-grid0"),
     pytest.param("dd-on", DdConfig(tau=0.5),
                  NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT),
                  default_dd_grid(dd=True)[:120], id="dd-on-dd1-noise1-grid1"),
@@ -293,10 +319,11 @@ _WALK_CASES = pytest.mark.parametrize("preset, dd, noise, grid", [
 
 @_WALK_CASES
 def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
-    # the per-segment scalar calls through the same walk: pins segment batching
+    # the per-segment scalar calls through the same walk: pins segment batching;
+    # a noiseless scan's folded factors through it: pins that the scan folds
     scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
     assert (scan.pulse_times.size > 0) == (dd is not None)
-    scenario, events, is_pulse, is_grid, u = _per_segment_unitaries(
+    scenario, events, is_pulse, is_grid, u = _scan_segments(
         preset, grid, noise, dd, 3, seed=3)
     p0, err = _stats(_walk(u, _pulse_quaternions(scenario, events[is_pulse]),
                            is_pulse, is_grid))
@@ -309,14 +336,10 @@ def test_scan_matches_sequential_complex_walk(preset, dd, noise, grid):
     # the prefix product regroups the quaternion products and reads
     # populations from quaternions: a few 1e-14 apart from the sequential walk
     scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
-    p0, err = _stats(_sequential_walk(*_per_segment_unitaries(
+    p0, err = _stats(_sequential_walk(*_scan_segments(
         preset, grid, noise, dd, 3, seed=3)))
     npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-12)
     npt.assert_allclose(scan.stderr, err, rtol=0, atol=1e-12)
-
-
-RABI_GRID = np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)  # the rabi command's default
-REF_OPTS = propagator.PropagatorOptions(rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("preset", ["fds-k1", "fds-k3", "fds-k5"])
