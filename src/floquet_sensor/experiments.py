@@ -9,18 +9,22 @@ under the names the command-line interface exposes; one table,
 sorted event list: the scan's grid times merged with the Carr-Purcell pulse
 instants of ``DdConfig.pulse_times``.  The detuning noise is held constant
 over each segment between adjacent events (the correlation time is far
-longer than any segment).  The segment propagators take one of two routes:
+longer than any segment).  The propagators take one of two routes:
 
-- A noisy scan, or one of a constant or non-periodic spec, propagates all
-  segments and realizations in one fixed-resolution ``interval_unitary``
-  call over the segment axis (memory bounded by the propagator's block
-  size).
-- A noiseless scan of a periodic spec (every offset zero; a zero-amplitude
-  ensemble counts) folds its events into one drive period
-  (``_folded_segments``): every event is anchored at t = 0 through the
-  pieces of one period and a closed-form power of it, so the scan keeps
-  the rel_tol of ``SCAN_OPTS`` however many segments it has, and its
-  identical realizations share the result.
+- A noiseless scan (every offset zero; a zero-amplitude ensemble counts)
+  of a constant or periodic spec anchors every event e at t = 0
+  (``_folded_segments``): U(e, 0) is one exact exponential over [0, e] for
+  a constant spec, and for a periodic one the pieces of one folded drive
+  period and a closed-form power of it, so the scan keeps the rel_tol of
+  ``SCAN_OPTS`` however many events it has, and its identical realizations
+  share the result.  Without pulses a grid time reads its population
+  straight from its anchor; with pulses the anchors telescope into the
+  segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger of the walk.
+- A noisy scan, or a noiseless one of a time-dependent spec that fails the
+  stroboscopic route's periodicity or round-off rule over the scan,
+  propagates all segments and realizations in one fixed-resolution
+  ``interval_unitary`` call over the segment axis (memory bounded by the
+  propagator's block size).
 
 The walk (``_walk``) has no loop over events: it reads the segment
 propagators back as quaternions, interleaves the pi pulses (instantaneous
@@ -108,9 +112,16 @@ class Scenario:
     drive: FloquetDriveParams | None = None
 
     def rotating_spec(self) -> HamiltonianSpec:
-        if self.drive is None:
-            return to_signal_rotating(build_lab_ods(self.sensor, self.signal), self.signal)
-        return build_fds_prime(self.sensor, self.signal, self.drive)
+        """The rotating-frame spec, built on the first call and kept with the
+        scenario (a scenario is frozen, and ``with_errors`` makes a new one)."""
+        spec = self.__dict__.get("_spec")
+        if spec is None:
+            if self.drive is None:
+                spec = to_signal_rotating(build_lab_ods(self.sensor, self.signal), self.signal)
+            else:
+                spec = build_fds_prime(self.sensor, self.signal, self.drive)
+            object.__setattr__(self, "_spec", spec)
+        return spec
 
     def states(self, amps, t, opts: PropagatorOptions = ORACLE_OPTS) -> np.ndarray:
         """States at time t, evolved from |0>, at the k signal amplitudes ``amps``: (k, 2).
@@ -322,23 +333,29 @@ def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
 
 
 def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | None:
-    """Propagators (S, 2, 2) of the S segments between the events of a
-    noiseless scan, from one folded drive period; None where the spec is
-    constant, or fails the periodicity or round-off rule of the
-    stroboscopic route (``propagator._periods``) over the scan.
+    """Quaternions (E, 4) of the propagators U(e, 0) of a noiseless scan from
+    t = 0 to each of its E events; None for a time-dependent spec that fails
+    the periodicity or round-off rule of the stroboscopic route over the
+    scan (``propagator._periods``).
 
-    ``events`` are strictly increasing from 0.  With T the drive period,
-    every event is anchored at t = 0: U(e, 0) = U(r_e, 0) U_T^m_e, with
-    m_e = floor(e/T) and r_e = e - m_e T.  The period [0, T] is cut at the
-    sorted remainders, and the pieces take one fixed-resolution
-    ``interval_unitary`` call at the period tolerance rel_tol / m_max of
-    the route.  One prefix product of the pieces gives every U(r_e, 0), and
-    its last product is U_T; one closed-form power raises U_T to every m_e.
-    The segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger telescope, so the
-    scan's error does not grow with its segment count.
+    ``events`` are strictly increasing from 0.  A constant spec takes one
+    exact exponential over [0, e] per event, all in one ``interval_unitary``
+    call (the event at 0 is the zero-length segment [0, 0], the identity).
+    A periodic spec is folded into one drive period: with T the period,
+    U(e, 0) = U(r_e, 0) U_T^m_e, with m_e = floor(e/T) and r_e = e - m_e T.
+    The period [0, T] is cut at the sorted remainders, and the pieces take
+    one fixed-resolution ``interval_unitary`` call at the period tolerance
+    rel_tol / m_max of the route.  One prefix product of the pieces gives
+    every U(r_e, 0), and its last product is U_T; one closed-form power
+    raises U_T to every m_e.  Either way each event is anchored at t = 0, so
+    the scan's error does not grow with its event count.
     """
+    zeros = np.zeros((events.size, 1))
+    if spec.fundamental[0] == 0.0:
+        anchors = interval_unitary(spec, np.zeros(events.size), events, SCAN_OPTS, zeros)
+        return _matrix_quat(anchors[:, 0])
     # the refined route's rule, so that rel_tol / m_max stays above round-off
-    m_max = _periods(spec, float(events[-1]), PropagatorOptions(SCAN_OPTS.rel_tol))
+    m_max = int(_periods(spec, events[-1], PropagatorOptions(SCAN_OPTS.rel_tol)))
     if m_max == 0:
         return None
     period = TWO_PI / spec.fundamental[0]
@@ -350,14 +367,13 @@ def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | 
     cuts = np.append(rest[order], period)
     pieces = interval_unitary(
         spec, cuts[:-1], cuts[1:], PropagatorOptions(SCAN_OPTS.rel_tol / m_max, adaptive=False),
-        z_offsets=np.zeros((events.size, 1)),
+        zeros,
     )
     anchors = _quat_prefix(_matrix_quat(pieces[:, 0]))  # U(cut, 0) of cuts[1:]
     anchored = np.empty((events.size, 4))
     anchored[order[0]] = _IDENTITY
     anchored[order[1:]] = anchors[:-1]
-    anchored = _quat_mul(anchored, _quat_power(anchors[-1], whole.astype(int)))
-    return _quat_matrix(_quat_mul(anchored[1:], anchored[:-1] * _CONJUGATE))
+    return _quat_mul(anchored, _quat_power(anchors[-1], whole.astype(int)))
 
 
 @dataclass(frozen=True)
@@ -395,10 +411,12 @@ def run_scan(
     rather than drawing fresh OS entropy.
 
     Segments are integrated at ``SCAN_OPTS``.  Where every offset is zero
-    and the spec is periodic (``_folded_segments``), each event e is anchored
-    at t = 0, U(e, 0) = U(r_e, 0) U_T^m_e with m_e whole drive periods and
-    remainder r_e, all from one folded period at rel_tol / m_max, and the
-    segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger enter the walk; so a
+    and the spec is constant or periodic (``_folded_segments``), each event
+    e is anchored at t = 0: U(e, 0) is one exact exponential of a constant
+    spec, or U(r_e, 0) U_T^m_e with m_e whole drive periods and remainder
+    r_e, all from one folded period at rel_tol / m_max.  A pulse-free scan
+    reads each grid time's population from its anchor, and a scan with
+    pulses walks the segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger; so a
     noiseless scan stays within rel_tol at every grid time.  Otherwise the
     segments are propagated one by one, each to rel_tol, in one batched
     call.
@@ -430,14 +448,21 @@ def run_scan(
     offsets = noise.sample_segments(mids, n_real, rng)  # detuning, rad/us
 
     spec = scenario.rotating_spec()
-    folded = None if offsets.any() else _folded_segments(spec, events)
-    if folded is not None:  # the identical realizations share it
-        u = np.broadcast_to(folded[:, None], (mids.size, n_real, 2, 2))
+    # the identical realizations of a noiseless scan share its anchors
+    anchors = None if offsets.any() else _folded_segments(spec, events)
+    if anchors is not None and not pulses.size:
+        # U(e, 0)|0> = (w - iz, y - ix): a grid event reads its own anchor
+        w, z = anchors[is_grid, 0], anchors[is_grid, 3]
+        p0_real = np.broadcast_to((w * w + z * z)[:, None], (t_grid.size, n_real))
     else:
-        # events are strictly increasing, so every segment has t1 > t0
-        u = interval_unitary(spec, events[:-1], events[1:], SCAN_OPTS,
-                             z_offsets=0.5 * offsets.T)
-    p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
+        if anchors is not None:  # the factors U(e_s, 0) U(e_{s-1}, 0)^dagger
+            u = _quat_matrix(_quat_mul(anchors[1:], anchors[:-1] * _CONJUGATE))
+            u = np.broadcast_to(u[:, None], (mids.size, n_real, 2, 2))
+        else:
+            # events are strictly increasing, so every segment has t1 > t0
+            u = interval_unitary(spec, events[:-1], events[1:], SCAN_OPTS,
+                                 z_offsets=0.5 * offsets.T)
+        p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
 
     p0_mean = p0_real.mean(axis=1)
     if n_real > 1:

@@ -68,17 +68,20 @@ integrated directly.
 Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
 with offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
 the S scalar calls, bit for bit; a scalar call is the one-segment case of
-the same route.  The route rule splits each segment into pieces (a direct
-interval, or one period and an optional remainder), each with the tolerance
-it starts at.  One rule (``_initial_steps``) gives every piece of a call its
-starting substep count, and one pass routine (``_stepped_unitary``) runs
-them: the pieces are grouped by count and each group goes through it in
-blocks.  With refinement a block is one piece, step-doubled to its own
-tolerance; without, a block is a single pass widened to a leading piece
-axis, of at most ``_BLOCK`` substeps x batch members, so a scan's peak
-memory does not grow with its segment count.  The period pieces of a call
-are then raised to their powers m in one ``_quat_power`` call, which takes
-an array of exponents.
+the same route.  The route rule runs as array operations over the segment
+axis (``_periods`` takes an array of durations): zero-length segments take
+the identity, and every other segment becomes pieces, a direct interval or
+one period and an optional remainder, each with the tolerance it starts at.
+A call in which no segment spans two periods skips the period work.  One
+rule (``_initial_steps``) gives every piece of a call its starting substep
+count, and one pass routine (``_stepped_unitary``) runs them: the pieces
+are grouped by count and each group goes through it in blocks.  With
+refinement a block is one piece, step-doubled to its own tolerance;
+without, a block is a single pass widened to a leading piece axis, of at
+most ``_BLOCK`` substeps x batch members, so a scan's peak memory does not
+grow with its segment count.  The period pieces of a call are then raised
+to their powers m in one ``_quat_power`` call, which takes an array of
+exponents.
 """
 
 from __future__ import annotations
@@ -385,22 +388,23 @@ def _initial_steps(spec: HamiltonianSpec, duration, tol):
     return np.maximum(1, np.ceil(n * (1.0 - _SLACK))).astype(int)
 
 
-def _periods(spec: HamiltonianSpec, duration: float, opts: PropagatorOptions) -> int:
-    """Drive periods m of the stroboscopic route for an interval duration.
+def _periods(spec: HamiltonianSpec, duration, opts: PropagatorOptions):
+    """Drive periods m of the stroboscopic route for interval durations.
 
-    0 where the interval is integrated directly: under two periods, a spec
-    not periodic to within the tolerance budget, or (with refinement) a
-    period tolerance rel_tol / m below the round-off floor.
+    ``duration`` is one interval length or an array of them; m is an int of
+    its shape.  0 where the interval is integrated directly: under two
+    periods, a spec not periodic to within the tolerance budget, or (with
+    refinement) a period tolerance rel_tol / m below the round-off floor.
     """
     f0, defect = spec.fundamental
-    m = int(duration * f0 / TWO_PI)
-    if (
-        m < 2
-        or defect * duration > 1e-3 * opts.rel_tol
-        or (opts.adaptive and opts.rel_tol / m < _MIN_PERIOD_TOL)
-    ):
-        return 0
-    return m
+    duration = np.asarray(duration, dtype=float)
+    m = (duration * f0 / TWO_PI).astype(int)
+    route = m >= 2
+    if defect:
+        route &= defect * duration <= 1e-3 * opts.rel_tol
+    if opts.adaptive:
+        route &= opts.rel_tol / np.maximum(m, 1) >= _MIN_PERIOD_TOL
+    return (m * route)[()]
 
 
 def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
@@ -485,79 +489,85 @@ def interval_unitary(
                 or rows.shape[0] != t0.size):
             raise ValueError("array segment bounds t0, t1 need shape (S,) and "
                              "z_offsets shape (S, r)")
-        bounds = list(zip(t0.tolist(), t1.tolist()))
     else:
-        bounds = [(t0.item(), t1.item())]
+        t0, t1 = t0.reshape(1), t1.reshape(1)
         rows = _as_numbers(0.0 if z_offsets is None else z_offsets)[None]
     _require_finite("interval bound t0", t0)
     _require_finite("interval bound t1", t1)
     _require_finite("z_offsets", rows)
-    # the route rule per segment, as pieces (start, end, tolerance, segment):
-    # heads holds each moving segment's direct interval or one period, in
-    # order; tails the remainders of the heads in ``rest``.  A refined period
-    # piece starts at rel_tol / m, every other piece at rel_tol
-    heads, tails, moving, strobe, powers, rest = [], [], [], [], [], []
-    for seg, (a, b) in enumerate(bounds):
-        if a == b:
-            continue
-        if b < a:
-            raise ValueError(f"interval end {b:g} us precedes its start {a:g} us")
-        moving.append(seg)
-        m = _periods(spec, b - a, opts)
-        if m == 0:
-            heads.append((a, b, opts.rel_tol, seg))
-            continue
-        period = TWO_PI / spec.fundamental[0]
-        t_mid = a + m * period
-        strobe.append(len(heads))
-        powers.append(m)
+    # the route rule over the segment axis, as pieces: the heads are each
+    # moving segment's direct interval or one period, in order, and then
+    # come the remainders of the heads flagged in ``tail``.  A refined
+    # period piece starts at rel_tol / m, every other piece at rel_tol
+    duration = t1 - t0
+    moving = duration > 0.0
+    if moving.all():
+        seg, start, end = np.arange(t0.size), t0, t1
+    else:
+        if (duration < 0.0).any():
+            k = (duration < 0.0).argmax()
+            raise ValueError(f"interval end {t1[k]:g} us precedes its start {t0[k]:g} us")
+        seg = np.flatnonzero(moving)
+        start, end, duration = t0[seg], t1[seg], duration[seg]
+    heads, m = seg.size, None
+    f0 = spec.fundamental[0]
+    # no period work where no segment spans two periods
+    if f0 and heads and duration.max() * f0 / TWO_PI >= 2.0:
+        m, period = _periods(spec, duration, opts), TWO_PI / f0
+        strobe = m > 0
+        t_mid = start + m * period
         # a remainder within round-off of t0 + mT is skipped
-        if b - t_mid > 16.0 * math.ulp(b):
-            rest.append(len(heads))
-            tails.append((t_mid, b, opts.rel_tol, seg))
-        heads.append((a, a + period, opts.rel_tol / m if opts.adaptive else opts.rel_tol, seg))
-    us = _piece_unitaries(spec, heads + tails, opts, rows)
-    u = us[:len(heads)]
-    if strobe:
-        u[strobe] = _quat_power(u[strobe], np.reshape(powers, (-1,) + (1,) * (u.ndim - 2)))
-    if rest:
-        u[rest] = _quat_mul(us[len(heads):], u[rest])
-    if len(moving) < len(bounds):  # zero-length segments take the identity
-        out = np.zeros((len(bounds),) + u.shape[1:])
+        tail = strobe & (end - t_mid > 16.0 * np.spacing(np.abs(end)))
+        seg = np.concatenate([seg, seg[tail]])
+        end = np.concatenate([np.where(strobe, start + period, end), end[tail]])
+        start = np.concatenate([start, t_mid[tail]])
+    tol = np.full(seg.size, opts.rel_tol)
+    if m is not None and opts.adaptive:
+        tol[:heads][strobe] = opts.rel_tol / m[strobe]
+    us = _piece_unitaries(spec, start, end, tol, seg, opts, rows)
+    u = us[:heads]
+    if m is not None:
+        u[strobe] = _quat_power(u[strobe], m[strobe].reshape((-1,) + (1,) * (u.ndim - 2)))
+        u[tail] = _quat_mul(us[heads:], u[tail])
+    if u.shape[0] < t0.size:  # zero-length segments take the identity
+        out = np.zeros((t0.size,) + u.shape[1:])
         out[..., 0] = 1.0
         out[moving] = u
         u = out
     return _quat_matrix(u if segments else u[0])
 
 
-def _piece_unitaries(spec, pieces, opts, rows) -> np.ndarray:
-    """Quaternion propagators of the P pieces (start, end, tol, segment), (P, ..., 4).
+def _piece_unitaries(spec, start, end, tol, seg, opts, rows) -> np.ndarray:
+    """Quaternion propagators of the P pieces [start, end], (P, ..., 4).
 
-    ``rows[segment]`` holds the offsets of a piece, and ``tol`` the tolerance
-    its substep count n starts from.  The pieces are grouped by n, in the
-    order of each group's first piece, and every block of a group goes
-    through ``_stepped_unitary``.  With ``opts.adaptive`` a block is one
-    piece at its own scalar bounds, refined to its own tolerance.  Otherwise
-    it is a single pass over at most ``_BLOCK`` substeps x batch members (at
-    least one piece), whose bounds take a leading piece axis and one unit
-    axis per batch axis of the offsets.
+    ``rows[seg]`` holds the offsets of a piece, and ``tol`` the tolerance
+    its substep count n starts from; all four are arrays over the pieces.
+    The pieces are grouped by n, in the order of each group's first piece,
+    and every block of a group goes through ``_stepped_unitary``.  With
+    ``opts.adaptive`` a block is one piece at its own scalar bounds, refined
+    to its own tolerance.  Otherwise it is a single pass over at most
+    ``_BLOCK`` substeps x batch members (at least one piece), whose bounds
+    take a leading piece axis and one unit axis per batch axis of the
+    offsets.
     """
     batch = rows.shape[1:]
-    a, b, tol, seg = np.array(pieces, dtype=float).reshape(-1, 4).T
-    steps = _initial_steps(spec, b - a, tol)
-    unit = (...,) + (None,) * len(batch)
-    a, b, seg = a[unit], b[unit], seg.astype(int)
+    steps = _initial_steps(spec, end - start, tol)
     members = max(1, math.prod(batch))
-    us = np.empty((len(pieces),) + batch + (4,))
+    us = np.empty((start.size,) + batch + (4,))
     groups = {}  # piece indices by count, in the order of each count's first piece
     for k, n in enumerate(steps.tolist()):
         groups.setdefault(n, []).append(k)
+    if opts.adaptive:  # Python floats: the messages of a block name its bounds
+        pieces = list(zip(start.tolist(), end.tolist(), tol.tolist(), seg.tolist()))
+    else:
+        unit = (...,) + (None,) * len(batch)
+        start, end = start[unit], end[unit]
     for n, group in groups.items():
         if opts.adaptive:  # one piece a block, at its own bounds and tolerance
             blocks = [(k, *pieces[k]) for k in group]
         else:  # one pass a block, over a leading piece axis
             size, group = max(1, _BLOCK // (n * members)), np.array(group)
-            blocks = [(k, a[k], b[k], None, seg[k])
+            blocks = [(k, start[k], end[k], None, seg[k])
                       for k in (group[i:i + size] for i in range(0, group.size, size))]
         for k, t0, t1, refine, segs in blocks:
             us[k] = _stepped_unitary(spec, t0, t1, n, refine, rows[segs])

@@ -35,30 +35,41 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
     traced = propagator._interval_unitary
     signature = inspect.signature(propagator_kernel)
     seen = []  # (substeps, batch members) of every pass, from the result's shape
+    starts = []  # the piece start times of every pass
 
     def counted(*args, **kwargs):
         # called as the program calls the kernel, so a call form the
         # tracer's wrapper does not accept fails here too
         u = traced(*args, **kwargs)
-        seen.append((signature.bind(*args, **kwargs).arguments["n"], u.size // 4))
+        bound = signature.bind(*args, **kwargs).arguments
+        seen.append((bound["n"], u.size // 4))
+        starts.append(np.ravel(bound["t0"]))
         return u
 
     try:
         propagator._interval_unitary = counted
         # fixed-resolution blocks of pieces x realizations, the pieces of
-        # the one folded drive period of a noiseless scan, then the
-        # step-doubled scalar calls of the exact-QFI oracle
+        # the one folded drive period of a noiseless scan, the anchored
+        # call of a noiseless undriven scan, whose first segment [0, 0]
+        # takes no pass, then the step-doubled scalar calls of the
+        # exact-QFI oracle
+        grid = np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)
         run_scan("dd-on", np.arange(0.5, 6.0 + 1e-9, 0.5),
                  noise=NoiseModel("ornstein-uhlenbeck", 0.7), dd=DdConfig(),
                  n_realizations=3, seed=0)
         noisy = len(seen)
-        run_scan("fds-k5", np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10))
+        run_scan("fds-k5", grid)
         folded = len(seen) - noisy
+        run_scan("ods-detuned", grid)
+        anchored = starts[noisy + folded:]
         make_preset("fds-k5").exact_qfi(1.0)
     finally:
         tracer.restore()  # rebinds the kernel itself
     assert propagator._interval_unitary is propagator_kernel
     assert folded > 0 and len({members for _, members in seen}) > 1
+    # one pass over the grid's intervals [0, t], every one from t = 0
+    assert len(anchored) == 1 and anchored[0].size == grid.size
+    assert not anchored[0].any()
     metrics = tracer.layer_metrics()
     assert metrics["propagator.passes"] == len(seen)
     assert metrics["propagator.substeps"] == sum(n * members for n, members in seen)

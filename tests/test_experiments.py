@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import curve_fit
 
-from floquet_sensor import propagator
+from floquet_sensor import experiments, propagator
 from floquet_sensor.experiments import (
     DD_SIGMA_Z_DEFAULT,
     ORACLE_OPTS,
@@ -29,7 +29,15 @@ from floquet_sensor.measurement import default_omega_grid, qfi_pipeline
 from floquet_sensor.metrology import qfi_exact
 from floquet_sensor.params import mhz_to_angular
 from floquet_sensor.hamiltonian import kick_vector
-from floquet_sensor.propagator import _pauli_exp, evolve, interval_unitary, rabi_population
+from floquet_sensor.propagator import (
+    _matrix_quat,
+    _pauli_exp,
+    _quat_matrix,
+    _quat_mul,
+    evolve,
+    interval_unitary,
+    rabi_population,
+)
 
 TP = 2.0 * math.pi
 
@@ -102,6 +110,31 @@ def test_with_errors_replaces_the_drive_by_its_perturbation():
     assert sc.with_errors(amp_error=e).drive == sc.drive.perturbed(amp_error=e)
     assert sc.with_errors(freq_error=-e).drive == sc.drive.perturbed(freq_error=-e)
     assert sc.with_errors(amp_error=e).signal == sc.signal
+
+
+@pytest.mark.parametrize("preset, builder", [("fds-k5", "build_fds_prime"),
+                                             ("ods-detuned", "to_signal_rotating")])
+def test_rotating_spec_built_once_per_scenario(monkeypatch, preset, builder):
+    # states and exact_qfi reuse the scenario's spec; a scenario with
+    # control errors is a new scenario with a spec of its own
+    built = []
+    build = getattr(experiments, builder)
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, builder, counted)
+    sc = make_preset(preset)
+    spec = sc.rotating_spec()
+    sc.states([sc.signal.omega_s_amp], 1.0)
+    sc.exact_qfi(1.0)
+    assert sc.rotating_spec() is spec and built == [spec]
+    assert sc == make_preset(preset)  # the kept spec is not a field
+    if sc.drive is not None:
+        perturbed = sc.with_errors(amp_error=mhz_to_angular(0.3))
+        assert perturbed.rotating_spec() is built[-1] and len(built) == 2
+        assert perturbed.rotating_spec() != spec
 
 
 def test_with_errors_on_undriven_scenario_raises():
@@ -261,17 +294,19 @@ def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts
 
 
 def _scan_segments(preset, t_grid, noise, dd, n_realizations, seed):
-    """The segment propagators ``run_scan`` walks, as ``_per_segment_unitaries``
-    returns them: one scalar call per segment for a noisy scan, the folded
-    factors U(e_s, 0) U(e_s-1, 0)^dagger of one drive period for a noiseless
-    one (every noiseless case here is periodic)."""
+    """The propagators ``run_scan`` reads, as ``_per_segment_unitaries``
+    returns them: one scalar call per segment for a noisy scan, and for a
+    noiseless one (every noiseless case here is periodic and pulse-free) the
+    complex (E, 1, 2, 2) stack of the anchored propagators U(e, 0) of
+    ``_folded_segments``, one per event."""
     if noise.kind != "none":
         return _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed)
     scenario = make_preset(preset)
     events, is_pulse, is_grid = _scan_events(t_grid, dd)
-    folded = _folded_segments(scenario.rotating_spec(), events)
-    assert folded is not None
-    return scenario, events, is_pulse, is_grid, folded[:, None]
+    assert not is_pulse.any()
+    anchors = _folded_segments(scenario.rotating_spec(), events)
+    assert anchors is not None
+    return scenario, events, is_pulse, is_grid, _quat_matrix(anchors)[:, None]
 
 
 def _stats(p0_real):
@@ -325,8 +360,12 @@ def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
     assert (scan.pulse_times.size > 0) == (dd is not None)
     scenario, events, is_pulse, is_grid, u = _scan_segments(
         preset, grid, noise, dd, 3, seed=3)
-    p0, err = _stats(_walk(u, _pulse_quaternions(scenario, events[is_pulse]),
-                           is_pulse, is_grid))
+    if noise.kind == "none":  # the anchored readout: |U(e, 0)_00|^2 = w^2 + z^2
+        q = _matrix_quat(u[is_grid])
+        p0, err = _stats(q[..., 0] * q[..., 0] + q[..., 3] * q[..., 3])
+    else:
+        p0, err = _stats(_walk(u, _pulse_quaternions(scenario, events[is_pulse]),
+                               is_pulse, is_grid))
     npt.assert_array_equal(scan.p0, p0)
     npt.assert_array_equal(scan.stderr, err)
 
@@ -334,10 +373,17 @@ def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
 @_WALK_CASES
 def test_scan_matches_sequential_complex_walk(preset, dd, noise, grid):
     # the prefix product regroups the quaternion products and reads
-    # populations from quaternions: a few 1e-14 apart from the sequential walk
+    # populations from quaternions: a few 1e-14 apart from the sequential
+    # walk.  A noiseless scan reads its anchors U(e, 0) directly, against the
+    # complex anchored matrices; walking their telescoped factors instead
+    # drifts from the anchors by up to 8.4e-13 over the rabi grid
     scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
-    p0, err = _stats(_sequential_walk(*_scan_segments(
-        preset, grid, noise, dd, 3, seed=3)))
+    scenario, events, is_pulse, is_grid, u = _scan_segments(
+        preset, grid, noise, dd, 3, seed=3)
+    if noise.kind == "none":
+        p0, err = _stats(np.abs(u[is_grid, :, 0, 0]) ** 2)
+    else:
+        p0, err = _stats(_sequential_walk(scenario, events, is_pulse, is_grid, u))
     npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-12)
     npt.assert_allclose(scan.stderr, err, rtol=0, atol=1e-12)
 
@@ -374,6 +420,57 @@ def test_noiseless_scan_with_pulses_matches_refined_sequential_walk():
     p0, _ = _stats(_sequential_walk(*_per_segment_unitaries(
         "dd-on", grid, NoiseModel(), dd, 1, seed=0, opts=REF_OPTS)))
     npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-8)
+
+
+def test_noiseless_resonant_scan_matches_closed_form_at_every_rabi_point():
+    # each grid time is one exact exponential over [0, t]: the segment
+    # factors multiplied up to t were 1.8e-14 off the closed form
+    scan = run_scan("ods-resonant", RABI_GRID)
+    amp = make_preset("ods-resonant").signal.omega_s_amp
+    expected = [rabi_population(amp, 0.0, t) for t in RABI_GRID.tolist()]
+    npt.assert_allclose(scan.p0, expected, rtol=0, atol=1e-15)
+
+
+_RABI_PRESETS = ["ods-resonant", "ods-detuned", "fds-k1", "fds-k3", "fds-k5"]
+
+
+def _counted_walks(monkeypatch):
+    """The arguments of every ``_walk`` call that ``run_scan`` makes."""
+    calls = []
+    walk = experiments._walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(experiments, "_walk", counted)
+    return calls
+
+
+def test_pulse_free_noiseless_scans_read_their_anchors(monkeypatch):
+    # the rabi command's default scans: every grid time reads U(t, 0)|0>
+    # from its anchor, with no prefix product over the segments
+    walks = _counted_walks(monkeypatch)
+    for preset in _RABI_PRESETS:
+        run_scan(preset, RABI_GRID)
+    assert walks == []
+
+
+def test_noiseless_scan_with_pulses_walks_telescoped_anchors(monkeypatch):
+    # with pulses the anchors telescope into the segment factors
+    # U(e_s, 0) U(e_s-1, 0)^dagger and go through the walk, bit for bit
+    grid, dd = default_dd_grid(dd=True)[:40], DdConfig(tau=0.5)
+    walks = _counted_walks(monkeypatch)
+    scan = run_scan("dd-on", grid, dd=dd)
+    assert len(walks) == 1
+    scenario = make_preset("dd-on")
+    events, is_pulse, is_grid = _scan_events(grid, dd)
+    anchors = _folded_segments(scenario.rotating_spec(), events)
+    inverse = anchors[:-1] * np.array([1.0, -1.0, -1.0, -1.0])
+    u = _quat_matrix(_quat_mul(anchors[1:], inverse))[:, None]
+    npt.assert_array_equal(walks[0][0], u)
+    p0 = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
+    npt.assert_array_equal(scan.p0, p0[:, 0])
 
 
 @pytest.mark.parametrize("noise", [NoiseModel("ornstein-uhlenbeck", 0.0),

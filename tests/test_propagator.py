@@ -242,9 +242,20 @@ def _direct(spec, t0, t1, opts, tol, z=0.0):
     return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts.rel_tol), z)
 
 
+def _scalar_periods(spec, duration, opts):
+    """The period rule of the route for one interval, in Python scalars, as
+    it was written before the rule ran over the segment axis."""
+    f0, defect = spec.fundamental
+    m = int(duration * f0 / TP)
+    if (m < 2 or defect * duration > 1e-3 * opts.rel_tol
+            or (opts.adaptive and opts.rel_tol / m < propagator._MIN_PERIOD_TOL)):
+        return 0
+    return m
+
+
 def _scalar_route(spec, t0, t1, opts, z=0.0):
     """Reference: the stroboscopic route written out for one scalar interval."""
-    m = propagator._periods(spec, t1 - t0, opts)
+    m = _scalar_periods(spec, t1 - t0, opts)
     if m == 0:
         return _quat_matrix(_direct(spec, t0, t1, opts, opts.rel_tol, z))
     period = TWO_PI / spec.fundamental[0]
@@ -791,6 +802,38 @@ def test_segments_match_scalar_calls_stroboscopic_route():
     )
 
 
+@pytest.mark.parametrize("opts", [SCAN_OPTS, PropagatorOptions(rel_tol=1e-9)],
+                         ids=["fixed", "refined"])
+def test_array_route_matches_scalar_reference(opts):
+    # one call over every kind of segment: zero-length, direct (under two
+    # periods), and period pieces with a remainder, with none (t0 + mT lands
+    # on t1) and with one skipped as round-off (t1 three ulp past t0 + mT)
+    spec = make_preset("dd-on").rotating_spec()
+    period = TP / spec.fundamental[0]
+    t0 = np.array([0.0, 0.3, 1.3, 0.0, 2.0, 4.1, 1.0, 7.0, 2.5])
+    t1 = t0 + np.array([0.0, 1.9 * period, 0.2 * period, 3 * period, 5.5 * period,
+                        0.0, 0.0, 0.5, 2.4 * period])
+    t1[6] = 1.0 + 4 * period
+    for _ in range(3):
+        t1[6] = np.nextafter(t1[6], math.inf)
+    assert 0.0 + 3 * period == t1[3]
+    m = [_scalar_periods(spec, d, opts) for d in (t1 - t0).tolist()]
+    assert m == [0, 0, 0, 3, 5, 0, 4, 18, 2]
+    z = np.random.default_rng(7).normal(size=(t0.size, 2))
+    identity = np.broadcast_to(np.eye(2), (2, 2, 2))
+    expected = np.stack([identity if a == b else _scalar_route(spec, a, b, opts, zz)
+                         for a, b, zz in zip(t0.tolist(), t1.tolist(), z)])
+    assert np.array_equal(interval_unitary(spec, t0, t1, opts, z_offsets=z), expected)
+    # the rule over an array of durations is the scalar rule, lab-frame
+    # specs (which miss periodicity by a defect) and round-off floor included
+    lab = build_lab_fds(SensorParams(), make_preset("fds-k5").signal, make_preset("fds-k5").drive)
+    durations = np.concatenate([t1 - t0, [1e-3, 0.05, 4.0, 160.0, 1e4, 1e5]])
+    for rule_spec in (spec, lab):
+        for rule_opts in (opts, PropagatorOptions(rel_tol=1e-12)):
+            assert propagator._periods(rule_spec, durations, rule_opts).tolist() == [
+                _scalar_periods(rule_spec, d, rule_opts) for d in durations.tolist()]
+
+
 def test_segments_split_into_blocks(passes):
     spec = make_preset("fds-k5").rotating_spec()
     t0, t1 = RABI_EVENTS[:-1], RABI_EVENTS[1:]
@@ -924,6 +967,12 @@ def test_reversed_bounds_rejected():
         with pytest.raises(ValueError, match="precedes its start"):
             interval_unitary(spec, np.array([0.0, 1.0]), np.array([0.5, 0.5]), opts,
                              z_offsets=np.zeros((2, 1)))
+        # a zero-length segment is not reversed; the first reversed one is named
+        with pytest.raises(ValueError,
+                           match=r"^interval end 0\.75 us precedes its start 1 us$"):
+            interval_unitary(spec, np.array([0.0, 2.0, 1.0, 3.0]),
+                             np.array([0.5, 2.0, 0.75, 2.5]), opts,
+                             z_offsets=np.zeros((4, 1)))
 
 
 # ----------------------------------------------------------- closed forms
