@@ -23,14 +23,14 @@ longer than any segment).  The propagators take one of two routes:
 - A noisy scan, or a noiseless one of a time-dependent spec that fails the
   stroboscopic route's periodicity or round-off rule over the scan,
   propagates all segments and realizations in one fixed-resolution
-  ``interval_unitary`` call over the segment axis (memory bounded by the
-  propagator's block size).
+  ``_interval_quaternions`` call over the segment axis (memory bounded by
+  the propagator's block size).
 
-The walk (``_walk``) has no loop over events: it reads the segment
-propagators back as quaternions, interleaves the pi pulses (instantaneous
-rotations about the drive's micromotion-dressed x axis, all dressed in one
-vectorized call), takes every running product in one work-efficient prefix
-product and reads the populations at the grid times from the quaternions.
+The walk (``_walk``) has no loop over events: it takes the segment
+quaternions as they are, interleaves the pi pulses (instantaneous rotations
+about the drive's micromotion-dressed x axis, all dressed in one vectorized
+call), takes every running product in one work-efficient prefix product and
+reads the populations at the grid times from the quaternions.
 """
 
 from __future__ import annotations
@@ -73,10 +73,9 @@ from .params import (
 )
 from .propagator import (
     PropagatorOptions,
-    _matrix_quat,
+    _interval_quaternions,
     _periods,
     _quat_exp,
-    _quat_matrix,
     _quat_mul,
     _quat_power,
     _quat_prefix,
@@ -220,6 +219,7 @@ class DdConfig:
     tau: float = 0.5
 
     def __post_init__(self):
+        _require_finite("tau", np.asarray(self.tau))
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
@@ -251,6 +251,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "quasi-static", "ornstein-uhlenbeck"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        _require_finite("sigma_z", np.asarray(self.sigma_z))
+        _require_finite("tau_c", np.asarray(self.tau_c))
         if self.sigma_z < 0:
             raise ValueError("sigma_z must be >= 0")
         if self.kind == "ornstein-uhlenbeck" and self.tau_c <= 0:
@@ -306,23 +308,21 @@ def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
           is_grid: np.ndarray) -> np.ndarray:
     """|0> populations (grid events, realizations) of a scan started in |0>.
 
-    ``u`` is the complex (S, r, 2, 2) stack of the propagators of the S
-    segments between S + 1 events, ``pulses`` the (n, 4) quaternions of the
-    pulses at the n events flagged in ``is_pulse``, and ``is_grid`` flags the
-    events read out.  The segment quaternions are read back from ``u``
-    exactly (u00 = w - iz, u10 = y - ix), each pulse follows the segment that
-    ends at its event, and one prefix product (``_quat_prefix``) gives the
-    propagator to every factor at once, after an identity for time 0.  A
-    grid event reads its last factor: U|0> = (w - iz, y - ix), so the
-    echo-frame |0> population is w^2 + z^2 after an even number of pulses and
-    x^2 + y^2 after an odd one.
+    ``u`` is the (S, r, 4) stack of the quaternions of the S segments
+    between S + 1 events, ``pulses`` the (n, 4) quaternions of the pulses at
+    the n events flagged in ``is_pulse``, and ``is_grid`` flags the events
+    read out.  Each pulse follows the segment that ends at its event, and
+    one prefix product (``_quat_prefix``) gives the propagator to every
+    factor at once, after an identity for time 0.  A grid event reads its
+    last factor: U|0> = (w - iz, y - ix), so the echo-frame |0> population
+    is w^2 + z^2 after an even number of pulses, x^2 + y^2 after an odd one.
     """
     n_seg, n_real = u.shape[:2]
     pulses_upto = np.cumsum(is_pulse)  # pulses at or before each event
     factors = np.empty((1 + n_seg + len(pulses), n_real, 4))
     factors[0] = _IDENTITY
     seg = 1 + np.arange(n_seg) + pulses_upto[:-1]
-    factors[seg] = _matrix_quat(u)
+    factors[seg] = u
     at = np.flatnonzero(is_pulse)
     factors[at + pulses_upto[at]] = pulses[:, None]
     grid = np.flatnonzero(is_grid)
@@ -339,21 +339,20 @@ def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | 
     scan (``propagator._periods``).
 
     ``events`` are strictly increasing from 0.  A constant spec takes one
-    exact exponential over [0, e] per event, all in one ``interval_unitary``
+    exact exponential over [0, e] per event, in one ``_interval_quaternions``
     call (the event at 0 is the zero-length segment [0, 0], the identity).
     A periodic spec is folded into one drive period: with T the period,
     U(e, 0) = U(r_e, 0) U_T^m_e, with m_e = floor(e/T) and r_e = e - m_e T.
     The period [0, T] is cut at the sorted remainders, and the pieces take
-    one fixed-resolution ``interval_unitary`` call at the period tolerance
-    rel_tol / m_max of the route.  One prefix product of the pieces gives
-    every U(r_e, 0), and its last product is U_T; one closed-form power
+    one fixed-resolution ``_interval_quaternions`` call at the period
+    tolerance rel_tol / m_max of the route.  One prefix product of the pieces
+    gives every U(r_e, 0), and its last product is U_T; one closed-form power
     raises U_T to every m_e.  Either way each event is anchored at t = 0, so
     the scan's error does not grow with its event count.
     """
     zeros = np.zeros((events.size, 1))
     if spec.fundamental[0] == 0.0:
-        anchors = interval_unitary(spec, np.zeros(events.size), events, SCAN_OPTS, zeros)
-        return _matrix_quat(anchors[:, 0])
+        return _interval_quaternions(spec, np.zeros(events.size), events, SCAN_OPTS, zeros)[:, 0]
     # the refined route's rule, so that rel_tol / m_max stays above round-off
     m_max = int(_periods(spec, events[-1], PropagatorOptions(SCAN_OPTS.rel_tol)))
     if m_max == 0:
@@ -365,11 +364,11 @@ def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | 
     # piece between equal cuts takes the identity
     order = np.argsort(rest, kind="stable")
     cuts = np.append(rest[order], period)
-    pieces = interval_unitary(
+    pieces = _interval_quaternions(
         spec, cuts[:-1], cuts[1:], PropagatorOptions(SCAN_OPTS.rel_tol / m_max, adaptive=False),
         zeros,
     )
-    anchors = _quat_prefix(_matrix_quat(pieces[:, 0]))  # U(cut, 0) of cuts[1:]
+    anchors = _quat_prefix(pieces[:, 0])  # U(cut, 0) of cuts[1:]
     anchored = np.empty((events.size, 4))
     anchored[order[0]] = _IDENTITY
     anchored[order[1:]] = anchors[:-1]
@@ -456,12 +455,11 @@ def run_scan(
         p0_real = np.broadcast_to((w * w + z * z)[:, None], (t_grid.size, n_real))
     else:
         if anchors is not None:  # the factors U(e_s, 0) U(e_{s-1}, 0)^dagger
-            u = _quat_matrix(_quat_mul(anchors[1:], anchors[:-1] * _CONJUGATE))
-            u = np.broadcast_to(u[:, None], (mids.size, n_real, 2, 2))
+            u = _quat_mul(anchors[1:], anchors[:-1] * _CONJUGATE)
+            u = np.broadcast_to(u[:, None], (mids.size, n_real, 4))
         else:
             # events are strictly increasing, so every segment has t1 > t0
-            u = interval_unitary(spec, events[:-1], events[1:], SCAN_OPTS,
-                                 z_offsets=0.5 * offsets.T)
+            u = _interval_quaternions(spec, events[:-1], events[1:], SCAN_OPTS, 0.5 * offsets.T)
         p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
 
     p0_mean = p0_real.mean(axis=1)
@@ -929,35 +927,34 @@ def calibrate_noise(
     The same unit-variance noise shapes are reused at every amplitude (fixed
     seed), but the fitted T2 is still not monotone in sigma_z, so the result
     is *a* sigma_z whose fitted T2 lies within 5% of the target, not a unique
-    one.  Raises if a bracket cannot be established.
+    one.  Raises if a bracket cannot be established, or if the fit that
+    matches is flagged as a lower bound (T2 beyond the grid span).
     """
     if target_t2 <= 0:
         raise ValueError("target T2 must be positive")
     if t_grid is None:
         t_grid = default_dd_grid(dd=False)
 
-    def fitted_t2(sigma: float) -> float:
+    def fitted(sigma: float) -> DecayFit:
         noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=sigma, tau_c=tau_c)
-        scan = run_scan(
-            preset, t_grid, noise=noise, n_realizations=n_realizations, seed=seed
-        )
-        return fit_decaying_cosine(scan.times, scan.p0).T2
+        scan = run_scan(preset, t_grid, noise=noise, n_realizations=n_realizations, seed=seed)
+        return fit_decaying_cosine(scan.times, scan.p0)
 
     scenario = resolve_scenario(preset)
     sigma = math.sqrt(scenario.signal.omega_s_amp / target_t2)  # dimensional guess
-    t2 = fitted_t2(sigma)
+    t2 = fitted(sigma).T2
     lo = hi = sigma
     t2_lo = t2_hi = t2
     for _ in range(12):
         if t2_hi < target_t2:
             break
         hi *= 2.0
-        t2_hi = fitted_t2(hi)
+        t2_hi = fitted(hi).T2
     for _ in range(12):
         if t2_lo > target_t2:
             break
         lo *= 0.5
-        t2_lo = fitted_t2(lo)
+        t2_lo = fitted(lo).T2
     if not (t2_lo > target_t2 > t2_hi):
         raise RuntimeError(
             f"could not bracket sigma_z for T2 = {target_t2:g} us "
@@ -965,10 +962,14 @@ def calibrate_noise(
         )
     for _ in range(24):
         mid = math.sqrt(lo * hi)
-        t2_mid = fitted_t2(mid)
-        if abs(t2_mid - target_t2) <= 0.05 * target_t2:
+        fit = fitted(mid)
+        if abs(fit.T2 - target_t2) <= 0.05 * target_t2:
+            if fit.t2_is_lower_bound:
+                raise RuntimeError(
+                    f"the fit matching T2 = {target_t2:g} us is a lower bound: {fit.T2:g} us "
+                    f"exceeds the grid span of {t_grid[-1] - t_grid[0]:g} us")
             return NoiseModel(kind="ornstein-uhlenbeck", sigma_z=mid, tau_c=tau_c)
-        if t2_mid > target_t2:
+        if fit.T2 > target_t2:
             lo = mid
         else:
             hi = mid

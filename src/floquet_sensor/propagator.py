@@ -17,9 +17,10 @@ in arrays of shape (..., 4).  The substep exponential is
 (cos|q|, sin|q| q/|q|) for a generator q, and the product of two elements
 is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
 Everything is vectorized over substeps, with the running product
-accumulated by pairwise reduction.  Complex 2x2 matrices are formed only at
-the public boundary (``interval_unitary``, ``evolve``,
-``micromotion_error``).
+accumulated by pairwise reduction.  The scan engine of ``experiments``
+takes the quaternions as they are (``_interval_quaternions``); complex 2x2
+matrices are formed only at the public boundary (``interval_unitary``,
+``evolve``, ``micromotion_error``).
 
 One broadcasting rule batches the kernel.  It takes interval bounds and
 offsets, one entry per batch member, and each takes a trailing substep
@@ -244,13 +245,6 @@ _TO_MATRIX[[0, 3, 2, 1, 2, 1, 0, 3], range(8)] = [1, -1, -1, -1, 1, -1, 1, 1]
 def _quat_matrix(u: np.ndarray) -> np.ndarray:
     """Complex 2x2 matrices [[w - iz, -y - ix], [y - ix, w + iz]] of quaternions u."""
     return (u @ _TO_MATRIX).view(complex).reshape(u.shape[:-1] + (2, 2))
-
-
-def _matrix_quat(u: np.ndarray) -> np.ndarray:
-    """Quaternions (..., 4) of complex SU(2) matrices u, (..., 2, 2): the exact
-    inverse of ``_quat_matrix``, w = Re u00, x = -Im u10, y = Re u10, z = -Im u00."""
-    u00, u10 = u[..., 0, 0], u[..., 1, 0]
-    return np.stack([u00.real, -u10.imag, u10.real, -u00.imag], axis=-1)
 
 
 def _pauli_exp(q: np.ndarray) -> np.ndarray:
@@ -480,6 +474,11 @@ def interval_unitary(
     ``z_offsets`` of shape (S, r), give the (S, r, 2, 2) stack of the S
     scalar calls, bit for bit; a scalar call is the one-segment case.
     """
+    return _quat_matrix(_interval_quaternions(spec, t0, t1, opts, z_offsets))
+
+
+def _interval_quaternions(spec, t0, t1, opts, z_offsets) -> np.ndarray:
+    """The quaternions (..., 4) of ``interval_unitary``: its checks, route and bits."""
     segments = bool(np.ndim(t0) or np.ndim(t1))
     # each input converted once, and that conversion checked
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
@@ -534,7 +533,7 @@ def interval_unitary(
         out[..., 0] = 1.0
         out[moving] = u
         u = out
-    return _quat_matrix(u if segments else u[0])
+    return u if segments else u[0]
 
 
 def _piece_unitaries(spec, start, end, tol, seg, opts, rows) -> np.ndarray:

@@ -62,7 +62,10 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
         folded = len(seen) - noisy
         run_scan("ods-detuned", grid)
         anchored = starts[noisy + folded:]
+        spans = len(tracer.spans)
         make_preset("fds-k5").exact_qfi(1.0)
+        # the oracle's states come from the public call, so its span is timed
+        oracle = [s[0] for s in tracer.spans[spans:]]
     finally:
         tracer.restore()  # rebinds the kernel itself
     assert propagator._interval_unitary is propagator_kernel
@@ -70,6 +73,7 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
     # one pass over the grid's intervals [0, t], every one from t = 0
     assert len(anchored) == 1 and anchored[0].size == grid.size
     assert not anchored[0].any()
+    assert "propagator.interval_unitary" in oracle
     metrics = tracer.layer_metrics()
     assert metrics["propagator.passes"] == len(seen)
     assert metrics["propagator.substeps"] == sum(n * members for n, members in seen)

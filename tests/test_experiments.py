@@ -30,7 +30,6 @@ from floquet_sensor.metrology import qfi_exact
 from floquet_sensor.params import mhz_to_angular
 from floquet_sensor.hamiltonian import kick_vector
 from floquet_sensor.propagator import (
-    _matrix_quat,
     _pauli_exp,
     _quat_matrix,
     _quat_mul,
@@ -161,6 +160,13 @@ def _ods_spec():
     pytest.param(lambda: interval_unitary(_ods_spec(), [0.0, -math.inf], [1.0, 2.0],
                                           z_offsets=np.zeros((2, 1))),
                  "interval bound t0", id="interval_unitary-segments"),
+    # noise settings once failed only inside a scan, as "z_offsets must be finite"
+    pytest.param(lambda: NoiseModel("quasi-static", math.nan), "sigma_z",
+                 id="noise-sigma_z-nan"),
+    pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", math.inf), "sigma_z",
+                 id="noise-sigma_z-inf"),
+    pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", 0.5, tau_c=math.nan), "tau_c",
+                 id="noise-tau_c-nan"),
 ])
 def test_non_finite_times_rejected_naming_the_bound(call, bound):
     with pytest.raises(ValueError, match=f"^{bound} must be finite"):
@@ -172,6 +178,10 @@ def test_non_finite_times_rejected_naming_the_bound(call, bound):
 def test_dd_config_validation_and_pulse_times():
     with pytest.raises(ValueError):
         DdConfig(tau=0.0)
+    # a NaN tau once crashed inside pulse_times, an infinite one gave no pulses
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^tau must be finite"):
+            DdConfig(tau=tau)
     dd = DdConfig(tau=0.5)
     npt.assert_allclose(dd.pulse_times(4.0), [0.5, 1.5, 2.5, 3.5])
     assert dd.pulse_times(0.8).size == 0  # shorter than 2 tau
@@ -309,6 +319,15 @@ def _scan_segments(preset, t_grid, noise, dd, n_realizations, seed):
     return scenario, events, is_pulse, is_grid, _quat_matrix(anchors)[:, None]
 
 
+def _matrix_quat(u):
+    """Quaternions (..., 4) of complex SU(2) matrices u, (..., 2, 2): the exact
+    inverse of ``_quat_matrix``, w = Re u00, x = -Im u10, y = Re u10,
+    z = -Im u00.  It reads the public per-segment matrices back for the
+    quaternion walk, as the oracle of the scan's bits."""
+    u00, u10 = u[..., 0, 0], u[..., 1, 0]
+    return np.stack([u00.real, -u10.imag, u10.real, -u00.imag], axis=-1)
+
+
 def _stats(p0_real):
     """(mean, stderr) of each grid row of populations, row by row."""
     n_real = p0_real.shape[1]
@@ -364,7 +383,7 @@ def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
         q = _matrix_quat(u[is_grid])
         p0, err = _stats(q[..., 0] * q[..., 0] + q[..., 3] * q[..., 3])
     else:
-        p0, err = _stats(_walk(u, _pulse_quaternions(scenario, events[is_pulse]),
+        p0, err = _stats(_walk(_matrix_quat(u), _pulse_quaternions(scenario, events[is_pulse]),
                                is_pulse, is_grid))
     npt.assert_array_equal(scan.p0, p0)
     npt.assert_array_equal(scan.stderr, err)
@@ -467,7 +486,7 @@ def test_noiseless_scan_with_pulses_walks_telescoped_anchors(monkeypatch):
     events, is_pulse, is_grid = _scan_events(grid, dd)
     anchors = _folded_segments(scenario.rotating_spec(), events)
     inverse = anchors[:-1] * np.array([1.0, -1.0, -1.0, -1.0])
-    u = _quat_matrix(_quat_mul(anchors[1:], inverse))[:, None]
+    u = _quat_mul(anchors[1:], inverse)[:, None]
     npt.assert_array_equal(walks[0][0], u)
     p0 = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
     npt.assert_array_equal(scan.p0, p0[:, 0])
@@ -827,3 +846,10 @@ def test_quasi_static_noise_constant_within_realization():
 def test_calibrate_noise_validation():
     with pytest.raises(ValueError):
         calibrate_noise(-1.0)
+
+
+def test_calibrate_rejects_a_fit_flagged_as_a_lower_bound():
+    # a 60 us target lies beyond the 44.75 us span of the default grid: the
+    # matching fit (T2 = 62.9 us) was once accepted, flag and all
+    with pytest.raises(RuntimeError, match=r"T2 = 60 us .* grid span of 44\.75 us"):
+        calibrate_noise(60.0, n_realizations=24)

@@ -39,6 +39,7 @@ from floquet_sensor.params import (
 )
 from floquet_sensor import propagator
 from floquet_sensor.propagator import (
+    _interval_quaternions,
     _interval_unitary,
     _initial_steps,
     _pauli_exp,
@@ -267,6 +268,14 @@ def _scalar_route(spec, t0, t1, opts, z=0.0):
     return _quat_matrix(u)
 
 
+def _public_matrices(spec, t0, t1, opts, z_offsets):
+    """``interval_unitary``, checked to be the matrices of the quaternions
+    ``_interval_quaternions`` hands the scan engine, bit for bit."""
+    u = interval_unitary(spec, t0, t1, opts, z_offsets)
+    assert np.array_equal(u, _quat_matrix(_interval_quaternions(spec, t0, t1, opts, z_offsets)))
+    return u
+
+
 FDS_PERIOD = TP / make_preset("fds-k5").rotating_spec().fundamental[0]
 
 
@@ -292,7 +301,7 @@ def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
     spec = _errored_spec(preset, errors)
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
     assert propagator._periods(spec, t1 - t0, opts) >= 2
-    u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
+    u = _public_matrices(spec, t0, t1, opts, z)
     assert u.shape == (batch,) * bool(batch) + (2, 2)
     assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, 0.0 if z is None else z))
 
@@ -588,7 +597,7 @@ def test_sigma_x_offsets_match_rebuilt_specs(opts):
         amps = np.concatenate([om + np.array([-1e-4, 1e-4]) * om,
                                om * (1.0 + 0.025 * np.linspace(-1.0, 1.0, 7))])
         for t in (0.3, 1.0, 4.0):
-            u = interval_unitary(sc.rotating_spec(), 0.0, t, opts, 0.5j * (amps - om))
+            u = _public_matrices(sc.rotating_spec(), 0.0, t, opts, 0.5j * (amps - om))
             assert u.shape == (amps.size, 2, 2)
             rebuilt = np.stack([
                 interval_unitary(replace(sc, signal=replace(sc.signal, omega_s_amp=w))
@@ -823,7 +832,7 @@ def test_array_route_matches_scalar_reference(opts):
     identity = np.broadcast_to(np.eye(2), (2, 2, 2))
     expected = np.stack([identity if a == b else _scalar_route(spec, a, b, opts, zz)
                          for a, b, zz in zip(t0.tolist(), t1.tolist(), z)])
-    assert np.array_equal(interval_unitary(spec, t0, t1, opts, z_offsets=z), expected)
+    assert np.array_equal(_public_matrices(spec, t0, t1, opts, z), expected)
     # the rule over an array of durations is the scalar rule, lab-frame
     # specs (which miss periodicity by a defect) and round-off floor included
     lab = build_lab_fds(SensorParams(), make_preset("fds-k5").signal, make_preset("fds-k5").drive)
