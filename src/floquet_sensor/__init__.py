@@ -13,7 +13,6 @@ from .hamiltonian import (
     HamiltonianSpec,
     PauliTerm,
     build_fds_prime,
-    build_lab_fds,
     build_lab_ods,
     kick_operator,
     quasi_energy_shift,
@@ -25,13 +24,11 @@ from .propagator import (
     evolve,
     expectation,
     micromotion_error,
-    rabi_population,
 )
 from .metrology import (
     QfiEstimate,
     optimal_sensing_time,
     qfi_exact,
-    qfi_theta_phi,
     sensitivity,
     theta_phi_from_expectations,
 )

@@ -69,6 +69,8 @@ from .params import (
     ReadoutModel,
     SensorParams,
     SignalParams,
+    _require_count,
+    _require_finite,
     mhz_to_angular,
 )
 from .propagator import (
@@ -79,7 +81,6 @@ from .propagator import (
     _quat_mul,
     _quat_power,
     _quat_prefix,
-    _require_finite,
     interval_unitary,
 )
 
@@ -219,7 +220,7 @@ class DdConfig:
     tau: float = 0.5
 
     def __post_init__(self):
-        _require_finite("tau", np.asarray(self.tau))
+        _require_finite("tau", self.tau)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
@@ -238,10 +239,11 @@ class DdConfig:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Detuning (sigma_z-coupled) noise: none, quasi-static or OU.
+    """Detuning (sigma_z-coupled) noise: ``"none"`` or ``"ornstein-uhlenbeck"``.
 
     sigma_z is the standard deviation of the detuning offset in rad/us;
-    tau_c the OU correlation time in us.
+    tau_c the OU correlation time in us.  Noise that is static within a
+    realization is the OU limit of a tau_c much longer than the scan.
     """
 
     kind: str = "none"
@@ -249,10 +251,10 @@ class NoiseModel:
     tau_c: float = DD_TAU_C_DEFAULT
 
     def __post_init__(self):
-        if self.kind not in ("none", "quasi-static", "ornstein-uhlenbeck"):
+        if self.kind not in ("none", "ornstein-uhlenbeck"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        _require_finite("sigma_z", np.asarray(self.sigma_z))
-        _require_finite("tau_c", np.asarray(self.tau_c))
+        _require_finite("sigma_z", self.sigma_z)
+        _require_finite("tau_c", self.tau_c)
         if self.sigma_z < 0:
             raise ValueError("sigma_z must be >= 0")
         if self.kind == "ornstein-uhlenbeck" and self.tau_c <= 0:
@@ -268,9 +270,6 @@ class NoiseModel:
         n_seg = len(mids)
         if self.kind == "none" or self.sigma_z == 0.0 or n_seg == 0:
             return np.zeros((n_real, n_seg))
-        if self.kind == "quasi-static":
-            z = rng.standard_normal((n_real, 1))
-            return self.sigma_z * np.repeat(z, n_seg, axis=1)
         normals = rng.standard_normal((n_real, n_seg))
         z = np.empty((n_real, n_seg))
         z[:, 0] = normals[:, 0]
@@ -427,8 +426,9 @@ def run_scan(
     _require_finite("t_grid", t_grid)
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing and non-negative")
-    if shots is not None and shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots is not None:
+        _require_count("shots", shots)
+    _require_count("n_realizations", n_realizations)
     if seed is None:
         raise ValueError("seed must be an integer; None would draw OS entropy")
     noise = noise or NoiseModel()
@@ -930,6 +930,7 @@ def calibrate_noise(
     one.  Raises if a bracket cannot be established, or if the fit that
     matches is flagged as a lower bound (T2 beyond the grid span).
     """
+    _require_finite("target T2", target_t2)
     if target_t2 <= 0:
         raise ValueError("target T2 must be positive")
     if t_grid is None:

@@ -3,10 +3,10 @@
 A Hamiltonian is represented as a frame-tagged sum of Pauli terms, each a
 tone amplitude * cos(frequency*t + phase) on one axis, with the constants
 as its zero-frequency tones (``HamiltonianSpec``).  Builders produce the
-lab-frame sensing Hamiltonians, the transform to the signal rotating frame
-(with or without the rotating-wave approximation) and the first-order
-time-averaged description of the periodic drive: kick operator, quasi-energy
-shift and the coefficients of the effective Hamiltonian.
+lab-frame sensing Hamiltonian, its rotating-wave transform to the signal
+rotating frame, the rotating-frame driven Hamiltonian and the first-order
+time-averaged description of the periodic drive: kick operator,
+quasi-energy shift and the coefficients of the effective Hamiltonian.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
@@ -48,7 +47,7 @@ class PauliTerm:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.axis not in _PAULI:
+        if self.axis not in _AXIS_INDEX:
             raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
 
     def coefficient(self, t):
@@ -138,11 +137,6 @@ class HamiltonianSpec:
             for f, coefs in groups.items()
         ], singles
 
-    def matrix(self, t: float) -> np.ndarray:
-        """2x2 Hermitian matrix at time t."""
-        cx, cy, cz = self.coefficients(float(t))
-        return cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z
-
     def max_frequency(self) -> float:
         """Fastest term frequency present (rad/us); 0 for constant specs."""
         return max((abs(term.frequency) for term in self.terms), default=0.0)
@@ -184,34 +178,15 @@ def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec
     return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
-def build_lab_fds(
-    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
-) -> HamiltonianSpec:
-    """Lab-frame Hamiltonian of the periodically driven sensor.
-
-    On top of the undriven sensing Hamiltonian, each drive harmonic l adds a
-    lab tone 4*omega_F_amp * cos[(omega_s - l*omega_F) t] sigma_x (the factor
-    4 maps the lab amplitude onto the rotating-frame convention).
-    """
-    terms = list(build_lab_ods(sensor, signal).terms)
-    for l in range(1, drive.harmonics + 1):
-        if drive.omega_F_amp != 0.0:
-            terms.append(PauliTerm("x", 4.0 * drive.omega_F_amp,
-                                   signal.omega_s_freq - l * drive.omega_F_freq,
-                                   -drive.tone_phase(l)))
-    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
-
-
-def to_signal_rotating(
-    spec: HamiltonianSpec, signal: SignalParams, apply_rwa: bool = True
-) -> HamiltonianSpec:
-    """Transform a lab-frame spec into the frame rotating at the signal carrier.
+def to_signal_rotating(spec: HamiltonianSpec, signal: SignalParams) -> HamiltonianSpec:
+    """Transform a lab-frame spec into the frame rotating at the signal carrier,
+    under the rotating-wave approximation.
 
     The frame is generated by exp(-i*omega_s*t*sigma_z/2).  Constant sigma_z
     terms commute with the rotation and pick up the single +omega_s/2 shift;
-    each lab sigma_x cosine at carrier w_c splits into a co-rotating pair at
-    |omega_s - w_c| and, with ``apply_rwa`` off, a counter-rotating pair at
-    omega_s + w_c.  Lab terms outside this family are rejected.
+    each lab sigma_x cosine at carrier w_c becomes a co-rotating pair at
+    |omega_s - w_c|, and its counter-rotating pair at omega_s + w_c is
+    dropped.  Lab terms outside this family are rejected.
     """
     if spec.frame is not Frame.LAB:
         raise ValueError(f"expected a lab-frame spec, got frame {spec.frame.value!r}")
@@ -225,9 +200,6 @@ def to_signal_rotating(
             amp, wc, ph = term.amplitude, term.frequency, term.phase
             # co-rotating pair at omega_s - w_c
             terms.extend(_rotating_pair(0.5 * amp, ws - wc, -ph))
-            if not apply_rwa:
-                # counter-rotating pair at omega_s + w_c
-                terms.extend(_rotating_pair(0.5 * amp, ws + wc, ph))
         else:
             raise ValueError(
                 f"cannot transform lab term {term!r}; only constant sigma_z and "
@@ -257,8 +229,9 @@ def build_fds_prime(
 ) -> HamiltonianSpec:
     """Rotating-frame driven-sensor Hamiltonian (RWA applied).
 
-    ``to_signal_rotating(build_lab_fds(...), signal)``, with the drive tones
-    at exact multiples of one frequency:
+    The ``to_signal_rotating`` transform of the lab-frame driven sensor, whose
+    harmonic l adds 4*omega_F_amp * cos[(omega_s - l*omega_F) t] sigma_x, with
+    the drive tones at exact multiples of one frequency:
 
         (Delta/2) sigma_z + (omega_s_amp/2) sigma_x
         + 2*omega_F_amp * sum_l [cos(l omega_F t) sigma_x + sin(l omega_F t) sigma_y]
@@ -269,7 +242,7 @@ def build_fds_prime(
     formed that way and tone l is put at l * f1, so the spec is periodic in
     2*pi/f1 with no frequency defect, and it equals the transform bit for bit
     wherever the transform's tones are already exact multiples of f1 (at the
-    presets' default drives).
+    presets' default drives; the tests' lab-frame oracle checks this).
     """
     ws = signal.omega_s_freq
     f1 = ws - (ws - drive.omega_F_freq)

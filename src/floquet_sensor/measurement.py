@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .metrology import QfiEstimate, theta_phi_from_expectations
-from .params import ReadoutModel
+from .params import ReadoutModel, _require_count
 from .propagator import expectation
 
 
@@ -42,8 +42,8 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots < 1 or self.repeats < 1:
-            raise ValueError("shots and repeats must be >= 1")
+        _require_count("shots", self.shots)
+        _require_count("repeats", self.repeats)
 
 
 def _estimate_p0_from_total(total_counts, shots: int, model: ReadoutModel):
@@ -71,8 +71,7 @@ def read_out(p0, shots: int, rng: np.random.Generator, model: ReadoutModel,
     over ``shots / n`` shots and the counts are summed into one estimate, so
     the outputs lose that axis.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _require_count("shots", shots)
     p0 = np.clip(p0, 0.0, 1.0)
     if not pooled:
         totals = rng.poisson(model.mean_counts(p0) * shots)

@@ -11,8 +11,8 @@ given as 2-vectors of amplitudes over {|0>, |1>},
     I(w) = 4 ( <d_w psi | d_w psi> - |<psi | d_w psi>|^2 )
 
 with w the rotating-frame Rabi amplitude in rad/us, so I carries units of
-us^2.  The equivalent (theta, phi) form for
-|psi> = cos(theta)|+> + sin(theta) e^{i phi} |-> is
+us^2.  The QFI pipeline fits the equivalent (theta, phi) form for
+|psi> = cos(theta)|+> + sin(theta) e^{i phi} |->:
 
     I = 4 (d theta/d w)^2 + sin^2(2 theta) (d phi/d w)^2.
 
@@ -88,12 +88,6 @@ def qfi_exact(
     return QfiEstimate(value=float(value), method="exact-fd")
 
 
-def qfi_theta_phi(theta: float, dtheta_domega: float, dphi_domega: float) -> QfiEstimate:
-    """Algebraic QFI from the (theta, phi) parameterization and its slopes."""
-    value = 4.0 * dtheta_domega**2 + math.sin(2.0 * theta) ** 2 * dphi_domega**2
-    return QfiEstimate(value=value, method="theta-phi-fit")
-
-
 def theta_phi_from_expectations(sx, sy, sz):
     """(theta, phi, degenerate) arrays from Pauli expectations, elementwise.
 
@@ -106,14 +100,6 @@ def theta_phi_from_expectations(sx, sy, sz):
     degenerate = (np.abs(sy) < 1e-12) & (np.abs(sz) < 1e-12)
     phi = np.where(degenerate, 0.0, np.arctan2(-sy, sz))
     return theta, phi, degenerate
-
-
-def state_from_theta_phi(theta: float, phi: float) -> np.ndarray:
-    """Pure state cos(theta)|+> + sin(theta) e^{i phi}|-> in the z basis."""
-    ct, st = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    inv = 1.0 / math.sqrt(2.0)
-    return np.array([inv * (ct + st * e), inv * (ct - st * e)])
 
 
 def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -23,6 +25,21 @@ def mhz_to_angular(f_mhz: float) -> float:
 def angular_to_mhz(omega: float) -> float:
     """Angular rad/us -> cyclic MHz."""
     return omega / TWO_PI
+
+
+def _require_finite(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name`` if any entry of ``values`` is NaN or infinite."""
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite] if values.ndim else values
+        raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +61,8 @@ class SensorParams:
     B0: float = 500.0
 
     def __post_init__(self):
+        for name in ("D", "gamma_e", "B0"):
+            _require_finite(name, getattr(self, name))
         if self.omega_0 <= 0:
             raise ValueError(
                 f"sensor resonance omega_0 = D - gamma_e*B0 must be positive, "
@@ -69,6 +88,8 @@ class ReadoutModel:
     contrast: float = 0.13
 
     def __post_init__(self):
+        _require_finite("count_rate", self.count_rate)
+        _require_finite("t_det", self.t_det)
         if not 0.0 < self.contrast < 1.0:
             raise ValueError("contrast must lie in (0, 1)")
         if self.count_rate <= 0 or self.t_det <= 0:
@@ -95,6 +116,8 @@ class SignalParams:
     omega_s_freq: float
 
     def __post_init__(self):
+        _require_finite("omega_s_amp", self.omega_s_amp)
+        _require_finite("omega_s_freq", self.omega_s_freq)
         if self.omega_s_amp < 0:
             raise ValueError("signal Rabi amplitude must be >= 0")
         if self.omega_s_freq <= 0:
@@ -129,14 +152,16 @@ class FloquetDriveParams:
     phases: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _require_finite("omega_F_amp", self.omega_F_amp)
+        _require_finite("omega_F_freq", self.omega_F_freq)
         if self.omega_F_freq <= 0:
             raise ValueError("drive frequency must be > 0")
         if self.omega_F_amp < 0:
             raise ValueError("drive amplitude must be >= 0")
-        if self.harmonics < 1 or int(self.harmonics) != self.harmonics:
-            raise ValueError("harmonic count must be a positive integer")
+        _require_count("harmonics", self.harmonics)
         if self.phases is not None and len(self.phases) != self.harmonics:
             raise ValueError("need one tone phase per harmonic")
+        _require_finite("phases", () if self.phases is None else self.phases)
 
     def tone_phase(self, l: int) -> float:
         """Phase offset of harmonic l (1-based)."""

@@ -93,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec, kick_operator
-from .params import FloquetDriveParams, TWO_PI
+from .params import FloquetDriveParams, TWO_PI, _require_finite
 
 _SQRT15 = math.sqrt(15.0)
 _GAUSS = _SQRT15 / 10.0  # outer Gauss nodes at t_mid -+ _GAUSS h
@@ -119,10 +119,10 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorOptions:
-    """Accuracy controls for ``evolve``.
+    """Accuracy controls of every propagation, and so of the scans and oracles.
 
     rel_tol : float
-        Target agreement between successive step-halvings (amplitude scale).
+        Target agreement between successive step-halvings (amplitude scale), > 0.
     adaptive : bool
         If False, skip Richardson refinement and integrate at the initial
         resolution (used for noise-ensemble runs where statistical error
@@ -132,19 +132,14 @@ class PropagatorOptions:
     rel_tol: float = 1e-10
     adaptive: bool = True
 
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < math.inf:  # NaN fails too
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+
 
 def _as_numbers(values) -> np.ndarray:
     """``values`` as a float array, or as a complex one where they hold complex numbers."""
     return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
-
-
-def _require_finite(name: str, values: np.ndarray) -> None:
-    """Raise ``ValueError`` naming ``name`` if any entry of the array ``values``
-    is NaN or infinite."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = values[~finite] if values.ndim else values
-        raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -610,21 +605,6 @@ def evolve(
             t_prev = float(t)
         states[i] = psi
     return states
-
-
-def rabi_population(omega_s_amp: float, delta: float, t: float) -> float:
-    """Closed-form |0> population under a constant rotating-frame drive.
-
-    P0(t) = 1 - [A^2/(A^2+D^2)] sin^2( sqrt(A^2+D^2) t / 2 ); the degenerate
-    case A = D = 0 returns 1.
-    """
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    general = math.hypot(omega_s_amp, delta)
-    if general == 0.0:
-        return 1.0
-    contrast = (omega_s_amp / general) ** 2
-    return 1.0 - contrast * math.sin(0.5 * general * t) ** 2
 
 
 def expectation(state, axis: str) -> float:

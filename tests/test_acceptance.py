@@ -41,9 +41,7 @@ from floquet_sensor.measurement import (
 )
 from floquet_sensor.metrology import (
     qfi_exact,
-    qfi_theta_phi,
     sensitivity,
-    state_from_theta_phi,
 )
 from floquet_sensor.params import (
     FloquetDriveParams,
@@ -57,8 +55,9 @@ from floquet_sensor.propagator import (
     evolve,
     interval_unitary,
     micromotion_error,
-    rabi_population,
 )
+
+from oracles import qfi_theta_phi, rabi_population, state_from_theta_phi
 
 TP = 2.0 * math.pi
 KET0 = np.array([1.0, 0.0], dtype=complex)

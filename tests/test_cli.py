@@ -550,7 +550,7 @@ def test_physical_overrides_change_dynamics(tmp_path):
     assert a != b
     # tweaked run matches the closed form at the overridden parameters
     import math
-    from floquet_sensor.propagator import rabi_population
+    from oracles import rabi_population
     from floquet_sensor.params import mhz_to_angular
 
     row = b.splitlines()[1].split(",")

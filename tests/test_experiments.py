@@ -21,22 +21,31 @@ from floquet_sensor.experiments import (
     default_dd_grid,
     fit_decaying_cosine,
     make_preset,
+    run_dd_experiment,
     run_qfi_scaling,
     run_robustness_sweep,
     run_scan,
 )
-from floquet_sensor.measurement import default_omega_grid, qfi_pipeline
+from floquet_sensor.measurement import MonteCarloConfig, default_omega_grid, qfi_pipeline
 from floquet_sensor.metrology import qfi_exact
-from floquet_sensor.params import mhz_to_angular
+from floquet_sensor.params import (
+    FloquetDriveParams,
+    ReadoutModel,
+    SensorParams,
+    SignalParams,
+    mhz_to_angular,
+)
 from floquet_sensor.hamiltonian import kick_vector
 from floquet_sensor.propagator import (
     _pauli_exp,
     _quat_matrix,
     _quat_mul,
+    PropagatorOptions,
     evolve,
     interval_unitary,
-    rabi_population,
 )
+
+from oracles import h_matrix, rabi_population
 
 TP = 2.0 * math.pi
 
@@ -48,7 +57,7 @@ def test_all_presets_resolve():
         sc = make_preset(name)
         assert sc.name == name
         spec = sc.rotating_spec()
-        h = spec.matrix(0.1)
+        h = h_matrix(spec, 0.1)
         npt.assert_allclose(h, h.conj().T, atol=1e-12)
 
 
@@ -161,15 +170,68 @@ def _ods_spec():
                                           z_offsets=np.zeros((2, 1))),
                  "interval bound t0", id="interval_unitary-segments"),
     # noise settings once failed only inside a scan, as "z_offsets must be finite"
-    pytest.param(lambda: NoiseModel("quasi-static", math.nan), "sigma_z",
+    pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", math.nan), "sigma_z",
                  id="noise-sigma_z-nan"),
     pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", math.inf), "sigma_z",
                  id="noise-sigma_z-inf"),
     pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", 0.5, tau_c=math.nan), "tau_c",
                  id="noise-tau_c-nan"),
+    # physical parameters are checked where they are built
+    pytest.param(lambda: SensorParams(D=math.nan), "D", id="sensor-D"),
+    pytest.param(lambda: SensorParams(B0=math.inf), "B0", id="sensor-B0"),
+    # once "cannot convert float NaN to integer" inside HamiltonianSpec.fundamental
+    pytest.param(lambda: make_preset("fds-k5", delta=math.nan), "omega_s_freq",
+                 id="preset-delta"),
+    # once "z_offsets must be finite" at the first propagation
+    pytest.param(lambda: make_preset("fds-k5", omega_s_amp=math.nan), "omega_s_amp",
+                 id="preset-amp"),
+    pytest.param(lambda: SignalParams(1.0, math.inf), "omega_s_freq", id="signal-freq"),
+    pytest.param(lambda: FloquetDriveParams(math.nan, 1.0), "omega_F_amp", id="drive-amp"),
+    pytest.param(lambda: FloquetDriveParams(1.0, math.inf), "omega_F_freq", id="drive-freq"),
+    pytest.param(lambda: FloquetDriveParams(1.0, 1.0, 2, (0.0, math.nan)), "phases",
+                 id="drive-phases"),
+    pytest.param(lambda: ReadoutModel(count_rate=math.nan), "count_rate", id="count_rate"),
+    pytest.param(lambda: ReadoutModel(t_det=math.inf), "t_det", id="t_det"),
+    # a zero tolerance once doubled to ~126k substeps and then "stalled"
+    pytest.param(lambda: PropagatorOptions(rel_tol=0.0), "rel_tol", id="rel_tol-zero"),
+    pytest.param(lambda: PropagatorOptions(rel_tol=-1.0), "rel_tol", id="rel_tol-negative"),
+    pytest.param(lambda: PropagatorOptions(rel_tol=math.nan), "rel_tol", id="rel_tol-nan"),
+    # once blamed the noise: "sigma_z must be finite"
+    pytest.param(lambda: calibrate_noise(math.nan), "target T2", id="calibrate-target"),
 ])
 def test_non_finite_times_rejected_naming_the_bound(call, bound):
     with pytest.raises(ValueError, match=f"^{bound} must be finite"):
+        call()
+
+
+_OU = NoiseModel("ornstein-uhlenbeck", 0.5)
+
+
+@pytest.mark.parametrize("call, count", [
+    # once numpy's "Mean of empty slice" and a NaN scan
+    pytest.param(lambda: run_scan("dd-off", [0.5, 1.0], noise=_OU, n_realizations=0),
+                 "n_realizations", id="scan-zero"),
+    # once numpy's "negative dimensions are not allowed"
+    pytest.param(lambda: run_scan("dd-off", [0.5, 1.0], noise=_OU, n_realizations=-1),
+                 "n_realizations", id="scan-negative"),
+    pytest.param(lambda: run_scan("dd-off", [0.5, 1.0], noise=_OU, n_realizations=2.5),
+                 "n_realizations", id="scan-fraction"),
+    pytest.param(lambda: run_dd_experiment("dd-off", _OU, n_realizations=0),
+                 "n_realizations", id="dd"),
+    pytest.param(lambda: calibrate_noise(17.9, n_realizations=0), "n_realizations",
+                 id="calibrate"),
+    pytest.param(lambda: run_scan("ods-resonant", [0.5], shots=1.5, seed=0), "shots",
+                 id="scan-shots"),
+    pytest.param(lambda: MonteCarloConfig(shots=1.5), "shots", id="mc-shots"),
+    pytest.param(lambda: MonteCarloConfig(repeats=0), "repeats", id="mc-repeats"),
+    # once "cannot convert float NaN to integer" and an OverflowError
+    pytest.param(lambda: FloquetDriveParams(1.0, 1.0, math.nan), "harmonics",
+                 id="harmonics-nan"),
+    pytest.param(lambda: FloquetDriveParams(1.0, 1.0, math.inf), "harmonics",
+                 id="harmonics-inf"),
+])
+def test_counts_rejected_naming_the_count(call, count):
+    with pytest.raises(ValueError, match=f"^{count} must be an integer >= 1"):
         call()
 
 
@@ -240,7 +302,7 @@ def test_scan_with_readout_noise_deterministic():
 
 def test_scan_rejects_missing_seed():
     # SeedSequence(None) would draw fresh OS entropy and break reproducibility
-    noise = NoiseModel(kind="quasi-static", sigma_z=0.3)
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=0.3)
     for shots in (None, 1000):
         with pytest.raises(ValueError, match="seed"):
             run_scan("ods-resonant", [0.5, 1.0], noise=noise, n_realizations=4,
@@ -249,7 +311,7 @@ def test_scan_rejects_missing_seed():
 
 def test_dd_off_engine_matches_rabi_scan_bitwise():
     grid = np.linspace(0.4, 6.0, 10)
-    noise = NoiseModel(kind="quasi-static", sigma_z=0.3)
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=0.3)
     # a 6 us scan is shorter than 2 tau = 8 us, so it holds no pulse and the
     # decoupling path must reproduce the pulse-free run bit for bit
     plain = run_scan("dd-off", grid, noise=noise, n_realizations=16, seed=8)
@@ -492,8 +554,7 @@ def test_noiseless_scan_with_pulses_walks_telescoped_anchors(monkeypatch):
     npt.assert_array_equal(scan.p0, p0[:, 0])
 
 
-@pytest.mark.parametrize("noise", [NoiseModel("ornstein-uhlenbeck", 0.0),
-                                   NoiseModel("quasi-static", 0.0)], ids=["ou", "quasi-static"])
+@pytest.mark.parametrize("noise", [NoiseModel("ornstein-uhlenbeck", 0.0)], ids=["ou"])
 def test_zero_noise_ensemble_folds_once_for_all_realizations(noise, monkeypatch):
     # every offset is zero, so the identical realizations share the folded
     # period of the noiseless scan: one kernel member, and the same
@@ -551,10 +612,11 @@ def test_pi_pulses_commute_with_resonant_drive():
 
 
 def test_quasi_static_refocusing():
-    # pi pulses must strictly extend the fitted decay under static noise
+    # pi pulses must strictly extend the fitted decay under static noise: OU
+    # noise whose correlation time is far longer than the 45 us grid
     grid = default_dd_grid(dd=False)[::2]
     for sigma in (0.4, 0.8):
-        noise = NoiseModel(kind="quasi-static", sigma_z=sigma)
+        noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=sigma, tau_c=1e6)
         free = run_scan("dd-off", grid, noise=noise, n_realizations=48, seed=2)
         dd = run_scan(
             "dd-on", grid, noise=noise, dd=DdConfig(tau=0.5), n_realizations=48, seed=2
@@ -834,13 +896,6 @@ def test_ou_noise_statistics():
     lag = mids[20] - mids[0]
     corr = np.mean(z[:, 0] * z[:, 20]) / 0.49
     assert corr == pytest.approx(math.exp(-lag / 5.0), abs=0.08)
-
-
-def test_quasi_static_noise_constant_within_realization():
-    noise = NoiseModel(kind="quasi-static", sigma_z=0.5)
-    rng = np.random.default_rng(1)
-    z = noise.sample_segments(np.linspace(0, 10, 30), 8, rng)
-    assert np.allclose(z, z[:, :1])
 
 
 def test_calibrate_noise_validation():

@@ -12,13 +12,13 @@ from floquet_sensor.metrology import (
     QfiStepError,
     optimal_sensing_time,
     qfi_exact,
-    qfi_theta_phi,
     sensitivity,
-    state_from_theta_phi,
     theta_phi_from_expectations,
 )
 from floquet_sensor.params import ReadoutModel, SensorParams, SignalParams
 from floquet_sensor.propagator import evolve, expectation
+
+from oracles import qfi_theta_phi, state_from_theta_phi
 
 TP = 2.0 * math.pi
 KET0 = np.array([1.0, 0.0], dtype=complex)

@@ -16,7 +16,6 @@ from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Z,
     build_fds_prime,
-    build_lab_fds,
     build_lab_ods,
     effective_coefficients,
     to_signal_rotating,
@@ -58,8 +57,9 @@ from floquet_sensor.propagator import (
     expectation,
     interval_unitary,
     micromotion_error,
-    rabi_population,
 )
+
+from oracles import build_lab_fds, h_matrix, rabi_population, to_signal_rotating_full
 
 TP = 2.0 * math.pi
 
@@ -119,7 +119,7 @@ def test_constant_specs_match_matrix_exponential():
         spec = constant_spec(cx, cy, cz)
         t = rng.uniform(0.1, 8.0)
         states = evolve(spec, KET0, [t])
-        ref = expm(-1j * t * spec.matrix(0.0)) @ KET0
+        ref = expm(-1j * t * h_matrix(spec, 0.0)) @ KET0
         assert states.shape == (1, 2)
         npt.assert_allclose(states[-1], ref, atol=1e-12)
 
@@ -145,7 +145,7 @@ def test_full_drive_spec_against_reference_integrator():
     spec, _, _, _ = fds_paper_spec(k=5)
 
     def rhs(t, y):
-        return -1j * (spec.matrix(t) @ y)
+        return -1j * (h_matrix(spec, t) @ y)
 
     ref = solve_ivp(
         rhs,
@@ -461,7 +461,7 @@ def test_substep_is_sixth_order(preset):
 def test_constant_spec_takes_one_exact_exponential(passes):
     spec = constant_spec(1.3, -0.4, 2.1)
     t0, t1 = 0.2, 1.7
-    ref = expm(-1j * (t1 - t0) * spec.matrix(0.0))
+    ref = expm(-1j * (t1 - t0) * h_matrix(spec, 0.0))
     for opts in (ORACLE_OPTS, SCAN_OPTS, PropagatorOptions(rel_tol=1e-14)):
         passes.clear()
         u = interval_unitary(spec, t0, t1, opts)
@@ -477,7 +477,7 @@ def test_constant_spec_takes_one_exact_exponential(passes):
         assert [(n, d.size) for n, d in passes] == expected
     for (a, b), row, us in zip([(t0, t1), (0.5, 2.5)], z, u):
         for off, ui in zip(row, us):
-            shifted = spec.matrix(0.0) + off * SIGMA_Z
+            shifted = h_matrix(spec, 0.0) + off * SIGMA_Z
             npt.assert_allclose(ui, expm(-1j * (b - a) * shifted), rtol=0, atol=1e-15)
     # the closed-form Rabi population of the undriven sensor
     sc = make_preset("ods-detuned")
@@ -617,7 +617,7 @@ def test_complex_offsets_add_sigma_z_and_sigma_x():
     d = np.array([0.7 - 0.2j, -1.1 + 0.9j])
     u = interval_unitary(const, 0.2, 1.7, ORACLE_OPTS, d)
     for off, ui in zip(d, u):
-        shifted = const.matrix(0.0) + off.real * SIGMA_Z + off.imag * SIGMA_X
+        shifted = h_matrix(const, 0.0) + off.real * SIGMA_Z + off.imag * SIGMA_X
         npt.assert_allclose(ui, expm(-1.5j * shifted), rtol=0, atol=1e-14)
 
 
@@ -711,7 +711,7 @@ def test_stroboscopic_route_batched_dd_segment():
 def test_stroboscopic_route_falls_back_bit_identically():
     sc = make_preset("fds-k5")
     lab = build_lab_fds(sc.sensor, sc.signal, sc.drive)
-    rwa_off = to_signal_rotating(lab, sc.signal, apply_rwa=False)
+    rwa_off = to_signal_rotating_full(lab, sc.signal)
     rotating = sc.rotating_spec()
     coarse, tight = PropagatorOptions(rel_tol=1e-8), PropagatorOptions(rel_tol=1e-12)
     period = TP / rotating.fundamental[0]
@@ -1046,7 +1046,7 @@ def test_lab_vs_rotating_frame_consistency():
     sensor = SensorParams(D=TP * 20.0, gamma_e=0.0, B0=0.0)
     signal = SignalParams.from_detuning(sensor, TP * 0.4, TP * 0.3)
     lab = build_lab_ods(sensor, signal)
-    rot = to_signal_rotating(lab, signal, apply_rwa=False)
+    rot = to_signal_rotating_full(lab, signal)
     t = 1.7
     opts = PropagatorOptions(rel_tol=1e-10)
     psi_lab = evolve(lab, KET0, [t], opts)[-1]
@@ -1065,8 +1065,8 @@ def test_rwa_error_shrinks_with_carrier_ratio():
         sensor = SensorParams(D=ws, gamma_e=0.0, B0=0.0)
         signal = SignalParams(amp, ws)
         lab = build_lab_ods(sensor, signal)
-        rwa = to_signal_rotating(lab, signal, apply_rwa=True)
-        full = to_signal_rotating(lab, signal, apply_rwa=False)
+        rwa = to_signal_rotating(lab, signal)
+        full = to_signal_rotating_full(lab, signal)
         opts = PropagatorOptions(rel_tol=1e-9)
         u_rwa = interval_unitary(rwa, 0.0, t, opts)
         u_full = interval_unitary(full, 0.0, t, opts)
