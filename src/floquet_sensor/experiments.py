@@ -405,8 +405,8 @@ def run_scan(
 
     With ``shots`` set, each grid point is additionally read out through the
     Poisson photon-count model (shots spread evenly over realizations).
-    ``seed`` seeds both the noise and the readout streams; None is rejected
-    rather than drawing fresh OS entropy.
+    ``seed``, an integer >= 0, seeds both the noise and the readout streams;
+    None is rejected rather than drawing fresh OS entropy.
 
     Segments are integrated at ``SCAN_OPTS``.  Where every offset is zero
     and the spec is constant or periodic (``_folded_segments``), each event
@@ -431,6 +431,7 @@ def run_scan(
     _require_count("n_realizations", n_realizations)
     if seed is None:
         raise ValueError("seed must be an integer; None would draw OS entropy")
+    _require_count("seed", seed, least=0)
     noise = noise or NoiseModel()
     n_real = n_realizations if noise.kind != "none" else 1
 

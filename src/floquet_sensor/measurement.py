@@ -44,6 +44,7 @@ class MonteCarloConfig:
     def __post_init__(self):
         _require_count("shots", self.shots)
         _require_count("repeats", self.repeats)
+        _require_count("seed", self.seed, least=0)
 
 
 def _estimate_p0_from_total(total_counts, shots: int, model: ReadoutModel):

@@ -128,30 +128,18 @@ def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),
 
 def optimal_sensing_time(t2: float, readout: ReadoutModel = ReadoutModel(),
                          sensor: SensorParams = SensorParams()) -> OptimalSensingResult:
-    """Numerically minimize eta(t) over (0, 10*T2] by golden-section search.
+    """Minimum of eta(t) in closed form, and eta(T2) for the published convention.
 
-    The objective is unimodal (diverges at 0+, grows like e^{t/T2} at large t).
-    Also reports eta(T2) for comparison against the published convention.
+    d ln eta/dt = 1/(2 (t_det + t)) + 1/T2 - 1/t vanishes only at the
+    positive root of 2 t^2 + (2 t_det - T2) t - 2 T2 t_det = 0 (the roots'
+    product is -T2 t_det), taken free of cancellation for either sign of
+    b = 2 t_det - T2; eta diverges at 0+ and at large t, so it is the minimum.
     """
-
-    def eta(t: float) -> float:
-        return sensitivity(t, t2, readout, sensor)
-
-    lo = min(readout.t_det, t2) * 1e-3
-    hi = 10.0 * t2
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = eta(c), eta(d)
-    while (b - a) > 1e-3 * max(1.0, a):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = eta(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = eta(d)
-    t_opt = 0.5 * (a + b)
-    return OptimalSensingResult(t_opt=t_opt, eta_opt=eta(t_opt), eta_at_t2=eta(t2))
+    if t2 <= 0:
+        raise ValueError("T2 must be positive")
+    t_det = readout.t_det
+    b = 2.0 * t_det - t2
+    root = math.hypot(b, 4.0 * math.sqrt(t2 * t_det))  # sqrt(b^2 + 16 T2 t_det)
+    t_opt = (root - b) / 4.0 if b < 0.0 else 4.0 * t2 * t_det / (root + b)
+    eta = [sensitivity(t, t2, readout, sensor) for t in (t_opt, t2)]
+    return OptimalSensingResult(t_opt, *eta)

@@ -36,10 +36,10 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
 
 
-def _require_count(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _require_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

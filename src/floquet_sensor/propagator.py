@@ -10,6 +10,7 @@ controlled by Richardson-style step doubling until two resolutions agree to
 the tolerance of the piece being integrated, as a whole number per drive
 period (``_initial_steps``).  A time-independent spec has no truncation
 error at all, so an interval takes one exact exponential and no doubling.
+Nor is an interval doubled whose halved substeps would fall below 1e-13 us.
 
 Every propagator here is in SU(2), so inside this module it is a quaternion:
 four reals (w, x, y, z) with U = w I - i (x sigma_x + y sigma_y + z sigma_z),
@@ -42,8 +43,9 @@ rejected, as are non-finite bounds.
 
 Periodic specs take a stroboscopic route over long intervals: with T the
 drive period, U(t0 + mT, t0) = U_T(t0)^m, so one period is integrated and
-raised to the m-th power, and only the remainder t1 - (t0 + mT) is
-integrated directly.
+raised to the m-th power, and only the remainder [t0 + mT, t1] is
+integrated directly, whatever its length: zero, a few ulp, or a few ulp
+below zero where t0 + mT rounds past t1 (a backward step).
 
 - Periodicity is read from the spec (``HamiltonianSpec.fundamental``): f0 is
   the smallest nonzero term frequency, and the route is taken only when
@@ -70,9 +72,9 @@ Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
 with offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
 the S scalar calls, bit for bit; a scalar call is the one-segment case of
 the same route.  The route rule runs as array operations over the segment
-axis (``_periods`` takes an array of durations): zero-length segments take
-the identity, and every other segment becomes pieces, a direct interval or
-one period and an optional remainder, each with the tolerance it starts at.
+axis (``_periods`` takes an array of durations): every segment, of zero
+length too, becomes pieces, a direct interval or one period and its
+remainder, each with the tolerance it starts at.
 A call in which no segment spans two periods skips the period work.  One
 rule (``_initial_steps``) gives every piece of a call its starting substep
 count, and one pass routine (``_stepped_unitary``) runs them: the pieces
@@ -401,15 +403,18 @@ def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
     """Quaternion propagator over [t0, t1] from a first pass of n substeps.
 
     With ``tol`` None the first pass is the result.  Otherwise the substep
-    count doubles until two passes agree to ``tol``; a constant spec takes
-    its one exact exponential, with no doubling.  Doubling stops with
+    count doubles until two passes agree to ``tol``.  The first pass is also
+    final for a constant spec, whose one exponential is exact, and where the
+    first doubling would take a substep below 1e-13 us: there h |H| < 1e-9
+    even at the 1e4 rad/us of a lab-frame spec, so the sixth-order error is
+    far below round-off.  Doubling stops with
     ``PropagationError`` as soon as the residual fails to shrink, since
     below the round-off floor further doublings only cost time, and as soon
     as it is not a number, which no doubling mends.  The residual is the
     largest over the batch members, so they share one substep count.
     """
     u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
-    if tol is None or spec.fundamental[0] == 0.0:
+    if tol is None or spec.fundamental[0] == 0.0 or (t1 - t0) / (2 * n) < 1e-13:
         return u_prev
     residual = math.inf
     for _ in range(24):
@@ -490,44 +495,32 @@ def _interval_quaternions(spec, t0, t1, opts, z_offsets) -> np.ndarray:
     _require_finite("interval bound t1", t1)
     _require_finite("z_offsets", rows)
     # the route rule over the segment axis, as pieces: the heads are each
-    # moving segment's direct interval or one period, in order, and then
-    # come the remainders of the heads flagged in ``tail``.  A refined
-    # period piece starts at rel_tol / m, every other piece at rel_tol
+    # segment's direct interval or one period, in order, and then come the
+    # remainders [t0 + mT, t1] of the period segments, of any length (a
+    # negative one, from round-off in t0 + mT, is a backward step).  A
+    # refined period piece starts at rel_tol / m, every other piece at rel_tol
     duration = t1 - t0
-    moving = duration > 0.0
-    if moving.all():
-        seg, start, end = np.arange(t0.size), t0, t1
-    else:
-        if (duration < 0.0).any():
-            k = (duration < 0.0).argmax()
-            raise ValueError(f"interval end {t1[k]:g} us precedes its start {t0[k]:g} us")
-        seg = np.flatnonzero(moving)
-        start, end, duration = t0[seg], t1[seg], duration[seg]
-    heads, m = seg.size, None
+    if (duration < 0.0).any():
+        k = (duration < 0.0).argmax()
+        raise ValueError(f"interval end {t1[k]:g} us precedes its start {t0[k]:g} us")
+    heads, m = t0.size, None
+    seg, start, end = np.arange(heads), t0, t1
     f0 = spec.fundamental[0]
     # no period work where no segment spans two periods
     if f0 and heads and duration.max() * f0 / TWO_PI >= 2.0:
         m, period = _periods(spec, duration, opts), TWO_PI / f0
         strobe = m > 0
-        t_mid = start + m * period
-        # a remainder within round-off of t0 + mT is skipped
-        tail = strobe & (end - t_mid > 16.0 * np.spacing(np.abs(end)))
-        seg = np.concatenate([seg, seg[tail]])
-        end = np.concatenate([np.where(strobe, start + period, end), end[tail]])
-        start = np.concatenate([start, t_mid[tail]])
+        seg = np.concatenate([seg, seg[strobe]])
+        start = np.concatenate([t0, (t0 + m * period)[strobe]])
+        end = np.concatenate([np.where(strobe, t0 + period, t1), t1[strobe]])
     tol = np.full(seg.size, opts.rel_tol)
     if m is not None and opts.adaptive:
         tol[:heads][strobe] = opts.rel_tol / m[strobe]
     us = _piece_unitaries(spec, start, end, tol, seg, opts, rows)
     u = us[:heads]
-    if m is not None:
-        u[strobe] = _quat_power(u[strobe], m[strobe].reshape((-1,) + (1,) * (u.ndim - 2)))
-        u[tail] = _quat_mul(us[heads:], u[tail])
-    if u.shape[0] < t0.size:  # zero-length segments take the identity
-        out = np.zeros((t0.size,) + u.shape[1:])
-        out[..., 0] = 1.0
-        out[moving] = u
-        u = out
+    if m is not None:  # remainder . U_T^m
+        power = _quat_power(u[strobe], m[strobe].reshape((-1,) + (1,) * (u.ndim - 2)))
+        u[strobe] = _quat_mul(us[heads:], power)
     return u if segments else u[0]
 
 
@@ -600,9 +593,8 @@ def evolve(
     states = np.empty((times.size, 2), dtype=complex)
     t_prev = 0.0
     for i, t in enumerate(times):
-        if t > t_prev:
-            psi = interval_unitary(spec, t_prev, float(t), opts) @ psi
-            t_prev = float(t)
+        psi = interval_unitary(spec, t_prev, float(t), opts) @ psi
+        t_prev = float(t)
         states[i] = psi
     return states
 

@@ -51,8 +51,8 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
         # fixed-resolution blocks of pieces x realizations, the pieces of
         # the one folded drive period of a noiseless scan, the anchored
         # call of a noiseless undriven scan, whose first segment [0, 0]
-        # takes no pass, then the step-doubled scalar calls of the
-        # exact-QFI oracle
+        # is a piece of the same pass, then the step-doubled scalar calls
+        # of the exact-QFI oracle
         grid = np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)
         run_scan("dd-on", np.arange(0.5, 6.0 + 1e-9, 0.5),
                  noise=NoiseModel("ornstein-uhlenbeck", 0.7), dd=DdConfig(),
@@ -70,8 +70,8 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
         tracer.restore()  # rebinds the kernel itself
     assert propagator._interval_unitary is propagator_kernel
     assert folded > 0 and len({members for _, members in seen}) > 1
-    # one pass over the grid's intervals [0, t], every one from t = 0
-    assert len(anchored) == 1 and anchored[0].size == grid.size
+    # one pass over [0, 0] and the grid's intervals [0, t], all from t = 0
+    assert len(anchored) == 1 and anchored[0].size == grid.size + 1
     assert not anchored[0].any()
     assert "propagator.interval_unitary" in oracle
     metrics = tracer.layer_metrics()

@@ -336,6 +336,21 @@ def test_qfi_command_noiseless(tmp_path):
     assert len(lines) == 2
 
 
+def test_qfi_command_at_a_sub_floor_time(tmp_path):
+    # a grid time under the 1e-13 us substep floor once exited 1 with
+    # "substep size underflow"; at t -> 0 the driven preset's QFI is t^2
+    cfg = write_config(
+        tmp_path,
+        {"run": {"t_grid_us": [1e-13, 1.0], "presets": ["fds-k5"]}},
+    )
+    res = run_cli(["--config", cfg, "--out", str(tmp_path / "o"), "qfi"])
+    assert res.exit_code == 0
+    lines = (tmp_path / "o" / "qfi_fds-k5.csv").read_text().splitlines()
+    series, t, _, _, qfi_over_t2, _ = lines[1].split(",")
+    assert (series, float(t)) == ("fds-k5", 1e-13)
+    assert float(qfi_over_t2) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_robustness_smoke_with_custom_grid(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -235,6 +235,26 @@ def test_counts_rejected_naming_the_count(call, count):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    # once numpy's "SeedSequence expects int or sequence of ints"
+    pytest.param(lambda: run_scan("dd-off", [0.5, 1.0], seed=1.5), id="scan-fraction"),
+    # once numpy's "expected non-negative integer"
+    pytest.param(lambda: run_scan("dd-off", [0.5, 1.0], seed=-1), id="scan-negative"),
+    # once accepted as the seed 1
+    pytest.param(lambda: run_scan("dd-off", [0.5, 1.0], seed=True), id="scan-bool"),
+    pytest.param(lambda: run_dd_experiment("dd-off", _OU, seed=1.5), id="dd"),
+    pytest.param(lambda: calibrate_noise(17.9, seed=-1), id="calibrate"),
+    pytest.param(lambda: MonteCarloConfig(seed=1.5), id="mc-fraction"),
+    pytest.param(lambda: MonteCarloConfig(seed=-1), id="mc-negative"),
+    pytest.param(lambda: MonteCarloConfig(seed=True), id="mc-bool"),
+    # once OS entropy for every pipeline call
+    pytest.param(lambda: MonteCarloConfig(seed=None), id="mc-none"),
+])
+def test_seeds_rejected_naming_the_seed(call):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        call()
+
+
 # -------------------------------------------------------- decoupling pulses
 
 def test_dd_config_validation_and_pulse_times():

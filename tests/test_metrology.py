@@ -220,6 +220,19 @@ def test_optimal_sensing_time():
     assert res.eta_at_t2 == pytest.approx(sensitivity(17.9, 17.9))
 
 
+@pytest.mark.parametrize("t2", [1e-3, 0.5, 17.9, 162.5, 1e4])
+def test_optimal_sensing_time_is_the_stationary_root(t2):
+    # d ln eta/dt = 0 is 2 t^2 + (2 t_det - T2) t - 2 T2 t_det = 0, and its
+    # positive root is the minimum to round-off
+    t_det = ReadoutModel().t_det
+    roots = np.roots([2.0, 2.0 * t_det - t2, -2.0 * t2 * t_det])
+    res = optimal_sensing_time(t2)
+    assert res.t_opt == pytest.approx(roots[roots > 0][0], rel=1e-12)
+    assert res.eta_opt == sensitivity(res.t_opt, t2)
+    for shift in (1.0 - 1e-4, 1.0 + 1e-4):
+        assert sensitivity(res.t_opt * shift, t2) > res.eta_opt
+
+
 def test_sensitivity_monotone_without_decay():
     ts = np.linspace(1.0, 200.0, 40)
     etas = [sensitivity(t, 1e9) for t in ts]

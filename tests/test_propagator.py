@@ -263,8 +263,8 @@ def _scalar_route(spec, t0, t1, opts, z=0.0):
     t_mid = t0 + m * period
     u_period = _direct(spec, t0, t0 + period, opts, opts.rel_tol / m, z)
     u = _quat_power(u_period, m)
-    if t1 - t_mid > 16.0 * math.ulp(t1):  # a remainder within round-off is skipped
-        u = _quat_mul(_direct(spec, t_mid, t1, opts, opts.rel_tol, z), u)
+    # the remainder is integrated whatever its length, round-off included
+    u = _quat_mul(_direct(spec, t_mid, t1, opts, opts.rel_tol, z), u)
     return _quat_matrix(u)
 
 
@@ -753,6 +753,49 @@ def test_stroboscopic_remainder_at_period_multiple():
     assert np.max(np.abs(u - direct)) <= 1e-9
 
 
+def test_negative_round_off_remainder_steps_back():
+    # t1 - t0 spans seven whole periods, yet t0 + 7T rounds one ulp past t1:
+    # the remainder [t0 + 7T, t1] is a backward step, integrated like any
+    # other piece, so the call ends at t1 (it once stopped at t0 + 7T)
+    spec = make_preset("fds-k5").rotating_spec()
+    period = TP / spec.fundamental[0]
+    t0 = 0.049773
+    t1 = float(np.nextafter(t0 + 7 * period, -math.inf))
+    assert t0 + 7 * period > t1
+    for opts in (PropagatorOptions(rel_tol=1e-9), SCAN_OPTS):
+        assert propagator._periods(spec, t1 - t0, opts) == 7
+        u = _public_matrices(spec, t0, t1, opts, None)
+        assert np.array_equal(u, _scalar_route(spec, t0, t1, opts))
+
+
+@pytest.mark.parametrize("t1", [1e-13, 5e-14, 100 * FDS_PERIOD + 5e-14],
+                         ids=["floor", "half-floor", "periods-and-half-floor"])
+def test_sub_floor_pieces_take_their_first_pass(t1):
+    # a refined piece under twice the 1e-13 us substep floor once raised
+    # "substep size underflow"; its first pass is final, as h |H| is tiny
+    spec = make_preset("fds-k5").rotating_spec()
+    u = interval_unitary(spec, 0.0, t1, ORACLE_OPTS)
+    assert _unitarity_defect(u) <= 1e-15
+    npt.assert_allclose(u, interval_unitary(spec, 0.0, t1 - 5e-14, ORACLE_OPTS),
+                        rtol=0, atol=1e-11)
+
+
+def test_sub_floor_time_grids_evolve():
+    # repeated grid times take the same zero-length call as any other step
+    spec = make_preset("fds-k5").rotating_spec()
+    states = evolve(spec, KET0, [0.0, 0.0, 1e-13, 1e-13])
+    npt.assert_array_equal(states[:2], [KET0, KET0])
+    npt.assert_array_equal(states[3], states[2])
+    assert abs(np.vdot(states[2], states[2]) - 1.0) < 1e-15
+    npt.assert_allclose(states[2], KET0, rtol=0, atol=1e-11)
+
+
+def test_sub_floor_remainder_in_exact_qfi():
+    sc = make_preset("fds-k5")
+    t = 100 * FDS_PERIOD
+    assert sc.exact_qfi(t + 5e-14).value == pytest.approx(sc.exact_qfi(t).value, rel=1e-6)
+
+
 # ------------------------------------------------------------- segment axis
 
 RABI_EVENTS = np.concatenate([[0.0], np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)])
@@ -801,7 +844,7 @@ def test_segments_match_scalar_calls_stroboscopic_route():
                         5.5 * period, 0.0, 0.5])
     m = {propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0}
     assert m == {0, 2, 3, 5, 18}
-    # t0 = 0 plus three periods lands on t1 exactly: no remainder pass
+    # t0 = 0 plus three periods lands on t1 exactly: a zero-length remainder
     assert 0.0 + 3 * period == t1[0]
     z = np.random.default_rng(4).normal(size=(t0.size, 3))
     _assert_segments_match_scalar_calls(spec, t0, t1, z)
@@ -815,8 +858,8 @@ def test_segments_match_scalar_calls_stroboscopic_route():
                          ids=["fixed", "refined"])
 def test_array_route_matches_scalar_reference(opts):
     # one call over every kind of segment: zero-length, direct (under two
-    # periods), and period pieces with a remainder, with none (t0 + mT lands
-    # on t1) and with one skipped as round-off (t1 three ulp past t0 + mT)
+    # periods), and period pieces with a remainder, a zero-length one (t0 + mT
+    # lands on t1) and a round-off one (t1 three ulp past t0 + mT)
     spec = make_preset("dd-on").rotating_spec()
     period = TP / spec.fundamental[0]
     t0 = np.array([0.0, 0.3, 1.3, 0.0, 2.0, 4.1, 1.0, 7.0, 2.5])
