@@ -13,10 +13,8 @@ from .hamiltonian import (
     HamiltonianSpec,
     PauliTerm,
     build_fds_prime,
-    build_lab_ods,
     kick_operator,
     quasi_energy_shift,
-    to_signal_rotating,
 )
 from .propagator import (
     PropagationError,

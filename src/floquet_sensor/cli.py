@@ -31,13 +31,7 @@ from . import __version__
 from .hamiltonian import effective_coefficients, quasi_energy_shift
 from .measurement import MonteCarloConfig
 from .metrology import optimal_sensing_time, sensitivity
-from .params import (
-    FloquetDriveParams,
-    ReadoutModel,
-    SensorParams,
-    angular_to_mhz,
-    mhz_to_angular,
-)
+from .params import FloquetDriveParams, ReadoutModel, angular_to_mhz, mhz_to_angular
 from .experiments import (
     DD_SIGMA_Z_DEFAULT,
     DECAY_FIT_MIN_POINTS,
@@ -72,9 +66,7 @@ def _positive(kind: type) -> _Domain:
 
 _CONFIG_SCHEMA = {
     "physical": {
-        "zero_field_splitting_mhz": float,
-        "gyromagnetic_ratio_mhz_per_g": float,
-        "static_field_g": float,
+        "gyromagnetic_ratio_mhz_per_g": _positive(float),
         "signal_amp_mhz": float,
         "detuning_mhz": float,
         "drive_amp_mhz": float,
@@ -289,14 +281,6 @@ def _shots(cfg: _ConfigReader) -> tuple[int | None, ReadoutModel]:
     return shots, ReadoutModel() if shots is None else _readout_model(cfg)
 
 
-def _sensor(cfg: _ConfigReader) -> SensorParams:
-    return SensorParams(
-        **cfg.given(mhz_to_angular, D="physical.zero_field_splitting_mhz",
-                    gamma_e="physical.gyromagnetic_ratio_mhz_per_g"),
-        **cfg.given(B0="physical.static_field_g"),
-    )
-
-
 def _build_scenario(name: str, cfg: _ConfigReader):
     """Preset with the config's physical overrides applied.
 
@@ -306,7 +290,7 @@ def _build_scenario(name: str, cfg: _ConfigReader):
     """
     over = cfg.given(mhz_to_angular, omega_s_amp="physical.signal_amp_mhz",
                      delta="physical.detuning_mhz")
-    sc = make_preset(name, sensor=_sensor(cfg), **over)
+    sc = make_preset(name, **over)
     drive = cfg.given(mhz_to_angular, omega_F_amp="physical.drive_amp_mhz",
                       omega_F_freq="physical.drive_freq_mhz")
     drive.update(cfg.given(harmonics="physical.harmonics"))
@@ -525,16 +509,17 @@ def sensitivity_curves(ctx):
     cfg = ctx.obj
     seed = cfg.get("run.seed", 0)
     t2_values = cfg.get("physical.t2_us", [17.9, 162.5])
-    readout, sensor = _readout_model(cfg), _sensor(cfg)
+    readout = _readout_model(cfg)
+    gamma = cfg.given(mhz_to_angular, gamma_e="physical.gyromagnetic_ratio_mhz_per_g")
     cfg.done()
     bundle = ResultBundle("sensitivity", cfg.data, seed)
     series, times, etas = [], [], []
     for t2 in t2_values:
-        opt = optimal_sensing_time(t2, readout, sensor)
+        opt = optimal_sensing_time(t2, readout, **gamma)
         for t in np.linspace(0.1 * t2, 3.0 * t2, 60):
             series.append(f"T2={t2:g}us")
             times.append(t)
-            etas.append(sensitivity(t, t2, readout, sensor))
+            etas.append(sensitivity(t, t2, readout, **gamma))
         bundle.summary.setdefault("by_t2", {})[f"{t2:g}"] = {
             "eta_at_t2_nt_per_sqrthz": opt.eta_at_t2,
             "t_opt_us": opt.t_opt,

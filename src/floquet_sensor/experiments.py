@@ -49,13 +49,7 @@ import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .hamiltonian import (
-    HamiltonianSpec,
-    build_fds_prime,
-    build_lab_ods,
-    kick_vector,
-    to_signal_rotating,
-)
+from .hamiltonian import HamiltonianSpec, build_fds_prime, kick_vector
 from .measurement import (
     MonteCarloConfig,
     default_omega_grid,
@@ -116,10 +110,7 @@ class Scenario:
         scenario (a scenario is frozen, and ``with_errors`` makes a new one)."""
         spec = self.__dict__.get("_spec")
         if spec is None:
-            if self.drive is None:
-                spec = to_signal_rotating(build_lab_ods(self.sensor, self.signal), self.signal)
-            else:
-                spec = build_fds_prime(self.sensor, self.signal, self.drive)
+            spec = build_fds_prime(self.sensor, self.signal, self.drive)
             object.__setattr__(self, "_spec", spec)
         return spec
 
@@ -177,17 +168,16 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def make_preset(
-    name: str,
-    sensor: SensorParams = SensorParams(),
-    omega_s_amp: float | None = None,
-    delta: float | None = None,
+    name: str, omega_s_amp: float | None = None, delta: float | None = None
 ) -> Scenario:
-    """Build the named ``_PRESETS`` scenario; ``omega_s_amp`` and ``delta``
-    (rad/us) replace the preset's signal amplitude and detuning."""
+    """Build the named ``_PRESETS`` scenario on the default sensor;
+    ``omega_s_amp`` and ``delta`` (rad/us) replace the preset's signal
+    amplitude and detuning."""
     try:
         amp_mhz, delta_mhz, phases = _PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown scenario preset {name!r}") from None
+    sensor = SensorParams()
     signal = SignalParams.from_detuning(
         sensor,
         mhz_to_angular(amp_mhz) if omega_s_amp is None else omega_s_amp,
@@ -803,8 +793,7 @@ def run_robustness_sweep(
     grid must be strictly increasing.  ``n_workers`` > 1 spreads the grid
     points over a thread pool.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
+    _require_count("n_workers", n_workers)
     default_grid = _default_error_grid(error_axis)  # rejects an unknown axis
     if preset is None:
         preset = "robustness-amp" if error_axis == "amplitude" else "robustness-freq"
@@ -939,8 +928,8 @@ def calibrate_noise(
 
     def fitted(sigma: float) -> DecayFit:
         noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=sigma, tau_c=tau_c)
-        scan = run_scan(preset, t_grid, noise=noise, n_realizations=n_realizations, seed=seed)
-        return fit_decaying_cosine(scan.times, scan.p0)
+        return run_dd_experiment(preset, noise, t_grid=t_grid,
+                                 n_realizations=n_realizations, seed=seed)[1]
 
     scenario = resolve_scenario(preset)
     sigma = math.sqrt(scenario.signal.omega_s_amp / target_t2)  # dimensional guess

@@ -2,10 +2,12 @@
 
 A Hamiltonian is represented as a frame-tagged sum of Pauli terms, each a
 tone amplitude * cos(frequency*t + phase) on one axis, with the constants
-as its zero-frequency tones (``HamiltonianSpec``).  Builders produce the
-lab-frame sensing Hamiltonian, its rotating-wave transform to the signal
-rotating frame, the rotating-frame driven Hamiltonian and the first-order
-time-averaged description of the periodic drive: kick operator,
+as its zero-frequency tones (``HamiltonianSpec``).  The package builds
+every spec in the frame rotating at the signal carrier, under the
+rotating-wave approximation (``build_fds_prime``, driven or not); the
+lab-frame Hamiltonians and the frame transform are test oracles
+(``tests/oracles.py``), which is what ``Frame.LAB`` tags.  The first-order
+time-averaged description of the periodic drive follows: kick operator,
 quasi-energy shift and the coefficients of the effective Hamiltonian.
 """
 
@@ -166,90 +168,43 @@ class HamiltonianSpec:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec:
-    """Lab-frame sensing Hamiltonian of the undriven sensor.
+def build_fds_prime(
+    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams | None = None
+) -> HamiltonianSpec:
+    """Sensing Hamiltonian in the frame rotating at the signal carrier (RWA
+    applied), driven when a ``drive`` is given:
 
-    H(t) = -(omega_0/2) sigma_z + omega_s_amp * cos(omega_s_freq t) sigma_x.
-    A zero signal amplitude yields the bare sensor term alone.
+        (Delta/2) sigma_z + (omega_s_amp/2) sigma_x
+        + 2*omega_F_amp * sum_l [cos(l omega_F t + phi_l) sigma_x
+                                 + sin(l omega_F t + phi_l) sigma_y]
+
+    This is the lab-frame sensor -(omega_0/2) sigma_z
+    + omega_s_amp cos(omega_s t) sigma_x, with harmonic l adding
+    4*omega_F_amp cos[(omega_s - l omega_F) t - phi_l] sigma_x, taken into the
+    frame exp(-i omega_s t sigma_z/2) without its counter-rotating terms.  It
+    is written with that transform's floating-point operations (Delta/2 as
+    0.5*omega_s - 0.5*omega_0, the first tone frequency as
+    f1 = omega_s - (omega_s - omega_F)), so it equals the tests' lab-frame
+    oracle bit for bit but for one thing: the transform puts tone l at
+    omega_s - (omega_s - l omega_F), which misses l times f1 by round-off
+    under drive errors and so breaks the spec's periodicity, and here tone l
+    is at l * f1, so the spec is periodic in 2*pi/f1 with no frequency
+    defect.  Zero amplitudes add no terms.
     """
-    terms = [PauliTerm("z", -0.5 * sensor.omega_0)]
-    if signal.omega_s_amp != 0.0:
-        terms.append(PauliTerm("x", signal.omega_s_amp, signal.omega_s_freq))
-    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
-
-
-def to_signal_rotating(spec: HamiltonianSpec, signal: SignalParams) -> HamiltonianSpec:
-    """Transform a lab-frame spec into the frame rotating at the signal carrier,
-    under the rotating-wave approximation.
-
-    The frame is generated by exp(-i*omega_s*t*sigma_z/2).  Constant sigma_z
-    terms commute with the rotation and pick up the single +omega_s/2 shift;
-    each lab sigma_x cosine at carrier w_c becomes a co-rotating pair at
-    |omega_s - w_c|, and its counter-rotating pair at omega_s + w_c is
-    dropped.  Lab terms outside this family are rejected.
-    """
-    if spec.frame is not Frame.LAB:
-        raise ValueError(f"expected a lab-frame spec, got frame {spec.frame.value!r}")
     ws = signal.omega_s_freq
-    terms: list[PauliTerm] = []
-    z_const = 0.5 * ws  # from i (dU/dt) U^dagger
-    for term in spec.terms:
-        if term.axis == "z" and term.frequency == 0.0:
-            z_const += term.amplitude * math.cos(term.phase)
-        elif term.axis == "x":
-            amp, wc, ph = term.amplitude, term.frequency, term.phase
-            # co-rotating pair at omega_s - w_c
-            terms.extend(_rotating_pair(0.5 * amp, ws - wc, -ph))
-        else:
-            raise ValueError(
-                f"cannot transform lab term {term!r}; only constant sigma_z and "
-                "cosine sigma_x terms arise in this sensing model"
-            )
-    terms.insert(0, PauliTerm("z", z_const))
+    terms = [PauliTerm("z", 0.5 * ws - 0.5 * sensor.omega_0)]
+    if signal.omega_s_amp != 0.0:
+        terms.append(PauliTerm("x", 0.5 * signal.omega_s_amp))
+    if drive is not None and drive.omega_F_amp != 0.0:
+        f1 = ws - (ws - drive.omega_F_freq)
+        for l in range(1, drive.harmonics + 1):
+            terms.extend(_rotating_pair(2.0 * drive.omega_F_amp, l * f1, drive.tone_phase(l)))
     return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
 
 
 def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
-    """Terms amp*[cos(freq t + phase) sigma_x + sin(freq t + phase) sigma_y].
-
-    A zero frequency collapses to x and y constants, since a y tone at phase
-    - pi/2 would keep a round-off sigma_y residue where sin(phase) is 0;
-    zero-amplitude pieces are dropped.
-    """
-    if amp == 0.0:
-        return []
-    if freq == 0.0:
-        pair = (PauliTerm("x", amp * math.cos(phase)), PauliTerm("y", amp * math.sin(phase)))
-        return [term for term in pair if term.amplitude != 0.0]
+    """Terms amp*[cos(freq t + phase) sigma_x + sin(freq t + phase) sigma_y]."""
     return [PauliTerm("x", amp, freq, phase), PauliTerm("y", amp, freq, phase - 0.5 * math.pi)]
-
-
-def build_fds_prime(
-    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
-) -> HamiltonianSpec:
-    """Rotating-frame driven-sensor Hamiltonian (RWA applied).
-
-    The ``to_signal_rotating`` transform of the lab-frame driven sensor, whose
-    harmonic l adds 4*omega_F_amp * cos[(omega_s - l*omega_F) t] sigma_x, with
-    the drive tones at exact multiples of one frequency:
-
-        (Delta/2) sigma_z + (omega_s_amp/2) sigma_x
-        + 2*omega_F_amp * sum_l [cos(l omega_F t) sigma_x + sin(l omega_F t) sigma_y]
-
-    The transform forms each tone frequency as omega_s - (omega_s - l omega_F),
-    which misses l times the first one by round-off under drive errors and
-    so breaks the spec's periodicity.  Here the first tone's frequency f1 is
-    formed that way and tone l is put at l * f1, so the spec is periodic in
-    2*pi/f1 with no frequency defect, and it equals the transform bit for bit
-    wherever the transform's tones are already exact multiples of f1 (at the
-    presets' default drives; the tests' lab-frame oracle checks this).
-    """
-    ws = signal.omega_s_freq
-    f1 = ws - (ws - drive.omega_F_freq)
-    terms = list(to_signal_rotating(build_lab_ods(sensor, signal), signal).terms)
-    for l in range(1, drive.harmonics + 1):
-        terms.extend(_rotating_pair(2.0 * drive.omega_F_amp, l * f1, drive.tone_phase(l)))
-    return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 magnetic sensitivity model.
 
 The sensitivity model reads its contrast, count rate and detection time
-from ``params.ReadoutModel`` and the gyromagnetic ratio from
-``params.SensorParams``, the same objects the scans and the QFI pipeline use.
+from ``params.ReadoutModel``, the object the scans and the QFI pipeline use,
+and takes the gyromagnetic ratio alone (``SensorParams``' default unless
+given): nothing else of the sensor enters it.
 
 QFI conventions: for a pure-state family |psi(w)> at fixed evolution time,
 given as 2-vectors of amplitudes over {|0>, |1>},
@@ -103,23 +104,25 @@ def theta_phi_from_expectations(sx, sy, sz):
 
 
 def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),
-                sensor: SensorParams = SensorParams()) -> float:
+                gamma_e: float = SensorParams.gamma_e) -> float:
     """Magnetic amplitude sensitivity at sensing time t (us), in nT/sqrt(Hz).
 
     eta(t) = 1/(gamma * C * sqrt(N)) * sqrt(1 + t/t_det) / (t e^{-t/T2})
 
     with C, N and t_det from ``readout``, the coherence time T2 = ``t2`` (us)
-    and gamma the sensor's cyclic gyromagnetic ratio in Hz/nT (1 MHz/G =
-    10 Hz/nT; 28 Hz/nT by default).  The time in the denominator is
-    converted to seconds and the proportionality constant fixed to 1 under
-    this unit convention (the calibration that reproduces the published
-    endpoint values).
+    and gamma the gyromagnetic ratio ``gamma_e`` (rad/us/G) in cyclic Hz/nT
+    (1 MHz/G = 10 Hz/nT; 28 Hz/nT by default).  The time in the denominator
+    is converted to seconds and the proportionality constant fixed to 1
+    under this unit convention (the calibration that reproduces the
+    published endpoint values).
     """
     if t2 <= 0:
         raise ValueError("T2 must be positive")
     if t <= 0:
         raise ValueError("sensing time must be positive")
-    gamma = 10.0 * angular_to_mhz(sensor.gamma_e)  # Hz / nT
+    if not gamma_e > 0:
+        raise ValueError(f"gyromagnetic ratio gamma_e must be positive, got {gamma_e!r}")
+    gamma = 10.0 * angular_to_mhz(gamma_e)  # Hz / nT
     prefactor = 1.0 / (gamma * readout.contrast * math.sqrt(readout.count_rate))
     duty = math.sqrt(1.0 + t / readout.t_det)
     t_seconds = t * 1e-6
@@ -127,7 +130,7 @@ def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),
 
 
 def optimal_sensing_time(t2: float, readout: ReadoutModel = ReadoutModel(),
-                         sensor: SensorParams = SensorParams()) -> OptimalSensingResult:
+                         gamma_e: float = SensorParams.gamma_e) -> OptimalSensingResult:
     """Minimum of eta(t) in closed form, and eta(T2) for the published convention.
 
     d ln eta/dt = 1/(2 (t_det + t)) + 1/T2 - 1/t vanishes only at the
@@ -141,5 +144,5 @@ def optimal_sensing_time(t2: float, readout: ReadoutModel = ReadoutModel(),
     b = 2.0 * t_det - t2
     root = math.hypot(b, 4.0 * math.sqrt(t2 * t_det))  # sqrt(b^2 + 16 T2 t_det)
     t_opt = (root - b) / 4.0 if b < 0.0 else 4.0 * t2 * t_det / (root + b)
-    eta = [sensitivity(t, t2, readout, sensor) for t in (t_opt, t2)]
+    eta = [sensitivity(t, t2, readout, gamma_e) for t in (t_opt, t2)]
     return OptimalSensingResult(t_opt, *eta)

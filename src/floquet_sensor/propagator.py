@@ -52,8 +52,8 @@ below zero where t0 + mT rounds past t1 (a backward step).
   every frequency lies within ``defect`` of a multiple of f0 with
   defect * (t1 - t0) <= 1e-3 * rel_tol, and m >= 2.  Rotating-frame driven
   specs carry their drive tones at exact multiples of the first tone's
-  frequency (defect 0, see ``build_fds_prime``); lab-frame and RWA-off
-  driven specs miss by a sizable fraction of f0.
+  frequency (defect 0, see ``build_fds_prime``); the lab-frame and RWA-off
+  driven specs of the tests' oracles miss by a sizable fraction of f0.
   Those, constant specs and intervals shorter than 2T are integrated
   directly, exactly as without the route.
 - Step doubling refines U_T until two resolutions agree to rel_tol / m;

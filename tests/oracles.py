@@ -2,6 +2,12 @@
 against.  None of them is run by a ``floquet-sensor`` command, so they live
 here rather than in ``src/``.
 
+The package builds its specs directly in the frame rotating at the signal
+carrier (``build_fds_prime``).  The lab-frame Hamiltonians and the frame
+transform live here, as the reference that ``build_fds_prime`` is checked
+against bit for bit, and as time-dependent specs for the propagator: with
+the counter-rotating pairs kept, a rotating-frame spec without the RWA.
+
 Test files import them as ``from oracles import ...``: pytest puts this
 directory on ``sys.path`` when it collects the tests in it.
 """
@@ -12,6 +18,7 @@ import math
 
 import numpy as np
 
+from floquet_sensor import hamiltonian
 from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Y,
@@ -19,8 +26,6 @@ from floquet_sensor.hamiltonian import (
     Frame,
     HamiltonianSpec,
     PauliTerm,
-    _rotating_pair,
-    build_lab_ods,
 )
 from floquet_sensor.metrology import QfiEstimate
 from floquet_sensor.params import FloquetDriveParams, SensorParams, SignalParams
@@ -32,6 +37,18 @@ def h_matrix(spec: HamiltonianSpec, t: float) -> np.ndarray:
     """2x2 Hermitian matrix of ``spec`` at time t."""
     cx, cy, cz = spec.coefficients(float(t))
     return cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z
+
+
+def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec:
+    """Lab-frame sensing Hamiltonian of the undriven sensor.
+
+    H(t) = -(omega_0/2) sigma_z + omega_s_amp * cos(omega_s_freq t) sigma_x.
+    A zero signal amplitude yields the bare sensor term alone.
+    """
+    terms = [PauliTerm("z", -0.5 * sensor.omega_0)]
+    if signal.omega_s_amp != 0.0:
+        terms.append(PauliTerm("x", signal.omega_s_amp, signal.omega_s_freq))
+    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
 def build_lab_fds(
@@ -52,13 +69,32 @@ def build_lab_fds(
     return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
 
 
-def to_signal_rotating_full(spec: HamiltonianSpec, signal: SignalParams) -> HamiltonianSpec:
-    """``to_signal_rotating`` without the rotating-wave approximation.
+def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
+    """``hamiltonian._rotating_pair``, with zero-amplitude pieces dropped.
 
-    Each lab sigma_x cosine at carrier w_c becomes its co-rotating pair at
-    |omega_s - w_c|, directly followed by its counter-rotating pair at
-    omega_s + w_c; the co-rotating pairs are those of ``to_signal_rotating``,
-    bit for bit.
+    A zero frequency collapses to x and y constants, since a y tone at phase
+    - pi/2 would keep a round-off sigma_y residue where sin(phase) is 0.
+    """
+    if amp == 0.0:
+        return []
+    if freq == 0.0:
+        pair = (PauliTerm("x", amp * math.cos(phase)), PauliTerm("y", amp * math.sin(phase)))
+        return [term for term in pair if term.amplitude != 0.0]
+    return hamiltonian._rotating_pair(amp, freq, phase)
+
+
+def to_signal_rotating(
+    spec: HamiltonianSpec, signal: SignalParams, counter_rotating: bool = False
+) -> HamiltonianSpec:
+    """Transform a lab-frame spec into the frame rotating at the signal carrier.
+
+    The frame is generated by exp(-i*omega_s*t*sigma_z/2).  Constant sigma_z
+    terms commute with the rotation and pick up the single +omega_s/2 shift;
+    each lab sigma_x cosine at carrier w_c becomes a co-rotating pair at
+    |omega_s - w_c|, followed, with ``counter_rotating``, by its
+    counter-rotating pair at omega_s + w_c, which the rotating-wave
+    approximation (the default) drops.  Lab terms outside this family are
+    rejected.
     """
     if spec.frame is not Frame.LAB:
         raise ValueError(f"expected a lab-frame spec, got frame {spec.frame.value!r}")
@@ -70,14 +106,22 @@ def to_signal_rotating_full(spec: HamiltonianSpec, signal: SignalParams) -> Hami
             z_const += term.amplitude * math.cos(term.phase)
         elif term.axis == "x":
             amp, wc, ph = term.amplitude, term.frequency, term.phase
-            # co-rotating pair at omega_s - w_c
             terms.extend(_rotating_pair(0.5 * amp, ws - wc, -ph))
-            # counter-rotating pair at omega_s + w_c
-            terms.extend(_rotating_pair(0.5 * amp, ws + wc, ph))
+            if counter_rotating:
+                terms.extend(_rotating_pair(0.5 * amp, ws + wc, ph))
         else:
-            raise ValueError(f"cannot transform lab term {term!r}")
+            raise ValueError(
+                f"cannot transform lab term {term!r}; only constant sigma_z and "
+                "cosine sigma_x terms arise in this sensing model"
+            )
     terms.insert(0, PauliTerm("z", z_const))
     return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
+
+
+def to_signal_rotating_full(spec: HamiltonianSpec, signal: SignalParams) -> HamiltonianSpec:
+    """``to_signal_rotating`` without the rotating-wave approximation: each
+    co-rotating pair directly followed by its counter-rotating pair."""
+    return to_signal_rotating(spec, signal, counter_rotating=True)
 
 
 # ---------------------------------------------------------------- closed forms

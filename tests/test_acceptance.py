@@ -28,11 +28,9 @@ from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Z,
     build_fds_prime,
-    build_lab_ods,
     effective_coefficients,
     kick_operator,
     quasi_energy_shift,
-    to_signal_rotating,
 )
 from floquet_sensor.measurement import (
     MonteCarloConfig,
@@ -78,7 +76,7 @@ def ods_family(delta: float, t: float, sensor=None):
 
     def state(amp):
         signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+        spec = build_fds_prime(sensor, signal)
         return evolve(spec, KET0, [t])[-1]
 
     return pointwise(state)
@@ -178,7 +176,7 @@ def test_criterion_5_closed_form_oracles():
         delta = rng.uniform(-TP * 5.0, TP * 5.0)
         t = rng.uniform(0.0, 20.0)
         signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+        spec = build_fds_prime(sensor, signal)
         p = abs(evolve(spec, KET0, [max(t, 1e-9)])[-1, 0]) ** 2
         worst_pop = max(worst_pop, abs(p - rabi_population(amp, delta, t)))
 

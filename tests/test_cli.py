@@ -51,15 +51,18 @@ def test_sensitivity_reads_gyromagnetic_ratio_and_contrast(tmp_path):
     def eta_at_t2(physical, sub):
         cfg = write_config(tmp_path, {"physical": physical}, name=f"{sub}.json")
         res = run_cli(["--config", cfg, "--out", str(tmp_path / sub), "sensitivity"])
-        assert res.exit_code == 0
+        assert res.exit_code == 0, res.output
         summary = json.loads((tmp_path / sub / "sensitivity_summary.json").read_text())
         return [v["eta_at_t2_nt_per_sqrthz"] for v in summary["by_t2"].values()]
 
     base = eta_at_t2({}, "base")
-    for physical in ({"gyromagnetic_ratio_mhz_per_g": 5.6}, {"contrast": 0.26}):
-        sub = next(iter(physical))
-        assert eta_at_t2(physical, sub) == pytest.approx(
-            [b / 2 for b in base], rel=1e-12
+    # 6.0 MHz/G once exited 1: it built a sensor whose resonance
+    # D - gamma B0 was negative, though the model reads gamma alone
+    for i, (physical, scale) in enumerate((({"gyromagnetic_ratio_mhz_per_g": 5.6}, 0.5),
+                                           ({"gyromagnetic_ratio_mhz_per_g": 6.0}, 2.8 / 6.0),
+                                           ({"contrast": 0.26}, 0.5))):
+        assert eta_at_t2(physical, f"case{i}") == pytest.approx(
+            [b * scale for b in base], rel=1e-12
         ), physical
 
 
@@ -140,6 +143,9 @@ BAD_CONFIGS = [
     ({"physical": {"detect_time_us": 0}}, ["sensitivity"], "physical.detect_time_us"),
     ({"physical": {"count_rate_per_s": -1}}, ["rabi"], "physical.count_rate_per_s"),
     ({"physical": {"drive_freq_mhz": 0}}, ["effective"], "physical.drive_freq_mhz"),
+    # a zero gyromagnetic ratio once divided by zero inside sensitivity, exit 1
+    ({"physical": {"gyromagnetic_ratio_mhz_per_g": 0}}, ["sensitivity"],
+     "physical.gyromagnetic_ratio_mhz_per_g"),
     # values outside an open interval, a negative noise amplitude, an unsorted
     # grid and an error grid without 0 once failed deep inside with exit 1
     # (an unsorted qfi grid once ran and exited 0)
@@ -248,6 +254,84 @@ def test_commands_read_every_schema_key_before_any_work(tmp_path, monkeypatch):
     # a read of a key outside the schema is a programming error
     with pytest.raises(KeyError, match="run.shot is not a config key"):
         _ConfigReader({}, "rabi", {}).get("run.shot")
+
+
+# a changed value for every physical key that rabi, qfi, effective and
+# sensitivity read without --shots
+CHANGED_PHYSICAL = {
+    "signal_amp_mhz": 0.3,
+    "detuning_mhz": 0.2,
+    "drive_amp_mhz": 0.8,
+    "drive_freq_mhz": 30.0,
+    "harmonics": 2,
+    "gyromagnetic_ratio_mhz_per_g": 6.0,
+    "contrast": 0.2,
+    "count_rate_per_s": 2e5,
+    "detect_time_us": 0.5,
+    "t2_us": [20.0],
+}
+
+
+@pytest.mark.parametrize("command, run", [
+    ("rabi", {"t_grid_us": [0.5, 1.0]}),
+    ("qfi", {"t_grid_us": [1.0, 2.0]}),
+    ("effective", {}),
+    ("sensitivity", {}),
+])
+def test_every_physical_key_read_changes_the_output(tmp_path, monkeypatch, command, run):
+    # a setting that a command accepts must act on its tables or its summary;
+    # the config echo in the summary does not count.  The sensor keys
+    # zero_field_splitting_mhz and static_field_g were once read by every
+    # command and moved its outputs by round-off at most
+    read = set()
+    done = _ConfigReader.done
+
+    def recording(reader):
+        read.update(reader._read)
+        done(reader)
+
+    monkeypatch.setattr(_ConfigReader, "done", recording)
+
+    def outputs(physical, sub):
+        cfg = write_config(tmp_path, {"physical": physical, "run": run}, name=f"{sub}.json")
+        res = run_cli(["--config", cfg, "--out", str(tmp_path / sub), command])
+        assert res.exit_code == 0, res.output
+        files = {}
+        for path in (tmp_path / sub).iterdir():
+            if path.suffix == ".json":
+                summary = json.loads(path.read_text())
+                del summary["config"]
+                files[path.name] = summary
+            else:
+                files[path.name] = path.read_text()
+        return files
+
+    base = outputs({}, "base")
+    keys = sorted(path.partition(".")[2] for path in read if path.startswith("physical."))
+    assert keys
+    for key in keys:
+        assert outputs({key: CHANGED_PHYSICAL[key]}, key) != base, key
+
+
+def test_sensor_keys_are_refused_where_they_do_not_act(tmp_path):
+    # the zero-field splitting and the static field entered only the sensor
+    # resonance, which the rotating-frame scenarios never see; gamma enters
+    # the sensitivity model alone
+    def refusal(physical, command):
+        cfg = write_config(tmp_path, {"physical": physical}, name=f"{command}.json")
+        out = tmp_path / "o"
+        res = CliRunner().invoke(main, ["--config", cfg, "--out", str(out), command])
+        assert res.exit_code == 2, (physical, command, res.output)
+        assert not out.exists()
+        return res.output
+
+    for key in ("zero_field_splitting_mhz", "static_field_g"):
+        assert key not in _CONFIG_SCHEMA["physical"]
+        for command in main.commands:
+            assert f"unknown config key: physical.{key}" in refusal({key: 1.0}, command)
+    for command in sorted(set(main.commands) - {"sensitivity"}):
+        message = refusal({"gyromagnetic_ratio_mhz_per_g": 2.8}, command)
+        assert f"physical.gyromagnetic_ratio_mhz_per_g is not read by {command}" in message
 
 
 EMPTY_LISTS = [

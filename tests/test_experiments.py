@@ -120,19 +120,18 @@ def test_with_errors_replaces_the_drive_by_its_perturbation():
     assert sc.with_errors(amp_error=e).signal == sc.signal
 
 
-@pytest.mark.parametrize("preset, builder", [("fds-k5", "build_fds_prime"),
-                                             ("ods-detuned", "to_signal_rotating")])
-def test_rotating_spec_built_once_per_scenario(monkeypatch, preset, builder):
-    # states and exact_qfi reuse the scenario's spec; a scenario with
-    # control errors is a new scenario with a spec of its own
+@pytest.mark.parametrize("preset", ["fds-k5", "ods-detuned"])
+def test_rotating_spec_built_once_per_scenario(monkeypatch, preset):
+    # states and exact_qfi reuse the scenario's spec, driven or not; a
+    # scenario with control errors is a new scenario with a spec of its own
     built = []
-    build = getattr(experiments, builder)
+    build = experiments.build_fds_prime
 
     def counted(*args):
         built.append(build(*args))
         return built[-1]
 
-    monkeypatch.setattr(experiments, builder, counted)
+    monkeypatch.setattr(experiments, "build_fds_prime", counted)
     sc = make_preset(preset)
     spec = sc.rotating_spec()
     sc.states([sc.signal.omega_s_amp], 1.0)
@@ -870,7 +869,8 @@ def test_robustness_validation():
         run_robustness_sweep("phase", grid=[-0.5, 0.0, 0.5], t=1.0)
     with pytest.raises(ValueError):
         run_robustness_sweep("amplitude", grid=mhz_to_angular(np.array([0.1, 0.2])))
-    for n_workers in (0, -1):
+    # 1.5 once started a thread pool, and True ran as one worker
+    for n_workers in (0, -1, 1.5, True):
         with pytest.raises(ValueError, match="n_workers"):
             run_robustness_sweep("amplitude", n_workers=n_workers)
 

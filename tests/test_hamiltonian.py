@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,12 +13,10 @@ from floquet_sensor.hamiltonian import (
     SIGMA_Y,
     SIGMA_Z,
     build_fds_prime,
-    build_lab_ods,
     effective_coefficients,
     kick_operator,
     kick_vector,
     quasi_energy_shift,
-    to_signal_rotating,
 )
 from floquet_sensor.params import (
     FloquetDriveParams,
@@ -27,7 +26,13 @@ from floquet_sensor.params import (
     mhz_to_angular,
 )
 
-from oracles import build_lab_fds, h_matrix, to_signal_rotating_full
+from oracles import (
+    build_lab_fds,
+    build_lab_ods,
+    h_matrix,
+    to_signal_rotating,
+    to_signal_rotating_full,
+)
 
 TP = 2.0 * math.pi
 
@@ -115,7 +120,7 @@ def test_lab_ods_zero_signal_is_bare_sensor():
 def test_rotating_frame_resonant_ods_is_pure_drive():
     sensor = paper_sensor()
     signal = paper_signal(sensor, delta_mhz=0.0)
-    rot = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+    rot = build_fds_prime(sensor, signal)
     for t in (0.0, 0.37, 2.0):
         npt.assert_allclose(
             h_matrix(rot, t), 0.5 * signal.omega_s_amp * SIGMA_X, atol=1e-12
@@ -125,7 +130,7 @@ def test_rotating_frame_resonant_ods_is_pure_drive():
 def test_rotating_frame_zero_amplitudes_leave_detuning():
     sensor = paper_sensor()
     signal = SignalParams(0.0, sensor.omega_0 + mhz_to_angular(0.5))
-    rot = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+    rot = build_fds_prime(sensor, signal)
     npt.assert_allclose(h_matrix(rot, 0.8), 0.5 * mhz_to_angular(0.5) * SIGMA_Z)
 
 
@@ -148,7 +153,7 @@ def test_rotating_frame_fds_k1_matches_drive_pair():
 def test_rotating_frame_rejects_wrong_frame():
     sensor = paper_sensor()
     signal = paper_signal(sensor)
-    rot = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+    rot = build_fds_prime(sensor, signal)
     with pytest.raises(ValueError):
         to_signal_rotating(rot, signal)
     # lab terms outside constant sigma_z and cosine sigma_x are rejected
@@ -163,12 +168,14 @@ def test_zero_frequency_terms_are_exact_constants():
     npt.assert_array_equal(PauliTerm("z", 0.3).coefficient(ts), np.full(11, 0.3))
     npt.assert_array_equal(PauliTerm("x", 0.3, 0.0, math.pi).coefficient(ts),
                            np.full(11, -0.3))
-    # a resonant co-rotating pair collapses to an x constant with no y residue
+    # the resonant signal is one x constant with no y residue, as the lab
+    # oracle's co-rotating pair collapses to
     sensor = paper_sensor()
     signal = paper_signal(sensor, delta_mhz=0.0)
-    rot = to_signal_rotating(build_lab_ods(sensor, signal), signal)
-    assert [(term.axis, term.frequency) for term in rot.terms] == [("z", 0.0), ("x", 0.0)]
-    assert rot.terms[1].amplitude == 0.5 * signal.omega_s_amp
+    for rot in (build_fds_prime(sensor, signal),
+                to_signal_rotating(build_lab_ods(sensor, signal), signal)):
+        assert [(term.axis, term.frequency) for term in rot.terms] == [("z", 0.0), ("x", 0.0)]
+        assert rot.terms[1].amplitude == 0.5 * signal.omega_s_amp
 
 
 def test_rwa_off_keeps_counter_rotating_terms():
@@ -205,7 +212,8 @@ def test_fds_prime_cancelling_amp_error_reduces_to_ods():
     signal = paper_signal(sensor)
     drive = paper_drive(k=3)
     reduced = build_fds_prime(sensor, signal, drive.perturbed(amp_error=-drive.omega_F_amp))
-    plain = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+    plain = build_fds_prime(sensor, signal)
+    assert reduced == plain
     for t in (0.0, 0.456):
         npt.assert_allclose(h_matrix(reduced, t), h_matrix(plain, t), atol=1e-12)
 
@@ -313,9 +321,61 @@ def test_fds_prime_equals_composition_bit_for_bit_at_preset_drives():
 
     for name in PRESET_NAMES:
         sc = make_preset(name)
-        if sc.drive is not None:
+        if sc.drive is None:
+            lab = build_lab_ods(sc.sensor, sc.signal)
+        else:
             lab = build_lab_fds(sc.sensor, sc.signal, sc.drive)
-            assert sc.rotating_spec() == to_signal_rotating(lab, sc.signal), name
+        assert sc.rotating_spec() == to_signal_rotating(lab, sc.signal), name
+
+
+def _random_case(rng):
+    """(sensor, signal, drive): a random sensor, a signal amplitude and a
+    detuning each zero in a quarter of the cases, and no drive, or a drive
+    of 1 to 5 tones with amplitude and frequency errors, its amplitude
+    cancelled in a fifth of the cases."""
+    sensor = SensorParams(D=TP * rng.uniform(2000.0, 4000.0),
+                          gamma_e=TP * rng.uniform(1.0, 6.0), B0=rng.uniform(0.0, 300.0))
+    amp = 0.0 if rng.random() < 0.25 else TP * rng.uniform(0.01, 2.0)
+    delta = 0.0 if rng.random() < 0.25 else TP * rng.uniform(-2.0, 2.0)
+    signal = SignalParams.from_detuning(sensor, amp, delta)
+    if rng.random() < 0.2:
+        return sensor, signal, None
+    k = int(rng.integers(1, 6))
+    drive = FloquetDriveParams(TP * rng.uniform(0.5, 2.0), TP * rng.uniform(20.0, 50.0), k,
+                               tuple(rng.uniform(0.0, TP, k)))
+    amp_error = -drive.omega_F_amp if rng.random() < 0.2 else TP * rng.uniform(-0.4, 0.4)
+    return sensor, signal, drive.perturbed(amp_error, TP * rng.uniform(-1.0, 1.0))
+
+
+def test_fds_prime_equals_the_lab_frame_transform_randomized():
+    # build_fds_prime against the transform of the lab-frame oracle, bit for
+    # bit, but for the transform's tone l, which misses l times its first
+    # tone's frequency by round-off under drive errors: build_fds_prime puts
+    # it there, and so does the comparison, after checking the miss
+    from floquet_sensor.experiments import PRESET_NAMES, make_preset
+
+    rng = np.random.default_rng(24)
+    cases = [(sc.sensor, sc.signal, sc.drive) for sc in map(make_preset, PRESET_NAMES)]
+    cases += [_random_case(rng) for _ in range(400)]
+    moved = 0
+    for sensor, signal, drive in cases:
+        if drive is None:
+            lab = build_lab_ods(sensor, signal)
+        else:
+            lab = build_lab_fds(sensor, signal, drive)
+        ref = to_signal_rotating(lab, signal)
+        f1 = min((term.frequency for term in ref.terms if term.frequency != 0.0), default=0.0)
+        terms = []
+        for term in ref.terms:
+            if term.frequency != 0.0:
+                l = round(term.frequency / f1)
+                assert abs(term.frequency - l * f1) <= (l + 2) * np.spacing(signal.omega_s_freq)
+                moved += term.frequency != l * f1
+                term = replace(term, frequency=l * f1)
+            terms.append(term)
+        spec = build_fds_prime(sensor, signal, drive)
+        assert spec == HamiltonianSpec(Frame.SIGNAL_ROTATING, tuple(terms)), (sensor, signal, drive)
+    assert moved > 0
 
 
 # ----------------------------------------------------- kick operator / shift

@@ -13,7 +13,7 @@ from floquet_sensor.measurement import (
     read_out,
 )
 from floquet_sensor.params import SensorParams, SignalParams
-from floquet_sensor.hamiltonian import build_lab_ods, to_signal_rotating
+from floquet_sensor.hamiltonian import build_fds_prime
 from floquet_sensor.propagator import evolve
 
 TP = 2.0 * math.pi
@@ -23,7 +23,7 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 def resonant_state(amp, t):
     sensor = SensorParams()
     signal = SignalParams.from_detuning(sensor, amp, 0.0)
-    spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+    spec = build_fds_prime(sensor, signal)
     return evolve(spec, KET0, [t])[-1]
 
 

@@ -3,10 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_sensor.hamiltonian import (
-    build_lab_ods,
-    to_signal_rotating,
-)
+from floquet_sensor.hamiltonian import build_fds_prime
 from floquet_sensor.metrology import (
     OptimalSensingResult,
     QfiStepError,
@@ -53,7 +50,7 @@ def ods_family(amp0, delta, t):
 
     def state(amp):
         signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+        spec = build_fds_prime(sensor, signal)
         return evolve(spec, KET0, [t])[-1]
 
     return pointwise(state)
@@ -197,12 +194,19 @@ def test_sensitivity_params_validation():
             sensitivity(10.0, t2)
         with pytest.raises(ValueError, match="T2"):
             optimal_sensing_time(t2)
+    for gamma_e in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma_e"):
+            sensitivity(10.0, 17.9, gamma_e=gamma_e)
+        with pytest.raises(ValueError, match="gamma_e"):
+            optimal_sensing_time(17.9, gamma_e=gamma_e)
 
 
 def test_sensitivity_scales_inversely_with_gamma_contrast_and_sqrt_rate():
     base = sensitivity(17.9, 17.9)
-    sensor = SensorParams(gamma_e=TP * 5.6)
-    assert sensitivity(17.9, 17.9, sensor=sensor) == pytest.approx(base / 2, rel=1e-14)
+    assert sensitivity(17.9, 17.9, gamma_e=TP * 5.6) == pytest.approx(base / 2, rel=1e-14)
+    # gamma alone enters: one that no valid sensor resonance allows works too
+    assert sensitivity(17.9, 17.9, gamma_e=TP * 6.0) == pytest.approx(base * 2.8 / 6.0,
+                                                                       rel=1e-14)
     assert sensitivity(17.9, 17.9, ReadoutModel(contrast=0.26)) == pytest.approx(
         base / 2, rel=1e-14
     )

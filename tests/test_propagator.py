@@ -16,9 +16,7 @@ from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Z,
     build_fds_prime,
-    build_lab_ods,
     effective_coefficients,
-    to_signal_rotating,
 )
 from floquet_sensor.experiments import (
     ORACLE_OPTS,
@@ -59,7 +57,14 @@ from floquet_sensor.propagator import (
     micromotion_error,
 )
 
-from oracles import build_lab_fds, h_matrix, rabi_population, to_signal_rotating_full
+from oracles import (
+    build_lab_fds,
+    build_lab_ods,
+    h_matrix,
+    rabi_population,
+    to_signal_rotating,
+    to_signal_rotating_full,
+)
 
 TP = 2.0 * math.pi
 
@@ -134,7 +139,7 @@ def test_rabi_population_matches_evolve_randomized():
         delta = rng.uniform(-TP * 5.0, TP * 5.0)
         t = rng.uniform(0.0, 20.0)
         signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = to_signal_rotating(build_lab_ods(sensor, signal), signal)
+        spec = build_fds_prime(sensor, signal)
         states = evolve(spec, KET0, [t] if t > 0 else [0.0])
         p0 = abs(states[:, 0]) ** 2
         worst = max(worst, abs(p0[-1] - rabi_population(amp, delta, t)))
