@@ -3,13 +3,11 @@
 from .params import (
     FloquetDriveParams,
     ReadoutModel,
-    SensorParams,
     SignalParams,
     angular_to_mhz,
     mhz_to_angular,
 )
 from .hamiltonian import (
-    Frame,
     HamiltonianSpec,
     PauliTerm,
     build_fds_prime,

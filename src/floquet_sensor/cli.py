@@ -415,6 +415,12 @@ def qfi(ctx):
     mc = None if shots is None else MonteCarloConfig(
         shots, seed=seed, **cfg.given(repeats="run.repeats")
     )
+    amp = cfg.get("physical.signal_amp_mhz")
+    if amp is not None and amp <= 0:
+        raise ConfigError(
+            f"config key physical.signal_amp_mhz must be > 0 for qfi, whose "
+            f"amplitude grid spans +-2.5% of it, got {amp!r}"
+        )
     scenarios = _scenarios(cfg, ["fds-k5", "ods-detuned"])
     t_grid = _t_grid(cfg, [1.0, 2.0, 3.0, 3.8, 4.0])
     cfg.done()
@@ -438,10 +444,9 @@ def effective(ctx):
     seed = cfg.get("run.seed", 0)
     sc = _build_scenario("fds-k5", cfg)
     cfg.done()
-    drive = sc.drive
-    delta = sc.signal.detuning(sc.sensor)
+    drive, delta = sc.drive, sc.signal.delta
     shift = quasi_energy_shift(drive)
-    cx, cz = effective_coefficients(sc.sensor, sc.signal, drive)
+    cx, cz = effective_coefficients(sc.signal, drive)
     ratio = drive.validity_ratio(sc.signal.omega_s_amp, delta)
     bundle = ResultBundle("effective", cfg.data, seed)
     bundle.summary["quasi_energy_shift_mhz"] = angular_to_mhz(shift)

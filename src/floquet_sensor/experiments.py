@@ -2,7 +2,7 @@
 control-error robustness sweeps and dynamical-decoupling runs under
 dephasing noise.
 
-Scenario presets bundle the sensing configuration (sensor, signal, drive)
+Scenario presets bundle the sensing configuration (signal, drive)
 under the names the command-line interface exposes; one table,
 ``_PRESETS``, holds them all.  The scan engine
 (``run_scan``) starts a batch of noise realizations in |0> and walks one
@@ -61,7 +61,6 @@ from .params import (
     TWO_PI,
     FloquetDriveParams,
     ReadoutModel,
-    SensorParams,
     SignalParams,
     _require_count,
     _require_finite,
@@ -101,7 +100,6 @@ class Scenario:
     """A named sensing configuration resolvable to a rotating-frame spec."""
 
     name: str
-    sensor: SensorParams
     signal: SignalParams
     drive: FloquetDriveParams | None = None
 
@@ -110,7 +108,7 @@ class Scenario:
         scenario (a scenario is frozen, and ``with_errors`` makes a new one)."""
         spec = self.__dict__.get("_spec")
         if spec is None:
-            spec = build_fds_prime(self.sensor, self.signal, self.drive)
+            spec = build_fds_prime(self.signal, self.drive)
             object.__setattr__(self, "_spec", spec)
         return spec
 
@@ -170,23 +168,20 @@ PRESET_NAMES = tuple(_PRESETS)
 def make_preset(
     name: str, omega_s_amp: float | None = None, delta: float | None = None
 ) -> Scenario:
-    """Build the named ``_PRESETS`` scenario on the default sensor;
-    ``omega_s_amp`` and ``delta`` (rad/us) replace the preset's signal
-    amplitude and detuning."""
+    """Build the named ``_PRESETS`` scenario; ``omega_s_amp`` and ``delta``
+    (rad/us) replace the preset's signal amplitude and detuning."""
     try:
         amp_mhz, delta_mhz, phases = _PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown scenario preset {name!r}") from None
-    sensor = SensorParams()
-    signal = SignalParams.from_detuning(
-        sensor,
+    signal = SignalParams(
         mhz_to_angular(amp_mhz) if omega_s_amp is None else omega_s_amp,
         mhz_to_angular(delta_mhz) if delta is None else delta,
     )
     drive = None if phases is None else FloquetDriveParams(
         mhz_to_angular(_DRIVE_AMP_MHZ), mhz_to_angular(_DRIVE_FREQ_MHZ), len(phases), phases
     )
-    return Scenario(name, sensor, signal, drive)
+    return Scenario(name, signal, drive)
 
 
 def resolve_scenario(preset: Union[str, Scenario]) -> Scenario:
@@ -721,8 +716,17 @@ def run_qfi_scaling(
     mc: MonteCarloConfig | None = None,
     model: ReadoutModel = ReadoutModel(),
 ) -> list[QfiScalingRow]:
-    """Pipeline QFI against the exact oracle over t_grid (exact readout if mc is None)."""
+    """Pipeline QFI against the exact oracle over t_grid (exact readout if mc is None).
+
+    Raises ``ValueError`` at a zero signal amplitude, where the pipeline's
+    +-2.5% amplitude grid has no span.
+    """
     scenario = resolve_scenario(preset)
+    if scenario.signal.omega_s_amp == 0.0:
+        raise ValueError(
+            "QFI scaling needs a signal amplitude > 0: the pipeline's amplitude "
+            "grid spans +-2.5% of it"
+        )
     grid = default_omega_grid(scenario.signal.omega_s_amp)
     rows = []
     for t in np.asarray(t_grid, dtype=float):
@@ -804,9 +808,7 @@ def run_robustness_sweep(
     if not grid_has_zero(errors):
         raise ValueError("error grid must contain zero (the unperturbed point)")
 
-    ods = Scenario(
-        "ods-baseline", scenario.sensor, scenario.signal, drive=None
-    )
+    ods = replace(scenario, name="ods-baseline", drive=None)
     baseline = ods.exact_qfi(t).value
 
     def qfi_at(err: float) -> float:

@@ -1,38 +1,33 @@
 """Hamiltonian construction for the driven two-level sensor.
 
-A Hamiltonian is represented as a frame-tagged sum of Pauli terms, each a
-tone amplitude * cos(frequency*t + phase) on one axis, with the constants
-as its zero-frequency tones (``HamiltonianSpec``).  The package builds
-every spec in the frame rotating at the signal carrier, under the
-rotating-wave approximation (``build_fds_prime``, driven or not); the
-lab-frame Hamiltonians and the frame transform are test oracles
-(``tests/oracles.py``), which is what ``Frame.LAB`` tags.  The first-order
-time-averaged description of the periodic drive follows: kick operator,
-quasi-energy shift and the coefficients of the effective Hamiltonian.
+A Hamiltonian is represented as a sum of Pauli terms, each a tone
+amplitude * cos(frequency*t + phase) on one axis, with the constants as its
+zero-frequency tones (``HamiltonianSpec``).  The package builds every spec
+in the frame rotating at the signal carrier, under the rotating-wave
+approximation (``build_fds_prime``, driven or not), where the detuning is
+the only sensor or carrier quantity that enters; the lab-frame Hamiltonians
+and the frame transform are test oracles (``tests/oracles.py``).  The
+first-order time-averaged description of the periodic drive follows: kick
+operator, quasi-energy shift and the coefficients of the effective
+Hamiltonian.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .params import FloquetDriveParams, SensorParams, SignalParams
+from .params import FloquetDriveParams, SignalParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
-class Frame(str, enum.Enum):
-    LAB = "lab"
-    SIGNAL_ROTATING = "signal_rotating"
 
 
 @dataclass(frozen=True)
@@ -62,9 +57,8 @@ class PauliTerm:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Frame-tagged sum of Pauli terms; evaluates to a 2x2 Hermitian matrix."""
+    """Sum of Pauli terms; evaluates to a 2x2 Hermitian matrix."""
 
-    frame: Frame
     terms: tuple[PauliTerm, ...]
 
     def coefficients(self, t):
@@ -169,7 +163,7 @@ class HamiltonianSpec:
 # ---------------------------------------------------------------------------
 
 def build_fds_prime(
-    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams | None = None
+    signal: SignalParams, drive: FloquetDriveParams | None = None
 ) -> HamiltonianSpec:
     """Sensing Hamiltonian in the frame rotating at the signal carrier (RWA
     applied), driven when a ``drive`` is given:
@@ -181,25 +175,19 @@ def build_fds_prime(
     This is the lab-frame sensor -(omega_0/2) sigma_z
     + omega_s_amp cos(omega_s t) sigma_x, with harmonic l adding
     4*omega_F_amp cos[(omega_s - l omega_F) t - phi_l] sigma_x, taken into the
-    frame exp(-i omega_s t sigma_z/2) without its counter-rotating terms.  It
-    is written with that transform's floating-point operations (Delta/2 as
-    0.5*omega_s - 0.5*omega_0, the first tone frequency as
-    f1 = omega_s - (omega_s - omega_F)), so it equals the tests' lab-frame
-    oracle bit for bit but for one thing: the transform puts tone l at
-    omega_s - (omega_s - l omega_F), which misses l times f1 by round-off
-    under drive errors and so breaks the spec's periodicity, and here tone l
-    is at l * f1, so the spec is periodic in 2*pi/f1 with no frequency
-    defect.  Zero amplitudes add no terms.
+    frame exp(-i omega_s t sigma_z/2) without its counter-rotating terms, at
+    Delta = omega_s - omega_0.  Tone l is at l * omega_F, so the spec is
+    periodic in 2*pi/omega_F with no frequency defect.  Zero amplitudes add
+    no terms.
     """
-    ws = signal.omega_s_freq
-    terms = [PauliTerm("z", 0.5 * ws - 0.5 * sensor.omega_0)]
+    terms = [PauliTerm("z", 0.5 * signal.delta)]
     if signal.omega_s_amp != 0.0:
         terms.append(PauliTerm("x", 0.5 * signal.omega_s_amp))
     if drive is not None and drive.omega_F_amp != 0.0:
-        f1 = ws - (ws - drive.omega_F_freq)
         for l in range(1, drive.harmonics + 1):
-            terms.extend(_rotating_pair(2.0 * drive.omega_F_amp, l * f1, drive.tone_phase(l)))
-    return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
+            terms.extend(_rotating_pair(
+                2.0 * drive.omega_F_amp, l * drive.omega_F_freq, drive.tone_phase(l)))
+    return HamiltonianSpec(tuple(terms))
 
 
 def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
@@ -252,7 +240,7 @@ def quasi_energy_shift(drive: FloquetDriveParams) -> float:
 
 
 def effective_coefficients(
-    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
+    signal: SignalParams, drive: FloquetDriveParams
 ) -> tuple[float, float]:
     """(sigma_x, sigma_z) coefficients of the first-order effective Hamiltonian.
 
@@ -260,5 +248,4 @@ def effective_coefficients(
     quasi-energy shift, i.e. the drive retunes the sensor without touching
     the signal coupling.
     """
-    delta = signal.detuning(sensor)
-    return 0.5 * signal.omega_s_amp, 0.5 * (delta - quasi_energy_shift(drive))
+    return 0.5 * signal.omega_s_amp, 0.5 * (signal.delta - quasi_energy_shift(drive))

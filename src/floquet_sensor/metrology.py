@@ -3,8 +3,8 @@ magnetic sensitivity model.
 
 The sensitivity model reads its contrast, count rate and detection time
 from ``params.ReadoutModel``, the object the scans and the QFI pipeline use,
-and takes the gyromagnetic ratio alone (``SensorParams``' default unless
-given): nothing else of the sensor enters it.
+and takes the gyromagnetic ratio alone (``GAMMA_E`` unless given): nothing
+else of the sensor enters it.
 
 QFI conventions: for a pure-state family |psi(w)> at fixed evolution time,
 given as 2-vectors of amplitudes over {|0>, |1>},
@@ -31,7 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .params import ReadoutModel, SensorParams, angular_to_mhz, mhz_to_angular
+from .params import ReadoutModel, angular_to_mhz, mhz_to_angular
+
+#: electron gyromagnetic ratio (rad/us/G), 2.8 MHz/G
+GAMMA_E = mhz_to_angular(2.8)
 
 
 class QfiStepError(RuntimeError):
@@ -104,7 +107,7 @@ def theta_phi_from_expectations(sx, sy, sz):
 
 
 def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),
-                gamma_e: float = SensorParams.gamma_e) -> float:
+                gamma_e: float = GAMMA_E) -> float:
     """Magnetic amplitude sensitivity at sensing time t (us), in nT/sqrt(Hz).
 
     eta(t) = 1/(gamma * C * sqrt(N)) * sqrt(1 + t/t_det) / (t e^{-t/T2})
@@ -130,7 +133,7 @@ def sensitivity(t: float, t2: float, readout: ReadoutModel = ReadoutModel(),
 
 
 def optimal_sensing_time(t2: float, readout: ReadoutModel = ReadoutModel(),
-                         gamma_e: float = SensorParams.gamma_e) -> OptimalSensingResult:
+                         gamma_e: float = GAMMA_E) -> OptimalSensingResult:
     """Minimum of eta(t) in closed form, and eta(T2) for the published convention.
 
     d ln eta/dt = 1/(2 (t_det + t)) + 1/T2 - 1/t vanishes only at the

@@ -2,9 +2,9 @@
 its fluorescence readout.
 
 Internal convention: every frequency-like quantity is an *angular* frequency
-in rad/us, times are in us, fields in Gauss.  User-facing configuration
-(the CLI) works in cyclic MHz and converts once at the boundary with
-``mhz_to_angular`` / ``angular_to_mhz``.
+in rad/us and times are in us.  User-facing configuration (the CLI) works
+in cyclic MHz and converts once at the boundary with ``mhz_to_angular`` /
+``angular_to_mhz``.
 """
 
 from __future__ import annotations
@@ -43,39 +43,6 @@ def _require_count(name: str, value, least: int = 1) -> None:
 
 
 @dataclass(frozen=True)
-class SensorParams:
-    """Static sensor parameters.
-
-    Attributes
-    ----------
-    D : float
-        Zero-field splitting, rad/us.
-    gamma_e : float
-        Electron gyromagnetic ratio, rad/us/G.
-    B0 : float
-        Static bias field along the sensor axis, G.
-    """
-
-    D: float = mhz_to_angular(2870.0)
-    gamma_e: float = mhz_to_angular(2.8)
-    B0: float = 500.0
-
-    def __post_init__(self):
-        for name in ("D", "gamma_e", "B0"):
-            _require_finite(name, getattr(self, name))
-        if self.omega_0 <= 0:
-            raise ValueError(
-                f"sensor resonance omega_0 = D - gamma_e*B0 must be positive, "
-                f"got {self.omega_0:g} rad/us"
-            )
-
-    @property
-    def omega_0(self) -> float:
-        """Transition frequency D - gamma_e*B0, rad/us."""
-        return self.D - self.gamma_e * self.B0
-
-
-@dataclass(frozen=True)
 class ReadoutModel:
     """Fluorescence readout statistics.
 
@@ -106,33 +73,21 @@ class ReadoutModel:
 
 @dataclass(frozen=True)
 class SignalParams:
-    """Transverse microwave signal: amplitude and carrier frequency.
+    """Transverse microwave signal: Rabi amplitude and detuning.
 
     ``omega_s_amp`` is the Rabi amplitude (the quantity being estimated),
-    ``omega_s_freq`` the lab-frame carrier.  Both in rad/us.
+    ``delta`` the detuning of the carrier from the sensor resonance.  Both in
+    rad/us.
     """
 
     omega_s_amp: float
-    omega_s_freq: float
+    delta: float
 
     def __post_init__(self):
         _require_finite("omega_s_amp", self.omega_s_amp)
-        _require_finite("omega_s_freq", self.omega_s_freq)
+        _require_finite("delta", self.delta)
         if self.omega_s_amp < 0:
             raise ValueError("signal Rabi amplitude must be >= 0")
-        if self.omega_s_freq <= 0:
-            raise ValueError("lab-frame signal carrier frequency must be > 0")
-
-    def detuning(self, sensor: SensorParams) -> float:
-        """Carrier-sensor detuning omega_s - omega_0, rad/us."""
-        return self.omega_s_freq - sensor.omega_0
-
-    @classmethod
-    def from_detuning(
-        cls, sensor: SensorParams, omega_s_amp: float, delta: float
-    ) -> "SignalParams":
-        """Build a signal at given detuning from the sensor resonance."""
-        return cls(omega_s_amp=omega_s_amp, omega_s_freq=sensor.omega_0 + delta)
 
 
 @dataclass(frozen=True)

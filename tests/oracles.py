@@ -3,10 +3,13 @@ against.  None of them is run by a ``floquet-sensor`` command, so they live
 here rather than in ``src/``.
 
 The package builds its specs directly in the frame rotating at the signal
-carrier (``build_fds_prime``).  The lab-frame Hamiltonians and the frame
-transform live here, as the reference that ``build_fds_prime`` is checked
-against bit for bit, and as time-dependent specs for the propagator: with
-the counter-rotating pairs kept, a rotating-frame spec without the RWA.
+carrier (``build_fds_prime``), where only the detuning Delta enters.  The
+lab-frame Hamiltonians and the frame transform live here, with the lab
+numbers they need: the sensor resonance omega_0 (``OMEGA_0`` unless given)
+and the carrier omega_0 + Delta.  They are the reference that
+``build_fds_prime`` is checked against to round-off, and time-dependent specs
+for the propagator: with the counter-rotating pairs kept, a rotating-frame
+spec without the RWA.
 
 Test files import them as ``from oracles import ...``: pytest puts this
 directory on ``sys.path`` when it collects the tests in it.
@@ -23,12 +26,15 @@ from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Frame,
     HamiltonianSpec,
     PauliTerm,
 )
 from floquet_sensor.metrology import QfiEstimate
-from floquet_sensor.params import FloquetDriveParams, SensorParams, SignalParams
+from floquet_sensor.params import FloquetDriveParams, SignalParams, mhz_to_angular
+
+#: lab-frame sensor resonance D - gamma_e B0 (rad/us) at a 2870 MHz zero-field
+#: splitting, 2.8 MHz/G and a 500 G bias field: 1470 MHz
+OMEGA_0 = mhz_to_angular(2870.0) - mhz_to_angular(2.8) * 500.0
 
 
 # ---------------------------------------------------------------- Hamiltonians
@@ -39,20 +45,26 @@ def h_matrix(spec: HamiltonianSpec, t: float) -> np.ndarray:
     return cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z
 
 
-def build_lab_ods(sensor: SensorParams, signal: SignalParams) -> HamiltonianSpec:
+def carrier(signal: SignalParams, omega_0: float = OMEGA_0) -> float:
+    """Lab-frame signal carrier omega_s = omega_0 + Delta, rad/us."""
+    return omega_0 + signal.delta
+
+
+def build_lab_ods(signal: SignalParams, omega_0: float = OMEGA_0) -> HamiltonianSpec:
     """Lab-frame sensing Hamiltonian of the undriven sensor.
 
-    H(t) = -(omega_0/2) sigma_z + omega_s_amp * cos(omega_s_freq t) sigma_x.
-    A zero signal amplitude yields the bare sensor term alone.
+    H(t) = -(omega_0/2) sigma_z + omega_s_amp * cos(omega_s t) sigma_x, at the
+    carrier omega_s = omega_0 + Delta.  A zero signal amplitude yields the
+    bare sensor term alone.
     """
-    terms = [PauliTerm("z", -0.5 * sensor.omega_0)]
+    terms = [PauliTerm("z", -0.5 * omega_0)]
     if signal.omega_s_amp != 0.0:
-        terms.append(PauliTerm("x", signal.omega_s_amp, signal.omega_s_freq))
-    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
+        terms.append(PauliTerm("x", signal.omega_s_amp, carrier(signal, omega_0)))
+    return HamiltonianSpec(tuple(terms))
 
 
 def build_lab_fds(
-    sensor: SensorParams, signal: SignalParams, drive: FloquetDriveParams
+    signal: SignalParams, drive: FloquetDriveParams, omega_0: float = OMEGA_0
 ) -> HamiltonianSpec:
     """Lab-frame Hamiltonian of the periodically driven sensor.
 
@@ -60,13 +72,13 @@ def build_lab_fds(
     lab tone 4*omega_F_amp * cos[(omega_s - l*omega_F) t] sigma_x (the factor
     4 maps the lab amplitude onto the rotating-frame convention).
     """
-    terms = list(build_lab_ods(sensor, signal).terms)
+    terms = list(build_lab_ods(signal, omega_0).terms)
+    ws = carrier(signal, omega_0)
     for l in range(1, drive.harmonics + 1):
         if drive.omega_F_amp != 0.0:
             terms.append(PauliTerm("x", 4.0 * drive.omega_F_amp,
-                                   signal.omega_s_freq - l * drive.omega_F_freq,
-                                   -drive.tone_phase(l)))
-    return HamiltonianSpec(frame=Frame.LAB, terms=tuple(terms))
+                                   ws - l * drive.omega_F_freq, -drive.tone_phase(l)))
+    return HamiltonianSpec(tuple(terms))
 
 
 def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
@@ -84,9 +96,11 @@ def _rotating_pair(amp: float, freq: float, phase: float) -> list[PauliTerm]:
 
 
 def to_signal_rotating(
-    spec: HamiltonianSpec, signal: SignalParams, counter_rotating: bool = False
+    spec: HamiltonianSpec, signal: SignalParams, omega_0: float = OMEGA_0,
+    counter_rotating: bool = False,
 ) -> HamiltonianSpec:
-    """Transform a lab-frame spec into the frame rotating at the signal carrier.
+    """Transform a lab-frame spec into the frame rotating at the signal
+    carrier omega_s = omega_0 + Delta.
 
     The frame is generated by exp(-i*omega_s*t*sigma_z/2).  Constant sigma_z
     terms commute with the rotation and pick up the single +omega_s/2 shift;
@@ -96,9 +110,7 @@ def to_signal_rotating(
     approximation (the default) drops.  Lab terms outside this family are
     rejected.
     """
-    if spec.frame is not Frame.LAB:
-        raise ValueError(f"expected a lab-frame spec, got frame {spec.frame.value!r}")
-    ws = signal.omega_s_freq
+    ws = carrier(signal, omega_0)
     terms: list[PauliTerm] = []
     z_const = 0.5 * ws  # from i (dU/dt) U^dagger
     for term in spec.terms:
@@ -115,13 +127,15 @@ def to_signal_rotating(
                 "cosine sigma_x terms arise in this sensing model"
             )
     terms.insert(0, PauliTerm("z", z_const))
-    return HamiltonianSpec(frame=Frame.SIGNAL_ROTATING, terms=tuple(terms))
+    return HamiltonianSpec(tuple(terms))
 
 
-def to_signal_rotating_full(spec: HamiltonianSpec, signal: SignalParams) -> HamiltonianSpec:
+def to_signal_rotating_full(
+    spec: HamiltonianSpec, signal: SignalParams, omega_0: float = OMEGA_0
+) -> HamiltonianSpec:
     """``to_signal_rotating`` without the rotating-wave approximation: each
     co-rotating pair directly followed by its counter-rotating pair."""
-    return to_signal_rotating(spec, signal, counter_rotating=True)
+    return to_signal_rotating(spec, signal, omega_0, counter_rotating=True)
 
 
 # ---------------------------------------------------------------- closed forms

@@ -43,7 +43,6 @@ from floquet_sensor.metrology import (
 )
 from floquet_sensor.params import (
     FloquetDriveParams,
-    SensorParams,
     SignalParams,
     angular_to_mhz,
     mhz_to_angular,
@@ -71,12 +70,9 @@ def pointwise(state):
     return lambda amps: np.array([state(w) for w in amps])
 
 
-def ods_family(delta: float, t: float, sensor=None):
-    sensor = sensor or SensorParams()
-
+def ods_family(delta: float, t: float):
     def state(amp):
-        signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = build_fds_prime(sensor, signal)
+        spec = build_fds_prime(SignalParams(amp, delta))
         return evolve(spec, KET0, [t])[-1]
 
     return pointwise(state)
@@ -113,14 +109,11 @@ def test_criterion_2_fds_restoration_and_ordering():
 
 def _strobe_mismatch(k: int, mult: float, phases) -> float:
     """Effective-detuning extraction error at the matched design point."""
-    sensor = SensorParams()
     drive = FloquetDriveParams(
         mhz_to_angular(1.0), mhz_to_angular(36.54) * mult, k, phases
     )
-    signal = SignalParams.from_detuning(
-        sensor, mhz_to_angular(0.5), quasi_energy_shift(drive)
-    )
-    spec = build_fds_prime(sensor, signal, drive)
+    signal = SignalParams(mhz_to_angular(0.5), quasi_energy_shift(drive))
+    spec = build_fds_prime(signal, drive)
     n = max(1, round(0.5 / drive.period))
     u = interval_unitary(
         spec, 0.0, n * drive.period, PropagatorOptions(rel_tol=1e-11)
@@ -169,14 +162,12 @@ def test_criterion_4_sensitivity_endpoints():
 
 def test_criterion_5_closed_form_oracles():
     rng = np.random.default_rng(2024)
-    sensor = SensorParams()
     worst_pop = 0.0
     for _ in range(200):
         amp = rng.uniform(0.0, TP * 5.0)
         delta = rng.uniform(-TP * 5.0, TP * 5.0)
         t = rng.uniform(0.0, 20.0)
-        signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = build_fds_prime(sensor, signal)
+        spec = build_fds_prime(SignalParams(amp, delta))
         p = abs(evolve(spec, KET0, [max(t, 1e-9)])[-1, 0]) ** 2
         worst_pop = max(worst_pop, abs(p - rabi_population(amp, delta, t)))
 
@@ -294,7 +285,6 @@ def test_criterion_8_dynamical_decoupling_extension():
 
 
 def test_criterion_9_micromotion_scaling():
-    sensor = SensorParams()
     ok = True
     details = []
     for k in (1, 5):
@@ -303,11 +293,9 @@ def test_criterion_9_micromotion_scaling():
             drive = FloquetDriveParams(
                 mhz_to_angular(1.0), mhz_to_angular(36.54) * mult, k
             )
-            signal = SignalParams.from_detuning(
-                sensor, mhz_to_angular(0.5), mhz_to_angular(0.5)
-            )
-            spec = build_fds_prime(sensor, signal, drive)
-            cx, cz = effective_coefficients(sensor, signal, drive)
+            signal = SignalParams(mhz_to_angular(0.5), mhz_to_angular(0.5))
+            spec = build_fds_prime(signal, drive)
+            cx, cz = effective_coefficients(signal, drive)
             errs.append(
                 micromotion_error(spec, drive, cx * SIGMA_X + cz * SIGMA_Z, 0.25)
             )

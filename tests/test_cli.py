@@ -198,6 +198,11 @@ BAD_CONFIGS = [
     ({"run": {"repeats": 7}}, ["qfi"], "run.repeats"),
     ({"physical": {"count_rate_per_s": 1e6}}, ["rabi"], "physical.count_rate_per_s"),
     ({"physical": {"detect_time_us": 0.4}}, ["dd"], "physical.detect_time_us"),
+    # a zero signal amplitude leaves the qfi pipeline's +-2.5% amplitude
+    # grid without span: it once exited 1 after the first propagation, with
+    # "omega grid is degenerate (zero span)"
+    ({"physical": {"signal_amp_mhz": 0.0}}, ["qfi"],
+     "config key physical.signal_amp_mhz must be > 0"),
     # an unknown preset name once exited 2 without naming the key
     ({"run": {"presets": ["fds-k9"], "t_grid_us": TINY_GRID}}, ["rabi"],
      "config key run.presets: unknown scenario name 'fds-k9'"),
@@ -655,6 +660,47 @@ def test_physical_overrides_change_dynamics(tmp_path):
     row = b.splitlines()[1].split(",")
     expected = rabi_population(mhz_to_angular(0.3), mhz_to_angular(0.1), 1.0)
     assert float(row[2]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_any_detuning_runs_and_is_reported_as_configured(tmp_path):
+    # a detuning at or below -1470 MHz once exited 1 with "lab-frame signal
+    # carrier frequency must be > 0", and effective reported a configured
+    # 0.5 MHz as 0.5000000000000526, the round-off of the lab carrier
+    from floquet_sensor.params import angular_to_mhz, mhz_to_angular
+
+    reported = {}
+    for i, detuning in enumerate((-2000.0, 0.5)):
+        cfg = write_config(tmp_path, {"physical": {"detuning_mhz": detuning},
+                                      "run": {"t_grid_us": TINY_GRID}}, name=f"d{i}.json")
+        res = run_cli(["--config", cfg, "--out", str(tmp_path / f"r{i}"), "rabi"])
+        assert res.exit_code == 0, res.output
+        cfg = write_config(tmp_path, {"physical": {"detuning_mhz": detuning}}, name=f"e{i}.json")
+        res = run_cli(["--config", cfg, "--out", str(tmp_path / f"e{i}"), "effective"])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / f"e{i}" / "effective_summary.json").read_text())
+        reported[detuning] = summary["detuning_mhz"]
+    # the configured value through the CLI's one 2 pi conversion each way and
+    # no other arithmetic: exact at 0.5, one ulp off at -2000
+    assert reported == {d: angular_to_mhz(mhz_to_angular(d)) for d in reported}
+    assert reported[0.5] == 0.5
+
+
+def test_zero_signal_amplitude_runs_outside_qfi(tmp_path):
+    # only the qfi pipeline needs an amplitude span; the other commands
+    # take a zero signal amplitude
+    runs = {
+        "rabi": {"run": {"t_grid_us": TINY_GRID}},
+        "effective": {},
+        "robustness": {"run": {"presets": ["robustness-amp"],
+                               "error_grid_mhz": [-0.1, 0.0, 0.1], "sweep_time_us": 1.0}},
+        "dd": {"run": {"t_grid_us": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+                       "noise_realizations": 2}},
+    }
+    for command, data in runs.items():
+        data = {"physical": {"signal_amp_mhz": 0.0}, **data}
+        cfg = write_config(tmp_path, data, name=f"{command}.json")
+        res = run_cli(["--config", cfg, "--out", str(tmp_path / command), command])
+        assert res.exit_code == 0, (command, res.output)
 
 
 def test_effective_applies_drive_overrides(tmp_path):

@@ -31,11 +31,10 @@ from floquet_sensor.metrology import qfi_exact
 from floquet_sensor.params import (
     FloquetDriveParams,
     ReadoutModel,
-    SensorParams,
     SignalParams,
     mhz_to_angular,
 )
-from floquet_sensor.hamiltonian import kick_vector
+from floquet_sensor.hamiltonian import PauliTerm, kick_vector
 from floquet_sensor.propagator import (
     _pauli_exp,
     _quat_matrix,
@@ -73,24 +72,33 @@ def test_preset_overrides():
         make_preset("ods-detuned", bogus=1)
 
 
-# Every preset's signal (amplitude, detuning, carrier) and drive (amplitude,
+@pytest.mark.parametrize("delta_mhz", [-2000.0, -1470.0, 0.5, 1e4])
+def test_preset_spec_takes_the_detuning_exactly(delta_mhz):
+    # the sigma_z coefficient is half the detuning, bit for bit, at any
+    # detuning; built through a lab carrier omega_0 + Delta (omega_0 = 1470
+    # MHz) it moved 0.5 MHz by 5e-14 MHz and refused Delta <= -omega_0
+    d = mhz_to_angular(delta_mhz)
+    spec = make_preset("fds-k5", delta=d).rotating_spec()
+    assert [term for term in spec.terms if term.axis == "z"] == [PauliTerm("z", 0.5 * d)]
+
+
+# Every preset's signal (amplitude, detuning) and drive (amplitude,
 # frequency, harmonics, phases) in rad/us, as the presets were first defined;
 # compared exactly, so the table in ``experiments`` cannot drift
-_HALF_MHZ, _DETUNING = 3.141592653589793, 3.1415926535901235
-_CARRIER = 9239.423994207584
+_HALF_MHZ = _DETUNING = 3.141592653589793
 _QUADRATURE5 = (1.5707963267948966,) * 5
 _DRIVE = (6.283185307179586, 229.58759112434208)
 PINNED_PRESETS = {
-    "ods-resonant": (_HALF_MHZ, 0.0, 9236.282401553994, None),
-    "ods-detuned": (_HALF_MHZ, _DETUNING, _CARRIER, None),
-    "fds-k1": (_HALF_MHZ, _DETUNING, _CARRIER, _DRIVE + (1, (3.141592653589793,))),
-    "fds-k3": (_HALF_MHZ, _DETUNING, _CARRIER, _DRIVE + (3, (2.8508, 2.5662, 2.2602))),
-    "fds-k5": (_HALF_MHZ, _DETUNING, _CARRIER,
+    "ods-resonant": (_HALF_MHZ, 0.0, None),
+    "ods-detuned": (_HALF_MHZ, _DETUNING, None),
+    "fds-k1": (_HALF_MHZ, _DETUNING, _DRIVE + (1, (3.141592653589793,))),
+    "fds-k3": (_HALF_MHZ, _DETUNING, _DRIVE + (3, (2.8508, 2.5662, 2.2602))),
+    "fds-k5": (_HALF_MHZ, _DETUNING,
                _DRIVE + (5, (1.7077, 1.3964, 5.4336, 1.8585, 2.0134))),
-    "robustness-amp": (1.382300767579509, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
-    "robustness-freq": (1.382300767579509, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
-    "dd-off": (0.7853981633974483, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
-    "dd-on": (0.7853981633974483, _DETUNING, _CARRIER, _DRIVE + (5, _QUADRATURE5)),
+    "robustness-amp": (1.382300767579509, _DETUNING, _DRIVE + (5, _QUADRATURE5)),
+    "robustness-freq": (1.382300767579509, _DETUNING, _DRIVE + (5, _QUADRATURE5)),
+    "dd-off": (0.7853981633974483, _DETUNING, _DRIVE + (5, _QUADRATURE5)),
+    "dd-on": (0.7853981633974483, _DETUNING, _DRIVE + (5, _QUADRATURE5)),
 }
 
 
@@ -100,11 +108,9 @@ def test_preset_names_follow_the_table():
 
 @pytest.mark.parametrize("name", list(PINNED_PRESETS))
 def test_preset_values_pinned(name):
-    amp, detuning, carrier, drive = PINNED_PRESETS[name]
+    amp, detuning, drive = PINNED_PRESETS[name]
     sc = make_preset(name)
-    assert sc.signal.omega_s_amp == amp
-    assert sc.signal.detuning(sc.sensor) == detuning
-    assert sc.signal.omega_s_freq == carrier
+    assert sc.signal == SignalParams(amp, detuning)
     if drive is None:
         assert sc.drive is None
     else:
@@ -176,15 +182,14 @@ def _ods_spec():
     pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", 0.5, tau_c=math.nan), "tau_c",
                  id="noise-tau_c-nan"),
     # physical parameters are checked where they are built
-    pytest.param(lambda: SensorParams(D=math.nan), "D", id="sensor-D"),
-    pytest.param(lambda: SensorParams(B0=math.inf), "B0", id="sensor-B0"),
     # once "cannot convert float NaN to integer" inside HamiltonianSpec.fundamental
-    pytest.param(lambda: make_preset("fds-k5", delta=math.nan), "omega_s_freq",
+    pytest.param(lambda: make_preset("fds-k5", delta=math.nan), "delta",
                  id="preset-delta"),
     # once "z_offsets must be finite" at the first propagation
     pytest.param(lambda: make_preset("fds-k5", omega_s_amp=math.nan), "omega_s_amp",
                  id="preset-amp"),
-    pytest.param(lambda: SignalParams(1.0, math.inf), "omega_s_freq", id="signal-freq"),
+    pytest.param(lambda: SignalParams(1.0, math.inf), "delta", id="signal-delta-inf"),
+    pytest.param(lambda: SignalParams(1.0, math.nan), "delta", id="signal-delta-nan"),
     pytest.param(lambda: FloquetDriveParams(math.nan, 1.0), "omega_F_amp", id="drive-amp"),
     pytest.param(lambda: FloquetDriveParams(1.0, math.inf), "omega_F_freq", id="drive-freq"),
     pytest.param(lambda: FloquetDriveParams(1.0, 1.0, 2, (0.0, math.nan)), "phases",
@@ -773,6 +778,18 @@ def test_fit_matches_curve_fit_oracle_on_dd_scans(preset, dd, n_realizations, se
 
 
 # --------------------------------------------------------------- qfi scaling
+
+def test_qfi_scaling_rejects_zero_signal_amplitude(monkeypatch):
+    # the pipeline's +-2.5% amplitude grid has no span at zero amplitude; it
+    # once failed after the first oracle propagation, with "omega grid is
+    # degenerate (zero span)", naming no amplitude
+    propagations = []
+    monkeypatch.setattr(experiments, "interval_unitary",
+                        lambda *args, **kwargs: propagations.append(args))
+    with pytest.raises(ValueError, match="signal amplitude > 0"):
+        run_qfi_scaling(make_preset("fds-k5", omega_s_amp=0.0), [1.0, 2.0])
+    assert propagations == []
+
 
 def test_qfi_scaling_noiseless_tracks_oracle():
     rows = run_qfi_scaling("fds-k5", [1.0, 2.0])

@@ -1,12 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from floquet_sensor.hamiltonian import (
-    Frame,
     HamiltonianSpec,
     PauliTerm,
     SIGMA_X,
@@ -20,15 +18,16 @@ from floquet_sensor.hamiltonian import (
 )
 from floquet_sensor.params import (
     FloquetDriveParams,
-    SensorParams,
     SignalParams,
     angular_to_mhz,
     mhz_to_angular,
 )
 
 from oracles import (
+    OMEGA_0,
     build_lab_fds,
     build_lab_ods,
+    carrier,
     h_matrix,
     to_signal_rotating,
     to_signal_rotating_full,
@@ -37,14 +36,8 @@ from oracles import (
 TP = 2.0 * math.pi
 
 
-def paper_sensor():
-    return SensorParams()
-
-
-def paper_signal(sensor, amp_mhz=0.5, delta_mhz=0.5):
-    return SignalParams.from_detuning(
-        sensor, mhz_to_angular(amp_mhz), mhz_to_angular(delta_mhz)
-    )
+def paper_signal(amp_mhz=0.5, delta_mhz=0.5):
+    return SignalParams(mhz_to_angular(amp_mhz), mhz_to_angular(delta_mhz))
 
 
 def paper_drive(k=5, phases=None):
@@ -56,20 +49,15 @@ def paper_drive(k=5, phases=None):
 # ---------------------------------------------------------------- parameters
 
 def test_sensor_defaults_give_paper_resonance():
-    s = paper_sensor()
-    assert angular_to_mhz(s.omega_0) == pytest.approx(1470.0)
-
-
-def test_sensor_rejects_nonpositive_resonance():
-    with pytest.raises(ValueError):
-        SensorParams(D=mhz_to_angular(100.0), gamma_e=mhz_to_angular(2.8), B0=500.0)
+    # the lab oracle's resonance D - gamma_e B0 at 2870 MHz, 2.8 MHz/G, 500 G
+    assert angular_to_mhz(OMEGA_0) == pytest.approx(1470.0)
 
 
 def test_signal_invariants():
     with pytest.raises(ValueError):
-        SignalParams(omega_s_amp=-1.0, omega_s_freq=1.0)
-    with pytest.raises(ValueError):
-        SignalParams(omega_s_amp=1.0, omega_s_freq=0.0)
+        SignalParams(omega_s_amp=-1.0, delta=1.0)
+    # any finite detuning, below -omega_0 too: no lab carrier is built
+    assert SignalParams(1.0, -mhz_to_angular(2000.0)).delta == -mhz_to_angular(2000.0)
 
 
 def test_drive_validity_ratio():
@@ -97,30 +85,25 @@ def test_drive_phase_count_checked():
 # ------------------------------------------------------------------ builders
 
 def test_lab_ods_coefficients():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
-    spec = build_lab_ods(sensor, signal)
-    assert spec.frame is Frame.LAB
+    signal = paper_signal()
+    spec = build_lab_ods(signal)
     cx, cy, cz = spec.coefficients(0.0)
-    assert cz == pytest.approx(-0.5 * sensor.omega_0)
+    assert cz == pytest.approx(-0.5 * OMEGA_0)
     assert cx == pytest.approx(signal.omega_s_amp)
     assert cy == 0.0
     # half a carrier period flips the signal term
-    cx_pi, _, _ = spec.coefficients(math.pi / signal.omega_s_freq)
+    cx_pi, _, _ = spec.coefficients(math.pi / carrier(signal))
     assert cx_pi == pytest.approx(-signal.omega_s_amp, rel=1e-9)
 
 
 def test_lab_ods_zero_signal_is_bare_sensor():
-    sensor = paper_sensor()
-    signal = SignalParams(0.0, sensor.omega_0)
-    spec = build_lab_ods(sensor, signal)
-    npt.assert_allclose(h_matrix(spec, 1.234), -0.5 * sensor.omega_0 * SIGMA_Z)
+    spec = build_lab_ods(SignalParams(0.0, 0.0))
+    npt.assert_allclose(h_matrix(spec, 1.234), -0.5 * OMEGA_0 * SIGMA_Z)
 
 
 def test_rotating_frame_resonant_ods_is_pure_drive():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor, delta_mhz=0.0)
-    rot = build_fds_prime(sensor, signal)
+    signal = paper_signal(delta_mhz=0.0)
+    rot = build_fds_prime(signal)
     for t in (0.0, 0.37, 2.0):
         npt.assert_allclose(
             h_matrix(rot, t), 0.5 * signal.omega_s_amp * SIGMA_X, atol=1e-12
@@ -128,18 +111,15 @@ def test_rotating_frame_resonant_ods_is_pure_drive():
 
 
 def test_rotating_frame_zero_amplitudes_leave_detuning():
-    sensor = paper_sensor()
-    signal = SignalParams(0.0, sensor.omega_0 + mhz_to_angular(0.5))
-    rot = build_fds_prime(sensor, signal)
-    npt.assert_allclose(h_matrix(rot, 0.8), 0.5 * mhz_to_angular(0.5) * SIGMA_Z)
+    rot = build_fds_prime(SignalParams(0.0, mhz_to_angular(0.5)))
+    assert h_matrix(rot, 0.8).tolist() == (0.5 * mhz_to_angular(0.5) * SIGMA_Z).tolist()
 
 
 def test_rotating_frame_fds_k1_matches_drive_pair():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
+    signal = paper_signal()
     drive = paper_drive(k=1)
-    rot = build_fds_prime(sensor, signal, drive)
-    delta = signal.detuning(sensor)
+    rot = build_fds_prime(signal, drive)
+    delta = signal.delta
     for t in (0.0, 0.1, 0.777):
         expected = (
             0.5 * delta * SIGMA_Z
@@ -151,14 +131,11 @@ def test_rotating_frame_fds_k1_matches_drive_pair():
 
 
 def test_rotating_frame_rejects_wrong_frame():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
-    rot = build_fds_prime(sensor, signal)
-    with pytest.raises(ValueError):
-        to_signal_rotating(rot, signal)
-    # lab terms outside constant sigma_z and cosine sigma_x are rejected
+    # lab terms outside constant sigma_z and cosine sigma_x have no place in
+    # the lab-frame sensing model and are rejected
+    signal = paper_signal()
     for term in (PauliTerm("y", 1.0, 2.0), PauliTerm("z", 1.0, 2.0)):
-        lab = HamiltonianSpec(Frame.LAB, (term,))
+        lab = HamiltonianSpec((term,))
         with pytest.raises(ValueError, match="cannot transform lab term"):
             to_signal_rotating(lab, signal)
 
@@ -170,24 +147,21 @@ def test_zero_frequency_terms_are_exact_constants():
                            np.full(11, -0.3))
     # the resonant signal is one x constant with no y residue, as the lab
     # oracle's co-rotating pair collapses to
-    sensor = paper_sensor()
-    signal = paper_signal(sensor, delta_mhz=0.0)
-    for rot in (build_fds_prime(sensor, signal),
-                to_signal_rotating(build_lab_ods(sensor, signal), signal)):
+    signal = paper_signal(delta_mhz=0.0)
+    for rot in (build_fds_prime(signal), to_signal_rotating(build_lab_ods(signal), signal)):
         assert [(term.axis, term.frequency) for term in rot.terms] == [("z", 0.0), ("x", 0.0)]
         assert rot.terms[1].amplitude == 0.5 * signal.omega_s_amp
 
 
 def test_rwa_off_keeps_counter_rotating_terms():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
-    full = to_signal_rotating_full(build_lab_ods(sensor, signal), signal)
+    signal = paper_signal()
+    full = to_signal_rotating_full(build_lab_ods(signal), signal)
+    ws = carrier(signal)
     # RWA-off spec carries a component at twice the carrier
-    assert full.max_frequency() == pytest.approx(2.0 * signal.omega_s_freq)
+    assert full.max_frequency() == pytest.approx(2.0 * ws)
     # and the rotating-frame matrix matches the analytic expansion
     amp = signal.omega_s_amp
-    ws = signal.omega_s_freq
-    delta = signal.detuning(sensor)
+    delta = signal.delta
     for t in (0.0, 0.21):
         expected = (
             0.5 * delta * SIGMA_Z
@@ -198,21 +172,19 @@ def test_rwa_off_keeps_counter_rotating_terms():
 
 
 def test_fds_prime_zero_errors_matches_composition():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
+    signal = paper_signal()
     drive = paper_drive(k=5)
-    direct = build_fds_prime(sensor, signal, drive)
-    composed = to_signal_rotating(build_lab_fds(sensor, signal, drive), signal)
+    direct = build_fds_prime(signal, drive)
+    composed = to_signal_rotating(build_lab_fds(signal, drive), signal)
     for t in np.linspace(0.0, 0.3, 7):
         npt.assert_allclose(h_matrix(direct, t), h_matrix(composed, t), atol=1e-12)
 
 
 def test_fds_prime_cancelling_amp_error_reduces_to_ods():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
+    signal = paper_signal()
     drive = paper_drive(k=3)
-    reduced = build_fds_prime(sensor, signal, drive.perturbed(amp_error=-drive.omega_F_amp))
-    plain = build_fds_prime(sensor, signal)
+    reduced = build_fds_prime(signal, drive.perturbed(amp_error=-drive.omega_F_amp))
+    plain = build_fds_prime(signal)
     assert reduced == plain
     for t in (0.0, 0.456):
         npt.assert_allclose(h_matrix(reduced, t), h_matrix(plain, t), atol=1e-12)
@@ -227,13 +199,12 @@ def _term_sum(spec, t):
 
 
 def test_coefficients_pair_rotating_terms():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
+    signal = paper_signal()
     drive = paper_drive(k=5)
-    lab = build_lab_fds(sensor, signal, drive)
-    fds = build_fds_prime(sensor, signal, drive)
+    lab = build_lab_fds(signal, drive)
+    fds = build_fds_prime(signal, drive)
     x, y = fds.terms[2], fds.terms[3]  # the first drive pair
-    mixed = HamiltonianSpec(Frame.SIGNAL_ROTATING, (
+    mixed = HamiltonianSpec((
         y, PauliTerm("z", 0.7), x,  # a y tone ahead of its x partner: no pair
         x, y,  # a pair
         PauliTerm("y", 0.3, 5.0, 0.1),  # a y tone without a partner
@@ -271,7 +242,7 @@ def test_coefficients_horner_over_sparse_harmonics():
     # harmonic 2) and a pair at no multiple of it: two groups, one Horner
     # polynomial each
     f = mhz_to_angular(36.54)
-    spec = HamiltonianSpec(Frame.SIGNAL_ROTATING, (
+    spec = HamiltonianSpec((
         PauliTerm("z", 0.5),
         *_pair(0.8, 3.0 * f, 1.1), *_pair(1.3, f, -0.4), *_pair(0.6, 0.37 * f, 2.5),
     ))
@@ -287,8 +258,7 @@ def test_coefficients_horner_over_sparse_harmonics():
 
 
 def test_fds_prime_k5_has_five_harmonic_pairs():
-    sensor = paper_sensor()
-    spec = build_fds_prime(sensor, paper_signal(sensor), paper_drive(k=5))
+    spec = build_fds_prime(paper_signal(), paper_drive(k=5))
     freqs = sorted({round(term.frequency, 6) for term in spec.terms if term.frequency != 0.0})
     expected = [round(l * mhz_to_angular(36.54), 6) for l in range(1, 6)]
     assert freqs == expected
@@ -296,9 +266,9 @@ def test_fds_prime_k5_has_five_harmonic_pairs():
 
 def test_fds_prime_drive_tones_are_exact_multiples():
     # over the default robustness grids every tone frequency is an exact
-    # multiple of the first; built as omega_s - (omega_s - l omega_F) they
-    # missed it by up to 4.5e-12 rad/us, and 23 of the 51 frequency points
-    # fell off the stroboscopic route
+    # multiple of the first; built as omega_s - (omega_s - l omega_F), as the
+    # lab-frame transform does, they missed it by up to 4.5e-12 rad/us, and
+    # 23 of the 51 frequency points fell off the stroboscopic route
     from floquet_sensor.experiments import _default_error_grid, make_preset
 
     for axis, preset, key in (("frequency", "robustness-freq", "freq_error"),
@@ -316,65 +286,82 @@ def test_fds_prime_drive_tones_are_exact_multiples():
                 assert f0 == pytest.approx(drive.omega_F_freq, rel=1e-15)
 
 
+def _transform_deviations(signal, drive, omega_0=OMEGA_0) -> int:
+    """Check ``build_fds_prime`` against the transform of the lab-frame oracle
+    and return how many of its terms differ.
+
+    Term by term the axes, phases and signal amplitude are equal.  The
+    transform reaches the detuning and the tone frequencies through the
+    carrier omega_s = omega_0 + Delta, as 0.5 omega_s - 0.5 omega_0 and
+    omega_s - (omega_s - l omega_F), so it misses them by round-off in
+    omega_s: the sigma_z constant within spacing(omega_s), tone l within
+    (l + 2) spacing(omega_s).  ``build_fds_prime`` writes 0.5 Delta and
+    l omega_F themselves.
+    """
+    if drive is None:
+        lab = build_lab_ods(signal, omega_0)
+    else:
+        lab = build_lab_fds(signal, drive, omega_0)
+    ref = to_signal_rotating(lab, signal, omega_0)
+    spec = build_fds_prime(signal, drive)
+    ulp = np.spacing(carrier(signal, omega_0))
+    f = 0.0 if drive is None else drive.omega_F_freq
+    assert len(spec.terms) == len(ref.terms)
+    for term, want in zip(spec.terms, ref.terms):
+        assert (term.axis, term.phase) == (want.axis, want.phase)
+        if term.axis == "z":
+            assert term.frequency == want.frequency == 0.0
+            assert term.amplitude == 0.5 * signal.delta
+            assert abs(term.amplitude - want.amplitude) <= ulp
+        else:
+            assert term.amplitude == want.amplitude
+            l = round(want.frequency / f) if want.frequency != 0.0 else 0
+            assert term.frequency == l * f
+            assert abs(term.frequency - want.frequency) <= (l + 2) * ulp
+    return sum(term != want for term, want in zip(spec.terms, ref.terms))
+
+
 def test_fds_prime_equals_composition_bit_for_bit_at_preset_drives():
+    # equal to the lab-frame transform up to the round-off of its carrier
+    # arithmetic (``_transform_deviations``)
     from floquet_sensor.experiments import PRESET_NAMES, make_preset
 
     for name in PRESET_NAMES:
         sc = make_preset(name)
-        if sc.drive is None:
-            lab = build_lab_ods(sc.sensor, sc.signal)
-        else:
-            lab = build_lab_fds(sc.sensor, sc.signal, sc.drive)
-        assert sc.rotating_spec() == to_signal_rotating(lab, sc.signal), name
+        assert sc.rotating_spec() == build_fds_prime(sc.signal, sc.drive), name
+        _transform_deviations(sc.signal, sc.drive)
 
 
 def _random_case(rng):
-    """(sensor, signal, drive): a random sensor, a signal amplitude and a
-    detuning each zero in a quarter of the cases, and no drive, or a drive
-    of 1 to 5 tones with amplitude and frequency errors, its amplitude
-    cancelled in a fifth of the cases."""
-    sensor = SensorParams(D=TP * rng.uniform(2000.0, 4000.0),
-                          gamma_e=TP * rng.uniform(1.0, 6.0), B0=rng.uniform(0.0, 300.0))
+    """(omega_0, signal, drive): the resonance D - gamma_e B0 of a random
+    sensor, a signal amplitude and a detuning each zero in a quarter of the
+    cases, and no drive, or a drive of 1 to 5 tones with amplitude and
+    frequency errors, its amplitude cancelled in a fifth of the cases."""
+    d, gamma_e = TP * rng.uniform(2000.0, 4000.0), TP * rng.uniform(1.0, 6.0)
+    omega_0 = d - gamma_e * rng.uniform(0.0, 300.0)
     amp = 0.0 if rng.random() < 0.25 else TP * rng.uniform(0.01, 2.0)
     delta = 0.0 if rng.random() < 0.25 else TP * rng.uniform(-2.0, 2.0)
-    signal = SignalParams.from_detuning(sensor, amp, delta)
+    signal = SignalParams(amp, delta)
     if rng.random() < 0.2:
-        return sensor, signal, None
+        return omega_0, signal, None
     k = int(rng.integers(1, 6))
     drive = FloquetDriveParams(TP * rng.uniform(0.5, 2.0), TP * rng.uniform(20.0, 50.0), k,
                                tuple(rng.uniform(0.0, TP, k)))
     amp_error = -drive.omega_F_amp if rng.random() < 0.2 else TP * rng.uniform(-0.4, 0.4)
-    return sensor, signal, drive.perturbed(amp_error, TP * rng.uniform(-1.0, 1.0))
+    return omega_0, signal, drive.perturbed(amp_error, TP * rng.uniform(-1.0, 1.0))
 
 
 def test_fds_prime_equals_the_lab_frame_transform_randomized():
-    # build_fds_prime against the transform of the lab-frame oracle, bit for
-    # bit, but for the transform's tone l, which misses l times its first
-    # tone's frequency by round-off under drive errors: build_fds_prime puts
-    # it there, and so does the comparison, after checking the miss
+    # build_fds_prime against the transform of the lab-frame oracle, to the
+    # round-off of the transform's carrier arithmetic (``_transform_deviations``),
+    # which shows in some of the cases
     from floquet_sensor.experiments import PRESET_NAMES, make_preset
 
     rng = np.random.default_rng(24)
-    cases = [(sc.sensor, sc.signal, sc.drive) for sc in map(make_preset, PRESET_NAMES)]
+    cases = [(OMEGA_0, sc.signal, sc.drive) for sc in map(make_preset, PRESET_NAMES)]
     cases += [_random_case(rng) for _ in range(400)]
-    moved = 0
-    for sensor, signal, drive in cases:
-        if drive is None:
-            lab = build_lab_ods(sensor, signal)
-        else:
-            lab = build_lab_fds(sensor, signal, drive)
-        ref = to_signal_rotating(lab, signal)
-        f1 = min((term.frequency for term in ref.terms if term.frequency != 0.0), default=0.0)
-        terms = []
-        for term in ref.terms:
-            if term.frequency != 0.0:
-                l = round(term.frequency / f1)
-                assert abs(term.frequency - l * f1) <= (l + 2) * np.spacing(signal.omega_s_freq)
-                moved += term.frequency != l * f1
-                term = replace(term, frequency=l * f1)
-            terms.append(term)
-        spec = build_fds_prime(sensor, signal, drive)
-        assert spec == HamiltonianSpec(Frame.SIGNAL_ROTATING, tuple(terms)), (sensor, signal, drive)
+    moved = sum(_transform_deviations(signal, drive, omega_0)
+                for omega_0, signal, drive in cases)
     assert moved > 0
 
 
@@ -441,34 +428,30 @@ def test_quasi_energy_shift_monotone_in_harmonics():
 def test_shift_equals_effective_detuning_gap():
     # algebraic identity: Delta - 2 * (effective sigma_z coefficient) = shift
     rng = np.random.default_rng(11)
-    sensor = paper_sensor()
     for _ in range(10):
-        signal = SignalParams.from_detuning(
-            sensor, rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0)
-        )
+        signal = SignalParams(rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0))
         drive = FloquetDriveParams(
             rng.uniform(0.0, 8.0), rng.uniform(50.0, 400.0), int(rng.integers(1, 6))
         )
-        _, cz = effective_coefficients(sensor, signal, drive)
-        gap = signal.detuning(sensor) - 2.0 * cz
+        _, cz = effective_coefficients(signal, drive)
+        gap = signal.delta - 2.0 * cz
         assert gap == pytest.approx(quasi_energy_shift(drive), abs=1e-12)
 
 
 def test_effective_coefficients_matrix():
-    sensor = paper_sensor()
-    signal = paper_signal(sensor)
+    signal = paper_signal()
     # zero drive -> plain rotating-frame coefficients
     none = FloquetDriveParams(0.0, mhz_to_angular(36.54))
-    cx, cz = effective_coefficients(sensor, signal, none)
+    cx, cz = effective_coefficients(signal, none)
     assert cx == pytest.approx(0.5 * signal.omega_s_amp, rel=1e-12)
-    assert cz == pytest.approx(0.5 * signal.detuning(sensor), rel=1e-12)
+    assert cz == pytest.approx(0.5 * signal.delta, rel=1e-12)
     # k=1 sigma_z coefficient
     d1 = paper_drive(k=1)
-    _, cz1 = effective_coefficients(sensor, signal, d1)
-    expected = 0.5 * signal.detuning(sensor) - 4.0 * d1.omega_F_amp**2 / d1.omega_F_freq
+    _, cz1 = effective_coefficients(signal, d1)
+    expected = 0.5 * signal.delta - 4.0 * d1.omega_F_amp**2 / d1.omega_F_freq
     assert cz1 == pytest.approx(expected, rel=1e-12)
     # paper k=5 design point nearly cancels the detuning
-    _, cz5 = effective_coefficients(sensor, signal, paper_drive(5))
+    _, cz5 = effective_coefficients(signal, paper_drive(5))
     assert angular_to_mhz(2.0 * cz5) == pytest.approx(9.12e-5, rel=0.01)
 
 
@@ -486,7 +469,7 @@ def test_spec_evaluation_is_hermitian():
                 terms.append(
                     PauliTerm(axis, rng.normal(), rng.uniform(0, 50), rng.uniform(-3, 3))
                 )
-        spec = HamiltonianSpec(Frame.SIGNAL_ROTATING, tuple(terms))
+        spec = HamiltonianSpec(tuple(terms))
         for t in rng.uniform(0.0, 10.0, 5):
             h = h_matrix(spec, t)
             npt.assert_allclose(h, h.conj().T, atol=1e-14)

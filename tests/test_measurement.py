@@ -12,7 +12,7 @@ from floquet_sensor.measurement import (
     qfi_pipeline,
     read_out,
 )
-from floquet_sensor.params import SensorParams, SignalParams
+from floquet_sensor.params import SignalParams
 from floquet_sensor.hamiltonian import build_fds_prime
 from floquet_sensor.propagator import evolve
 
@@ -21,9 +21,7 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
 def resonant_state(amp, t):
-    sensor = SensorParams()
-    signal = SignalParams.from_detuning(sensor, amp, 0.0)
-    spec = build_fds_prime(sensor, signal)
+    spec = build_fds_prime(SignalParams(amp, 0.0))
     return evolve(spec, KET0, [t])[-1]
 
 

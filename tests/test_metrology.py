@@ -12,7 +12,7 @@ from floquet_sensor.metrology import (
     sensitivity,
     theta_phi_from_expectations,
 )
-from floquet_sensor.params import ReadoutModel, SensorParams, SignalParams
+from floquet_sensor.params import ReadoutModel, SignalParams
 from floquet_sensor.propagator import evolve, expectation
 
 from oracles import qfi_theta_phi, state_from_theta_phi
@@ -46,11 +46,8 @@ def pointwise(state):
 
 
 def ods_family(amp0, delta, t):
-    sensor = SensorParams()
-
     def state(amp):
-        signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = build_fds_prime(sensor, signal)
+        spec = build_fds_prime(SignalParams(amp, delta))
         return evolve(spec, KET0, [t])[-1]
 
     return pointwise(state)

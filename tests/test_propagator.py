@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from floquet_sensor.hamiltonian import (
-    Frame,
     HamiltonianSpec,
     PauliTerm,
     SIGMA_X,
@@ -30,7 +29,6 @@ from floquet_sensor.experiments import (
 from floquet_sensor.params import (
     TWO_PI,
     FloquetDriveParams,
-    SensorParams,
     SignalParams,
     mhz_to_angular,
 )
@@ -60,6 +58,7 @@ from floquet_sensor.propagator import (
 from oracles import (
     build_lab_fds,
     build_lab_ods,
+    carrier,
     h_matrix,
     rabi_population,
     to_signal_rotating,
@@ -70,23 +69,13 @@ TP = 2.0 * math.pi
 
 
 def constant_spec(cx, cy, cz):
-    return HamiltonianSpec(
-        Frame.SIGNAL_ROTATING,
-        (
-            PauliTerm("x", cx),
-            PauliTerm("y", cy),
-            PauliTerm("z", cz),
-        ),
-    )
+    return HamiltonianSpec((PauliTerm("x", cx), PauliTerm("y", cy), PauliTerm("z", cz)))
 
 
 def fds_paper_spec(k=5):
-    sensor = SensorParams()
-    signal = SignalParams.from_detuning(
-        sensor, mhz_to_angular(0.5), mhz_to_angular(0.5)
-    )
+    signal = SignalParams(mhz_to_angular(0.5), mhz_to_angular(0.5))
     drive = FloquetDriveParams(mhz_to_angular(1.0), mhz_to_angular(36.54), k)
-    return build_fds_prime(sensor, signal, drive), drive, sensor, signal
+    return build_fds_prime(signal, drive), drive, signal
 
 
 # -------------------------------------------------------------------- evolve
@@ -132,14 +121,12 @@ def test_constant_specs_match_matrix_exponential():
 def test_rabi_population_matches_evolve_randomized():
     # closed-form oracle vs the numeric propagator on constant specs
     rng = np.random.default_rng(23)
-    sensor = SensorParams()
     worst = 0.0
     for _ in range(200):
         amp = rng.uniform(0.0, TP * 5.0)
         delta = rng.uniform(-TP * 5.0, TP * 5.0)
         t = rng.uniform(0.0, 20.0)
-        signal = SignalParams.from_detuning(sensor, amp, delta)
-        spec = build_fds_prime(sensor, signal)
+        spec = build_fds_prime(SignalParams(amp, delta))
         states = evolve(spec, KET0, [t] if t > 0 else [0.0])
         p0 = abs(states[:, 0]) ** 2
         worst = max(worst, abs(p0[-1] - rabi_population(amp, delta, t)))
@@ -147,7 +134,7 @@ def test_rabi_population_matches_evolve_randomized():
 
 
 def test_full_drive_spec_against_reference_integrator():
-    spec, _, _, _ = fds_paper_spec(k=5)
+    spec, _, _ = fds_paper_spec(k=5)
 
     def rhs(t, y):
         return -1j * (h_matrix(spec, t) @ y)
@@ -165,7 +152,7 @@ def test_full_drive_spec_against_reference_integrator():
 
 
 def test_unitarity_across_scenarios():
-    spec, _, _, _ = fds_paper_spec(k=3)
+    spec, _, _ = fds_paper_spec(k=3)
     states = evolve(spec, KET0, np.linspace(0.3, 3.0, 6),
                     PropagatorOptions(rel_tol=1e-8))
     assert states.shape == (6, 2)
@@ -173,7 +160,7 @@ def test_unitarity_across_scenarios():
 
 
 def test_time_grid_composition():
-    spec, _, _, _ = fds_paper_spec(k=2)
+    spec, _, _ = fds_paper_spec(k=2)
     opts = PropagatorOptions(rel_tol=1e-10)
     stepped = evolve(spec, KET0, [0.7, 1.9], opts)
     direct = evolve(spec, KET0, [1.9], opts)
@@ -184,7 +171,7 @@ def test_time_grid_composition():
 def test_self_convergence_contract():
     # at the starting resolution for rel_tol 1e-9, doubling the substep count
     # changes the propagator below rel_tol
-    spec, _, _, _ = fds_paper_spec(k=1)
+    spec, _, _ = fds_paper_spec(k=1)
     n = _initial_steps(spec, 1.0, 1e-9)
     a = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, n, 0.0))
     b = _quat_matrix(_interval_unitary(spec, 0.0, 1.0, 2 * n, 0.0))
@@ -202,9 +189,7 @@ def test_evolve_validates_grid():
 
 
 def test_pathological_spec_reported():
-    crazy = HamiltonianSpec(
-        Frame.SIGNAL_ROTATING, (PauliTerm("x", 1.0, 1e15),)
-    )
+    crazy = HamiltonianSpec((PauliTerm("x", 1.0, 1e15),))
     with pytest.raises(PropagationError):
         evolve(crazy, KET0, [1.0])
 
@@ -486,7 +471,7 @@ def test_constant_spec_takes_one_exact_exponential(passes):
             npt.assert_allclose(ui, expm(-1j * (b - a) * shifted), rtol=0, atol=1e-15)
     # the closed-form Rabi population of the undriven sensor
     sc = make_preset("ods-detuned")
-    amp, delta = sc.signal.omega_s_amp, sc.signal.detuning(sc.sensor)
+    amp, delta = sc.signal.omega_s_amp, sc.signal.delta
     for t in (0.3, 1.0, 3.8):
         p0 = abs(interval_unitary(sc.rotating_spec(), 0.0, t, ORACLE_OPTS)[0, 0]) ** 2
         assert abs(p0 - rabi_population(amp, delta, t)) <= 1e-15
@@ -669,8 +654,7 @@ def test_non_finite_residual_stops_step_doubling(pass_cap):
         _stepped_unitary(spec, 0.0, 1.0, _initial_steps(spec, 1.0, tol), tol, math.nan)
     assert len(pass_cap) == 2
     pass_cap.clear()
-    nan_tone = HamiltonianSpec(Frame.SIGNAL_ROTATING,
-                               (PauliTerm("z", 1.0), PauliTerm("x", math.nan, 5.0)))
+    nan_tone = HamiltonianSpec((PauliTerm("z", 1.0), PauliTerm("x", math.nan, 5.0)))
     with pytest.raises(PropagationError, match="not a number"):
         interval_unitary(nan_tone, 0.0, 1.0, ORACLE_OPTS)
     assert len(pass_cap) == 2
@@ -706,16 +690,14 @@ def test_stroboscopic_route_batched_dd_segment():
     assert u.shape == (7, 2, 2)
     assert np.max(np.abs(u - direct)) <= SCAN_OPTS.rel_tol
     for i, off in enumerate(z):
-        shifted = HamiltonianSpec(
-            spec.frame, spec.terms + (PauliTerm("z", off),)
-        )
+        shifted = HamiltonianSpec(spec.terms + (PauliTerm("z", off),))
         single = interval_unitary(shifted, t0, t1, SCAN_OPTS)
         npt.assert_allclose(u[i], single, atol=SCAN_OPTS.rel_tol)
 
 
 def test_stroboscopic_route_falls_back_bit_identically():
     sc = make_preset("fds-k5")
-    lab = build_lab_fds(sc.sensor, sc.signal, sc.drive)
+    lab = build_lab_fds(sc.signal, sc.drive)
     rwa_off = to_signal_rotating_full(lab, sc.signal)
     rotating = sc.rotating_spec()
     coarse, tight = PropagatorOptions(rel_tol=1e-8), PropagatorOptions(rel_tol=1e-12)
@@ -883,7 +865,7 @@ def test_array_route_matches_scalar_reference(opts):
     assert np.array_equal(_public_matrices(spec, t0, t1, opts, z), expected)
     # the rule over an array of durations is the scalar rule, lab-frame
     # specs (which miss periodicity by a defect) and round-off floor included
-    lab = build_lab_fds(SensorParams(), make_preset("fds-k5").signal, make_preset("fds-k5").drive)
+    lab = build_lab_fds(make_preset("fds-k5").signal, make_preset("fds-k5").drive)
     durations = np.concatenate([t1 - t0, [1e-3, 0.05, 4.0, 160.0, 1e4, 1e5]])
     for rule_spec in (spec, lab):
         for rule_opts in (opts, PropagatorOptions(rel_tol=1e-12)):
@@ -994,7 +976,7 @@ def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
     counts = _initial_steps(spec, durations, tol)
     assert counts.dtype == int and counts.tolist() == expected
     # long direct intervals of a non-periodic lab-frame spec span many periods
-    lab = build_lab_fds(SensorParams(), make_preset("fds-k5").signal, make_preset("fds-k5").drive)
+    lab = build_lab_fds(make_preset("fds-k5").signal, make_preset("fds-k5").drive)
     lengths = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
     assert _initial_steps(lab, lengths, 1e-8).tolist() == [
         _scalar_initial_steps(lab, d, 1e-8) for d in lengths.tolist()]
@@ -1065,24 +1047,23 @@ def test_expectation_values():
 # --------------------------------------------------------------- micromotion
 
 def test_micromotion_error_zero_drive():
-    sensor = SensorParams()
-    signal = SignalParams.from_detuning(sensor, TP * 0.5, TP * 0.5)
+    signal = SignalParams(TP * 0.5, TP * 0.5)
     none = FloquetDriveParams(0.0, mhz_to_angular(36.54))
-    spec = build_fds_prime(sensor, signal, none)
-    cx, cz = effective_coefficients(sensor, signal, none)
+    spec = build_fds_prime(signal, none)
+    cx, cz = effective_coefficients(signal, none)
     err = micromotion_error(spec, none, cx * SIGMA_X + cz * SIGMA_Z, 0.5)
     assert err < 1e-8
 
 
 def test_micromotion_error_regression_and_scaling():
-    spec, drive, sensor, signal = fds_paper_spec(k=1)
-    cx, cz = effective_coefficients(sensor, signal, drive)
+    spec, drive, signal = fds_paper_spec(k=1)
+    cx, cz = effective_coefficients(signal, drive)
     eff = cx * SIGMA_X + cz * SIGMA_Z
     e1 = micromotion_error(spec, drive, eff, drive.period)
     assert e1 == pytest.approx(2.219e-4, rel=0.02)  # frozen regression value
     faster = FloquetDriveParams(drive.omega_F_amp, 2.0 * drive.omega_F_freq, 1)
-    spec2 = build_fds_prime(sensor, signal, faster)
-    cx2, cz2 = effective_coefficients(sensor, signal, faster)
+    spec2 = build_fds_prime(signal, faster)
+    cx2, cz2 = effective_coefficients(signal, faster)
     e2 = micromotion_error(spec2, faster, cx2 * SIGMA_X + cz2 * SIGMA_Z, drive.period)
     assert e2 <= 0.35 * e1
 
@@ -1091,14 +1072,14 @@ def test_micromotion_error_regression_and_scaling():
 
 def test_lab_vs_rotating_frame_consistency():
     # scaled resonance so the lab frame is integrable at desk precision
-    sensor = SensorParams(D=TP * 20.0, gamma_e=0.0, B0=0.0)
-    signal = SignalParams.from_detuning(sensor, TP * 0.4, TP * 0.3)
-    lab = build_lab_ods(sensor, signal)
-    rot = to_signal_rotating_full(lab, signal)
+    omega_0 = TP * 20.0
+    signal = SignalParams(TP * 0.4, TP * 0.3)
+    lab = build_lab_ods(signal, omega_0)
+    rot = to_signal_rotating_full(lab, signal, omega_0)
     t = 1.7
     opts = PropagatorOptions(rel_tol=1e-10)
     psi_lab = evolve(lab, KET0, [t], opts)[-1]
-    ws = signal.omega_s_freq
+    ws = carrier(signal, omega_0)
     u_s = np.diag([np.exp(-0.5j * ws * t), np.exp(0.5j * ws * t)])
     psi_rot = evolve(rot, KET0, [t], opts)[-1]
     npt.assert_allclose(u_s @ psi_lab, psi_rot, atol=1e-8)
@@ -1110,11 +1091,10 @@ def test_rwa_error_shrinks_with_carrier_ratio():
     discrepancies = []
     for r in (10.0, 30.0, 100.0):
         ws = r * amp
-        sensor = SensorParams(D=ws, gamma_e=0.0, B0=0.0)
-        signal = SignalParams(amp, ws)
-        lab = build_lab_ods(sensor, signal)
-        rwa = to_signal_rotating(lab, signal)
-        full = to_signal_rotating_full(lab, signal)
+        signal = SignalParams(amp, 0.0)  # resonant: the carrier is omega_0 = ws
+        lab = build_lab_ods(signal, ws)
+        rwa = to_signal_rotating(lab, signal, ws)
+        full = to_signal_rotating_full(lab, signal, ws)
         opts = PropagatorOptions(rel_tol=1e-9)
         u_rwa = interval_unitary(rwa, 0.0, t, opts)
         u_full = interval_unitary(full, 0.0, t, opts)
