@@ -67,9 +67,9 @@ def _positive(kind: type) -> _Domain:
 _CONFIG_SCHEMA = {
     "physical": {
         "gyromagnetic_ratio_mhz_per_g": _positive(float),
-        "signal_amp_mhz": float,
+        "signal_amp_mhz": _Domain(float, lambda v: v >= 0, "be >= 0"),
         "detuning_mhz": float,
-        "drive_amp_mhz": float,
+        "drive_amp_mhz": _Domain(float, lambda v: v >= 0, "be >= 0"),
         "drive_freq_mhz": _positive(float),
         "harmonics": _positive(int),
         "contrast": _Domain(float, lambda v: 0 < v < 1, "lie in (0, 1)"),
@@ -443,6 +443,9 @@ def effective(ctx):
     cfg = ctx.obj
     seed = cfg.get("run.seed", 0)
     sc = _build_scenario("fds-k5", cfg)
+    # a configured detuning is reported as given: its round trip through
+    # rad/us can move the last bit (-2000 came back as -1999.9999999999998)
+    detuning_mhz = cfg.get("physical.detuning_mhz")
     cfg.done()
     drive, delta = sc.drive, sc.signal.delta
     shift = quasi_energy_shift(drive)
@@ -450,7 +453,8 @@ def effective(ctx):
     ratio = drive.validity_ratio(sc.signal.omega_s_amp, delta)
     bundle = ResultBundle("effective", cfg.data, seed)
     bundle.summary["quasi_energy_shift_mhz"] = angular_to_mhz(shift)
-    bundle.summary["detuning_mhz"] = angular_to_mhz(delta)
+    bundle.summary["detuning_mhz"] = (
+        angular_to_mhz(delta) if detuning_mhz is None else float(detuning_mhz))
     bundle.summary["residual_detuning_mhz"] = angular_to_mhz(delta - shift)
     bundle.summary["validity_ratio"] = ratio
     bundle.summary["sigma_x_coeff_mhz"] = angular_to_mhz(cx)

@@ -9,20 +9,27 @@ under the names the command-line interface exposes; one table,
 sorted event list: the scan's grid times merged with the Carr-Purcell pulse
 instants of ``DdConfig.pulse_times``.  The detuning noise is held constant
 over each segment between adjacent events (the correlation time is far
-longer than any segment).  The propagators take one of two routes:
+longer than any segment).  The propagators take one of three routes:
 
-- A noiseless scan (every offset zero; a zero-amplitude ensemble counts)
-  of a constant or periodic spec anchors every event e at t = 0
-  (``_folded_segments``): U(e, 0) is one exact exponential over [0, e] for
-  a constant spec, and for a periodic one the pieces of one folded drive
-  period and a closed-form power of it, so the scan keeps the rel_tol of
-  ``SCAN_OPTS`` however many events it has, and its identical realizations
-  share the result.  Without pulses a grid time reads its population
-  straight from its anchor; with pulses the anchors telescope into the
-  segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger of the walk.
-- A noisy scan, or a noiseless one of a time-dependent spec that fails the
-  stroboscopic route's periodicity or round-off rule over the scan,
-  propagates all segments and realizations in one fixed-resolution
+- A pulse-free noiseless scan (every offset zero; a zero-amplitude ensemble
+  counts) of a constant or periodic spec anchors every event e at t = 0
+  (``_anchors``): U(e, 0) is one exact exponential over [0, e] for a
+  constant spec, and for a periodic one U(r_e, 0) U_T^m_e, from one drive
+  period folded at the offset 0 (``_fold``) and a closed-form power of it.
+  The scan keeps the rel_tol of ``SCAN_OPTS`` however many events it has,
+  its identical realizations share the result, and each grid time reads its
+  population straight from its anchor.
+- A scan with noise or pulses of a periodic spec walks segment factors
+  from the same fold (``_folded_segments``): a constant offset d keeps the
+  spec periodic, so U(b, a; d) = U(r_b, 0; d) U_T(d)^(m_b - m_a)
+  U(r_a, 0; d)^dagger.  The period is folded at the scan's distinct
+  offsets where it has at most K of them (a noiseless scan has one), and
+  otherwise at K Chebyshev nodes in the offset, with K from 8 up, doubled
+  until the series have converged; every member's factors are then
+  interpolated at its own offset.
+- A noisy scan of a constant spec, or one of a time-dependent spec that
+  fails the stroboscopic route's periodicity or round-off rule over the
+  scan, propagates all segments and realizations in one fixed-resolution
   ``_interval_quaternions`` call over the segment axis (memory bounded by
   the propagator's block size).
 
@@ -250,18 +257,40 @@ class NoiseModel:
 
         Unit-variance shapes are drawn first and scaled by sigma_z, so a
         fixed seed yields noise trajectories that deform continuously with
-        the amplitude (useful for calibration searches).
+        the amplitude (useful for calibration searches).  The trajectory
+        z_s = rho_s z_(s-1) + sqrt(1 - rho_s^2) n_s, from z_0 = n_0, is one
+        prefix scan of these affine maps (``_affine_prefix``).
         """
         n_seg = len(mids)
         if self.kind == "none" or self.sigma_z == 0.0 or n_seg == 0:
             return np.zeros((n_real, n_seg))
         normals = rng.standard_normal((n_real, n_seg))
-        z = np.empty((n_real, n_seg))
-        z[:, 0] = normals[:, 0]
-        for s in range(1, n_seg):
-            rho = math.exp(-(mids[s] - mids[s - 1]) / self.tau_c)
-            z[:, s] = rho * z[:, s - 1] + math.sqrt(1.0 - rho * rho) * normals[:, s]
-        return self.sigma_z * z
+        rho = np.exp(-np.diff(mids) / self.tau_c)
+        slope = np.concatenate([[0.0], rho])[:, None]
+        shift = np.concatenate([[1.0], np.sqrt(1.0 - rho * rho)])[:, None] * normals.T
+        return self.sigma_z * _affine_prefix(slope, shift)[1].T
+
+
+def _affine_prefix(a: np.ndarray, b: np.ndarray):
+    """Running compositions (A, B) of the affine maps z -> a[k] z + b[k]
+    along axis 0: z_k = A[k] z_(-1) + B[k].
+
+    The work-efficient scan of ``propagator._quat_prefix``, for maps that
+    compose as (a2, b2) o (a1, b1) = (a2 a1, a2 b1 + b2).  Only products of
+    the slopes are formed, never quotients, so a slope product that
+    underflows to 0 (a correlation time far below the segment spacing) gives
+    the exact limit, a fresh draw.
+    """
+    n = a.shape[0]
+    if n <= 1:
+        return a.copy(), b.copy()
+    pa, pb = _affine_prefix(a[1::2] * a[0:n - 1:2], a[1::2] * b[0:n - 1:2] + b[1::2])
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    out_a[0], out_b[0] = a[0], b[0]
+    out_a[1::2], out_b[1::2] = pa, pb
+    out_a[2::2] = a[2::2] * pa[:(n - 1) // 2]
+    out_b[2::2] = a[2::2] * pb[:(n - 1) // 2] + b[2::2]
+    return out_a, out_b
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +345,23 @@ def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
     return np.where(odd, x * x + y * y, w * w + z * z)
 
 
-def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | None:
-    """Quaternions (E, 4) of the propagators U(e, 0) of a noiseless scan from
-    t = 0 to each of its E events; None for a time-dependent spec that fails
-    the periodicity or round-off rule of the stroboscopic route over the
-    scan (``propagator._periods``).
+def _fold(spec: HamiltonianSpec, events: np.ndarray, nodes: np.ndarray):
+    """One drive period of a periodic spec, cut at the phases of a scan's
+    events, at K constant offsets: ``(phases, period, whole)``, or None for
+    a spec that fails the periodicity or round-off rule of the stroboscopic
+    route over the scan (``propagator._periods``), a constant one included.
 
-    ``events`` are strictly increasing from 0.  A constant spec takes one
-    exact exponential over [0, e] per event, in one ``_interval_quaternions``
-    call (the event at 0 is the zero-length segment [0, 0], the identity).
-    A periodic spec is folded into one drive period: with T the period,
-    U(e, 0) = U(r_e, 0) U_T^m_e, with m_e = floor(e/T) and r_e = e - m_e T.
-    The period [0, T] is cut at the sorted remainders, and the pieces take
-    one fixed-resolution ``_interval_quaternions`` call at the period
-    tolerance rel_tol / m_max of the route.  One prefix product of the pieces
-    gives every U(r_e, 0), and its last product is U_T; one closed-form power
-    raises U_T to every m_e.  Either way each event is anchored at t = 0, so
-    the scan's error does not grow with its event count.
+    ``events`` are strictly increasing from 0, and ``nodes`` is the (K,)
+    array of kernel offsets d (d sigma_z added to the spec).  With T the
+    period, every event e is m_e = floor(e/T) whole periods plus the phase
+    r_e = e - m_e T, and U(e, 0; d) = U(r_e, 0; d) U_T(d)^m_e.  The period
+    [0, T] is cut at the sorted phases, and the pieces take one
+    fixed-resolution ``_interval_quaternions`` call at the period tolerance
+    rel_tol / m_max of the route, with the nodes as its batch axis.  One
+    prefix product of the pieces gives ``phases``, the (E, K, 4) quaternions
+    U(r_e, 0; d), and its last product is ``period``, the (K, 4) U_T(d);
+    ``whole`` is the int array of the m_e.
     """
-    zeros = np.zeros((events.size, 1))
-    if spec.fundamental[0] == 0.0:
-        return _interval_quaternions(spec, np.zeros(events.size), events, SCAN_OPTS, zeros)[:, 0]
     # the refined route's rule, so that rel_tol / m_max stays above round-off
     m_max = int(_periods(spec, events[-1], PropagatorOptions(SCAN_OPTS.rel_tol)))
     if m_max == 0:
@@ -344,19 +369,118 @@ def _folded_segments(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | 
     period = TWO_PI / spec.fundamental[0]
     whole = np.floor(events / period)
     rest = np.clip(events - whole * period, 0.0, period)  # round-off may leave [0, T]
-    # the cuts, in order from the remainder 0 of the event at t = 0 to T; a
+    # the cuts, in order from the phase 0 of the event at t = 0 to T; a
     # piece between equal cuts takes the identity
     order = np.argsort(rest, kind="stable")
     cuts = np.append(rest[order], period)
     pieces = _interval_quaternions(
         spec, cuts[:-1], cuts[1:], PropagatorOptions(SCAN_OPTS.rel_tol / m_max, adaptive=False),
-        zeros,
+        np.broadcast_to(nodes, (events.size, nodes.size)),
     )
-    anchors = _quat_prefix(pieces[:, 0])  # U(cut, 0) of cuts[1:]
-    anchored = np.empty((events.size, 4))
-    anchored[order[0]] = _IDENTITY
-    anchored[order[1:]] = anchors[:-1]
-    return _quat_mul(anchored, _quat_power(anchors[-1], whole.astype(int)))
+    # U(cut, 0) of cuts[1:]; one node takes the (E, 4) layout, on which
+    # numpy's per-call cost is about 30% lower than on (E, 1, 4)
+    prefix = _quat_prefix(pieces[:, 0])[:, None] if nodes.size == 1 else _quat_prefix(pieces)
+    phases = np.empty_like(prefix)
+    phases[order[0]] = _IDENTITY
+    phases[order[1:]] = prefix[:-1]
+    return phases, prefix[-1], whole.astype(int)
+
+
+def _anchors(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | None:
+    """Quaternions (E, 4) of the propagators U(e, 0) of a noiseless scan from
+    t = 0 to each of its E events; None where ``_fold`` refuses a
+    time-dependent spec.
+
+    A constant spec takes one exact exponential over [0, e] per event, in
+    one ``_interval_quaternions`` call (the event at 0 is the zero-length
+    segment [0, 0], the identity).  A periodic one is the one-node fold at
+    offset 0, U(r_e, 0) U_T^m_e, with one closed-form power for every m_e.
+    Either way each event is anchored at t = 0, so the scan's error does not
+    grow with its event count.
+    """
+    if spec.fundamental[0] == 0.0:
+        return _interval_quaternions(spec, np.zeros(events.size), events, SCAN_OPTS,
+                                     np.zeros((events.size, 1)))[:, 0]
+    fold = _fold(spec, events, np.zeros(1))
+    if fold is None:
+        return None
+    phases, period, whole = fold
+    return _quat_mul(phases[:, 0], _quat_power(period[0], whole))
+
+
+# the first node count of a noisy fold, and the bound on the last two
+# Chebyshev coefficients of every folded quaternion at which it is kept
+_FOLD_NODES = 8
+_FOLD_TAIL = 1e-13
+# members x nodes per block of segment factors; bounds their memory
+_EVAL_BLOCK = 1 << 16
+
+
+def _folded_segments(spec: HamiltonianSpec, events: np.ndarray,
+                     offsets: np.ndarray) -> np.ndarray | None:
+    """Quaternions (S, r, 4) of the S segments between the events of a scan,
+    each under the constant kernel offsets ``offsets`` (S, r) of its r
+    members; None where ``_fold`` refuses the spec.
+
+    Every segment [a, b] follows from the fold at its member's offset d:
+    U(b, a; d) = U(r_b, 0; d) U_T(d)^(m_b - m_a) U(r_a, 0; d)^dagger.  A
+    scan with at most K distinct offsets (a noiseless one has one, 0.0)
+    folds at those offsets and reads its factors off them.  Otherwise the
+    nodes are the K Chebyshev points of the first kind on the offsets'
+    range, and each folded quaternion is a Chebyshev series in d there
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
+    ch. 8): K starts at 8 and doubles until the last two coefficients of
+    every series are below ``_FOLD_TAIL`` (Aurentz & Trefethen, ACM TOMS 43,
+    33 (2017)), or until the distinct offsets are no more than K, and then
+    become the nodes.  The interpolant through the nodes is evaluated at
+    every member's offset by the barycentric formula, stable at Chebyshev
+    points (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), in blocks of
+    segments of at most ``_EVAL_BLOCK`` members x nodes.
+    """
+    values = np.unique(offsets)
+    k = _FOLD_NODES
+    while True:
+        exact = values.size <= k
+        if exact:
+            nodes = values
+        else:
+            mid, half = 0.5 * (values[-1] + values[0]), 0.5 * (values[-1] - values[0])
+            angles = math.pi * (np.arange(k) + 0.5) / k
+            nodes = mid + half * np.cos(angles)
+        fold = _fold(spec, events, nodes)
+        if fold is None:
+            return None
+        phases, period, whole = fold
+        if exact:
+            break
+        # the last two coefficients c_i = (2/K) sum_j f(d_j) cos(i theta_j)
+        transform = (2.0 / k) * np.cos(np.arange(k - 2, k)[:, None] * angles)
+        if max(np.abs(transform @ phases).max(), np.abs(transform @ period).max()) < _FOLD_TAIL:
+            break
+        k *= 2
+    n_seg, n_real = offsets.shape
+    steps = np.diff(whole)
+    if not exact:  # the barycentric formula's weights for these nodes
+        weights = (-1.0) ** np.arange(k) * np.sin(angles)
+    u = np.empty((n_seg, n_real, 4))
+    size = max(1, _EVAL_BLOCK // (n_real * nodes.size))
+    for s in range(0, n_seg, size):
+        block = slice(s, s + size)
+        if exact:
+            at, seg = np.searchsorted(nodes, offsets[block]), np.arange(n_seg)[block, None]
+            end, start, u_t = phases[seg + 1, at], phases[seg, at], period[at]
+        else:
+            gap = offsets[block, :, None] - nodes
+            hit = gap == 0.0  # an offset on a node takes that node's value
+            basis = weights / np.where(hit, 1.0, gap)
+            on_node = hit.any(axis=-1)
+            basis[on_node] = hit[on_node]
+            basis /= basis.sum(axis=-1, keepdims=True)
+            end, start = basis @ phases[1:][block], basis @ phases[:-1][block]
+            u_t = basis @ period
+        power = _quat_power(u_t, steps[block, None])
+        u[block] = _quat_mul(_quat_mul(end, power), start * _CONJUGATE)
+    return u
 
 
 @dataclass(frozen=True)
@@ -393,16 +517,17 @@ def run_scan(
     ``seed``, an integer >= 0, seeds both the noise and the readout streams;
     None is rejected rather than drawing fresh OS entropy.
 
-    Segments are integrated at ``SCAN_OPTS``.  Where every offset is zero
-    and the spec is constant or periodic (``_folded_segments``), each event
-    e is anchored at t = 0: U(e, 0) is one exact exponential of a constant
+    Segments are integrated at ``SCAN_OPTS``.  A pulse-free scan whose
+    offsets are all zero, of a constant or periodic spec, anchors each event
+    e at t = 0 (``_anchors``): U(e, 0) is one exact exponential of a constant
     spec, or U(r_e, 0) U_T^m_e with m_e whole drive periods and remainder
-    r_e, all from one folded period at rel_tol / m_max.  A pulse-free scan
-    reads each grid time's population from its anchor, and a scan with
-    pulses walks the segment factors U(e_s, 0) U(e_{s-1}, 0)^dagger; so a
-    noiseless scan stays within rel_tol at every grid time.  Otherwise the
-    segments are propagated one by one, each to rel_tol, in one batched
-    call.
+    r_e, all from one folded period at rel_tol / m_max; each grid time reads
+    its population from its anchor, so the scan stays within rel_tol at
+    every grid time.  A scan with noise or pulses of a periodic spec walks
+    the segment factors U(r_b, 0; d) U_T(d)^(m_b - m_a) U(r_a, 0; d)^dagger
+    of the same fold, taken at K offset nodes and interpolated in the
+    offset d (``_folded_segments``).  Otherwise the segments are propagated
+    one by one, each to rel_tol, in one batched call.
     """
     scenario = resolve_scenario(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -433,19 +558,18 @@ def run_scan(
     offsets = noise.sample_segments(mids, n_real, rng)  # detuning, rad/us
 
     spec = scenario.rotating_spec()
-    # the identical realizations of a noiseless scan share its anchors
-    anchors = None if offsets.any() else _folded_segments(spec, events)
-    if anchors is not None and not pulses.size:
+    # the identical realizations of a pulse-free noiseless scan share its anchors
+    anchors = None if offsets.any() or pulses.size else _anchors(spec, events)
+    if anchors is not None:
         # U(e, 0)|0> = (w - iz, y - ix): a grid event reads its own anchor
         w, z = anchors[is_grid, 0], anchors[is_grid, 3]
         p0_real = np.broadcast_to((w * w + z * z)[:, None], (t_grid.size, n_real))
     else:
-        if anchors is not None:  # the factors U(e_s, 0) U(e_{s-1}, 0)^dagger
-            u = _quat_mul(anchors[1:], anchors[:-1] * _CONJUGATE)
-            u = np.broadcast_to(u[:, None], (mids.size, n_real, 4))
-        else:
+        z_offsets = 0.5 * offsets.T  # a detuning d adds (d/2) sigma_z
+        u = _folded_segments(spec, events, z_offsets)
+        if u is None:
             # events are strictly increasing, so every segment has t1 > t0
-            u = _interval_quaternions(spec, events[:-1], events[1:], SCAN_OPTS, 0.5 * offsets.T)
+            u = _interval_quaternions(spec, events[:-1], events[1:], SCAN_OPTS, z_offsets)
         p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
 
     p0_mean = p0_real.mean(axis=1)

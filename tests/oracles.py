@@ -167,3 +167,18 @@ def state_from_theta_phi(theta: float, phi: float) -> np.ndarray:
     e = complex(math.cos(phi), math.sin(phi))
     inv = 1.0 / math.sqrt(2.0)
     return np.array([inv * (ct + st * e), inv * (ct - st * e)])
+
+
+# ---------------------------------------------------------------- noise
+
+def ou_trajectories(mids, normals: np.ndarray, tau_c: float) -> np.ndarray:
+    """Unit-variance Ornstein-Uhlenbeck trajectories (r, S) from the standard
+    normals (r, S), one segment at a time: z_0 = n_0 and
+    z_s = rho z_(s-1) + sqrt(1 - rho^2) n_s, rho = exp(-(mids[s] - mids[s-1]) / tau_c).
+    """
+    z = np.empty(normals.shape)
+    z[:, 0] = normals[:, 0]
+    for s in range(1, normals.shape[1]):
+        rho = math.exp(-(mids[s] - mids[s - 1]) / tau_c)
+        z[:, s] = rho * z[:, s - 1] + math.sqrt(1.0 - rho * rho) * normals[:, s]
+    return z

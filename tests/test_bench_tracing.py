@@ -48,8 +48,9 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
 
     try:
         propagator._interval_unitary = counted
-        # fixed-resolution blocks of pieces x realizations, the pieces of
-        # the one folded drive period of a noiseless scan, the anchored
+        # fixed-resolution blocks of pieces x offset nodes: the pieces of
+        # the drive period of a noisy scan, folded at its 8 Chebyshev nodes,
+        # and of a noiseless one, folded at the one node 0; the anchored
         # call of a noiseless undriven scan, whose first segment [0, 0]
         # is a piece of the same pass, then the step-doubled scalar calls
         # of the exact-QFI oracle

@@ -151,6 +151,10 @@ BAD_CONFIGS = [
     # (an unsorted qfi grid once ran and exited 0)
     ({"physical": {"contrast": 1.5}}, ["sensitivity"], "physical.contrast"),
     ({"physical": {"noise_sigma_z_mhz": -1}}, ["dd"], "physical.noise_sigma_z_mhz"),
+    # a negative signal or drive amplitude once failed inside the library with
+    # exit 1, naming neither key
+    ({"physical": {"signal_amp_mhz": -0.3}}, ["rabi"], "physical.signal_amp_mhz"),
+    ({"physical": {"drive_amp_mhz": -0.3}}, ["effective"], "physical.drive_amp_mhz"),
     ({"run": {"t_grid_us": [1.0, 0.5]}}, ["rabi"], "run.t_grid_us"),
     ({"run": {"t_grid_us": [2.0, 1.0]}}, ["qfi"], "run.t_grid_us"),
     ({"run": {"error_grid_mhz": [-0.1, 0.1]}}, ["robustness"], "run.error_grid_mhz"),
@@ -666,8 +670,6 @@ def test_any_detuning_runs_and_is_reported_as_configured(tmp_path):
     # a detuning at or below -1470 MHz once exited 1 with "lab-frame signal
     # carrier frequency must be > 0", and effective reported a configured
     # 0.5 MHz as 0.5000000000000526, the round-off of the lab carrier
-    from floquet_sensor.params import angular_to_mhz, mhz_to_angular
-
     reported = {}
     for i, detuning in enumerate((-2000.0, 0.5)):
         cfg = write_config(tmp_path, {"physical": {"detuning_mhz": detuning},
@@ -679,10 +681,9 @@ def test_any_detuning_runs_and_is_reported_as_configured(tmp_path):
         assert res.exit_code == 0, res.output
         summary = json.loads((tmp_path / f"e{i}" / "effective_summary.json").read_text())
         reported[detuning] = summary["detuning_mhz"]
-    # the configured value through the CLI's one 2 pi conversion each way and
-    # no other arithmetic: exact at 0.5, one ulp off at -2000
-    assert reported == {d: angular_to_mhz(mhz_to_angular(d)) for d in reported}
-    assert reported[0.5] == 0.5
+    # the configured value as given: through the 2 pi conversion each way,
+    # -2000 once came back one ulp off, as -1999.9999999999998
+    assert reported == {-2000.0: -2000.0, 0.5: 0.5}
 
 
 def test_zero_signal_amplitude_runs_outside_qfi(tmp_path):

@@ -9,11 +9,14 @@ from scipy.optimize import curve_fit
 from floquet_sensor import experiments, propagator
 from floquet_sensor.experiments import (
     DD_SIGMA_Z_DEFAULT,
+    DD_TAU_C_DEFAULT,
     ORACLE_OPTS,
     SCAN_OPTS,
     DdConfig,
     NoiseModel,
     PRESET_NAMES,
+    _anchors,
+    _fold,
     _folded_segments,
     _pulse_quaternions,
     _walk,
@@ -39,12 +42,13 @@ from floquet_sensor.propagator import (
     _pauli_exp,
     _quat_matrix,
     _quat_mul,
+    _quat_power,
     PropagatorOptions,
     evolve,
     interval_unitary,
 )
 
-from oracles import h_matrix, rabi_population
+from oracles import h_matrix, ou_trajectories, rabi_population
 
 TP = 2.0 * math.pi
 
@@ -367,9 +371,18 @@ def _scan_events(t_grid, dd):
     return events, np.isin(events, pulses), np.isin(events, t_grid)
 
 
+def _segment_offsets(events, noise, n_real, seed):
+    """The detunings (r, S) that ``run_scan`` draws for the segments between
+    the events."""
+    mids = 0.5 * (events[:-1] + events[1:])
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return noise.sample_segments(mids, n_real, rng)
+
+
 def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts=SCAN_OPTS):
     """One scalar interval_unitary call per event interval at ``opts``, as
-    ``run_scan`` made them for a noisy scan before its segments were batched.
+    ``run_scan`` made them for a noisy scan before its segments were batched
+    and then folded.
 
     Returns the scenario, the events, their pulse and grid flags and the
     (S, r, 2, 2) stack of the segment propagators.
@@ -377,9 +390,7 @@ def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts
     scenario = make_preset(preset)
     n_real = n_realizations if noise.kind != "none" else 1
     events, is_pulse, is_grid = _scan_events(t_grid, dd)
-    mids = 0.5 * (events[:-1] + events[1:])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    offsets = noise.sample_segments(mids, n_real, rng)
+    offsets = _segment_offsets(events, noise, n_real, seed)
     spec = scenario.rotating_spec()
     u = np.stack([
         interval_unitary(spec, events[j - 1], events[j], opts,
@@ -391,18 +402,21 @@ def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts
 
 def _scan_segments(preset, t_grid, noise, dd, n_realizations, seed):
     """The propagators ``run_scan`` reads, as ``_per_segment_unitaries``
-    returns them: one scalar call per segment for a noisy scan, and for a
-    noiseless one (every noiseless case here is periodic and pulse-free) the
-    complex (E, 1, 2, 2) stack of the anchored propagators U(e, 0) of
-    ``_folded_segments``, one per event."""
-    if noise.kind != "none":
-        return _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed)
+    returns them: for a noisy scan the complex (S, r, 2, 2) stack of the
+    segment factors of ``_folded_segments``, and for a noiseless one (every
+    noiseless case here is periodic and pulse-free) the complex (E, 1, 2, 2)
+    stack of the anchored propagators U(e, 0) of ``_anchors``, one per event."""
     scenario = make_preset(preset)
     events, is_pulse, is_grid = _scan_events(t_grid, dd)
-    assert not is_pulse.any()
-    anchors = _folded_segments(scenario.rotating_spec(), events)
-    assert anchors is not None
-    return scenario, events, is_pulse, is_grid, _quat_matrix(anchors)[:, None]
+    spec = scenario.rotating_spec()
+    if noise.kind != "none":
+        z = 0.5 * _segment_offsets(events, noise, n_realizations, seed).T
+        u = _folded_segments(spec, events, z)
+    else:
+        assert not is_pulse.any()
+        u = _anchors(spec, events)[:, None]
+    assert u is not None
+    return scenario, events, is_pulse, is_grid, _quat_matrix(u)
 
 
 def _matrix_quat(u):
@@ -443,8 +457,9 @@ def _sequential_walk(scenario, events, is_pulse, is_grid, u):
 RABI_GRID = np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)  # the rabi command's default
 REF_OPTS = propagator.PropagatorOptions(rel_tol=1e-12)
 
-# noisy scans take one propagator per segment; a noiseless periodic scan
-# folds its events into one drive period (its accuracy: the reference tests below)
+# a noisy periodic scan walks the segment factors of the period folded at
+# Chebyshev nodes in the offset; a pulse-free noiseless one reads the anchors
+# of the period folded at the offset 0 (their accuracy: the reference tests below)
 _WALK_CASES = pytest.mark.parametrize("preset, dd, noise, grid", [
     pytest.param("fds-k5", None, NoiseModel(), RABI_GRID, id="fds-k5-None-noise0-grid0"),
     pytest.param("dd-on", DdConfig(tau=0.5),
@@ -459,8 +474,8 @@ _WALK_CASES = pytest.mark.parametrize("preset, dd, noise, grid", [
 
 @_WALK_CASES
 def test_scan_matches_per_segment_walk_bitwise(preset, dd, noise, grid):
-    # the per-segment scalar calls through the same walk: pins segment batching;
-    # a noiseless scan's folded factors through it: pins that the scan folds
+    # the fold's segment factors through the same walk: pins that a noisy
+    # scan walks them; a noiseless scan's anchors: pins that it reads them
     scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
     assert (scan.pulse_times.size > 0) == (dd is not None)
     scenario, events, is_pulse, is_grid, u = _scan_segments(
@@ -491,6 +506,99 @@ def test_scan_matches_sequential_complex_walk(preset, dd, noise, grid):
         p0, err = _stats(_sequential_walk(scenario, events, is_pulse, is_grid, u))
     npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-12)
     npt.assert_allclose(scan.stderr, err, rtol=0, atol=1e-12)
+
+
+# the refined per-segment oracle of noisy scans: at rel_tol 1e-12 the
+# stroboscopic route's period tolerance rel_tol / m falls below its round-off
+# floor on every segment, which then takes the direct route (35 s for the two
+# scans below at 8 realizations); at 1e-11 it keeps the route
+FOLD_REF_OPTS = propagator.PropagatorOptions(rel_tol=1e-11)
+_NOISY_DEFAULT_SCANS = pytest.mark.parametrize("preset, dd", [
+    ("dd-off", None), ("dd-on", DdConfig(tau=0.5))], ids=["dd-off", "dd-on"])
+
+
+@_NOISY_DEFAULT_SCANS
+def test_noisy_scan_matches_refined_per_segment_walk(preset, dd):
+    # the fold integrates one period at rel_tol / m_max and interpolates it
+    # in the offset: 1.8e-10 off the refined segments here, where one
+    # fixed-resolution call per segment at rel_tol 1e-6 was 1.0e-6 (dd-on)
+    # and 2.8e-6 (dd-off) off
+    grid = default_dd_grid(dd is not None)
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT)
+    scan = run_scan(preset, grid, noise=noise, dd=dd, n_realizations=3, seed=3)
+    p0, _ = _stats(_sequential_walk(*_per_segment_unitaries(
+        preset, grid, noise, dd, 3, seed=3, opts=FOLD_REF_OPTS)))
+    npt.assert_allclose(scan.p0, p0, rtol=0, atol=1e-8)
+
+
+def _member_node_factors(spec, events, z):
+    """The segment factors of ``_fold`` at the distinct member offsets
+    themselves as its nodes, with no interpolation, (S, r, 4)."""
+    values = np.unique(z)
+    phases, period, whole = _fold(spec, events, values)
+    at, seg = np.searchsorted(values, z), np.arange(z.shape[0])[:, None]
+    power = _quat_power(period[at], np.diff(whole)[:, None])
+    return _quat_mul(_quat_mul(phases[seg + 1, at], power),
+                     phases[seg, at] * np.array([1.0, -1.0, -1.0, -1.0]))
+
+
+def _counted_nodes(monkeypatch):
+    """The node count of every ``_fold`` call that a scan makes."""
+    counts = []
+    fold = experiments._fold
+
+    def counted(spec, events, nodes):
+        counts.append(nodes.size)
+        return fold(spec, events, nodes)
+
+    monkeypatch.setattr(experiments, "_fold", counted)
+    return counts
+
+
+@_NOISY_DEFAULT_SCANS
+def test_interpolated_fold_matches_members_as_nodes(preset, dd, monkeypatch):
+    # 540 (dd-off) and 960 (dd-on) distinct offsets from 8 Chebyshev nodes:
+    # 7e-15 apart
+    events = _scan_events(default_dd_grid(dd is not None), dd)[0]
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT)
+    z = 0.5 * _segment_offsets(events, noise, 3, seed=3).T
+    spec = make_preset(preset).rotating_spec()
+    counts = _counted_nodes(monkeypatch)
+    u = _folded_segments(spec, events, z)
+    assert counts[-1] < np.unique(z).size
+    npt.assert_allclose(u, _member_node_factors(spec, events, z), rtol=0, atol=1e-13)
+
+
+def test_scan_with_few_distinct_offsets_folds_at_them(monkeypatch):
+    # one realization over 6 segments: its 6 offsets are the nodes, and the
+    # factors are read off the fold with no interpolation
+    events = _scan_events(np.arange(0.5, 3.0 + 1e-9, 0.5), None)[0]
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT)
+    z = 0.5 * _segment_offsets(events, noise, 1, seed=3).T
+    spec = make_preset("dd-off").rotating_spec()
+    counts = _counted_nodes(monkeypatch)
+    u = _folded_segments(spec, events, z)
+    assert counts == [6]
+    npt.assert_array_equal(u, _member_node_factors(spec, events, z))
+
+
+def test_fold_grows_its_nodes_at_the_top_of_the_calibration_bracket(monkeypatch):
+    # sigma_z x 2^12, the last of calibrate_noise's bracket doublings, on its
+    # dd-off grid: the detunings span about 1.1e4 rad/us, and the node count
+    # doubles from 8 to 128, short of the 1440 distinct offsets.  The
+    # interpolated U_T(d) enters the factor as U_T(d)^(m_b - m_a), which
+    # multiplies its error by up to m_b - m_a = 10 (8e-14 here)
+    events = _scan_events(default_dd_grid(dd=False), None)[0]
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT * 2.0 ** 12)
+    z = 0.5 * _segment_offsets(events, noise, 8, seed=3).T
+    spec = make_preset("dd-off").rotating_spec()
+    counts = _counted_nodes(monkeypatch)
+    u = _folded_segments(spec, events, z)
+    assert counts[0] == 8 and counts[-1] >= 64 and counts[-1] < np.unique(z).size
+    steps = np.diff(_fold(spec, events, np.zeros(1))[2])
+    assert steps.max() == 10
+    deviation = np.abs(u - _member_node_factors(spec, events, z)).max(axis=(1, 2))
+    assert np.all(deviation <= 1e-13 * steps)
 
 
 @pytest.mark.parametrize("preset", ["fds-k1", "fds-k3", "fds-k5"])
@@ -562,17 +670,18 @@ def test_pulse_free_noiseless_scans_read_their_anchors(monkeypatch):
 
 
 def test_noiseless_scan_with_pulses_walks_telescoped_anchors(monkeypatch):
-    # with pulses the anchors telescope into the segment factors
-    # U(e_s, 0) U(e_s-1, 0)^dagger and go through the walk, bit for bit
+    # with pulses the anchors U(e, 0) = U(r_e, 0) U_T^m_e telescope into the
+    # segment factors U(r_s, 0) U_T^(m_s - m_s-1) U(r_s-1, 0)^dagger of the
+    # fold at the one node 0, and go through the walk, bit for bit
     grid, dd = default_dd_grid(dd=True)[:40], DdConfig(tau=0.5)
     walks = _counted_walks(monkeypatch)
     scan = run_scan("dd-on", grid, dd=dd)
     assert len(walks) == 1
     scenario = make_preset("dd-on")
     events, is_pulse, is_grid = _scan_events(grid, dd)
-    anchors = _folded_segments(scenario.rotating_spec(), events)
-    inverse = anchors[:-1] * np.array([1.0, -1.0, -1.0, -1.0])
-    u = _quat_mul(anchors[1:], inverse)[:, None]
+    phases, period, whole = _fold(scenario.rotating_spec(), events, np.zeros(1))
+    power = _quat_power(period, np.diff(whole)[:, None])
+    u = _quat_mul(_quat_mul(phases[1:], power), phases[:-1] * np.array([1.0, -1.0, -1.0, -1.0]))
     npt.assert_array_equal(walks[0][0], u)
     p0 = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
     npt.assert_array_equal(scan.p0, p0[:, 0])
@@ -933,6 +1042,25 @@ def test_ou_noise_statistics():
     lag = mids[20] - mids[0]
     corr = np.mean(z[:, 0] * z[:, 20]) / 0.49
     assert corr == pytest.approx(math.exp(-lag / 5.0), abs=0.08)
+
+
+@pytest.mark.parametrize("tau_c, mids", [
+    (DD_TAU_C_DEFAULT, 0.125 + 0.25 * np.arange(180)),  # the dd-off segments
+    (DD_TAU_C_DEFAULT, np.sort(np.concatenate([0.25 + 0.5 * np.arange(320),
+                                               0.5 + np.arange(160)]))),
+    (1e6, 0.125 + 0.25 * np.arange(180)),  # quasi-static
+    # rho = exp(-250) per segment: products of three or more underflow to 0
+    (1e-3, 0.125 + 0.25 * np.arange(180)),
+    (5.0, np.array([0.3])),
+], ids=["dd-off", "uneven", "quasi-static", "white", "one-segment"])
+def test_ou_prefix_scan_matches_the_segment_loop(tau_c, mids):
+    # the affine prefix scan regroups the recurrence of the loop
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_z=0.7, tau_c=tau_c)
+    z = noise.sample_segments(mids, 64, np.random.default_rng(1))
+    normals = np.random.default_rng(1).standard_normal((64, mids.size))
+    reference = 0.7 * ou_trajectories(mids, normals, tau_c)
+    assert np.all(np.isfinite(z))
+    npt.assert_allclose(z, reference, rtol=0, atol=1e-14 * np.abs(reference).max())
 
 
 def test_calibrate_noise_validation():

@@ -920,17 +920,22 @@ def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
 
 @pytest.mark.parametrize("preset, dd", [("dd-off", None), ("dd-on", DdConfig())])
 def test_scan_period_pieces_take_one_substep_count(passes, preset, dd):
-    # the default dd scans at SCAN_OPTS: counts were once rounded up from the
-    # length of each period piece, ceil(200 +- 1e-11), which split the pieces
-    # into 200- and 201-substep passes, and a one-ulp change of omega_F moved
-    # pieces between the two
+    # the segments of the default dd scans, each under its own offsets, at
+    # SCAN_OPTS: the route of a scan whose spec does not fold.  Counts were
+    # once rounded up from the length of each period piece, ceil(200 +- 1e-11),
+    # which split the pieces into 200- and 201-substep passes, and a one-ulp
+    # change of omega_F moved pieces between the two
     sc = make_preset(preset)
+    grid = default_dd_grid(dd is not None)
+    pulses = dd.pulse_times(grid[-1]) if dd is not None else np.empty(0)
+    events = np.unique(np.concatenate([[0.0], grid, pulses]))
+    z = np.random.default_rng(0).normal(scale=0.35, size=(events.size - 1, 2))
 
     def scan(drive):
         passes.clear()
-        run_scan(replace(sc, drive=drive), default_dd_grid(dd is not None), dd=dd,
-                 noise=NoiseModel("ornstein-uhlenbeck", 0.7), n_realizations=2, seed=0)
-        period = TP / replace(sc, drive=drive).rotating_spec().fundamental[0]
+        spec = replace(sc, drive=drive).rotating_spec()
+        interval_unitary(spec, events[:-1], events[1:], SCAN_OPTS, z_offsets=z)
+        period = TP / spec.fundamental[0]
         return len(passes), {n for n, d in passes if np.any(np.abs(d - period) < 1e-9)}
 
     count, period_steps = scan(sc.drive)
@@ -961,14 +966,12 @@ def _scalar_initial_steps(spec, duration, tol):
 ], ids=["dd-off", "dd-on", "rabi-fds-k5"])
 def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
     # every piece of the default dd scans and of the rabi command's fds-k5
-    # scan takes the count of the one-interval rule, bit for bit.  The
-    # noiseless rabi scan integrates the pieces of one folded drive period,
-    # at the period tolerance rel_tol / m of its whole periods m
+    # scan takes the count of the one-interval rule, bit for bit.  Each scan,
+    # noisy or not, integrates the pieces of one folded drive period, at the
+    # period tolerance rel_tol / m of its whole periods m
     spec = make_preset(preset).rotating_spec()
     noise = NoiseModel("ornstein-uhlenbeck", 0.7) if preset != "fds-k5" else None
-    tol = SCAN_OPTS.rel_tol
-    if noise is None:
-        tol /= propagator._periods(spec, grid[-1], SCAN_OPTS)
+    tol = SCAN_OPTS.rel_tol / propagator._periods(spec, grid[-1], SCAN_OPTS)
     run_scan(preset, grid, noise=noise, dd=dd, n_realizations=2, seed=0)
     durations = np.concatenate([d for _, d in passes])
     expected = [_scalar_initial_steps(spec, d, tol) for d in durations.tolist()]
