@@ -43,17 +43,16 @@ reads the populations at the grid times from the quaternions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 # numpy loads these submodules lazily, on first use (np.random in run_scan,
-# np.ma through np.unique, np.fft in the decay fit).  Imported here, their
-# ~25 ms load with the package at start-up instead of inside the first
-# command body that touches them.
+# np.fft in the decay fit).  Imported here, they load with the package at
+# start-up instead of inside the first command body that touches them.
+# np.unique and np.isin would load numpy.ma (about 10 ms), so the scans use
+# the sort-based ``_distinct`` and ``searchsorted`` instead.
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .hamiltonian import HamiltonianSpec, build_fds_prime, kick_vector
@@ -416,6 +415,19 @@ _FOLD_TAIL = 1e-13
 _EVAL_BLOCK = 1 << 16
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an array, as ``np.unique`` gives them.
+
+    The same sort and the same comparison of neighbours, without the
+    import of ``numpy.ma`` that ``np.unique`` makes on its first call.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _folded_segments(spec: HamiltonianSpec, events: np.ndarray,
                      offsets: np.ndarray) -> np.ndarray | None:
     """Quaternions (S, r, 4) of the S segments between the events of a scan,
@@ -437,7 +449,7 @@ def _folded_segments(spec: HamiltonianSpec, events: np.ndarray,
     points (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), in blocks of
     segments of at most ``_EVAL_BLOCK`` members x nodes.
     """
-    values = np.unique(offsets)
+    values = _distinct(offsets)
     k = _FOLD_NODES
     while True:
         exact = values.size <= k
@@ -548,10 +560,11 @@ def run_scan(
     t_max = float(t_grid[-1])
     pulses = dd.pulse_times(t_max) if dd is not None else np.empty(0)
 
-    events = np.unique(np.concatenate([[0.0], t_grid, pulses]))
-    is_grid = np.isin(events, t_grid)
+    events = _distinct(np.concatenate([[0.0], t_grid, pulses]))
     # exact match: a grid time a few ulp from a pulse instant is its own event
-    is_pulse = np.isin(events, pulses)
+    is_grid, is_pulse = np.zeros((2, events.size), dtype=bool)
+    is_grid[np.searchsorted(events, t_grid)] = True
+    is_pulse[np.searchsorted(events, pulses)] = True
 
     mids = 0.5 * (events[:-1] + events[1:])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -941,6 +954,8 @@ def run_robustness_sweep(
         return scenario.with_errors(freq_error=err).exact_qfi(t).value
 
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by one worker
+
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
             qfi_vals = np.array(list(ex.map(qfi_at, errors)))
     else:

@@ -6,11 +6,15 @@ three-Gauss-point commutator integrator of Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009), sec. 5.  Every substep is exactly unitary, so
 norm is preserved to round-off regardless of step size; accuracy is
 controlled by Richardson-style step doubling until two resolutions agree to
-``rel_tol``.  The starting substep count follows from the order and from
-the tolerance of the piece being integrated, as a whole number per drive
-period (``_initial_steps``).  A time-independent spec has no truncation
-error at all, so an interval takes one exact exponential and no doubling.
-Nor is an interval doubled whose halved substeps would fall below 1e-13 us.
+``rel_tol``.  A doubled resolution is the interval split into equal parts of
+the first pass's substep count, all parts the rows of one kernel call, so
+a round of doubling is one call up to ``_CHUNK`` substeps per batch member
+(``_stepped_unitary``).  The starting substep count follows from the
+order, from the tolerance of the piece being integrated and from the size
+of the offsets, as a whole number per drive period (``_initial_steps``).
+A time-independent spec has no truncation error at all, so an interval
+takes one exact exponential and no doubling.  Nor is an interval doubled
+whose halved substeps would fall below 1e-13 us.
 
 Every propagator here is in SU(2), so inside this module it is a quaternion:
 four reals (w, x, y, z) with U = w I - i (x sigma_x + y sigma_y + z sigma_z),
@@ -18,7 +22,8 @@ in arrays of shape (..., 4).  The substep exponential is
 (cos|q|, sin|q| q/|q|) for a generator q, and the product of two elements
 is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
 Everything is vectorized over substeps, with the running product
-accumulated by pairwise reduction.  The scan engine of ``experiments``
+accumulated by pairwise reduction (``_quat_reduce``), each level of it one
+exact table product and one ``einsum``.  The scan engine of ``experiments``
 takes the quaternions as they are (``_interval_quaternions``); complex 2x2
 matrices are formed only at the public boundary (``interval_unitary``,
 ``evolve``, ``micromotion_error``).
@@ -79,7 +84,8 @@ A call in which no segment spans two periods skips the period work.  One
 rule (``_initial_steps``) gives every piece of a call its starting substep
 count, and one pass routine (``_stepped_unitary``) runs them: the pieces
 are grouped by count and each group goes through it in blocks.  With
-refinement a block is one piece, step-doubled to its own tolerance;
+refinement a block is one piece, step-doubled to its own tolerance, one
+kernel call a round of at most ``_CHUNK`` substeps per batch member;
 without, a block is a single pass widened to a leading piece axis, of at
 most ``_BLOCK`` substeps x batch members, so a scan's peak memory does not
 grow with its segment count.  The period pieces of a call are then raised
@@ -181,12 +187,28 @@ def _quat_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
     return out
 
 
+# the left-multiplication matrices of quaternions: for a quaternion a,
+# (a @ _LEFT).reshape(4, 4) is the matrix M with the product a b = M b; each
+# column holds one signed 1, so the product with it is exact
+_LEFT = np.zeros((4, 16))
+_LEFT[[0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0], range(16)] = [
+    1, -1, -1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1, -1, 1, 1]
+
+
 def _quat_reduce(qs: np.ndarray) -> np.ndarray:
-    """Chronological product q[..., n-1, :] ... q[..., 0, :] via pairwise reduction."""
+    """Chronological product q[..., n-1, :] ... q[..., 0, :] via pairwise reduction.
+
+    Each level takes the products of its adjacent pairs in two numpy calls:
+    the exact left-multiplication matrices of the later factors
+    (``_LEFT``), contracted with the earlier ones in one ``einsum``.  The
+    component form of ``_quat_mul`` takes 28 calls per level, which at the
+    oracle's few hundred substeps costs more than the arithmetic.
+    """
     while qs.shape[-2] > 1:
         n = qs.shape[-2]
         out = np.empty(qs.shape[:-2] + ((n + 1) // 2, 4))
-        _quat_mul(qs[..., 1::2, :], qs[..., 0:n - 1:2, :], out[..., :n // 2, :])
+        left = (qs[..., 1::2, :] @ _LEFT).reshape(qs.shape[:-2] + (n // 2, 4, 4))
+        np.einsum("...ij,...j->...i", left, qs[..., 0:n - 1:2, :], out=out[..., :n // 2, :])
         if n % 2:  # the unpaired last factor carries over
             out[..., -1, :] = qs[..., -1, :]
         qs = out
@@ -339,7 +361,7 @@ def _interval_unitary(spec: HamiltonianSpec, t0, t1, n: int, z_offsets) -> np.nd
     return total
 
 
-def _initial_steps(spec: HamiltonianSpec, duration, tol):
+def _initial_steps(spec: HamiltonianSpec, duration, tol, offset: float = 0.0):
     """Starting substep counts for intervals of ``duration`` at tolerance ``tol``.
 
     ``duration`` is one interval length or an array of them, and ``tol`` one
@@ -347,8 +369,11 @@ def _initial_steps(spec: HamiltonianSpec, duration, tol):
     lengths' shape.  A constant spec takes one substep, whose exponential is
     exact.  Any other spec takes a whole number n_T of substeps per period
     T = 2 pi/f0 of its fundamental: 8 (1e-6/tol_T)^(1/6) per period of the
-    fastest tone (the sixth-order error per substep falls as h^7), and at
-    least 8 per 2 pi of the rotation-rate bound ``amplitude_scale``.  The
+    fastest tone (the sixth-order error per substep falls as h^7).  The
+    rotation-rate bound, ``amplitude_scale`` plus ``offset`` (the largest
+    magnitude of the offsets added to the spec), takes the place of the
+    fastest tone's frequency where it is larger: a noise ensemble's
+    detunings can outgrow every tone of its drive.  The
     errors of the periods add up, so an interval of m >= 1 whole periods is
     resolved for tol_T = tol / m per period, the tolerance of the
     stroboscopic route's one-period piece.  An interval takes its length's
@@ -363,11 +388,11 @@ def _initial_steps(spec: HamiltonianSpec, duration, tol):
     lengths = np.asarray(duration, dtype=float)
     periods = lengths * f0 / TWO_PI
     tol_period = np.asarray(tol, dtype=float) / np.maximum(1, periods.astype(int))
-    fastest, rate_bound = spec.max_frequency(), spec.amplitude_scale() * 8.0
+    fastest = max(spec.max_frequency(), spec.amplitude_scale() + offset)
     per_period = np.empty(tol_period.shape, dtype=int)  # n_T of each interval
     for tol_t in set(tol_period.ravel().tolist()):
         per_tone = 8.0 * max(1.0, (1e-6 / max(tol_t, 1e-14)) ** (1.0 / 6.0))
-        n_t = math.ceil(max(fastest * per_tone, rate_bound) / f0 * (1.0 - _SLACK))
+        n_t = math.ceil(fastest * per_tone / f0 * (1.0 - _SLACK))
         per_period[tol_period == tol_t] = n_t
     n = periods * per_period
     if np.any(n > 5e8):
@@ -398,33 +423,70 @@ def _periods(spec: HamiltonianSpec, duration, opts: PropagatorOptions):
     return (m * route)[()]
 
 
+def _split_pass(spec: HamiltonianSpec, t0: float, t1: float, n: int, parts: int,
+                z_offsets, whole: bool = False):
+    """Quaternion propagator over [t0, t1] as ``parts`` equal parts of n substeps.
+
+    The parts are rows of kernel calls, with the offsets broadcast to each
+    row, in as few calls as keep at most ``_CHUNK`` substeps per batch
+    member (rows x n); the product of each call's rows is multiplied into
+    the running product of the calls before it.  With ``whole``, the first
+    call also takes the whole interval at n substeps as an extra row, and
+    the pair (whole, product) is returned; otherwise the product alone.
+    """
+    edges = np.linspace(t0, t1, parts + 1)
+    starts, ends = edges[:-1], edges[1:]
+    if whole:
+        starts, ends = np.concatenate([[t0], starts]), np.concatenate([[t1], ends])
+    batch = np.shape(z_offsets)
+    unit = (slice(None),) + (None,) * len(batch)
+    size = max(1, _CHUNK // n)
+    first = product = None
+    for i in range(0, starts.size, size):
+        a, b = starts[i:i + size], ends[i:i + size]
+        u = _interval_unitary(spec, a[unit], b[unit], n,
+                              np.broadcast_to(z_offsets, a.shape + batch))
+        if whole and i == 0:
+            first, u = u[0], u[1:]
+        if u.shape[0]:
+            u = _quat_reduce(np.moveaxis(u, 0, -2))
+            product = u if product is None else _quat_mul(u, product)
+    return (first, product) if whole else product
+
+
 def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
                      z_offsets) -> np.ndarray:
     """Quaternion propagator over [t0, t1] from a first pass of n substeps.
 
-    With ``tol`` None the first pass is the result.  Otherwise the substep
-    count doubles until two passes agree to ``tol``.  The first pass is also
-    final for a constant spec, whose one exponential is exact, and where the
-    first doubling would take a substep below 1e-13 us: there h |H| < 1e-9
-    even at the 1e4 rad/us of a lab-frame spec, so the sixth-order error is
-    far below round-off.  Doubling stops with
-    ``PropagationError`` as soon as the residual fails to shrink, since
-    below the round-off floor further doublings only cost time, and as soon
-    as it is not a number, which no doubling mends.  The residual is the
-    largest over the batch members, so they share one substep count.
+    With ``tol`` None the first pass is the result.  Otherwise the
+    resolution doubles until two resolutions agree to ``tol``.  Round k
+    splits the interval into 2^k equal parts of n substeps each and takes
+    them as the rows of one kernel call (``_split_pass``), so a round costs
+    one call however fine it is; the first round adds the whole interval at
+    n substeps as a third row, the coarse resolution its two halves are
+    compared with.  The first pass is also final for a constant spec, whose
+    one exponential is exact, and where the first doubling would take a
+    substep below 1e-13 us: there h |H| < 1e-9 even at the 1e4 rad/us of a
+    lab-frame spec, so the sixth-order error is far below round-off.
+    Doubling stops with ``PropagationError`` as soon as the residual fails
+    to shrink, since below the round-off floor further doublings only cost
+    time, and as soon as it is not a number, which no doubling mends.  The
+    residual is the largest over the batch members, so they share one
+    substep count; the messages name the total substep count of a round.
     """
-    u_prev = _interval_unitary(spec, t0, t1, n, z_offsets)
     if tol is None or spec.fundamental[0] == 0.0 or (t1 - t0) / (2 * n) < 1e-13:
-        return u_prev
+        return _interval_unitary(spec, t0, t1, n, z_offsets)
+    u_prev, u_next = _split_pass(spec, t0, t1, n, 2, z_offsets, whole=True)
     residual = math.inf
-    for _ in range(24):
-        n = 2 * n  # not in place: n may be the caller's array
-        if (t1 - t0) / n < 1e-13:
-            raise PropagationError(
-                f"substep size underflow on [{t0:g}, {t1:g}] us before reaching "
-                f"rel_tol = {tol:g}"
-            )
-        u_next = _interval_unitary(spec, t0, t1, n, z_offsets)
+    for k in range(1, 25):
+        substeps = n << k
+        if k > 1:
+            if (t1 - t0) / substeps < 1e-13:
+                raise PropagationError(
+                    f"substep size underflow on [{t0:g}, {t1:g}] us before reaching "
+                    f"rel_tol = {tol:g}"
+                )
+            u_prev, u_next = u_next, _split_pass(spec, t0, t1, n, 1 << k, z_offsets)
         # max abs over the complex matrix entries: |w - iz| and |-y - ix|
         d = u_next - u_prev
         step = float(np.max(np.maximum(np.hypot(d[..., 0], d[..., 3]),
@@ -434,16 +496,15 @@ def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
         if math.isnan(step):
             raise PropagationError(
                 f"step doubling on [{t0:g}, {t1:g}] us gave a residual that is "
-                f"not a number at {n} substeps (a coefficient or offset is not finite)"
+                f"not a number at {substeps} substeps (a coefficient or offset is not finite)"
             )
         if step >= residual:
             raise PropagationError(
                 f"step doubling stalled on [{t0:g}, {t1:g}] us: the residual "
-                f"reached {residual:.3g}, then {step:.3g} at {n} substeps, "
+                f"reached {residual:.3g}, then {step:.3g} at {substeps} substeps, "
                 f"above rel_tol = {tol:g} (round-off floor)"
             )
         residual = step
-        u_prev = u_next
     raise PropagationError(
         f"step doubling did not converge to rel_tol = {tol:g} "
         f"on [{t0:g}, {t1:g}] us"
@@ -529,16 +590,17 @@ def _piece_unitaries(spec, start, end, tol, seg, opts, rows) -> np.ndarray:
 
     ``rows[seg]`` holds the offsets of a piece, and ``tol`` the tolerance
     its substep count n starts from; all four are arrays over the pieces.
-    The pieces are grouped by n, in the order of each group's first piece,
-    and every block of a group goes through ``_stepped_unitary``.  With
-    ``opts.adaptive`` a block is one piece at its own scalar bounds, refined
-    to its own tolerance.  Otherwise it is a single pass over at most
-    ``_BLOCK`` substeps x batch members (at least one piece), whose bounds
-    take a leading piece axis and one unit axis per batch axis of the
-    offsets.
+    Every piece's n comes from one call of the step rule, with the largest
+    offset magnitude of the call.  The pieces are grouped by n, in the
+    order of each group's first piece, and every block of a group goes
+    through ``_stepped_unitary``.  With ``opts.adaptive`` a block is one
+    piece at its own scalar bounds, refined to its own tolerance.
+    Otherwise it is a single pass over at most ``_BLOCK`` substeps x batch
+    members (at least one piece), whose bounds take a leading piece axis
+    and one unit axis per batch axis of the offsets.
     """
     batch = rows.shape[1:]
-    steps = _initial_steps(spec, end - start, tol)
+    steps = _initial_steps(spec, end - start, tol, float(np.abs(rows).max(initial=0.0)))
     members = max(1, math.prod(batch))
     us = np.empty((start.size,) + batch + (4,))
     groups = {}  # piece indices by count, in the order of each count's first piece

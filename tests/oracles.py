@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from floquet_sensor import hamiltonian
+from floquet_sensor import hamiltonian, propagator
 from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Y,
@@ -182,3 +182,43 @@ def ou_trajectories(mids, normals: np.ndarray, tau_c: float) -> np.ndarray:
         rho = math.exp(-(mids[s] - mids[s - 1]) / tau_c)
         z[:, s] = rho * z[:, s - 1] + math.sqrt(1.0 - rho * rho) * normals[:, s]
     return z
+
+
+# ---------------------------------------------------------------- propagation
+
+def quat_reduce_componentwise(qs: np.ndarray) -> np.ndarray:
+    """Chronological product q[..., n-1, :] ... q[..., 0, :] by pairwise
+    reduction, each level through the component products of ``_quat_mul``:
+    the form ``propagator._quat_reduce`` took before its levels became one
+    exact table product and one ``einsum``."""
+    while qs.shape[-2] > 1:
+        n = qs.shape[-2]
+        out = np.empty(qs.shape[:-2] + ((n + 1) // 2, 4))
+        propagator._quat_mul(qs[..., 1::2, :], qs[..., 0:n - 1:2, :], out[..., :n // 2, :])
+        if n % 2:
+            out[..., -1, :] = qs[..., -1, :]
+        qs = out
+    return qs[..., 0, :]
+
+
+def doubled_unitary(spec: HamiltonianSpec, t0: float, t1: float, n: int, tol: float,
+                    z_offsets) -> np.ndarray:
+    """Quaternion propagator over [t0, t1] by step doubling one whole pass at a
+    time: passes of n, 2n, 4n, ... substeps over the whole interval, each one
+    kernel call, until two agree to ``tol``.  The loop of
+    ``propagator._stepped_unitary`` before each round became one call over
+    the equal parts of the interval."""
+    u_prev = propagator._interval_unitary(spec, t0, t1, n, z_offsets)
+    residual = math.inf
+    for _ in range(24):
+        n *= 2
+        assert (t1 - t0) / n >= 1e-13, "substep size underflow"
+        u_next = propagator._interval_unitary(spec, t0, t1, n, z_offsets)
+        d = u_next - u_prev
+        step = float(np.max(np.maximum(np.hypot(d[..., 0], d[..., 3]),
+                                       np.hypot(d[..., 1], d[..., 2]))))
+        if step < tol:
+            return u_next
+        assert step < residual, f"step doubling stalled at {n} substeps"
+        residual, u_prev = step, u_next
+    raise AssertionError("step doubling did not converge")

@@ -8,6 +8,8 @@ only as a broken or miscounted ``bench/run.py --trace 1`` run.
 
 import importlib.util
 import inspect
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -78,3 +80,9 @@ def test_traced_pass_and_substep_counts_match_the_kernel():
     metrics = tracer.layer_metrics()
     assert metrics["propagator.passes"] == len(seen)
     assert metrics["propagator.substeps"] == sum(n * members for n, members in seen)
+    # the metrics go into the JSON result line of a traced bench run: each is
+    # absent or a finite Python number (a numpy scalar would not serialize)
+    for name, value in metrics.items():
+        assert value is None or (type(value) in (int, float) and math.isfinite(value)), (
+            name, value)
+    json.dumps(metrics, allow_nan=False)

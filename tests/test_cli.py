@@ -511,7 +511,9 @@ def test_short_fit_grid_exits_2_naming_the_key_and_point_count(tmp_path):
 def test_cli_import_leaves_out_scipy_and_loads_lazy_numpy_submodules():
     # scipy.optimize took most of the CLI's start-up; without it the numpy
     # submodules it used to pull in must still load with the package, not
-    # inside the first command body
+    # inside the first command body.  numpy.ma (loaded by np.unique and
+    # np.isin, which the package no longer calls) and the thread pool's
+    # concurrent.futures stay out
     import subprocess, sys
 
     proc = subprocess.run(
@@ -524,7 +526,43 @@ def test_cli_import_leaves_out_scipy_and_loads_lazy_numpy_submodules():
     loaded = set(proc.stdout.split())
     assert "floquet_sensor.experiments" in loaded
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
-    assert {"numpy.random", "numpy.fft", "numpy.ma"} <= loaded
+    assert {"numpy.random", "numpy.fft"} <= loaded
+    assert not {"numpy.ma", "concurrent.futures"} & loaded
+
+
+def test_commands_leave_out_numpy_ma_and_the_thread_pool(tmp_path):
+    # the scans' distinct events and offsets are found by sorting, and one
+    # worker runs the sweep without a pool, so neither module loads in a run
+    import subprocess, sys
+
+    runs = {
+        "rabi": {"run": {"t_grid_us": TINY_GRID}},
+        "dd": {"run": {"t_grid_us": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+                       "noise_realizations": 2}},
+        "robustness": {"run": {"presets": ["robustness-amp"],
+                               "error_grid_mhz": [-0.1, 0.0, 0.1], "sweep_time_us": 1.0}},
+    }
+    script = (
+        "import sys\n"
+        "from floquet_sensor import cli\n"
+        "for command, cfg in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    try:\n"
+        f"        cli.main(['--config', cfg, '--out', {str(tmp_path / 'o')!r}, command])\n"
+        "    except SystemExit as exit:\n"
+        "        assert not exit.code, (command, exit.code)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    args = []
+    for command, data in runs.items():
+        args += [command, write_config(tmp_path, data, name=f"{command}.json")]
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())  # after the commands' own lines
+    assert {"floquet_sensor.experiments", "numpy.random"} <= loaded
+    assert not {"numpy.ma", "concurrent.futures"} & loaded
+    assert {p.name for p in (tmp_path / "o").iterdir()} >= {
+        "rabi_summary.json", "dd_summary.json", "robustness_summary.json"}
 
 
 def test_dd_smoke_with_tiny_protocol(tmp_path):

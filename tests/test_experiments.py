@@ -601,6 +601,21 @@ def test_fold_grows_its_nodes_at_the_top_of_the_calibration_bracket(monkeypatch)
     assert np.all(deviation <= 1e-13 * steps)
 
 
+def test_fold_keeps_its_tolerance_at_the_top_of_the_calibration_bracket():
+    # sigma_z x 2^12 on calibrate's dd-off grid: kernel offsets of up to
+    # 3,211 rad/us outrun the drive's fastest tone, 1,148 rad/us.  The step
+    # rule resolves the rotation-rate bound amplitude_scale + max |offset|
+    # like a tone, so the folded period takes 312 substeps instead of 107,
+    # and the segment factors lie within rel_tol / 10 of per-segment calls
+    # refined to rel_tol 1e-11: 8.9e-9, where a count from the tones alone
+    # left them 4.9e-6 off
+    grid = default_dd_grid(dd=False)[:40]
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT * 2.0 ** 12)
+    u = _scan_segments("dd-off", grid, noise, None, 4, seed=3)[-1]
+    ref = _per_segment_unitaries("dd-off", grid, noise, None, 4, seed=3, opts=FOLD_REF_OPTS)[-1]
+    assert np.abs(u - ref).max() <= SCAN_OPTS.rel_tol / 10
+
+
 @pytest.mark.parametrize("preset", ["fds-k1", "fds-k3", "fds-k5"])
 def test_noiseless_scan_keeps_its_tolerance_at_every_grid_point(preset):
     # each grid time was once the end of a chain of segments, each held to
@@ -951,7 +966,9 @@ def test_batched_pipeline_matches_per_amplitude_loop():
 def test_oracle_takes_one_kernel_pass_per_resolution(monkeypatch):
     # the three finite-difference states are members of one evolution: one
     # drive period refined from 198 to 396 substeps, then the remainder from
-    # 14 to 28; one state at a time this took 12 passes of one member
+    # 14 to 28, each in one kernel call whose three rows are the coarse pass
+    # and the two halves; one state at a time this took 12 passes of one
+    # member, and one pass per resolution 4 passes of three
     seen = []
     kernel = propagator._interval_unitary
 
@@ -961,7 +978,7 @@ def test_oracle_takes_one_kernel_pass_per_resolution(monkeypatch):
 
     monkeypatch.setattr(propagator, "_interval_unitary", counted)
     make_preset("robustness-amp").exact_qfi(4.0)
-    assert seen == [(198, 3), (396, 3), (14, 3), (28, 3)]
+    assert seen == [(198, 9), (14, 9)]
 
 
 # ---------------------------------------------------------------- robustness

@@ -59,7 +59,9 @@ from oracles import (
     build_lab_fds,
     build_lab_ods,
     carrier,
+    doubled_unitary,
     h_matrix,
+    quat_reduce_componentwise,
     rabi_population,
     to_signal_rotating,
     to_signal_rotating_full,
@@ -491,6 +493,29 @@ def test_quaternion_kernel_matches_complex_products():
     assert np.array_equal(_quat_exp(np.zeros(3)), [1.0, 0.0, 0.0, 0.0])
 
 
+def test_table_reduce_matches_component_reduce():
+    # one level of products: the exact table product and one einsum against
+    # the component products of _quat_mul.  Each component is a sum of four
+    # products of unit-quaternion entries, so the two summation orders
+    # differ by at most 4 ulp of 1 (measured 0.5)
+    ulp = np.spacing(1.0)
+    rng = np.random.default_rng(12)
+    pairs = _quat_exp(rng.normal(size=(10_000, 2, 3)))
+    assert np.abs(_quat_reduce(pairs) - _quat_mul(pairs[:, 1], pairs[:, 0])).max() <= 4 * ulp
+    # whole reductions, odd counts carried over: the n - 1 products each
+    # differ by at most 4 ulp, and a difference is not amplified by the
+    # unit factors it is multiplied with (measured at most 9.5 ulp)
+    spec = make_preset("robustness-amp").rotating_spec()
+    z = 0.5j * np.array([-1e-4, 0.0, 1e-4])
+    for n in (1, 2, 3, 14, 198, 396):
+        for q in (_quat_exp(rng.normal(size=(16, n, 3))),
+                  _quat_exp(_step_generators(spec, 0.1, 0.2, n, z))):
+            ref = quat_reduce_componentwise(q)
+            assert np.abs(_quat_reduce(q) - ref).max() <= 4 * ulp * max(1, n - 1)
+    q = _quat_exp(rng.normal(size=(2, 3, 5, 3)))  # any leading shape
+    assert np.abs(_quat_reduce(q) - quat_reduce_componentwise(q)).max() <= 16 * ulp
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 640])
 def test_prefix_products_match_sequential_fold(n):
     q = _quat_exp(np.random.default_rng(n).normal(size=(n, 6, 3)))
@@ -652,12 +677,68 @@ def test_non_finite_residual_stops_step_doubling(pass_cap):
     tol = ORACLE_OPTS.rel_tol
     with pytest.raises(PropagationError, match="not a number"):
         _stepped_unitary(spec, 0.0, 1.0, _initial_steps(spec, 1.0, tol), tol, math.nan)
-    assert len(pass_cap) == 2
+    assert len(pass_cap) == 1  # the first round: the coarse pass and both halves
     pass_cap.clear()
     nan_tone = HamiltonianSpec((PauliTerm("z", 1.0), PauliTerm("x", math.nan, 5.0)))
     with pytest.raises(PropagationError, match="not a number"):
         interval_unitary(nan_tone, 0.0, 1.0, ORACLE_OPTS)
-    assert len(pass_cap) == 2
+    assert len(pass_cap) == 1
+
+
+@pytest.mark.parametrize("preset, errors, t0, t1, tol, z", [
+    ("fds-k5", {}, 0.0, FDS_PERIOD, 1e-8 / 146, 0.0),
+    ("robustness-amp", {"amp_error": -0.98}, 0.0, FDS_PERIOD, 1e-8 / 146,
+     0.5j * np.array([-1e-4, 0.0, 1e-4])),
+    ("fds-k5", {}, 0.3, 0.33, 1e-10, 0.0),
+    ("robustness-freq", {"freq_error": 30.0}, 0.1, 0.13, 1e-9,
+     0.5j * np.array([-1e-4, 0.0, 1e-4])),
+    ("dd-on", {}, 1.3, 1.3 + FDS_PERIOD, 1e-10, 0.5 * np.linspace(-1.5, 1.5, 7)),
+    ("dd-off", {}, 0.2, 0.23, 1e-9, np.random.default_rng(5).normal(size=(2, 3))),
+], ids=["period", "period-complex", "direct", "direct-complex", "period-real", "direct-real"])
+def test_split_doubling_matches_whole_pass_doubling(passes, preset, errors, t0, t1, tol, z):
+    # pieces refined from their first pass (one drive period at the oracle's
+    # rel_tol / m, or a direct interval under two periods) under no offset,
+    # the oracle's complex offsets or a scan's real ones.  A round of 2^k
+    # equal parts of n substeps, one kernel call, against the passes of
+    # 2^k n substeps over the whole interval that step doubling once made:
+    # the same substeps, within the piece's tolerance
+    spec = _errored_spec(preset, errors)
+    n = int(_initial_steps(spec, t1 - t0, tol))
+    ref = doubled_unitary(spec, t0, t1, n, tol, z)
+    whole = sum(k * d.size for k, d in passes)
+    passes.clear()
+    u = _stepped_unitary(spec, t0, t1, n, tol, z)
+    assert u.shape == ref.shape == np.shape(z) + (4,)
+    d = _quat_matrix(u) - _quat_matrix(ref)
+    assert 0.0 < np.abs(d).max() < tol
+    # round 1 takes the whole interval and its halves as three rows
+    assert [(k, d.size) for k, d in passes] == [(n, 3), (n, 4), (n, 8)][:len(passes)]
+    assert sum(k * d.size for k, d in passes) == whole
+
+
+def test_deep_refinement_keeps_each_call_within_the_chunk(passes, monkeypatch):
+    # a kernel call holds at most _CHUNK substeps per batch member, as rows x
+    # n, so a deep round takes several calls and multiplies their products;
+    # a first pass above _CHUNK takes one row a call
+    spec = make_preset("fds-k5").rotating_spec()
+    z = 0.5j * np.array([-1e-4, 0.0, 1e-4])
+    tol = 1e-10
+    full = {}
+    for n in (16, 100):
+        passes.clear()
+        full[n] = _stepped_unitary(spec, 0.0, FDS_PERIOD, n, tol, z), len(passes)
+    assert full[16][1] == 4  # rounds 1 to 4: 32 to 256 substeps
+    monkeypatch.setattr(propagator, "_CHUNK", 64)
+    for n in (16, 100):
+        passes.clear()
+        u = _stepped_unitary(spec, 0.0, FDS_PERIOD, n, tol, z)
+        assert all(d.size * k <= 64 or d.size == 1 for k, d in passes)
+        assert len(passes) > full[n][1]
+        npt.assert_allclose(u, full[n][0], rtol=0, atol=1e-14)
+        d = _quat_matrix(u) - _quat_matrix(doubled_unitary(spec, 0.0, FDS_PERIOD, n, tol, z))
+        assert np.abs(d).max() < tol
+    # n = 100 > 64: the coarse pass and each half take a call of their own
+    assert [(k, d.size) for k, d in passes[:3]] == [(100, 1)] * 3
 
 
 @pytest.mark.parametrize(
@@ -898,9 +979,9 @@ def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
     rule = propagator._initial_steps
     calls = []
 
-    def counted(spec, duration, tol):
+    def counted(spec, duration, tol, offset):
         calls.append(np.size(duration))
-        return rule(spec, duration, tol)
+        return rule(spec, duration, tol, offset)
 
     monkeypatch.setattr(propagator, "_initial_steps", counted)
     spec = make_preset("fds-k5").rotating_spec()
@@ -945,15 +1026,17 @@ def test_scan_period_pieces_take_one_substep_count(passes, preset, dd):
         assert scan(replace(sc.drive, omega_F_freq=freq)) == (count, {40})
 
 
-def _scalar_initial_steps(spec, duration, tol):
+def _scalar_initial_steps(spec, duration, tol, offset=0.0):
     """The substep-count rule of ``_initial_steps``, one interval at a time,
-    as it was written before the counts of a scan became one array expression."""
+    as it was written before the counts of a scan became one array
+    expression; the rotation-rate bound, with the largest offset, stands in
+    for the fastest tone where it is larger."""
     f0 = spec.fundamental[0]
     if f0 == 0.0:
         return 1
     tol_period = tol / max(1, int(duration * f0 / TP))
     per_tone = 8.0 * max(1.0, (1e-6 / max(tol_period, 1e-14)) ** (1.0 / 6.0))
-    rate = max(spec.max_frequency() * per_tone, spec.amplitude_scale() * 8.0)
+    rate = max(spec.max_frequency(), spec.amplitude_scale() + offset) * per_tone
     per_period = math.ceil(rate / f0 * (1.0 - propagator._SLACK))
     n = duration * f0 / TP * per_period
     return max(1, math.ceil(n * (1.0 - propagator._SLACK)))
@@ -978,6 +1061,14 @@ def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
     assert np.concatenate([np.full(d.size, n) for n, d in passes]).tolist() == expected
     counts = _initial_steps(spec, durations, tol)
     assert counts.dtype == int and counts.tolist() == expected
+    # offsets of sigma_z x 2^12 at the top of the calibration bracket outrun
+    # the fastest tone, 1,148 rad/us, and take its place
+    big = 3211.0
+    assert spec.max_frequency() < spec.amplitude_scale() + big
+    counts = _initial_steps(spec, durations, tol, big)
+    assert counts.tolist() == [_scalar_initial_steps(spec, d, tol, big)
+                               for d in durations.tolist()]
+    assert np.all(counts >= expected) and counts.max() > max(expected)
     # long direct intervals of a non-periodic lab-frame spec span many periods
     lab = build_lab_fds(make_preset("fds-k5").signal, make_preset("fds-k5").drive)
     lengths = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
