@@ -9,29 +9,27 @@ under the names the command-line interface exposes; one table,
 sorted event list: the scan's grid times merged with the Carr-Purcell pulse
 instants of ``DdConfig.pulse_times``.  The detuning noise is held constant
 over each segment between adjacent events (the correlation time is far
-longer than any segment).  The propagators take one of three routes:
+longer than any segment).  The propagators take one of two routes, by
+the spec:
 
-- A pulse-free noiseless scan (every offset zero; a zero-amplitude ensemble
-  counts) of a constant or periodic spec anchors every event e at t = 0
-  (``_anchors``): U(e, 0) is one exact exponential over [0, e] for a
-  constant spec, and for a periodic one U(r_e, 0) U_T^m_e, from one drive
-  period folded at the offset 0 (``_fold``) and a closed-form power of it.
-  The scan keeps the rel_tol of ``SCAN_OPTS`` however many events it has,
-  its identical realizations share the result, and each grid time reads its
-  population straight from its anchor.
-- A scan with noise or pulses of a periodic spec walks segment factors
-  from the same fold (``_folded_segments``): a constant offset d keeps the
-  spec periodic, so U(b, a; d) = U(r_b, 0; d) U_T(d)^(m_b - m_a)
-  U(r_a, 0; d)^dagger.  The period is folded at the scan's distinct
-  offsets where it has at most K of them (a noiseless scan has one), and
-  otherwise at K Chebyshev nodes in the offset, with K from 8 up, doubled
-  until the series have converged; every member's factors are then
-  interpolated at its own offset.
-- A noisy scan of a constant spec, or one of a time-dependent spec that
-  fails the stroboscopic route's periodicity or round-off rule over the
-  scan, propagates all segments and realizations in one fixed-resolution
-  ``_interval_quaternions`` call over the segment axis (memory bounded by
-  the propagator's block size).
+- A constant spec takes exact exponentials (``propagator._fixed_pieces``):
+  one over [0, e] for each event e of a pulse-free noiseless scan (every
+  offset zero; a zero-amplitude ensemble counts), and otherwise one for
+  each segment and realization.
+- A driven spec is periodic, and a scan of it folds one drive period
+  (``_fold``): every event e is m_e whole periods plus a phase r_e, and
+  U(e, 0) = U(r_e, 0) U_T^m_e.  A pulse-free noiseless scan anchors every
+  event at t = 0 from the period folded at the offset 0 (``_anchors``),
+  its identical realizations share the result, and each grid time reads
+  its population straight from its anchor.  A scan with noise or pulses
+  walks segment factors from the same fold (``_folded_segments``): a
+  constant offset d keeps the spec periodic, so U(b, a; d) =
+  U(r_b, 0; d) U_T(d)^(m_b - m_a) U(r_a, 0; d)^dagger.  The period is
+  folded at the scan's distinct offsets where it has at most K of them (a
+  noiseless scan has one), and otherwise at K Chebyshev nodes in the
+  offset, with K from 8 up, doubled until the series have converged; every
+  member's factors are then interpolated at its own offset.  Either way
+  the scan keeps the rel_tol of ``SCAN_OPTS`` however many events it has.
 
 The walk (``_walk``) has no loop over events: it takes the segment
 quaternions as they are, interleaves the pi pulses (instantaneous rotations
@@ -74,8 +72,7 @@ from .params import (
 )
 from .propagator import (
     PropagatorOptions,
-    _interval_quaternions,
-    _periods,
+    _fixed_pieces,
     _quat_exp,
     _quat_mul,
     _quat_power,
@@ -91,9 +88,9 @@ DD_SIGMA_Z_DEFAULT = 0.7683
 #: default OU correlation time (us)
 DD_TAU_C_DEFAULT = 50.0
 
-# integration settings for noise-ensemble scans: statistical error dominates,
-# so a fixed (non-refined) resolution is used
-SCAN_OPTS = PropagatorOptions(rel_tol=1e-6, adaptive=False)
+# the tolerance of every scan: a folded period is integrated at the fixed
+# resolution of rel_tol / m over the scan's m whole periods
+SCAN_OPTS = PropagatorOptions(rel_tol=1e-6)
 ORACLE_OPTS = PropagatorOptions(rel_tol=1e-8)
 
 
@@ -345,26 +342,25 @@ def _walk(u: np.ndarray, pulses: np.ndarray, is_pulse: np.ndarray,
 
 
 def _fold(spec: HamiltonianSpec, events: np.ndarray, nodes: np.ndarray):
-    """One drive period of a periodic spec, cut at the phases of a scan's
-    events, at K constant offsets: ``(phases, period, whole)``, or None for
-    a spec that fails the periodicity or round-off rule of the stroboscopic
-    route over the scan (``propagator._periods``), a constant one included.
+    """One drive period of a driven spec, cut at the phases of a scan's
+    events, at K constant offsets: ``(phases, period, whole)``.
 
     ``events`` are strictly increasing from 0, and ``nodes`` is the (K,)
-    array of kernel offsets d (d sigma_z added to the spec).  With T the
-    period, every event e is m_e = floor(e/T) whole periods plus the phase
+    array of kernel offsets d (d sigma_z added to the spec).  A driven
+    scenario's spec is exactly periodic: its tones lie at exact multiples
+    of the drive frequency (``build_fds_prime``).  With T the period, every
+    event e is m_e = floor(e/T) whole periods plus the phase
     r_e = e - m_e T, and U(e, 0; d) = U(r_e, 0; d) U_T(d)^m_e.  The period
     [0, T] is cut at the sorted phases, and the pieces take one
-    fixed-resolution ``_interval_quaternions`` call at the period tolerance
-    rel_tol / m_max of the route, with the nodes as its batch axis.  One
-    prefix product of the pieces gives ``phases``, the (E, K, 4) quaternions
+    fixed-resolution pass (``propagator._fixed_pieces``) at the period
+    tolerance rel_tol / m_max, with m_max = max(1, whole periods of the
+    scan), and with the nodes as its batch axis.  A pass has no residual to
+    stall on round-off, so rel_tol / m_max needs no floor here.  One prefix
+    product of the pieces gives ``phases``, the (E, K, 4) quaternions
     U(r_e, 0; d), and its last product is ``period``, the (K, 4) U_T(d);
     ``whole`` is the int array of the m_e.
     """
-    # the refined route's rule, so that rel_tol / m_max stays above round-off
-    m_max = int(_periods(spec, events[-1], PropagatorOptions(SCAN_OPTS.rel_tol)))
-    if m_max == 0:
-        return None
+    m_max = max(1, int(events[-1] * spec.fundamental[0] / TWO_PI))
     period = TWO_PI / spec.fundamental[0]
     whole = np.floor(events / period)
     rest = np.clip(events - whole * period, 0.0, period)  # round-off may leave [0, T]
@@ -372,10 +368,8 @@ def _fold(spec: HamiltonianSpec, events: np.ndarray, nodes: np.ndarray):
     # piece between equal cuts takes the identity
     order = np.argsort(rest, kind="stable")
     cuts = np.append(rest[order], period)
-    pieces = _interval_quaternions(
-        spec, cuts[:-1], cuts[1:], PropagatorOptions(SCAN_OPTS.rel_tol / m_max, adaptive=False),
-        np.broadcast_to(nodes, (events.size, nodes.size)),
-    )
+    pieces = _fixed_pieces(spec, cuts[:-1], cuts[1:], SCAN_OPTS.rel_tol / m_max,
+                           np.broadcast_to(nodes, (events.size, nodes.size)))
     # U(cut, 0) of cuts[1:]; one node takes the (E, 4) layout, on which
     # numpy's per-call cost is about 30% lower than on (E, 1, 4)
     prefix = _quat_prefix(pieces[:, 0])[:, None] if nodes.size == 1 else _quat_prefix(pieces)
@@ -385,25 +379,21 @@ def _fold(spec: HamiltonianSpec, events: np.ndarray, nodes: np.ndarray):
     return phases, prefix[-1], whole.astype(int)
 
 
-def _anchors(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray | None:
+def _anchors(spec: HamiltonianSpec, events: np.ndarray) -> np.ndarray:
     """Quaternions (E, 4) of the propagators U(e, 0) of a noiseless scan from
-    t = 0 to each of its E events; None where ``_fold`` refuses a
-    time-dependent spec.
+    t = 0 to each of its E events.
 
     A constant spec takes one exact exponential over [0, e] per event, in
-    one ``_interval_quaternions`` call (the event at 0 is the zero-length
-    segment [0, 0], the identity).  A periodic one is the one-node fold at
-    offset 0, U(r_e, 0) U_T^m_e, with one closed-form power for every m_e.
-    Either way each event is anchored at t = 0, so the scan's error does not
-    grow with its event count.
+    one ``_fixed_pieces`` pass (the event at 0 is the zero-length piece
+    [0, 0], the identity).  A driven one is the one-node fold at offset 0,
+    U(r_e, 0) U_T^m_e, with one closed-form power for every m_e.  Either way
+    each event is anchored at t = 0, so the scan's error does not grow with
+    its event count.
     """
     if spec.fundamental[0] == 0.0:
-        return _interval_quaternions(spec, np.zeros(events.size), events, SCAN_OPTS,
-                                     np.zeros((events.size, 1)))[:, 0]
-    fold = _fold(spec, events, np.zeros(1))
-    if fold is None:
-        return None
-    phases, period, whole = fold
+        return _fixed_pieces(spec, np.zeros(events.size), events, SCAN_OPTS.rel_tol,
+                             np.zeros((events.size, 1)))[:, 0]
+    phases, period, whole = _fold(spec, events, np.zeros(1))
     return _quat_mul(phases[:, 0], _quat_power(period[0], whole))
 
 
@@ -429,10 +419,10 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _folded_segments(spec: HamiltonianSpec, events: np.ndarray,
-                     offsets: np.ndarray) -> np.ndarray | None:
-    """Quaternions (S, r, 4) of the S segments between the events of a scan,
-    each under the constant kernel offsets ``offsets`` (S, r) of its r
-    members; None where ``_fold`` refuses the spec.
+                     offsets: np.ndarray) -> np.ndarray:
+    """Quaternions (S, r, 4) of the S segments between the events of a scan
+    of a driven spec, each under the constant kernel offsets ``offsets``
+    (S, r) of its r members.
 
     Every segment [a, b] follows from the fold at its member's offset d:
     U(b, a; d) = U(r_b, 0; d) U_T(d)^(m_b - m_a) U(r_a, 0; d)^dagger.  A
@@ -459,10 +449,7 @@ def _folded_segments(spec: HamiltonianSpec, events: np.ndarray,
             mid, half = 0.5 * (values[-1] + values[0]), 0.5 * (values[-1] - values[0])
             angles = math.pi * (np.arange(k) + 0.5) / k
             nodes = mid + half * np.cos(angles)
-        fold = _fold(spec, events, nodes)
-        if fold is None:
-            return None
-        phases, period, whole = fold
+        phases, period, whole = _fold(spec, events, nodes)
         if exact:
             break
         # the last two coefficients c_i = (2/K) sum_j f(d_j) cos(i theta_j)
@@ -529,17 +516,18 @@ def run_scan(
     ``seed``, an integer >= 0, seeds both the noise and the readout streams;
     None is rejected rather than drawing fresh OS entropy.
 
-    Segments are integrated at ``SCAN_OPTS``.  A pulse-free scan whose
-    offsets are all zero, of a constant or periodic spec, anchors each event
-    e at t = 0 (``_anchors``): U(e, 0) is one exact exponential of a constant
-    spec, or U(r_e, 0) U_T^m_e with m_e whole drive periods and remainder
-    r_e, all from one folded period at rel_tol / m_max; each grid time reads
-    its population from its anchor, so the scan stays within rel_tol at
-    every grid time.  A scan with noise or pulses of a periodic spec walks
-    the segment factors U(r_b, 0; d) U_T(d)^(m_b - m_a) U(r_a, 0; d)^dagger
-    of the same fold, taken at K offset nodes and interpolated in the
-    offset d (``_folded_segments``).  Otherwise the segments are propagated
-    one by one, each to rel_tol, in one batched call.
+    Segments are integrated at ``SCAN_OPTS``, by one of two routes.  A
+    constant spec takes exact exponentials: over [0, e] for each event e of
+    a pulse-free scan whose offsets are all zero, and otherwise over each
+    segment of each realization.  A driven spec folds one drive period at
+    rel_tol / m_max: a pulse-free scan whose offsets are all zero anchors
+    each event at t = 0 (``_anchors``), U(e, 0) = U(r_e, 0) U_T^m_e with m_e
+    whole drive periods and remainder r_e, and each grid time reads its
+    population from its anchor, so the scan stays within rel_tol at every
+    grid time; a scan with noise or pulses walks the segment factors
+    U(r_b, 0; d) U_T(d)^(m_b - m_a) U(r_a, 0; d)^dagger of the same fold,
+    taken at K offset nodes and interpolated in the offset d
+    (``_folded_segments``).
     """
     scenario = resolve_scenario(preset)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -572,17 +560,17 @@ def run_scan(
 
     spec = scenario.rotating_spec()
     # the identical realizations of a pulse-free noiseless scan share its anchors
-    anchors = None if offsets.any() or pulses.size else _anchors(spec, events)
-    if anchors is not None:
+    if not (offsets.any() or pulses.size):
+        anchors = _anchors(spec, events)
         # U(e, 0)|0> = (w - iz, y - ix): a grid event reads its own anchor
         w, z = anchors[is_grid, 0], anchors[is_grid, 3]
         p0_real = np.broadcast_to((w * w + z * z)[:, None], (t_grid.size, n_real))
     else:
         z_offsets = 0.5 * offsets.T  # a detuning d adds (d/2) sigma_z
-        u = _folded_segments(spec, events, z_offsets)
-        if u is None:
-            # events are strictly increasing, so every segment has t1 > t0
-            u = _interval_quaternions(spec, events[:-1], events[1:], SCAN_OPTS, z_offsets)
+        if spec.fundamental[0] == 0.0:  # one exact exponential per segment
+            u = _fixed_pieces(spec, events[:-1], events[1:], SCAN_OPTS.rel_tol, z_offsets)
+        else:
+            u = _folded_segments(spec, events, z_offsets)
         p0_real = _walk(u, _pulse_quaternions(scenario, events[is_pulse]), is_pulse, is_grid)
 
     p0_mean = p0_real.mean(axis=1)

@@ -24,7 +24,7 @@ is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
 Everything is vectorized over substeps, with the running product
 accumulated by pairwise reduction (``_quat_reduce``), each level of it one
 exact table product and one ``einsum``.  The scan engine of ``experiments``
-takes the quaternions as they are (``_interval_quaternions``); complex 2x2
+takes the quaternions as they are (``_fixed_pieces``); complex 2x2
 matrices are formed only at the public boundary (``interval_unitary``,
 ``evolve``, ``micromotion_error``).
 
@@ -65,32 +65,25 @@ below zero where t0 + mT rounds past t1 (a backward step).
   since ||A^m - B^m|| <= m ||A - B|| for unitaries, the m-period product
   keeps the rel_tol contract.  Where rel_tol / m would fall below 3e-13,
   which step doubling of one period cannot resolve above round-off, the
-  interval is integrated directly.  Without refinement U_T is one period at
-  rel_tol: n_T substeps, the same for every period piece.
+  interval is integrated directly.
 - The power has a closed form (the Cayley-Klein parameters of SU(2)): with
   U_T = cos(a) I - i sin(a) n.sigma, a = atan2(|v|, w) and n = v/|v|,
   U_T^m = cos(m a) I - i sin(m a) n.sigma.  a and n do not depend on the
   quaternion's norm, so the power is unit to round-off however far U_T has
   drifted off SU(2), and that defect is not multiplied by m.
 
-Segment axis: ``interval_unitary`` also takes arrays of S segment bounds
-with offsets of shape (S, r) and returns the (S, r, 2, 2) stack of
-the S scalar calls, bit for bit; a scalar call is the one-segment case of
-the same route.  The route rule runs as array operations over the segment
-axis (``_periods`` takes an array of durations): every segment, of zero
-length too, becomes pieces, a direct interval or one period and its
-remainder, each with the tolerance it starts at.
-A call in which no segment spans two periods skips the period work.  One
-rule (``_initial_steps``) gives every piece of a call its starting substep
-count, and one pass routine (``_stepped_unitary``) runs them: the pieces
-are grouped by count and each group goes through it in blocks.  With
-refinement a block is one piece, step-doubled to its own tolerance, one
-kernel call a round of at most ``_CHUNK`` substeps per batch member;
-without, a block is a single pass widened to a leading piece axis, of at
-most ``_BLOCK`` substeps x batch members, so a scan's peak memory does not
-grow with its segment count.  The period pieces of a call are then raised
-to their powers m in one ``_quat_power`` call, which takes an array of
-exponents.
+An interval's bounds are scalars, and a call is at most two pieces: one
+period at rel_tol / m and its remainder, or one direct piece.  One rule
+(``_initial_steps``) gives the pieces their starting substep counts, and
+each piece is step-doubled on its own (``_stepped_unitary``).
+
+The scan engine of ``experiments`` also integrates pieces at a fixed
+resolution, with no refinement: the sub-period pieces of one folded drive
+period and the exact exponentials of a constant spec.  ``_fixed_pieces``
+takes P such pieces with offsets of shape (P, r), one pass per piece at the
+starting count of the step rule; the pieces are grouped by count and each
+group runs in blocks of at most ``_BLOCK`` substeps x batch members, so a
+scan's peak memory does not grow with its piece count.
 """
 
 from __future__ import annotations
@@ -106,8 +99,8 @@ from .params import FloquetDriveParams, TWO_PI, _require_finite
 _SQRT15 = math.sqrt(15.0)
 _GAUSS = _SQRT15 / 10.0  # outer Gauss nodes at t_mid -+ _GAUSS h
 _CHUNK = 1 << 16  # substeps per vectorized chunk; bounds peak memory
-# substeps x batch members per pass over a group of segment pieces; larger
-# blocks save little Python overhead and raise the peak memory of a scan
+# substeps x batch members per pass over a group of fixed-resolution pieces;
+# larger blocks save little Python overhead and raise the peak memory of a scan
 _BLOCK = 4096
 # step doubling of one drive period reaches a round-off floor near 1e-13:
 # with the sixth-order substep it stalled for 205 of 840 sampled periods at
@@ -131,14 +124,9 @@ class PropagatorOptions:
 
     rel_tol : float
         Target agreement between successive step-halvings (amplitude scale), > 0.
-    adaptive : bool
-        If False, skip Richardson refinement and integrate at the initial
-        resolution (used for noise-ensemble runs where statistical error
-        dominates).
     """
 
     rel_tol: float = 1e-10
-    adaptive: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < math.inf:  # NaN fails too
@@ -404,23 +392,18 @@ def _initial_steps(spec: HamiltonianSpec, duration, tol, offset: float = 0.0):
     return np.maximum(1, np.ceil(n * (1.0 - _SLACK))).astype(int)
 
 
-def _periods(spec: HamiltonianSpec, duration, opts: PropagatorOptions):
-    """Drive periods m of the stroboscopic route for interval durations.
+def _periods(spec: HamiltonianSpec, duration: float, rel_tol: float) -> int:
+    """Drive periods m of the stroboscopic route for an interval of ``duration``.
 
-    ``duration`` is one interval length or an array of them; m is an int of
-    its shape.  0 where the interval is integrated directly: under two
-    periods, a spec not periodic to within the tolerance budget, or (with
-    refinement) a period tolerance rel_tol / m below the round-off floor.
+    0 where the interval is integrated directly: under two periods, a spec
+    not periodic to within the tolerance budget, or a period tolerance
+    rel_tol / m below the round-off floor.
     """
     f0, defect = spec.fundamental
-    duration = np.asarray(duration, dtype=float)
-    m = (duration * f0 / TWO_PI).astype(int)
-    route = m >= 2
-    if defect:
-        route &= defect * duration <= 1e-3 * opts.rel_tol
-    if opts.adaptive:
-        route &= opts.rel_tol / np.maximum(m, 1) >= _MIN_PERIOD_TOL
-    return (m * route)[()]
+    m = int(duration * f0 / TWO_PI)
+    if m < 2 or defect * duration > 1e-3 * rel_tol or rel_tol / m < _MIN_PERIOD_TOL:
+        return 0
+    return m
 
 
 def _split_pass(spec: HamiltonianSpec, t0: float, t1: float, n: int, parts: int,
@@ -454,27 +437,26 @@ def _split_pass(spec: HamiltonianSpec, t0: float, t1: float, n: int, parts: int,
     return (first, product) if whole else product
 
 
-def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
+def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, n: int, tol: float,
                      z_offsets) -> np.ndarray:
-    """Quaternion propagator over [t0, t1] from a first pass of n substeps.
+    """Quaternion propagator over [t0, t1], from a first pass of n substeps
+    doubled until two resolutions agree to ``tol``.
 
-    With ``tol`` None the first pass is the result.  Otherwise the
-    resolution doubles until two resolutions agree to ``tol``.  Round k
-    splits the interval into 2^k equal parts of n substeps each and takes
-    them as the rows of one kernel call (``_split_pass``), so a round costs
-    one call however fine it is; the first round adds the whole interval at
-    n substeps as a third row, the coarse resolution its two halves are
-    compared with.  The first pass is also final for a constant spec, whose
-    one exponential is exact, and where the first doubling would take a
-    substep below 1e-13 us: there h |H| < 1e-9 even at the 1e4 rad/us of a
-    lab-frame spec, so the sixth-order error is far below round-off.
+    Round k splits the interval into 2^k equal parts of n substeps each and
+    takes them as the rows of one kernel call (``_split_pass``), so a round
+    costs one call however fine it is; the first round adds the whole
+    interval at n substeps as a third row, the coarse resolution its two
+    halves are compared with.  The first pass is final for a constant spec,
+    whose one exponential is exact, and where the first doubling would take
+    a substep below 1e-13 us: there h |H| < 1e-9 even at the 1e4 rad/us of
+    a lab-frame spec, so the sixth-order error is far below round-off.
     Doubling stops with ``PropagationError`` as soon as the residual fails
     to shrink, since below the round-off floor further doublings only cost
     time, and as soon as it is not a number, which no doubling mends.  The
     residual is the largest over the batch members, so they share one
     substep count; the messages name the total substep count of a round.
     """
-    if tol is None or spec.fundamental[0] == 0.0 or (t1 - t0) / (2 * n) < 1e-13:
+    if spec.fundamental[0] == 0.0 or (t1 - t0) / (2 * n) < 1e-13:
         return _interval_unitary(spec, t0, t1, n, z_offsets)
     u_prev, u_next = _split_pass(spec, t0, t1, n, 2, z_offsets, whole=True)
     residual = math.inf
@@ -513,8 +495,8 @@ def _stepped_unitary(spec: HamiltonianSpec, t0, t1, n: int, tol: float | None,
 
 def interval_unitary(
     spec: HamiltonianSpec,
-    t0,
-    t1,
+    t0: float,
+    t1: float,
     opts: PropagatorOptions = PropagatorOptions(),
     z_offsets=None,
 ) -> np.ndarray:
@@ -523,103 +505,71 @@ def interval_unitary(
     A periodic spec over an interval of m >= 2 periods T is propagated
     stroboscopically, U(t0 + mT, t0) = U_T(t0)^m: one period is refined to
     ``opts.rel_tol / m`` and raised to the m-th power in closed form, and
-    only the remainder is integrated directly.  With ``opts.adaptive``
-    off, every piece is a single pass at the initial resolution.  Raises
-    ``PropagationError`` if doubling fails to converge before the substep
-    count becomes unreasonable, and ``ValueError`` for a bound t1 < t0 or a
-    bound or offset that is not finite.
+    only the remainder is integrated directly.  Raises ``PropagationError``
+    if doubling fails to converge before the substep count becomes
+    unreasonable, and ``ValueError`` for array bounds t0 or t1, a bound
+    t1 < t0 or a bound or offset that is not finite.
 
     ``z_offsets`` batches the call over constant offsets by the module's
     broadcasting rule: a real entry d adds d sigma_z to the spec, a complex
-    one Re(d) sigma_z + Im(d) sigma_x.  Arrays of S segment bounds, with
-    ``z_offsets`` of shape (S, r), give the (S, r, 2, 2) stack of the S
-    scalar calls, bit for bit; a scalar call is the one-segment case.
+    one Re(d) sigma_z + Im(d) sigma_x; the result has their shape followed
+    by (2, 2).
     """
     return _quat_matrix(_interval_quaternions(spec, t0, t1, opts, z_offsets))
 
 
 def _interval_quaternions(spec, t0, t1, opts, z_offsets) -> np.ndarray:
     """The quaternions (..., 4) of ``interval_unitary``: its checks, route and bits."""
-    segments = bool(np.ndim(t0) or np.ndim(t1))
-    # each input converted once, and that conversion checked
-    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    if segments:
-        rows = None if z_offsets is None else _as_numbers(z_offsets)
-        if (t0.ndim != 1 or t1.shape != t0.shape or rows is None or rows.ndim != 2
-                or rows.shape[0] != t0.size):
-            raise ValueError("array segment bounds t0, t1 need shape (S,) and "
-                             "z_offsets shape (S, r)")
-    else:
-        t0, t1 = t0.reshape(1), t1.reshape(1)
-        rows = _as_numbers(0.0 if z_offsets is None else z_offsets)[None]
+    if np.ndim(t0) or np.ndim(t1):
+        raise ValueError(
+            f"interval bounds t0 and t1 must be scalars, got shapes {np.shape(t0)} and "
+            f"{np.shape(t1)}; a batch goes in z_offsets")
+    t0, t1 = float(t0), float(t1)
+    offsets = _as_numbers(0.0 if z_offsets is None else z_offsets)
     _require_finite("interval bound t0", t0)
     _require_finite("interval bound t1", t1)
-    _require_finite("z_offsets", rows)
-    # the route rule over the segment axis, as pieces: the heads are each
-    # segment's direct interval or one period, in order, and then come the
-    # remainders [t0 + mT, t1] of the period segments, of any length (a
-    # negative one, from round-off in t0 + mT, is a backward step).  A
-    # refined period piece starts at rel_tol / m, every other piece at rel_tol
-    duration = t1 - t0
-    if (duration < 0.0).any():
-        k = (duration < 0.0).argmax()
-        raise ValueError(f"interval end {t1[k]:g} us precedes its start {t0[k]:g} us")
-    heads, m = t0.size, None
-    seg, start, end = np.arange(heads), t0, t1
-    f0 = spec.fundamental[0]
-    # no period work where no segment spans two periods
-    if f0 and heads and duration.max() * f0 / TWO_PI >= 2.0:
-        m, period = _periods(spec, duration, opts), TWO_PI / f0
-        strobe = m > 0
-        seg = np.concatenate([seg, seg[strobe]])
-        start = np.concatenate([t0, (t0 + m * period)[strobe]])
-        end = np.concatenate([np.where(strobe, t0 + period, t1), t1[strobe]])
-    tol = np.full(seg.size, opts.rel_tol)
-    if m is not None and opts.adaptive:
-        tol[:heads][strobe] = opts.rel_tol / m[strobe]
-    us = _piece_unitaries(spec, start, end, tol, seg, opts, rows)
-    u = us[:heads]
-    if m is not None:  # remainder . U_T^m
-        power = _quat_power(u[strobe], m[strobe].reshape((-1,) + (1,) * (u.ndim - 2)))
-        u[strobe] = _quat_mul(us[heads:], power)
-    return u if segments else u[0]
+    _require_finite("z_offsets", offsets)
+    if t1 < t0:
+        raise ValueError(f"interval end {t1:g} us precedes its start {t0:g} us")
+    tol, offset = opts.rel_tol, float(np.abs(offsets).max(initial=0.0))
+    m = _periods(spec, t1 - t0, tol)
+    if not m:
+        n = int(_initial_steps(spec, t1 - t0, tol, offset))
+        return _stepped_unitary(spec, t0, t1, n, tol, offsets)
+    # one period at rel_tol / m, then the remainder [t0 + mT, t1] of any
+    # length (a negative one, from round-off in t0 + mT, is a backward step)
+    period = TWO_PI / spec.fundamental[0]
+    end, mid = t0 + period, t0 + m * period
+    n_period, n_rest = _initial_steps(
+        spec, np.array([end - t0, t1 - mid]), np.array([tol / m, tol]), offset).tolist()
+    power = _quat_power(_stepped_unitary(spec, t0, end, n_period, tol / m, offsets), m)
+    return _quat_mul(_stepped_unitary(spec, mid, t1, n_rest, tol, offsets), power)
 
 
-def _piece_unitaries(spec, start, end, tol, seg, opts, rows) -> np.ndarray:
-    """Quaternion propagators of the P pieces [start, end], (P, ..., 4).
+def _fixed_pieces(spec: HamiltonianSpec, start: np.ndarray, end: np.ndarray, tol: float,
+                  offsets: np.ndarray) -> np.ndarray:
+    """Quaternions (P, r, 4) of the P pieces [start, end], each in one pass
+    at its starting substep count for ``tol``, under its r offsets (P, r).
 
-    ``rows[seg]`` holds the offsets of a piece, and ``tol`` the tolerance
-    its substep count n starts from; all four are arrays over the pieces.
-    Every piece's n comes from one call of the step rule, with the largest
-    offset magnitude of the call.  The pieces are grouped by n, in the
-    order of each group's first piece, and every block of a group goes
-    through ``_stepped_unitary``.  With ``opts.adaptive`` a block is one
-    piece at its own scalar bounds, refined to its own tolerance.
-    Otherwise it is a single pass over at most ``_BLOCK`` substeps x batch
-    members (at least one piece), whose bounds take a leading piece axis
-    and one unit axis per batch axis of the offsets.
+    Every piece's count comes from one call of the step rule, with the
+    largest offset magnitude.  The pieces are grouped by count, in the order
+    of each group's first piece, and each group goes through the kernel in
+    blocks of at most ``_BLOCK`` substeps x members (at least one piece),
+    whose bounds take a leading piece axis and a unit member axis, so a
+    scan's peak memory does not grow with its piece count.
     """
-    batch = rows.shape[1:]
-    steps = _initial_steps(spec, end - start, tol, float(np.abs(rows).max(initial=0.0)))
-    members = max(1, math.prod(batch))
-    us = np.empty((start.size,) + batch + (4,))
+    _require_finite("z_offsets", offsets)
+    steps = _initial_steps(spec, end - start, tol, float(np.abs(offsets).max(initial=0.0)))
+    members = max(1, offsets.shape[1])
+    us = np.empty(offsets.shape + (4,))
     groups = {}  # piece indices by count, in the order of each count's first piece
     for k, n in enumerate(steps.tolist()):
         groups.setdefault(n, []).append(k)
-    if opts.adaptive:  # Python floats: the messages of a block name its bounds
-        pieces = list(zip(start.tolist(), end.tolist(), tol.tolist(), seg.tolist()))
-    else:
-        unit = (...,) + (None,) * len(batch)
-        start, end = start[unit], end[unit]
+    start, end = start[:, None], end[:, None]
     for n, group in groups.items():
-        if opts.adaptive:  # one piece a block, at its own bounds and tolerance
-            blocks = [(k, *pieces[k]) for k in group]
-        else:  # one pass a block, over a leading piece axis
-            size, group = max(1, _BLOCK // (n * members)), np.array(group)
-            blocks = [(k, start[k], end[k], None, seg[k])
-                      for k in (group[i:i + size] for i in range(0, group.size, size))]
-        for k, t0, t1, refine, segs in blocks:
-            us[k] = _stepped_unitary(spec, t0, t1, n, refine, rows[segs])
+        size, group = max(1, _BLOCK // (n * members)), np.array(group)
+        for k in (group[i:i + size] for i in range(0, group.size, size)):
+            us[k] = _interval_unitary(spec, start[k], end[k], n, offsets[k])
     return us
 
 

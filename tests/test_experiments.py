@@ -39,10 +39,12 @@ from floquet_sensor.params import (
 )
 from floquet_sensor.hamiltonian import PauliTerm, kick_vector
 from floquet_sensor.propagator import (
+    _initial_steps,
     _pauli_exp,
     _quat_matrix,
     _quat_mul,
     _quat_power,
+    _stepped_unitary,
     PropagatorOptions,
     evolve,
     interval_unitary,
@@ -175,9 +177,8 @@ def _ods_spec():
                  id="run_scan"),
     pytest.param(lambda: interval_unitary(_ods_spec(), 0.0, math.nan),
                  "interval bound t1", id="interval_unitary"),
-    pytest.param(lambda: interval_unitary(_ods_spec(), [0.0, -math.inf], [1.0, 2.0],
-                                          z_offsets=np.zeros((2, 1))),
-                 "interval bound t0", id="interval_unitary-segments"),
+    pytest.param(lambda: interval_unitary(_ods_spec(), -math.inf, 1.0, z_offsets=np.zeros(2)),
+                 "interval bound t0", id="interval_unitary-t0"),
     # noise settings once failed only inside a scan, as "z_offsets must be finite"
     pytest.param(lambda: NoiseModel("ornstein-uhlenbeck", math.nan), "sigma_z",
                  id="noise-sigma_z-nan"),
@@ -379,10 +380,9 @@ def _segment_offsets(events, noise, n_real, seed):
     return noise.sample_segments(mids, n_real, rng)
 
 
-def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts=SCAN_OPTS):
-    """One scalar interval_unitary call per event interval at ``opts``, as
-    ``run_scan`` made them for a noisy scan before its segments were batched
-    and then folded.
+def _per_segment_unitaries(preset, t_grid, noise, dd, n_realizations, seed, opts):
+    """One scalar interval_unitary call per event interval, refined to
+    ``opts``: the reference of the segment factors that ``run_scan`` folds.
 
     Returns the scenario, the events, their pulse and grid flags and the
     (S, r, 2, 2) stack of the segment propagators.
@@ -614,6 +614,59 @@ def test_fold_keeps_its_tolerance_at_the_top_of_the_calibration_bracket():
     u = _scan_segments("dd-off", grid, noise, None, 4, seed=3)[-1]
     ref = _per_segment_unitaries("dd-off", grid, noise, None, 4, seed=3, opts=FOLD_REF_OPTS)[-1]
     assert np.abs(u - ref).max() <= SCAN_OPTS.rel_tol / 10
+
+
+def test_scan_shorter_than_two_periods_folds(monkeypatch):
+    # a dd-off scan of 1.8 drive periods, which the fold once refused (it
+    # took its period count from the refined route's rule, m >= 2), so that
+    # its segments took one fixed-resolution pass each, with no error
+    # estimate.  It folds at m_max = 1: the segment factors lie 1.5e-9 from
+    # per-segment calls refined to rel_tol 1e-12 (the passes were 1.4e-9 off)
+    grid = np.round(np.arange(0.005, 0.05 + 1e-9, 0.005), 10)
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT)
+    spec = make_preset("dd-off").rotating_spec()
+    assert grid[-1] * spec.fundamental[0] / TP < 2.0
+    walks = _counted_walks(monkeypatch)
+    scan = run_scan("dd-off", grid, noise=noise, n_realizations=4, seed=3)
+    u = _scan_segments("dd-off", grid, noise, None, 4, seed=3)[-1]
+    npt.assert_array_equal(_quat_matrix(walks[0][0]), u)  # the scan walks the fold
+    reference = _per_segment_unitaries("dd-off", grid, noise, None, 4, seed=3, opts=REF_OPTS)
+    assert np.abs(u - reference[-1]).max() <= SCAN_OPTS.rel_tol / 100
+    p0, _ = _stats(_sequential_walk(*reference))
+    npt.assert_allclose(scan.p0, p0, rtol=0, atol=SCAN_OPTS.rel_tol / 100)
+
+
+def test_scan_past_the_round_off_rule_folds(monkeypatch):
+    # a 3000-fold drive frequency over 40 us: 4.4e6 drive periods, where the
+    # period tolerance rel_tol / m falls below the 3e-13 round-off floor of
+    # the refined route.  The fold once refused such a scan, and its
+    # segments took one fixed-resolution pass each, the first factor 7.4e-11
+    # off a stroboscopic reference.  A fixed-resolution pass has no residual
+    # to stall, so the scan folds, and that factor is 8.8e-16 off
+    sc = make_preset("dd-off")
+    fast = replace(sc, drive=replace(sc.drive, omega_F_freq=3000.0 * sc.drive.omega_F_freq))
+    spec = fast.rotating_spec()
+    period = TP / spec.fundamental[0]
+    grid = np.linspace(0.5, 40.0, 80)
+    assert SCAN_OPTS.rel_tol / int(grid[-1] / period) < propagator._MIN_PERIOD_TOL
+    noise = NoiseModel("ornstein-uhlenbeck", DD_SIGMA_Z_DEFAULT)
+    walks = _counted_walks(monkeypatch)
+    run_scan(fast, grid, noise=noise, n_realizations=3, seed=3)
+    events = _scan_events(grid, None)[0]
+    z = 0.5 * _segment_offsets(events, noise, 3, seed=3).T
+    folded = _folded_segments(spec, events, z)
+    npt.assert_array_equal(walks[0][0], folded)
+    u = _quat_matrix(folded[0])
+    # U(e_1, 0; d) = U(e_1, mT; d) U_T(d)^m, each piece step-doubled to 1e-13
+    # from its count at 1e-14
+    e1 = float(events[1])
+    m, tol = int(e1 * spec.fundamental[0] / TP), 1e-13
+    for d, ud in zip(z[0].tolist(), u):
+        n_period = int(_initial_steps(spec, period, 1e-14, abs(d)))
+        power = _quat_power(_stepped_unitary(spec, 0.0, period, n_period, tol, d), m)
+        n_rest = int(_initial_steps(spec, e1 - m * period, 1e-14, abs(d)))
+        rest = _stepped_unitary(spec, m * period, e1, n_rest, tol, d)
+        assert np.abs(_quat_matrix(_quat_mul(rest, power)) - ud).max() <= 1e-14
 
 
 @pytest.mark.parametrize("preset", ["fds-k1", "fds-k3", "fds-k5"])

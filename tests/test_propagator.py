@@ -34,6 +34,7 @@ from floquet_sensor.params import (
 )
 from floquet_sensor import propagator
 from floquet_sensor.propagator import (
+    _fixed_pieces,
     _interval_quaternions,
     _interval_unitary,
     _initial_steps,
@@ -210,15 +211,13 @@ def test_step_doubling_stall_fails_fast():
 
 
 def test_stalled_segment_named_by_its_bounds():
-    # a refined call over segment bounds, with a batch of offsets per
-    # segment, refines each piece on its own, and a piece that stalls names
-    # its segment's bounds as numbers
+    # a refined interval with a batch of offsets that stalls names its
+    # bounds as numbers
     spec = make_preset("fds-k5").rotating_spec()
     period = TP / spec.fundamental[0]
-    t0, t1 = np.array([0.2, 0.5]), np.array([0.2, 0.5 + period])  # the first does not move
-    z = np.random.default_rng(9).normal(scale=0.1, size=(2, 3))
-    with pytest.raises(PropagationError,
-                       match=re.escape(f"stalled on [{t0[1]:g}, {t1[1]:g}] us")):
+    t0, t1 = 0.5, 0.5 + period
+    z = np.random.default_rng(9).normal(scale=0.1, size=3)
+    with pytest.raises(PropagationError, match=re.escape(f"stalled on [{t0:g}, {t1:g}] us")):
         interval_unitary(spec, t0, t1, PropagatorOptions(rel_tol=1e-17), z_offsets=z)
 
 
@@ -228,35 +227,33 @@ def _unitarity_defect(u):
     return np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(2)))
 
 
-def _direct(spec, t0, t1, opts, tol, z=0.0):
-    """Direct quaternion propagator of one interval: step doubling, or one fixed pass."""
-    if opts.adaptive:
-        return _stepped_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, tol), tol, z)
-    return _interval_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, opts.rel_tol), z)
+def _direct(spec, t0, t1, tol, z=0.0):
+    """Direct quaternion propagator of one interval, step-doubled to ``tol``."""
+    return _stepped_unitary(spec, t0, t1, _initial_steps(spec, t1 - t0, tol), tol, z)
 
 
-def _scalar_periods(spec, duration, opts):
-    """The period rule of the route for one interval, in Python scalars, as
-    it was written before the rule ran over the segment axis."""
+def _scalar_periods(spec, duration, rel_tol):
+    """The period rule of the route for one interval, written out as the
+    reference of ``propagator._periods``."""
     f0, defect = spec.fundamental
     m = int(duration * f0 / TP)
-    if (m < 2 or defect * duration > 1e-3 * opts.rel_tol
-            or (opts.adaptive and opts.rel_tol / m < propagator._MIN_PERIOD_TOL)):
+    if (m < 2 or defect * duration > 1e-3 * rel_tol
+            or rel_tol / m < propagator._MIN_PERIOD_TOL):
         return 0
     return m
 
 
 def _scalar_route(spec, t0, t1, opts, z=0.0):
     """Reference: the stroboscopic route written out for one scalar interval."""
-    m = _scalar_periods(spec, t1 - t0, opts)
+    m = _scalar_periods(spec, t1 - t0, opts.rel_tol)
     if m == 0:
-        return _quat_matrix(_direct(spec, t0, t1, opts, opts.rel_tol, z))
+        return _quat_matrix(_direct(spec, t0, t1, opts.rel_tol, z))
     period = TWO_PI / spec.fundamental[0]
     t_mid = t0 + m * period
-    u_period = _direct(spec, t0, t0 + period, opts, opts.rel_tol / m, z)
+    u_period = _direct(spec, t0, t0 + period, opts.rel_tol / m, z)
     u = _quat_power(u_period, m)
     # the remainder is integrated whatever its length, round-off included
-    u = _quat_mul(_direct(spec, t_mid, t1, opts, opts.rel_tol, z), u)
+    u = _quat_mul(_direct(spec, t_mid, t1, opts.rel_tol, z), u)
     return _quat_matrix(u)
 
 
@@ -292,7 +289,7 @@ def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
     # the reference bit for bit, not to a tolerance
     spec = _errored_spec(preset, errors)
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
-    assert propagator._periods(spec, t1 - t0, opts) >= 2
+    assert propagator._periods(spec, t1 - t0, opts.rel_tol) >= 2
     u = _public_matrices(spec, t0, t1, opts, z)
     assert u.shape == (batch,) * bool(batch) + (2, 2)
     assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, 0.0 if z is None else z))
@@ -359,11 +356,11 @@ def _fourth_order_generators(spec, t0, t1, n, z_offsets=None):
     return 0.5 * h * (p1 + p2) + (math.sqrt(3.0) * h * h / 6.0) * np.cross(p2, p1)
 
 
-def _complex_direct(spec, t0, t1, opts, tol, z=None):
-    """Complex direct propagator: step doubling, or one fixed pass."""
-    n = _initial_steps(spec, t1 - t0, tol if opts.adaptive else opts.rel_tol)
+def _complex_direct(spec, t0, t1, tol, z=None):
+    """Complex direct propagator, step-doubled to ``tol``."""
+    n = _initial_steps(spec, t1 - t0, tol)
     u = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
-    if not opts.adaptive or spec.max_frequency() == 0.0:  # one exact exponential
+    if spec.max_frequency() == 0.0:  # one exact exponential
         return u
     for _ in range(24):
         n *= 2
@@ -376,15 +373,15 @@ def _complex_direct(spec, t0, t1, opts, tol, z=None):
 
 def _complex_route(spec, t0, t1, opts, z=None):
     """The route rule of ``_scalar_route`` on the complex path."""
-    m = propagator._periods(spec, t1 - t0, opts)
+    m = propagator._periods(spec, t1 - t0, opts.rel_tol)
     if m == 0:
-        return _complex_direct(spec, t0, t1, opts, opts.rel_tol, z)
+        return _complex_direct(spec, t0, t1, opts.rel_tol, z)
     period = TWO_PI / spec.fundamental[0]
     t_mid = t0 + m * period
-    u_period = _complex_direct(spec, t0, t0 + period, opts, opts.rel_tol / m, z)
+    u_period = _complex_direct(spec, t0, t0 + period, opts.rel_tol / m, z)
     u = np.linalg.matrix_power(_su2_project(u_period), m)
     if t1 - t_mid > 16.0 * math.ulp(t1):
-        u = _complex_direct(spec, t_mid, t1, opts, opts.rel_tol, z) @ u
+        u = _complex_direct(spec, t_mid, t1, opts.rel_tol, z) @ u
     return u
 
 
@@ -403,19 +400,6 @@ def test_route_matches_complex_composition(preset, errors, t0, t1, opts, batch):
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
     u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
     npt.assert_allclose(u, _complex_route(spec, t0, t1, opts, z), rtol=0, atol=1e-13)
-
-
-def test_segment_route_matches_complex_composition():
-    spec = make_preset("dd-on").rotating_spec()
-    period = TP / spec.fundamental[0]
-    t0 = np.array([0.0, 0.3, 1.3, 2.0, 2.5])
-    t1 = t0 + np.array([3 * period, 2.4 * period, 0.5, 5.5 * period, 0.0])
-    z = np.random.default_rng(8).normal(size=(t0.size, 3))
-    u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
-    ref = np.stack([_complex_route(spec, a, b, SCAN_OPTS, zz) if b > a
-                    else np.broadcast_to(np.eye(2), (3, 2, 2))
-                    for a, b, zz in zip(t0, t1, z)])
-    npt.assert_allclose(u, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -459,18 +443,23 @@ def test_constant_spec_takes_one_exact_exponential(passes):
         u = interval_unitary(spec, t0, t1, opts)
         assert [(n, d.size) for n, d in passes] == [(1, 1)]  # no step doubling
         npt.assert_allclose(u, ref, rtol=0, atol=1e-15)
-    # sigma_z offsets, and the segment axis: one substep per segment, in one
-    # pass per segment with refinement and one pass for both without
+    # sigma_z offsets: one substep per interval, refined or not, and the
+    # fixed-resolution pass takes both intervals in one kernel call
+    bounds = [(t0, t1), (0.5, 2.5)]
     z = np.array([[-0.7, 0.0, 0.9], [0.3, 0.5, -1.1]])
-    for opts, expected in ((ORACLE_OPTS, [(1, 1), (1, 1)]), (SCAN_OPTS, [(1, 2)])):
+    for opts in (ORACLE_OPTS, SCAN_OPTS):
         passes.clear()
-        u = interval_unitary(spec, np.array([t0, 0.5]), np.array([t1, 2.5]), opts,
-                             z_offsets=z)
-        assert [(n, d.size) for n, d in passes] == expected
-    for (a, b), row, us in zip([(t0, t1), (0.5, 2.5)], z, u):
-        for off, ui in zip(row, us):
+        u = [interval_unitary(spec, a, b, opts, z_offsets=row) for (a, b), row in zip(bounds, z)]
+        assert [(n, d.size) for n, d in passes] == [(1, 1), (1, 1)]
+    passes.clear()
+    fixed = _quat_matrix(_fixed_pieces(spec, np.array([t0, 0.5]), np.array([t1, 2.5]),
+                                       SCAN_OPTS.rel_tol, z))
+    assert [(n, d.size) for n, d in passes] == [(1, 2)]
+    for (a, b), row, us, fs in zip(bounds, z, u, fixed):
+        for off, ui, fi in zip(row, us, fs):
             shifted = h_matrix(spec, 0.0) + off * SIGMA_Z
             npt.assert_allclose(ui, expm(-1j * (b - a) * shifted), rtol=0, atol=1e-15)
+            npt.assert_allclose(fi, expm(-1j * (b - a) * shifted), rtol=0, atol=1e-15)
     # the closed-form Rabi population of the undriven sensor
     sc = make_preset("ods-detuned")
     amp, delta = sc.signal.omega_s_amp, sc.signal.delta
@@ -660,15 +649,17 @@ def pass_cap(monkeypatch):
                          ids=["nan", "inf", "complex-nan"])
 def test_non_finite_offsets_rejected(pass_cap, opts, offsets):
     # a NaN offset once made every residual NaN, which neither converged nor
-    # stalled, so step doubling ran on towards 2^24 times the substeps; without
-    # refinement it returned NaN propagators
+    # stalled, so step doubling ran on towards 2^24 times the substeps; a
+    # fixed-resolution pass returned NaN propagators
     spec = make_preset("fds-k5").rotating_spec()
     with pytest.raises(ValueError, match="^z_offsets must be finite"):
         interval_unitary(spec, 0.0, 1.0, opts, offsets)
     rows = np.zeros((2, 2), dtype=np.asarray(offsets).dtype)
     rows[1] = offsets
     with pytest.raises(ValueError, match="^z_offsets must be finite"):
-        interval_unitary(spec, [0.0, 0.5], [0.5, 1.0], opts, z_offsets=rows)
+        interval_unitary(spec, 0.0, 1.0, opts, z_offsets=rows)
+    with pytest.raises(ValueError, match="^z_offsets must be finite"):
+        _fixed_pieces(spec, np.array([0.0, 0.5]), np.array([0.5, 1.0]), opts.rel_tol, rows)
     assert pass_cap == []
 
 
@@ -767,7 +758,7 @@ def test_stroboscopic_route_batched_dd_segment():
     z = 0.5 * np.linspace(-1.5, 1.5, 7)
     t0, t1 = 1.3, 1.8  # about 18 drive periods between two pi pulses
     u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
-    direct = _quat_matrix(_direct(spec, t0, t1, SCAN_OPTS, SCAN_OPTS.rel_tol, z))
+    direct = _quat_matrix(_direct(spec, t0, t1, SCAN_OPTS.rel_tol, z))
     assert u.shape == (7, 2, 2)
     assert np.max(np.abs(u - direct)) <= SCAN_OPTS.rel_tol
     for i, off in enumerate(z):
@@ -831,7 +822,7 @@ def test_negative_round_off_remainder_steps_back():
     t1 = float(np.nextafter(t0 + 7 * period, -math.inf))
     assert t0 + 7 * period > t1
     for opts in (PropagatorOptions(rel_tol=1e-9), SCAN_OPTS):
-        assert propagator._periods(spec, t1 - t0, opts) == 7
+        assert propagator._periods(spec, t1 - t0, opts.rel_tol) == 7
         u = _public_matrices(spec, t0, t1, opts, None)
         assert np.array_equal(u, _scalar_route(spec, t0, t1, opts))
 
@@ -864,25 +855,23 @@ def test_sub_floor_remainder_in_exact_qfi():
     assert sc.exact_qfi(t + 5e-14).value == pytest.approx(sc.exact_qfi(t).value, rel=1e-6)
 
 
-# ------------------------------------------------------------- segment axis
+# ------------------------------------------------------- fixed-resolution pass
 
 RABI_EVENTS = np.concatenate([[0.0], np.round(np.arange(0.02, 6.0 + 1e-9, 0.02), 10)])
 
 
-def _scalar_calls(spec, t0, t1, z, opts=SCAN_OPTS):
-    return np.stack([interval_unitary(spec, a, b, opts, z_offsets=zz)
-                     for a, b, zz in zip(t0, t1, z)])
-
-
-def _assert_segments_match_scalar_calls(spec, t0, t1, z):
-    u = interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
-    assert u.shape == (len(t0), z.shape[1], 2, 2)
-    npt.assert_array_equal(u, _scalar_calls(spec, t0, t1, z))
+def _lone_passes(spec, t0, t1, tol, z):
+    """One scalar kernel pass per piece, each at the count of the
+    one-interval rule for the call's largest offset magnitude."""
+    offset = float(np.abs(z).max(initial=0.0))
+    return np.stack([
+        _interval_unitary(spec, a, b, _scalar_initial_steps(spec, b - a, tol, offset), zz)
+        for a, b, zz in zip(t0.tolist(), t1.tolist(), z)])
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """(substeps, piece durations) of every fixed-resolution pass, in call order."""
+    """(substeps, piece durations) of every kernel pass, in call order."""
     seen = []
     kernel = propagator._interval_unitary
 
@@ -896,38 +885,24 @@ def passes(monkeypatch):
 
 @pytest.mark.parametrize("preset", ["fds-k5", "ods-resonant", "ods-detuned"])
 def test_segments_match_scalar_calls_direct_route(preset):
-    # the rabi command's default grid: sub-period segments of the driven
-    # preset, and the constant specs of the undriven ones
+    # the fixed-resolution pass over the segments of the rabi command's
+    # default grid: sub-period segments of the driven preset, and the
+    # constant specs of the undriven ones.  Its blocks of pieces are the
+    # one-piece passes, bit for bit
     spec = make_preset(preset).rotating_spec()
     t0, t1 = RABI_EVENTS[:-1], RABI_EVENTS[1:]
-    assert not any(propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0)
-    _assert_segments_match_scalar_calls(spec, t0, t1, np.zeros((t0.size, 1)))
-
-
-def test_segments_match_scalar_calls_stroboscopic_route():
-    spec = make_preset("dd-on").rotating_spec()
-    period = TP / spec.fundamental[0]
-    t0 = np.array([0.0, 0.0, 0.3, 1.3, 1.3, 2.0, 2.5, 7.0])
-    t1 = t0 + np.array([3 * period, 0.5, 2.4 * period, 0.5, 0.2 * period,
-                        5.5 * period, 0.0, 0.5])
-    m = {propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0}
-    assert m == {0, 2, 3, 5, 18}
-    # t0 = 0 plus three periods lands on t1 exactly: a zero-length remainder
-    assert 0.0 + 3 * period == t1[0]
-    z = np.random.default_rng(4).normal(size=(t0.size, 3))
-    _assert_segments_match_scalar_calls(spec, t0, t1, z)
-    npt.assert_array_equal(
-        interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)[6],
-        np.broadcast_to(np.eye(2), (3, 2, 2)),
-    )
+    z = np.random.default_rng(3).normal(size=(t0.size, 2))
+    u = _fixed_pieces(spec, t0, t1, SCAN_OPTS.rel_tol, z)
+    assert u.shape == (t0.size, 2, 4)
+    npt.assert_array_equal(u, _lone_passes(spec, t0, t1, SCAN_OPTS.rel_tol, z))
 
 
 @pytest.mark.parametrize("opts", [SCAN_OPTS, PropagatorOptions(rel_tol=1e-9)],
-                         ids=["fixed", "refined"])
-def test_array_route_matches_scalar_reference(opts):
-    # one call over every kind of segment: zero-length, direct (under two
-    # periods), and period pieces with a remainder, a zero-length one (t0 + mT
-    # lands on t1) and a round-off one (t1 three ulp past t0 + mT)
+                         ids=["scan", "refined"])
+def test_route_matches_scalar_reference_on_every_interval_kind(opts):
+    # every kind of interval: zero-length, direct (under two periods), and
+    # period pieces with a remainder, a zero-length one (t0 + mT lands on t1)
+    # and a round-off one (t1 three ulp past t0 + mT)
     spec = make_preset("dd-on").rotating_spec()
     period = TP / spec.fundamental[0]
     t0 = np.array([0.0, 0.3, 1.3, 0.0, 2.0, 4.1, 1.0, 7.0, 2.5])
@@ -937,45 +912,44 @@ def test_array_route_matches_scalar_reference(opts):
     for _ in range(3):
         t1[6] = np.nextafter(t1[6], math.inf)
     assert 0.0 + 3 * period == t1[3]
-    m = [_scalar_periods(spec, d, opts) for d in (t1 - t0).tolist()]
+    m = [_scalar_periods(spec, d, opts.rel_tol) for d in (t1 - t0).tolist()]
     assert m == [0, 0, 0, 3, 5, 0, 4, 18, 2]
     z = np.random.default_rng(7).normal(size=(t0.size, 2))
     identity = np.broadcast_to(np.eye(2), (2, 2, 2))
-    expected = np.stack([identity if a == b else _scalar_route(spec, a, b, opts, zz)
-                         for a, b, zz in zip(t0.tolist(), t1.tolist(), z)])
-    assert np.array_equal(_public_matrices(spec, t0, t1, opts, z), expected)
-    # the rule over an array of durations is the scalar rule, lab-frame
-    # specs (which miss periodicity by a defect) and round-off floor included
+    for a, b, zz in zip(t0.tolist(), t1.tolist(), z):
+        expected = identity if a == b else _scalar_route(spec, a, b, opts, zz)
+        assert np.array_equal(_public_matrices(spec, a, b, opts, zz), expected)
+    # the route's rule is the reference rule, lab-frame specs (which miss
+    # periodicity by a defect) and round-off floor included
     lab = build_lab_fds(make_preset("fds-k5").signal, make_preset("fds-k5").drive)
-    durations = np.concatenate([t1 - t0, [1e-3, 0.05, 4.0, 160.0, 1e4, 1e5]])
+    durations = np.concatenate([t1 - t0, [1e-3, 0.05, 4.0, 160.0, 1e4, 1e5]]).tolist()
     for rule_spec in (spec, lab):
-        for rule_opts in (opts, PropagatorOptions(rel_tol=1e-12)):
-            assert propagator._periods(rule_spec, durations, rule_opts).tolist() == [
-                _scalar_periods(rule_spec, d, rule_opts) for d in durations.tolist()]
+        for rel_tol in (opts.rel_tol, 1e-12):
+            assert [propagator._periods(rule_spec, d, rel_tol) for d in durations] == [
+                _scalar_periods(rule_spec, d, rel_tol) for d in durations]
 
 
 def test_segments_split_into_blocks(passes):
     spec = make_preset("fds-k5").rotating_spec()
     t0, t1 = RABI_EVENTS[:-1], RABI_EVENTS[1:]
     z = np.random.default_rng(5).normal(size=(t0.size, 3))
-    expected = _scalar_calls(spec, t0, t1, z)
+    tol = SCAN_OPTS.rel_tol
+    expected = _lone_passes(spec, t0, t1, tol, z)
     passes.clear()
-    npt.assert_array_equal(
-        interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z), expected
-    )
+    npt.assert_array_equal(_fixed_pieces(spec, t0, t1, tol, z), expected)
     # every pass stays within the block budget, a group spans several passes,
-    # and the substeps are those of the scalar calls
+    # and the substeps are those of the one-piece passes
     assert all(n * d.size * 3 <= propagator._BLOCK for n, d in passes)
     assert len(passes) > len({n for n, _ in passes})
+    offset = float(np.abs(z).max())
     assert sum(n * d.size for n, d in passes) == sum(
-        propagator._initial_steps(spec, d, SCAN_OPTS.rel_tol) for d in t1 - t0
-    )
+        _scalar_initial_steps(spec, d, tol, offset) for d in (t1 - t0).tolist())
 
 
 def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
-    # every piece of a call takes its starting count from one call of the
-    # step rule, refined or not, and the groups of equal counts run in the
-    # order of their first piece
+    # the pieces of a refined call, and those of a fixed-resolution pass,
+    # take their starting counts from one call of the step rule, and the
+    # groups of equal counts of a pass run in the order of their first piece
     rule = propagator._initial_steps
     calls = []
 
@@ -990,9 +964,8 @@ def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
     calls.clear()
     passes.clear()
     t0 = np.array([0.0, 0.1, 0.2, 0.3])
-    t1 = t0 + np.array([0.04, 0.01, 0.04, 0.02])  # direct pieces, under two periods
-    assert not any(propagator._periods(spec, d, SCAN_OPTS) for d in t1 - t0)
-    interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=np.zeros((t0.size, 2)))
+    t1 = t0 + np.array([0.04, 0.01, 0.04, 0.02])
+    _fixed_pieces(spec, t0, t1, SCAN_OPTS.rel_tol, np.zeros((t0.size, 2)))
     assert calls == [t0.size]
     counts = [int(rule(spec, d, SCAN_OPTS.rel_tol)) for d in t1 - t0]
     assert counts[0] > counts[3] > counts[1]
@@ -1000,30 +973,26 @@ def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
 
 
 @pytest.mark.parametrize("preset, dd", [("dd-off", None), ("dd-on", DdConfig())])
-def test_scan_period_pieces_take_one_substep_count(passes, preset, dd):
-    # the segments of the default dd scans, each under its own offsets, at
-    # SCAN_OPTS: the route of a scan whose spec does not fold.  Counts were
-    # once rounded up from the length of each period piece, ceil(200 +- 1e-11),
-    # which split the pieces into 200- and 201-substep passes, and a one-ulp
-    # change of omega_F moved pieces between the two
+def test_scan_period_pieces_take_one_substep_count(preset, dd):
+    # one drive period from each event of the default dd scans, the period
+    # piece of the stroboscopic route, at the scan tolerance.  Counts were
+    # once rounded up from the length of each period piece,
+    # ceil(200 +- 1e-11), which split the pieces into 200- and 201-substep
+    # passes, and a one-ulp change of omega_F moved pieces between the two
     sc = make_preset(preset)
     grid = default_dd_grid(dd is not None)
     pulses = dd.pulse_times(grid[-1]) if dd is not None else np.empty(0)
     events = np.unique(np.concatenate([[0.0], grid, pulses]))
-    z = np.random.default_rng(0).normal(scale=0.35, size=(events.size - 1, 2))
 
-    def scan(drive):
-        passes.clear()
+    def counts(drive):
         spec = replace(sc, drive=drive).rotating_spec()
-        interval_unitary(spec, events[:-1], events[1:], SCAN_OPTS, z_offsets=z)
         period = TP / spec.fundamental[0]
-        return len(passes), {n for n, d in passes if np.any(np.abs(d - period) < 1e-9)}
+        return set(_initial_steps(spec, (events + period) - events, SCAN_OPTS.rel_tol).tolist())
 
-    count, period_steps = scan(sc.drive)
-    assert period_steps == {40}  # 8 substeps per period of the fifth tone
+    assert counts(sc.drive) == {40}  # 8 substeps per period of the fifth tone
     for step in (math.inf, -math.inf):
         freq = np.nextafter(sc.drive.omega_F_freq, step)
-        assert scan(replace(sc.drive, omega_F_freq=freq)) == (count, {40})
+        assert counts(replace(sc.drive, omega_F_freq=freq)) == {40}
 
 
 def _scalar_initial_steps(spec, duration, tol, offset=0.0):
@@ -1050,13 +1019,15 @@ def _scalar_initial_steps(spec, duration, tol, offset=0.0):
 def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
     # every piece of the default dd scans and of the rabi command's fds-k5
     # scan takes the count of the one-interval rule, bit for bit.  Each scan,
-    # noisy or not, integrates the pieces of one folded drive period, at the
-    # period tolerance rel_tol / m of its whole periods m
+    # noisy or not, integrates the pieces of one folded drive period in one
+    # fixed-resolution pass, at the period tolerance rel_tol / m of its
+    # whole periods m
     spec = make_preset(preset).rotating_spec()
     noise = NoiseModel("ornstein-uhlenbeck", 0.7) if preset != "fds-k5" else None
-    tol = SCAN_OPTS.rel_tol / propagator._periods(spec, grid[-1], SCAN_OPTS)
+    tol = SCAN_OPTS.rel_tol / int(grid[-1] * spec.fundamental[0] / TP)
     run_scan(preset, grid, noise=noise, dd=dd, n_realizations=2, seed=0)
     durations = np.concatenate([d for _, d in passes])
+    assert durations.sum() == pytest.approx(TP / spec.fundamental[0], rel=1e-12)
     expected = [_scalar_initial_steps(spec, d, tol) for d in durations.tolist()]
     assert np.concatenate([np.full(d.size, n) for n, d in passes]).tolist() == expected
     counts = _initial_steps(spec, durations, tol)
@@ -1077,35 +1048,33 @@ def test_scan_piece_counts_follow_the_scalar_rule(passes, preset, dd, grid):
     assert _initial_steps(lab, 2.5, 1e-8) == _scalar_initial_steps(lab, 2.5, 1e-8)
 
 
-def test_segments_validate_options_and_shapes():
+def test_array_bounds_refused_naming_t0_and_t1():
+    # arrays of segment bounds once took a route of their own, which only
+    # tests used; they are refused before any work, by name
     spec = make_preset("dd-on").rotating_spec()
-    t0, t1 = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    # with refinement, each piece is step-doubled on its own
-    z = np.random.default_rng(6).normal(size=(2, 2))
-    npt.assert_array_equal(interval_unitary(spec, t0, t1, ORACLE_OPTS, z_offsets=z),
-                           _scalar_calls(spec, t0, t1, z, ORACLE_OPTS))
-    for z in (None, np.zeros(2), np.zeros((3, 1))):
-        with pytest.raises(ValueError, match=r"shape \(S, r\)"):
-            interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z)
-    assert interval_unitary(
-        spec, t0[:0], t1[:0], SCAN_OPTS, z_offsets=np.zeros((0, 2))
-    ).shape == (0, 2, 2, 2)
+    z = np.random.default_rng(6).normal(size=(2, 3))
+    for t0, t1 in ((np.array([0.0, 0.5]), np.array([0.5, 1.0])), ([0.0], 1.0),
+                   (0.0, np.array([1.0])), (np.zeros((1, 1)), 1.0)):
+        with pytest.raises(ValueError, match=r"^interval bounds t0 and t1 must be scalars"):
+            interval_unitary(spec, t0, t1, SCAN_OPTS, z_offsets=z[:, :1])
+    # scalar bounds with a batch of offsets, as Scenario.states passes them;
+    # numpy scalars and 0-d arrays are scalar bounds
+    u = interval_unitary(spec, 0.0, 0.5, ORACLE_OPTS, z_offsets=z)
+    assert u.shape == (2, 3, 2, 2)
+    npt.assert_array_equal(u, interval_unitary(spec, np.float64(0.0), np.array(0.5),
+                                               ORACLE_OPTS, z_offsets=z))
+    for row, ur in zip(z, u):  # each row refined on its own, to the tolerance
+        npt.assert_allclose(ur, interval_unitary(spec, 0.0, 0.5, ORACLE_OPTS, row),
+                            rtol=0, atol=ORACLE_OPTS.rel_tol)
 
 
 def test_reversed_bounds_rejected():
     spec = make_preset("fds-k5").rotating_spec()
     for opts in (ORACLE_OPTS, SCAN_OPTS):
-        with pytest.raises(ValueError, match="precedes its start"):
+        with pytest.raises(ValueError, match=r"^interval end 0\.5 us precedes its start 1 us$"):
             interval_unitary(spec, 1.0, 0.5, opts)
-        with pytest.raises(ValueError, match="precedes its start"):
-            interval_unitary(spec, np.array([0.0, 1.0]), np.array([0.5, 0.5]), opts,
-                             z_offsets=np.zeros((2, 1)))
-        # a zero-length segment is not reversed; the first reversed one is named
-        with pytest.raises(ValueError,
-                           match=r"^interval end 0\.75 us precedes its start 1 us$"):
-            interval_unitary(spec, np.array([0.0, 2.0, 1.0, 3.0]),
-                             np.array([0.5, 2.0, 0.75, 2.5]), opts,
-                             z_offsets=np.zeros((4, 1)))
+        # a zero-length interval is not reversed
+        npt.assert_array_equal(interval_unitary(spec, 2.0, 2.0, opts), np.eye(2))
 
 
 # ----------------------------------------------------------- closed forms
