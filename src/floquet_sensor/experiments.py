@@ -626,6 +626,12 @@ _RANK_TOL = 1e-12
 _FTOL = 1e-13
 
 
+# the Pauli matrices sigma_z and sigma_x, which build the derivative
+# coefficients c sigma_z + s sigma_x of the basis columns
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 def _decay_projection(times, values, t2, w):
     """Variable projection of the decaying-cosine model at B points (T2, w).
 
@@ -635,55 +641,63 @@ def _decay_projection(times, values, t2, w):
     reorthogonalized once; a column dependent on the earlier ones to within
     ``_RANK_TOL`` is dropped and takes the coefficient 0.  Returns the
     residuals y - Phi beta (B, N), the coefficients (B, 3) and the
-    Golub-Pereyra Jacobian of the residuals along log T2 and w, two (B, N)
-    arrays: J_k = -(P D_k beta + pinv(Phi)^T D_k^T r), with D_k the
-    derivative of the basis and P the projector off its span.
+    Golub-Pereyra Jacobian (B, 2, N) of the residuals along log T2 and w:
+    J_k = -(P D_k beta + pinv(Phi)^T D_k^T r), with D_k the derivative of
+    the basis and P the projector off its span.  Both directions k are
+    rows of the same matrix products.
     """
     decay = np.exp(-times / t2)
     wt = w * times
-    ec, es = decay * np.cos(wt), decay * np.sin(wt)
-    mean_c, mean_s = ec.mean(axis=1, keepdims=True), es.mean(axis=1, keepdims=True)
-    q2, q3 = ec - mean_c, es - mean_s  # orthogonal to the constant column
+    cols = np.empty(decay.shape[:1] + (2,) + decay.shape[1:])  # (e cos wt, e sin wt)
+    np.multiply(decay, np.cos(wt), out=cols[:, 0])
+    np.multiply(decay, np.sin(wt), out=cols[:, 1])
+    avg = np.full(times.size, 1.0 / times.size)  # a row mean is a product with it
+    means = (cols @ avg)[:, :, None]
+    q = cols - means  # orthogonal to the constant column
+    q2, q3 = q[:, 0], q[:, 1]
+    norms = np.sqrt(np.vecdot(cols, cols))[:, :, None]  # |e cos wt|, |e sin wt|
 
-    def dot(x, y):
-        return np.einsum("bn,bn->b", x, y)[:, None]
-
-    r22 = np.sqrt(dot(q2, q2))
-    keep2 = r22 > _RANK_TOL * np.sqrt(dot(ec, ec))
+    r22 = np.sqrt(np.vecdot(q2, q2))[:, None]
+    keep2 = r22 > _RANK_TOL * norms[:, 0]
     r22 = np.where(keep2, r22, 1.0)
-    q2 = np.where(keep2, q2 / r22, 0.0)
-    r23 = dot(q2, q3)
-    q3 = q3 - r23 * q2
-    again = dot(q2, q3)
-    q3 = q3 - again * q2
+    q2[...] = np.where(keep2, q2 / r22, 0.0)
+    r23 = np.vecdot(q2, q3)[:, None]
+    q3 -= r23 * q2
+    again = np.vecdot(q2, q3)[:, None]
+    q3 -= again * q2
     r23 = r23 + again
-    r33 = np.sqrt(dot(q3, q3))
-    keep3 = r33 > _RANK_TOL * np.sqrt(dot(es, es))
+    r33 = np.sqrt(np.vecdot(q3, q3))[:, None]
+    keep3 = r33 > _RANK_TOL * norms[:, 1]
     r33 = np.where(keep3, r33, 1.0)
-    q3 = np.where(keep3, q3 / r33, 0.0)
+    q3[...] = np.where(keep3, q3 / r33, 0.0)
 
-    y = values - values.mean()
-    z2 = q2 @ y
-    z3 = q3 @ y
-    resid = y - z2[:, None] * q2 - z3[:, None] * q3
-    s = z3[:, None] / r33
-    c = (z2[:, None] - r23 * s) / r22
-    a = values.mean() - mean_c * c - mean_s * s
+    mean = values @ avg
+    y = values - mean
+    z = q @ y  # (B, 2)
+    resid = y - np.vecdot(z[:, :, None], q, axis=1)
+    s = z[:, 1:] / r33
+    c = (z[:, :1] - r23 * s) / r22
+    a = mean - means[:, 0] * c - means[:, 1] * s
 
-    def off_span(x):
-        x = x - x.mean(axis=1, keepdims=True)
-        return x - dot(q2, x) * q2 - dot(q3, x) * q3
-
-    def range_term(g2, g3):  # pinv(Phi)^T (0, g2, g3): Q R^-T by substitution
-        v2 = g2 / r22
-        v3 = (g3 - r23 * v2) / r33
-        return v2 * q2 + v3 * q3
-
-    tu, rt = times / t2, resid * times
-    rec, res = dot(rt, ec), dot(rt, es)
-    jac_u = -(off_span(tu * (c * ec + s * es)) + range_term(rec / t2, res / t2))
-    jac_w = -(off_span(times * (s * ec - c * es)) + range_term(-res, rec))
-    return resid, np.hstack([a, c, s]), jac_u, jac_w
+    # D_k beta: tu (c e cos + s e sin) along log T2, t (s e cos - c e sin) along w
+    slope = np.matmul(c[:, :, None] * _SIGMA_Z + s[:, :, None] * _SIGMA_X, cols)
+    slope[:, 0] *= times / t2
+    slope[:, 1] *= times
+    slope -= (slope @ avg)[:, :, None]
+    # D_k^T r = (0, g2, g3): (rec, res) / T2 along log T2 and (-res, rec)
+    # along w, with rec and res the products of t r with e cos and e sin
+    rec_res = np.vecdot(cols, (resid * times)[:, None])
+    v = np.empty(cols.shape[:1] + (2, 2))  # (B, directions, columns)
+    np.divide(rec_res, t2, out=v[:, 0])
+    np.multiply(rec_res[:, ::-1], (-1.0, 1.0), out=v[:, 1])
+    # pinv(Phi)^T (0, g2, g3) = Q R^-T: v2 = g2 / r22, v3 = (g3 - r23 v2) / r33
+    v[:, :, 0] /= r22
+    v[:, :, 1] -= r23 * v[:, :, 0]
+    v[:, :, 1] /= r33
+    # J = -(slope - (slope q^T) q + v q) = (slope q^T - v) q - slope
+    jac = np.matmul(np.matmul(slope, q.mT) - v, q)
+    jac -= slope
+    return resid, np.concatenate([a, c, s], axis=1), jac
 
 
 def _fit_batch(times, values, starts, upper_w):
@@ -703,51 +717,52 @@ def _fit_batch(times, values, starts, upper_w):
     params = np.clip(starts, lo, hi)
     out_params, out_coef = np.empty_like(params), np.empty((len(params), 3))
     rows = np.arange(len(params))
-    resid, coef, ju, jw = _decay_projection(
-        times, values, np.exp(params[:, :1]), params[:, 1:])
-    cost = 0.5 * np.einsum("bn,bn->b", resid, resid)
+    resid, coef, jac = _decay_projection(times, values, np.exp(params[:, :1]), params[:, 1:])
+    cost = 0.5 * np.vecdot(resid, resid)
     lam = np.full(len(rows), 1e-3)
     nu = np.full(len(rows), 2.0)
     for _ in range(200):
-        # normal equations [[huu, huw], [huw, hww]] d = -(gu, gw)
-        huu, huw, hww = (np.einsum("bn,bn->b", x, y) for x, y in ((ju, ju), (ju, jw), (jw, jw)))
-        gu, gw = np.einsum("bn,bn->b", ju, resid), np.einsum("bn,bn->b", jw, resid)
-        free_u = ~(((params[:, 0] <= lo[0]) & (gu > 0)) | ((params[:, 0] >= hi[0]) & (gu < 0)))
-        free_w = ~(((params[:, 1] <= lo[1]) & (gw > 0)) | ((params[:, 1] >= hi[1]) & (gw < 0)))
-        huu, hww, gu, gw = huu * free_u, hww * free_w, gu * free_u, gw * free_w
-        huw = huw * (free_u & free_w)
-        duu = huu + lam * np.maximum(huu, 1e-300)
-        dww = hww + lam * np.maximum(hww, 1e-300)
-        det = duu * dww - huw * huw
-        step = np.divide(np.stack([huw * gw - dww * gu, huw * gu - duu * gw], axis=1),
-                         det[:, None], out=np.zeros_like(params), where=det[:, None] > 0)
+        # normal equations H d = -g, H = J J^T and g = J r, with the rows
+        # and columns of parameters held at a bound by their gradient zeroed
+        g = np.vecdot(jac, resid[:, None])
+        free = ~(((params <= lo) & (g > 0)) | ((params >= hi) & (g < 0)))
+        g = g * free
+        hess = np.matmul(jac, jac.mT) * (free[:, :, None] & free[:, None, :])
+        diag = np.diagonal(hess, axis1=1, axis2=2)
+        damped = diag + lam[:, None] * np.maximum(diag, 1e-300)
+        huw = hess[:, 0, 1]
+        det = damped[:, 0] * damped[:, 1] - huw * huw
+        # Cramer's rule: (huw gw - dww gu, huw gu - duu gw) / det
+        step = np.divide(huw[:, None] * g[:, ::-1] - damped[:, ::-1] * g, det[:, None],
+                         out=np.zeros(params.shape), where=det[:, None] > 0)
         trial = np.clip(params + step, lo, hi)
-        su, sw = (trial - params).T
-        t_resid, t_coef, t_ju, t_jw = _decay_projection(
+        moved = trial - params
+        t_resid, t_coef, t_jac = _decay_projection(
             times, values, np.exp(trial[:, :1]), trial[:, 1:])
-        t_cost = 0.5 * np.einsum("bn,bn->b", t_resid, t_resid)
-        predicted = -(gu * su + gw * sw
-                      + 0.5 * (huu * su * su + 2.0 * huw * su * sw + hww * sw * sw))
+        t_cost = 0.5 * np.vecdot(t_resid, t_resid)
+        predicted = -np.vecdot(moved, g + 0.5 * np.vecdot(hess, moved[:, None]))
         better = t_cost < cost
-        rho = np.divide(cost - t_cost, predicted, out=np.zeros_like(cost),
+        rho = np.divide(cost - t_cost, predicted, out=np.zeros(cost.shape),
                         where=predicted > 0)
         lam = np.where(better, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
                        lam * nu)
         nu = np.where(better, 2.0, 2.0 * nu)
-        small = (np.abs(su) <= 1e-10 * np.maximum(np.abs(params[:, 0]), 1.0)) & (
-            np.abs(sw) <= 1e-10 * np.maximum(np.abs(params[:, 1]), 1.0))
+        small = np.all(np.abs(moved) <= 1e-10 * np.maximum(np.abs(params), 1.0), axis=1)
         flat = (cost - t_cost <= _FTOL * t_cost) & (predicted <= _FTOL * t_cost)
-        done = (better & (small | flat)) | (lam > 1e16) | ((gu == 0) & (gw == 0))
-        b = better[:, None]
-        params = np.where(b, trial, params)
-        resid, coef = np.where(b, t_resid, resid), np.where(b, t_coef, coef)
-        ju, jw = np.where(b, t_ju, ju), np.where(b, t_jw, jw)
-        cost = np.where(better, t_cost, cost)
+        done = (better & (small | flat)) | (lam > 1e16) | ~g.any(axis=1)
+        if better.all():  # the usual case: every step taken
+            params, resid, coef, jac, cost = trial, t_resid, t_coef, t_jac, t_cost
+        else:
+            b = better[:, None]
+            params = np.where(b, trial, params)
+            resid, coef = np.where(b, t_resid, resid), np.where(b, t_coef, coef)
+            jac = np.where(b[:, :, None], t_jac, jac)
+            cost = np.where(better, t_cost, cost)
         if done.any():
             out_params[rows[done]], out_coef[rows[done]] = params[done], coef[done]
             run = ~done
-            rows, params, resid, coef, ju, jw, cost, lam, nu = (
-                x[run] for x in (rows, params, resid, coef, ju, jw, cost, lam, nu))
+            rows, params, resid, coef, jac, cost, lam, nu = (
+                x[run] for x in (rows, params, resid, coef, jac, cost, lam, nu))
             if not rows.size:
                 break
     out_params[rows], out_coef[rows] = params, coef

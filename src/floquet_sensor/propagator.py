@@ -20,13 +20,16 @@ Every propagator here is in SU(2), so inside this module it is a quaternion:
 four reals (w, x, y, z) with U = w I - i (x sigma_x + y sigma_y + z sigma_z),
 in arrays of shape (..., 4).  The substep exponential is
 (cos|q|, sin|q| q/|q|) for a generator q, and the product of two elements
-is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).
-Everything is vectorized over substeps, with the running product
-accumulated by pairwise reduction (``_quat_reduce``), each level of it one
-exact table product and one ``einsum``.  The scan engine of ``experiments``
-takes the quaternions as they are (``_fixed_pieces``); complex 2x2
-matrices are formed only at the public boundary (``interval_unitary``,
-``evolve``, ``micromotion_error``).
+is w = w1 w2 - v1.v2, v = w1 v2 + w2 v1 + v1 x v2 (U1 acting last).  Every
+product is taken in its Cayley-Dickson form, on a complex view of the
+array: with p = w + ix and q = y + iz, (p1, q1)(p2, q2) =
+(p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)), four complex multiplies and
+three other numpy calls (``_pair_mul``).  Everything is vectorized over
+substeps, with the running product accumulated by pairwise reduction
+(``_quat_reduce``), each level of it one such product over all adjacent
+pairs.  The scan engine of ``experiments`` takes the quaternions as they
+are (``_fixed_pieces``); complex 2x2 matrices are formed only at the
+public boundary (``interval_unitary``, ``evolve``, ``micromotion_error``).
 
 One broadcasting rule batches the kernel.  It takes interval bounds and
 offsets, one entry per batch member, and each takes a trailing substep
@@ -159,48 +162,65 @@ def _quat_exp(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _complex_pairs(u: np.ndarray) -> np.ndarray:
+    """Float quaternions (..., 4) as complex pairs (..., 2): p = w + ix and q = y + iz.
+
+    A view of ``u`` where its last axis is contiguous, else of a copy.
+    """
+    try:
+        return u.view(complex)
+    except ValueError:  # the last axis is not contiguous
+        return np.ascontiguousarray(u).view(complex)
+
+
+def _pair_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """(p1, q1)(p2, q2) = (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)) into ``out``.
+
+    The Cayley-Dickson form of the quaternion product on complex pairs
+    (``_complex_pairs``): four complex multiplies and three other calls.
+    """
+    p1, q1 = a[..., 0], a[..., 1]
+    b_conj = b.conj()
+    p, q = out[..., 0], out[..., 1]
+    np.multiply(p1, b[..., 0], out=p)
+    p -= q1 * b_conj[..., 1]
+    np.multiply(p1, b[..., 1], out=q)
+    q += q1 * b_conj[..., 0]
+
+
 def _quat_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Quaternions of the products U_a U_b (b acts first), broadcast over leading axes.
 
-    w = wa wb - va.vb and v = wa vb + wb va + va x vb.
+    w = wa wb - va.vb and v = wa vb + wb va + va x vb, taken on the complex
+    pairs of a and b (``_pair_mul``).
     """
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    a, b = _complex_pairs(a), _complex_pairs(b)
     if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + bw * ax + ay * bz - az * by
-    out[..., 2] = aw * by + bw * ay + az * bx - ax * bz
-    out[..., 3] = aw * bz + bw * az + ax * by - ay * bx
+        out = np.empty(np.broadcast(a, b).shape[:-1] + (4,))
+    try:
+        pairs = out.view(complex)
+    except ValueError:  # the last axis of out is not contiguous
+        out[...] = _quat_mul(a.view(float), b.view(float))
+    else:
+        _pair_mul(a, b, pairs)
     return out
-
-
-# the left-multiplication matrices of quaternions: for a quaternion a,
-# (a @ _LEFT).reshape(4, 4) is the matrix M with the product a b = M b; each
-# column holds one signed 1, so the product with it is exact
-_LEFT = np.zeros((4, 16))
-_LEFT[[0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0], range(16)] = [
-    1, -1, -1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1, -1, 1, 1]
 
 
 def _quat_reduce(qs: np.ndarray) -> np.ndarray:
     """Chronological product q[..., n-1, :] ... q[..., 0, :] via pairwise reduction.
 
-    Each level takes the products of its adjacent pairs in two numpy calls:
-    the exact left-multiplication matrices of the later factors
-    (``_LEFT``), contracted with the earlier ones in one ``einsum``.  The
-    component form of ``_quat_mul`` takes 28 calls per level, which at the
-    oracle's few hundred substeps costs more than the arithmetic.
+    Each level multiplies its adjacent pairs in one ``_pair_mul`` on the
+    complex pairs of the factors, seven numpy calls however many pairs.
     """
+    qs = _complex_pairs(qs)
     while qs.shape[-2] > 1:
         n = qs.shape[-2]
-        out = np.empty(qs.shape[:-2] + ((n + 1) // 2, 4))
-        left = (qs[..., 1::2, :] @ _LEFT).reshape(qs.shape[:-2] + (n // 2, 4, 4))
-        np.einsum("...ij,...j->...i", left, qs[..., 0:n - 1:2, :], out=out[..., :n // 2, :])
+        out = np.empty(qs.shape[:-2] + ((n + 1) // 2, 2), dtype=complex)
+        _pair_mul(qs[..., 1::2, :], qs[..., 0:n - 1:2, :], out[..., :n // 2, :])
         if n % 2:  # the unpaired last factor carries over
             out[..., -1, :] = qs[..., -1, :]
         qs = out
-    return qs[..., 0, :]
+    return qs[..., 0, :].view(float)
 
 
 def _quat_prefix(qs: np.ndarray) -> np.ndarray:

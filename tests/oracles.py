@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from floquet_sensor import hamiltonian, propagator
+from floquet_sensor.experiments import _FTOL, _RANK_TOL, _T2_BOUNDS
 from floquet_sensor.hamiltonian import (
     SIGMA_X,
     SIGMA_Y,
@@ -186,15 +187,29 @@ def ou_trajectories(mids, normals: np.ndarray, tau_c: float) -> np.ndarray:
 
 # ---------------------------------------------------------------- propagation
 
+def quat_mul_componentwise(a: np.ndarray, b: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Quaternions of the products U_a U_b (b acts first), one numpy call per
+    term of w = wa wb - va.vb and v = wa vb + wb va + va x vb: the form
+    ``propagator._quat_mul`` took before it moved to complex pairs."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + bw * ax + ay * bz - az * by
+    out[..., 2] = aw * by + bw * ay + az * bx - ax * bz
+    out[..., 3] = aw * bz + bw * az + ax * by - ay * bx
+    return out
+
+
 def quat_reduce_componentwise(qs: np.ndarray) -> np.ndarray:
     """Chronological product q[..., n-1, :] ... q[..., 0, :] by pairwise
-    reduction, each level through the component products of ``_quat_mul``:
-    the form ``propagator._quat_reduce`` took before its levels became one
-    exact table product and one ``einsum``."""
+    reduction, each level through ``quat_mul_componentwise``."""
     while qs.shape[-2] > 1:
         n = qs.shape[-2]
         out = np.empty(qs.shape[:-2] + ((n + 1) // 2, 4))
-        propagator._quat_mul(qs[..., 1::2, :], qs[..., 0:n - 1:2, :], out[..., :n // 2, :])
+        quat_mul_componentwise(qs[..., 1::2, :], qs[..., 0:n - 1:2, :], out[..., :n // 2, :])
         if n % 2:
             out[..., -1, :] = qs[..., -1, :]
         qs = out
@@ -222,3 +237,138 @@ def doubled_unitary(spec: HamiltonianSpec, t0: float, t1: float, n: int, tol: fl
         assert step < residual, f"step doubling stalled at {n} substeps"
         residual, u_prev = step, u_next
     raise AssertionError("step doubling did not converge")
+
+
+# ---------------------------------------------------------------- decay fit
+#
+# The variable projection and Levenberg-Marquardt batch of
+# ``experiments.fit_decaying_cosine`` as they were before their iterations
+# were cut to fewer numpy calls: the same starts, damping and stop rules,
+# one einsum per row dot product and one np.where per array and step.
+
+def decay_projection_reference(times, values, t2, w):
+    """Variable projection of the decaying-cosine model at B points (T2, w).
+
+    ``t2`` and ``w`` have shape (B, 1).  The linear coefficients (a, c, s)
+    of a + e (c cos wt + s sin wt), e = exp(-t/T2), solve the least-squares
+    problem through a Gram-Schmidt QR of the basis (1, e cos wt, e sin wt),
+    reorthogonalized once; a column dependent on the earlier ones to within
+    ``_RANK_TOL`` is dropped and takes the coefficient 0.  Returns the
+    residuals y - Phi beta (B, N), the coefficients (B, 3) and the
+    Golub-Pereyra Jacobian of the residuals along log T2 and w, two (B, N)
+    arrays: J_k = -(P D_k beta + pinv(Phi)^T D_k^T r), with D_k the
+    derivative of the basis and P the projector off its span.
+    """
+    decay = np.exp(-times / t2)
+    wt = w * times
+    ec, es = decay * np.cos(wt), decay * np.sin(wt)
+    mean_c, mean_s = ec.mean(axis=1, keepdims=True), es.mean(axis=1, keepdims=True)
+    q2, q3 = ec - mean_c, es - mean_s  # orthogonal to the constant column
+
+    def dot(x, y):
+        return np.einsum("bn,bn->b", x, y)[:, None]
+
+    r22 = np.sqrt(dot(q2, q2))
+    keep2 = r22 > _RANK_TOL * np.sqrt(dot(ec, ec))
+    r22 = np.where(keep2, r22, 1.0)
+    q2 = np.where(keep2, q2 / r22, 0.0)
+    r23 = dot(q2, q3)
+    q3 = q3 - r23 * q2
+    again = dot(q2, q3)
+    q3 = q3 - again * q2
+    r23 = r23 + again
+    r33 = np.sqrt(dot(q3, q3))
+    keep3 = r33 > _RANK_TOL * np.sqrt(dot(es, es))
+    r33 = np.where(keep3, r33, 1.0)
+    q3 = np.where(keep3, q3 / r33, 0.0)
+
+    y = values - values.mean()
+    z2 = q2 @ y
+    z3 = q3 @ y
+    resid = y - z2[:, None] * q2 - z3[:, None] * q3
+    s = z3[:, None] / r33
+    c = (z2[:, None] - r23 * s) / r22
+    a = values.mean() - mean_c * c - mean_s * s
+
+    def off_span(x):
+        x = x - x.mean(axis=1, keepdims=True)
+        return x - dot(q2, x) * q2 - dot(q3, x) * q3
+
+    def range_term(g2, g3):  # pinv(Phi)^T (0, g2, g3): Q R^-T by substitution
+        v2 = g2 / r22
+        v3 = (g3 - r23 * v2) / r33
+        return v2 * q2 + v3 * q3
+
+    tu, rt = times / t2, resid * times
+    rec, res = dot(rt, ec), dot(rt, es)
+    jac_u = -(off_span(tu * (c * ec + s * es)) + range_term(rec / t2, res / t2))
+    jac_w = -(off_span(times * (s * ec - c * es)) + range_term(-res, rec))
+    return resid, np.hstack([a, c, s]), jac_u, jac_w
+
+
+def fit_batch_reference(times, values, starts, upper_w):
+    """Levenberg-Marquardt on (log T2, w) from each row of ``starts``, (B, 2).
+
+    Steps solve (J^T J + lam diag J^T J) d = -J^T r with Nielsen's update of
+    lam, are clipped to the bounds (a parameter held at a bound by its
+    gradient leaves the step), and are taken when they lower the cost.  A
+    start stops once a step taken moves every parameter by less than 1e-10
+    (relative) or lowers the cost, as predicted, by less than ``_FTOL`` of
+    it; at a zero gradient; once lam exceeds 1e16; or after 200 iterations.
+    The batch shrinks to the starts still running.  Returns the final
+    parameters (B, 2) and linear coefficients (B, 3).
+    """
+    lo = np.array([math.log(_T2_BOUNDS[0]), 0.0])
+    hi = np.array([math.log(_T2_BOUNDS[1]), upper_w])
+    params = np.clip(starts, lo, hi)
+    out_params, out_coef = np.empty_like(params), np.empty((len(params), 3))
+    rows = np.arange(len(params))
+    resid, coef, ju, jw = decay_projection_reference(
+        times, values, np.exp(params[:, :1]), params[:, 1:])
+    cost = 0.5 * np.einsum("bn,bn->b", resid, resid)
+    lam = np.full(len(rows), 1e-3)
+    nu = np.full(len(rows), 2.0)
+    for _ in range(200):
+        # normal equations [[huu, huw], [huw, hww]] d = -(gu, gw)
+        huu, huw, hww = (np.einsum("bn,bn->b", x, y) for x, y in ((ju, ju), (ju, jw), (jw, jw)))
+        gu, gw = np.einsum("bn,bn->b", ju, resid), np.einsum("bn,bn->b", jw, resid)
+        free_u = ~(((params[:, 0] <= lo[0]) & (gu > 0)) | ((params[:, 0] >= hi[0]) & (gu < 0)))
+        free_w = ~(((params[:, 1] <= lo[1]) & (gw > 0)) | ((params[:, 1] >= hi[1]) & (gw < 0)))
+        huu, hww, gu, gw = huu * free_u, hww * free_w, gu * free_u, gw * free_w
+        huw = huw * (free_u & free_w)
+        duu = huu + lam * np.maximum(huu, 1e-300)
+        dww = hww + lam * np.maximum(hww, 1e-300)
+        det = duu * dww - huw * huw
+        step = np.divide(np.stack([huw * gw - dww * gu, huw * gu - duu * gw], axis=1),
+                         det[:, None], out=np.zeros_like(params), where=det[:, None] > 0)
+        trial = np.clip(params + step, lo, hi)
+        su, sw = (trial - params).T
+        t_resid, t_coef, t_ju, t_jw = decay_projection_reference(
+            times, values, np.exp(trial[:, :1]), trial[:, 1:])
+        t_cost = 0.5 * np.einsum("bn,bn->b", t_resid, t_resid)
+        predicted = -(gu * su + gw * sw
+                      + 0.5 * (huu * su * su + 2.0 * huw * su * sw + hww * sw * sw))
+        better = t_cost < cost
+        rho = np.divide(cost - t_cost, predicted, out=np.zeros_like(cost),
+                        where=predicted > 0)
+        lam = np.where(better, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                       lam * nu)
+        nu = np.where(better, 2.0, 2.0 * nu)
+        small = (np.abs(su) <= 1e-10 * np.maximum(np.abs(params[:, 0]), 1.0)) & (
+            np.abs(sw) <= 1e-10 * np.maximum(np.abs(params[:, 1]), 1.0))
+        flat = (cost - t_cost <= _FTOL * t_cost) & (predicted <= _FTOL * t_cost)
+        done = (better & (small | flat)) | (lam > 1e16) | ((gu == 0) & (gw == 0))
+        b = better[:, None]
+        params = np.where(b, trial, params)
+        resid, coef = np.where(b, t_resid, resid), np.where(b, t_coef, coef)
+        ju, jw = np.where(b, t_ju, ju), np.where(b, t_jw, jw)
+        cost = np.where(better, t_cost, cost)
+        if done.any():
+            out_params[rows[done]], out_coef[rows[done]] = params[done], coef[done]
+            run = ~done
+            rows, params, resid, coef, ju, jw, cost, lam, nu = (
+                x[run] for x in (rows, params, resid, coef, ju, jw, cost, lam, nu))
+            if not rows.size:
+                break
+    out_params[rows], out_coef[rows] = params, coef
+    return out_params, out_coef

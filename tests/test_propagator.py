@@ -62,6 +62,7 @@ from oracles import (
     carrier,
     doubled_unitary,
     h_matrix,
+    quat_mul_componentwise,
     quat_reduce_componentwise,
     rabi_population,
     to_signal_rotating,
@@ -482,18 +483,62 @@ def test_quaternion_kernel_matches_complex_products():
     assert np.array_equal(_quat_exp(np.zeros(3)), [1.0, 0.0, 0.0, 0.0])
 
 
-def test_table_reduce_matches_component_reduce():
-    # one level of products: the exact table product and one einsum against
-    # the component products of _quat_mul.  Each component is a sum of four
-    # products of unit-quaternion entries, so the two summation orders
-    # differ by at most 4 ulp of 1 (measured 0.5)
+def test_pair_product_matches_component_product():
+    # the complex-pair product against the component form.  Each component
+    # is a sum of four products of unit-quaternion entries, so the two
+    # summation orders differ by at most 4 ulp of 1 (measured 1.0 over 1e5)
+    ulp = np.spacing(1.0)
+    rng = np.random.default_rng(21)
+
+    def unit(*shape):
+        return _quat_exp(rng.normal(size=shape + (3,)))
+
+    def check(got, a, b):
+        want = quat_mul_componentwise(a, b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 4 * ulp
+
+    a, b = unit(100_000), unit(100_000)
+    check(_quat_mul(a, b), a, b)
+    # one quaternion against a (n, r, 4) stack, either side
+    one, stack = unit(), unit(90, 16)
+    check(_quat_mul(one, stack), one, stack)
+    check(_quat_mul(stack, one), stack, one)
+    check(_quat_mul(stack, stack[:, :1]), stack, stack[:, :1])
+    # out= into a strided slice, as the prefix product passes it; the
+    # slots between stay as they were
+    qs = unit(9, 6)
+    out = np.full((9, 6, 4), 7.0)
+    even = out[2::2]
+    assert _quat_mul(qs[2::2], qs[1:8:2], even) is even
+    check(even, qs[2::2], qs[1:8:2])
+    assert np.all(out[1::2] == 7.0) and np.all(out[0] == 7.0)
+    # views with strided leading axes
+    check(_quat_mul(qs[1::2], qs[0:8:2]), qs[1::2], qs[0:8:2])
+    moved = np.moveaxis(unit(5, 3, 7), 0, -2)  # (3, 5, 7, 4) read through (3, 7, 5, 4)
+    check(_quat_mul(moved, moved[:, ::-1]), moved, moved[:, ::-1])
+    # a last axis that is not contiguous is copied, and so is an out= with one
+    fortran = np.asfortranarray(unit(40))
+    assert fortran.strides[-1] != fortran.itemsize
+    check(_quat_mul(fortran, a[:40]), fortran, a[:40])
+    check(_quat_mul(a[:40], fortran), a[:40], fortran)
+    out = np.asfortranarray(np.zeros((40, 4)))
+    assert _quat_mul(fortran, a[:40], out) is out
+    check(out, fortran, a[:40])
+    # empty stacks
+    assert _quat_mul(unit(0), one).shape == (0, 4)
+
+
+def test_pair_reduce_matches_component_reduce():
+    # one level of products against the component product; whole
+    # reductions, odd counts carried over: the n - 1 products each differ
+    # by at most 4 ulp, and a difference is not amplified by the unit
+    # factors it is multiplied with (measured at most 13.5 ulp, at n = 198)
     ulp = np.spacing(1.0)
     rng = np.random.default_rng(12)
     pairs = _quat_exp(rng.normal(size=(10_000, 2, 3)))
-    assert np.abs(_quat_reduce(pairs) - _quat_mul(pairs[:, 1], pairs[:, 0])).max() <= 4 * ulp
-    # whole reductions, odd counts carried over: the n - 1 products each
-    # differ by at most 4 ulp, and a difference is not amplified by the
-    # unit factors it is multiplied with (measured at most 9.5 ulp)
+    want = quat_mul_componentwise(pairs[:, 1], pairs[:, 0])
+    assert np.abs(_quat_reduce(pairs) - want).max() <= 4 * ulp
     spec = make_preset("robustness-amp").rotating_spec()
     z = 0.5j * np.array([-1e-4, 0.0, 1e-4])
     for n in (1, 2, 3, 14, 198, 396):
@@ -501,6 +546,15 @@ def test_table_reduce_matches_component_reduce():
                   _quat_exp(_step_generators(spec, 0.1, 0.2, n, z))):
             ref = quat_reduce_componentwise(q)
             assert np.abs(_quat_reduce(q) - ref).max() <= 4 * ulp * max(1, n - 1)
+    # an oracle shape (rows x offsets x substeps) and a scan shape (pieces x
+    # members x substeps), as contiguous stacks and as the moved-axis views
+    # that the split passes reduce
+    for shape in ((3, 3, 198), (40, 8, 40)):
+        q = _quat_exp(rng.normal(size=shape + (3,)))
+        bound = 4 * ulp * (shape[-1] - 1)
+        assert np.abs(_quat_reduce(q) - quat_reduce_componentwise(q)).max() <= bound
+        moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(q, -2, 0)), 0, -2)
+        npt.assert_array_equal(_quat_reduce(moved), _quat_reduce(q))
     q = _quat_exp(rng.normal(size=(2, 3, 5, 3)))  # any leading shape
     assert np.abs(_quat_reduce(q) - quat_reduce_componentwise(q)).max() <= 16 * ulp
 
