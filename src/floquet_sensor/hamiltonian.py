@@ -97,6 +97,7 @@ class HamiltonianSpec:
         followed by the y tone of the same amplitude and frequency at the x
         phase - pi/2 (as ``_rotating_pair`` builds them), so amplitude *
         (cos, sin) of one argument; and every other oscillating term.  The
+        next term's fields are compared with the partner's as one tuple.  The
         pairs are taken in order of |frequency|, and a pair at exactly k times
         the base frequency f of an earlier group (integer k >= 1,
         ``k * f == frequency``) joins that group as its coefficient
@@ -109,10 +110,12 @@ class HamiltonianSpec:
         terms, i = self.terms, 0
         while i < len(terms):
             term = terms[i]
-            partner = PauliTerm("y", term.amplitude, term.frequency, term.phase - 0.5 * math.pi)
+            partner = ("y", term.amplitude, term.frequency, term.phase - 0.5 * math.pi)
+            nxt = terms[i + 1] if i + 1 < len(terms) else None
             if term.frequency == 0.0:
                 constants[_AXIS_INDEX[term.axis]] += term.coefficient(0.0)
-            elif term.axis == "x" and terms[i + 1:i + 2] == (partner,):
+            elif term.axis == "x" and nxt is not None and partner == (
+                    nxt.axis, nxt.amplitude, nxt.frequency, nxt.phase):
                 pairs.append(term)
                 i += 1
             else:
@@ -135,6 +138,10 @@ class HamiltonianSpec:
 
     def max_frequency(self) -> float:
         """Fastest term frequency present (rad/us); 0 for constant specs."""
+        return self._max_frequency
+
+    @cached_property
+    def _max_frequency(self) -> float:
         return max((abs(term.frequency) for term in self.terms), default=0.0)
 
     @cached_property
@@ -155,6 +162,10 @@ class HamiltonianSpec:
 
     def amplitude_scale(self) -> float:
         """Sum of term amplitude magnitudes, a bound on the rotation rate (rad/us)."""
+        return self._amplitude_scale
+
+    @cached_property
+    def _amplitude_scale(self) -> float:
         return sum(abs(term.amplitude) for term in self.terms)
 
 

@@ -53,7 +53,9 @@ Periodic specs take a stroboscopic route over long intervals: with T the
 drive period, U(t0 + mT, t0) = U_T(t0)^m, so one period is integrated and
 raised to the m-th power, and only the remainder [t0 + mT, t1] is
 integrated directly, whatever its length: zero, a few ulp, or a few ulp
-below zero where t0 + mT rounds past t1 (a backward step).
+below zero where t0 + mT rounds past t1 (a backward step).  The remainder
+rides along with the period's step doubling as the last rows of each
+round's kernel call, so the route takes one kernel call per round.
 
 - Periodicity is read from the spec (``HamiltonianSpec.fundamental``): f0 is
   the smallest nonzero term frequency, and the route is taken only when
@@ -69,16 +71,21 @@ below zero where t0 + mT rounds past t1 (a backward step).
   keeps the rel_tol contract.  Where rel_tol / m would fall below 3e-13,
   which step doubling of one period cannot resolve above round-off, the
   interval is integrated directly.
+- The remainder takes the period's substep count on each of its rows, cut
+  in each round into rows no longer than the parts of the round before, the
+  comparator of the residual: one row in the first round, since it is
+  shorter than T.  Its substeps are never coarser than the comparator's,
+  so its error stays below the residual, < rel_tol / m.
 - The power has a closed form (the Cayley-Klein parameters of SU(2)): with
   U_T = cos(a) I - i sin(a) n.sigma, a = atan2(|v|, w) and n = v/|v|,
   U_T^m = cos(m a) I - i sin(m a) n.sigma.  a and n do not depend on the
   quaternion's norm, so the power is unit to round-off however far U_T has
   drifted off SU(2), and that defect is not multiplied by m.
 
-An interval's bounds are scalars, and a call is at most two pieces: one
-period at rel_tol / m and its remainder, or one direct piece.  One rule
-(``_initial_steps``) gives the pieces their starting substep counts, and
-each piece is step-doubled on its own (``_stepped_unitary``).
+An interval's bounds are scalars, and a call is one step-doubled piece
+(``_stepped_unitary``): one period at rel_tol / m carrying its remainder,
+or one direct interval.  One rule (``_initial_steps``) gives the piece its
+starting substep count.
 
 The scan engine of ``experiments`` also integrates pieces at a fixed
 resolution, with no refinement: the sub-period pieces of one folded drive
@@ -321,24 +328,27 @@ def _step_generators(spec: HamiltonianSpec, t0, t1, n: int, z_offsets) -> np.nda
     ``z_offsets`` adds a constant coefficient d (0.0 for none): d sigma_z for
     a real d, Re(d) sigma_z + Im(d) sigma_x for a complex one.  It moves only
     a1, by h d, so the coefficients, a2 and a3 keep the bounds' shape and are
-    shared by every offset.  A constant spec has a2 = a3 = 0, so q = h p is
-    exact and takes one coefficient evaluation.
+    shared by every offset.  The three node sets take one coefficient
+    evaluation, stacked on a leading axis.  A constant spec has a2 = a3 = 0,
+    so q = h p is exact and takes the midpoints alone.
     """
     t0, t1 = np.asarray(t0)[..., None], np.asarray(t1)[..., None]
     h = (t1 - t0) / n
     mids = t0 + (np.arange(n) + 0.5) * h
     d = _as_numbers(z_offsets)[..., None]
-    p2 = spec.coefficients(mids)
+    constant = spec.fundamental[0] == 0.0
+    if constant:
+        p2 = spec.coefficients(mids)
+    else:
+        g = _GAUSS * h
+        p1, p2, p3 = spec.coefficients(np.stack([mids - g, mids, mids + g]))
     if np.iscomplexobj(d):
         a1 = [h * p2[..., 0] + d.imag * h, h * p2[..., 1], h * p2[..., 2] + d.real * h]
     else:
         a1 = [h * p2[..., 0], h * p2[..., 1], h * p2[..., 2] + d * h]
-    if spec.fundamental[0] == 0.0:
+    if constant:
         q = a1
     else:
-        g = _GAUSS * h
-        p1 = spec.coefficients(mids - g)
-        p3 = spec.coefficients(mids + g)
         k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
         a2 = [k2 * (p3[..., i] - p1[..., i]) for i in range(3)]
         a3 = [k3 * (p3[..., i] - 2.0 * p2[..., i] + p1[..., i]) for i in range(3)]
@@ -426,59 +436,99 @@ def _periods(spec: HamiltonianSpec, duration: float, rel_tol: float) -> int:
     return m
 
 
-def _split_pass(spec: HamiltonianSpec, t0: float, t1: float, n: int, parts: int,
-                z_offsets, whole: bool = False):
-    """Quaternion propagator over [t0, t1] as ``parts`` equal parts of n substeps.
+def _round_rows(t0: float, t1: float, k: int, rest):
+    """Row bounds (starts, ends) of round k of step doubling over [t0, t1],
+    and the row index at which each of the round's groups ends.
 
-    The parts are rows of kernel calls, with the offsets broadcast to each
-    row, in as few calls as keep at most ``_CHUNK`` substeps per batch
-    member (rows x n); the product of each call's rows is multiplied into
-    the running product of the calls before it.  With ``whole``, the first
-    call also takes the whole interval at n substeps as an extra row, and
-    the pair (whole, product) is returned; otherwise the product alone.
+    Round k >= 1 splits the interval into 2^k equal parts, one group; round
+    1 puts the whole interval before them as a group of its own, the coarse
+    row, and round 0 is the whole interval alone.  ``rest``, a remainder
+    (a, b) or None, adds a last group over [a, b]: as few equal rows as keep
+    each no longer than (t1 - t0) / 2^(k-1), the parts of the round before,
+    and at least one.  A row within 1e-9 (relative) of that length counts
+    as no longer, so a remainder shorter than the interval takes one row in
+    rounds 0 and 1, whatever the round-off in its length.
     """
-    edges = np.linspace(t0, t1, parts + 1)
-    starts, ends = edges[:-1], edges[1:]
-    if whole:
-        starts, ends = np.concatenate([[t0], starts]), np.concatenate([[t1], ends])
+    edges = np.linspace(t0, t1, (1 << k) + 1)
+    starts, ends = [edges[:-1]], [edges[1:]]
+    if k == 1:
+        starts.insert(0, [t0])
+        ends.insert(0, [t1])
+    cuts = [1, 3] if k == 1 else [1 << k]
+    if rest is not None:
+        a, b = rest
+        rows = max(1, math.ceil(abs(b - a) * 2.0 ** (k - 1) / (t1 - t0) * (1.0 - _SLACK)))
+        edges = np.linspace(a, b, rows + 1)
+        starts.append(edges[:-1])
+        ends.append(edges[1:])
+        cuts.append(cuts[-1] + rows)
+    return np.concatenate(starts), np.concatenate(ends), cuts
+
+
+def _row_products(spec: HamiltonianSpec, starts: np.ndarray, ends: np.ndarray,
+                  cuts: list[int], n: int, z_offsets) -> list[np.ndarray]:
+    """Quaternion propagators of the row groups of one pass, n substeps a row.
+
+    The rows [starts, ends] go through the kernel with the offsets broadcast
+    to each, in as few calls as keep at most ``_CHUNK`` substeps per batch
+    member (rows x n).  Group g is the rows from cuts[g - 1] (0 for the
+    first) to cuts[g], and its propagator is their chronological product:
+    the product of each call's rows of the group, multiplied into the
+    running product of the calls before it.
+    """
     batch = np.shape(z_offsets)
     unit = (slice(None),) + (None,) * len(batch)
+    rows_last = (*range(1, len(batch) + 1), 0, len(batch) + 1)  # the row axis next to last
     size = max(1, _CHUNK // n)
-    first = product = None
+    groups = list(zip([0] + cuts[:-1], cuts))
+    products = [None] * len(groups)
     for i in range(0, starts.size, size):
         a, b = starts[i:i + size], ends[i:i + size]
         u = _interval_unitary(spec, a[unit], b[unit], n,
                               np.broadcast_to(z_offsets, a.shape + batch))
-        if whole and i == 0:
-            first, u = u[0], u[1:]
-        if u.shape[0]:
-            u = _quat_reduce(np.moveaxis(u, 0, -2))
-            product = u if product is None else _quat_mul(u, product)
-    return (first, product) if whole else product
+        for g, (lo, hi) in enumerate(groups):
+            rows = u[max(lo - i, 0):max(hi - i, 0)]
+            if rows.shape[0]:
+                p = _quat_reduce(rows.transpose(rows_last))
+                products[g] = p if products[g] is None else _quat_mul(p, products[g])
+    return products
 
 
 def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, n: int, tol: float,
-                     z_offsets) -> np.ndarray:
+                     z_offsets, rest=None):
     """Quaternion propagator over [t0, t1], from a first pass of n substeps
     doubled until two resolutions agree to ``tol``.
 
     Round k splits the interval into 2^k equal parts of n substeps each and
-    takes them as the rows of one kernel call (``_split_pass``), so a round
-    costs one call however fine it is; the first round adds the whole
-    interval at n substeps as a third row, the coarse resolution its two
-    halves are compared with.  The first pass is final for a constant spec,
-    whose one exponential is exact, and where the first doubling would take
-    a substep below 1e-13 us: there h |H| < 1e-9 even at the 1e4 rad/us of
-    a lab-frame spec, so the sixth-order error is far below round-off.
-    Doubling stops with ``PropagationError`` as soon as the residual fails
-    to shrink, since below the round-off floor further doublings only cost
-    time, and as soon as it is not a number, which no doubling mends.  The
-    residual is the largest over the batch members, so they share one
-    substep count; the messages name the total substep count of a round.
+    takes them as the rows of one kernel call (``_round_rows``,
+    ``_row_products``), so a round costs one call however fine it is; the
+    first round adds the whole interval at n substeps as a third row, the
+    coarse resolution its two halves are compared with.  The first pass is
+    final for a constant spec, whose one exponential is exact, and where the
+    first doubling would take a substep below 1e-13 us: there h |H| < 1e-9
+    even at the 1e4 rad/us of a lab-frame spec, so the sixth-order error is
+    far below round-off.  Doubling stops with ``PropagationError`` as soon
+    as the residual fails to shrink, since below the round-off floor further
+    doublings only cost time, and as soon as it is not a number, which no
+    doubling mends.  The residual is the largest over the batch members, so
+    they share one substep count; the messages name the total substep count
+    of a round.
+
+    ``rest``, a remainder (a, b) shorter than the interval or None, rides
+    along as the last rows of every round, at n substeps a row, and the pair
+    (interval, remainder) is returned.  In round k the remainder is cut into
+    rows no longer than the parts of round k - 1, the comparator of the
+    residual, so it is one row in the first round.  Its substeps are then
+    never coarser than the comparator's, and the error of a sixth-order pass
+    grows with its length and its substep, so the remainder's error stays
+    below the comparator's, which the residual measures: below ``tol``.  The
+    residual rule (convergence, stall, not-a-number, substep floor and round
+    cap) reads the interval alone.
     """
     if spec.fundamental[0] == 0.0 or (t1 - t0) / (2 * n) < 1e-13:
-        return _interval_unitary(spec, t0, t1, n, z_offsets)
-    u_prev, u_next = _split_pass(spec, t0, t1, n, 2, z_offsets, whole=True)
+        products = _row_products(spec, *_round_rows(t0, t1, 0, rest), n, z_offsets)
+        return products[0] if rest is None else tuple(products)
+    u_prev, u_next, *u_rest = _row_products(spec, *_round_rows(t0, t1, 1, rest), n, z_offsets)
     residual = math.inf
     for k in range(1, 25):
         substeps = n << k
@@ -488,13 +538,14 @@ def _stepped_unitary(spec: HamiltonianSpec, t0: float, t1: float, n: int, tol: f
                     f"substep size underflow on [{t0:g}, {t1:g}] us before reaching "
                     f"rel_tol = {tol:g}"
                 )
-            u_prev, u_next = u_next, _split_pass(spec, t0, t1, n, 1 << k, z_offsets)
+            u_prev = u_next
+            u_next, *u_rest = _row_products(spec, *_round_rows(t0, t1, k, rest), n, z_offsets)
         # max abs over the complex matrix entries: |w - iz| and |-y - ix|
         d = u_next - u_prev
         step = float(np.max(np.maximum(np.hypot(d[..., 0], d[..., 3]),
                                        np.hypot(d[..., 1], d[..., 2]))))
         if step < tol:
-            return u_next
+            return u_next if rest is None else (u_next, u_rest[0])
         if math.isnan(step):
             raise PropagationError(
                 f"step doubling on [{t0:g}, {t1:g}] us gave a residual that is "
@@ -525,10 +576,12 @@ def interval_unitary(
     A periodic spec over an interval of m >= 2 periods T is propagated
     stroboscopically, U(t0 + mT, t0) = U_T(t0)^m: one period is refined to
     ``opts.rel_tol / m`` and raised to the m-th power in closed form, and
-    only the remainder is integrated directly.  Raises ``PropagationError``
-    if doubling fails to converge before the substep count becomes
-    unreasonable, and ``ValueError`` for array bounds t0 or t1, a bound
-    t1 < t0 or a bound or offset that is not finite.
+    only the remainder is integrated directly, as the last rows of each
+    round of the period's step doubling, within rel_tol / m as well.  Each
+    round is one kernel call.  Raises ``PropagationError`` if doubling fails
+    to converge before the substep count becomes unreasonable, and
+    ``ValueError`` for array bounds t0 or t1, a bound t1 < t0 or a bound or
+    offset that is not finite.
 
     ``z_offsets`` batches the call over constant offsets by the module's
     broadcasting rule: a real entry d adds d sigma_z to the spec, a complex
@@ -556,14 +609,14 @@ def _interval_quaternions(spec, t0, t1, opts, z_offsets) -> np.ndarray:
     if not m:
         n = int(_initial_steps(spec, t1 - t0, tol, offset))
         return _stepped_unitary(spec, t0, t1, n, tol, offsets)
-    # one period at rel_tol / m, then the remainder [t0 + mT, t1] of any
-    # length (a negative one, from round-off in t0 + mT, is a backward step)
+    # one period at rel_tol / m, whose rounds carry the remainder [t0 + mT, t1]
+    # of any length (a negative one, from round-off in t0 + mT, is a backward
+    # step) as their last rows
     period = TWO_PI / spec.fundamental[0]
     end, mid = t0 + period, t0 + m * period
-    n_period, n_rest = _initial_steps(
-        spec, np.array([end - t0, t1 - mid]), np.array([tol / m, tol]), offset).tolist()
-    power = _quat_power(_stepped_unitary(spec, t0, end, n_period, tol / m, offsets), m)
-    return _quat_mul(_stepped_unitary(spec, mid, t1, n_rest, tol, offsets), power)
+    n = int(_initial_steps(spec, end - t0, tol / m, offset))
+    u_period, u_rest = _stepped_unitary(spec, t0, end, n, tol / m, offsets, rest=(mid, t1))
+    return _quat_mul(u_rest, _quat_power(u_period, m))
 
 
 def _fixed_pieces(spec: HamiltonianSpec, start: np.ndarray, end: np.ndarray, tol: float,

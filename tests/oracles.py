@@ -239,6 +239,29 @@ def doubled_unitary(spec: HamiltonianSpec, t0: float, t1: float, n: int, tol: fl
     raise AssertionError("step doubling did not converge")
 
 
+def two_piece_route(spec: HamiltonianSpec, t0: float, t1: float,
+                    opts: propagator.PropagatorOptions, z_offsets=None) -> np.ndarray:
+    """Quaternions of ``propagator.interval_unitary`` over m >= 2 drive
+    periods T by the stroboscopic route as two pieces, each step-doubled on
+    its own: U(t1, t0) = U_rest U_T^m, with U_T one period refined to
+    rel_tol / m and U_rest the remainder [t0 + mT, t1] refined to rel_tol,
+    both from their own starting counts of the step rule (at t = 4 us on
+    fds-k5, 198 and 14 substeps).  The route took two ``_stepped_unitary``
+    calls before the remainder became the last rows of the period's rounds.
+    """
+    offsets = propagator._as_numbers(0.0 if z_offsets is None else z_offsets)
+    tol, offset = opts.rel_tol, float(np.abs(offsets).max(initial=0.0))
+    m = propagator._periods(spec, t1 - t0, tol)
+    assert m >= 2, "the interval is integrated directly"
+    period = 2.0 * math.pi / spec.fundamental[0]
+    end, mid = t0 + period, t0 + m * period
+    n_period, n_rest = propagator._initial_steps(
+        spec, np.array([end - t0, t1 - mid]), np.array([tol / m, tol]), offset).tolist()
+    u_period = propagator._stepped_unitary(spec, t0, end, n_period, tol / m, offsets)
+    u_rest = propagator._stepped_unitary(spec, mid, t1, n_rest, tol, offsets)
+    return propagator._quat_mul(u_rest, propagator._quat_power(u_period, m))
+
+
 # ---------------------------------------------------------------- decay fit
 #
 # The variable projection and Levenberg-Marquardt batch of

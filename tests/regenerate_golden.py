@@ -4,11 +4,13 @@ Runs each command of ``GOLDEN_RUNS`` in-process, on its default config, in
 a temporary working directory with ``--out out``, and copies the files it
 writes into ``tests/golden/<case>/``.  Run it from the repository root:
 
-    PYTHONPATH=src python3 tests/regenerate_golden.py [case ...]
+    PYTHONPATH=src python3 tests/regenerate_golden.py [--check] [case ...]
 
 With case names it regenerates those cases only.  Before it replaces a
 case's files it prints the worst relative deviation of the new numbers from
-the old ones, with the file and both values.
+the old ones, with the file and both values.  With ``--check`` it writes
+nothing: it prints each case's worst deviation and whether it lies beyond
+the golden test's tolerance ``REL``, and exits with status 1 if any does.
 
 Only regenerate on purpose: a change to the numerics that moves an output
 beyond the golden test's tolerance should say so, and by how much.
@@ -25,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+#: relative tolerance of every number against its golden value
+REL = 1e-12
 
 #: case name -> the command's arguments after ``--out out``
 GOLDEN_RUNS = {
@@ -84,19 +88,23 @@ def _numbers(path: Path) -> list[tuple[str, float]]:
     return found
 
 
-def worst_deviation(new: Path, old: Path) -> str:
+def worst_deviation(new: Path, old: Path) -> tuple[float, str]:
     """The worst relative deviation of the numbers in ``new`` from those in
-    ``old``, as "<rel> at <file:row:column> (new <x>, old <y>)"."""
+    ``old``, and its report "<rel> at <file:row:column> (new <x>, old <y>)".
+
+    A new case, a different file set or a different layout of a file is an
+    infinite deviation.
+    """
     if not old.is_dir():
-        return "new case"
+        return math.inf, "new case"
     names = sorted(p.name for p in new.iterdir())
     if names != sorted(p.name for p in old.iterdir()):
-        return "different file set"
+        return math.inf, "different file set"
     worst = (0.0, "", 0.0, 0.0)
     for name in names:
         got, want = _numbers(new / name), _numbers(old / name)
         if [w for w, _ in got] != [w for w, _ in want]:
-            return f"different layout of {name}"
+            return math.inf, f"different layout of {name}"
         for (where, x), (_, y) in zip(got, want):
             if x == y:
                 continue
@@ -104,21 +112,30 @@ def worst_deviation(new: Path, old: Path) -> str:
             if rel > worst[0]:
                 worst = (rel, where, x, y)
     if not worst[0]:
-        return "identical numbers"
+        return 0.0, "identical numbers"
     rel, where, x, y = worst
-    return f"{rel:.2g} at {where} (new {x!r}, old {y!r})"
+    return rel, f"{rel:.2g} at {where} (new {x!r}, old {y!r})"
 
 
-def main(cases: list[str]) -> None:
+def main(args: list[str]) -> int:
+    check = "--check" in args
+    cases = [arg for arg in args if arg != "--check"]
+    beyond = False
     for case in cases or GOLDEN_RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             out = run_case(GOLDEN_RUNS[case], Path(tmp))
             target = GOLDEN / case
-            print(f"{case}: {worst_deviation(out, target)}", file=sys.stderr)
+            rel, report = worst_deviation(out, target)
+            if check:
+                beyond |= rel > REL
+                print(f"{case}: {report}: {'beyond' if rel > REL else 'within'} {REL:g}")
+                continue
+            print(f"{case}: {report}", file=sys.stderr)
             shutil.rmtree(target, ignore_errors=True)
             shutil.copytree(out, target)
         print(f"{case}: {sorted(p.name for p in target.iterdir())}", file=sys.stderr)
+    return int(beyond)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -1068,10 +1068,11 @@ def test_batched_pipeline_matches_per_amplitude_loop():
 
 def test_oracle_takes_one_kernel_pass_per_resolution(monkeypatch):
     # the three finite-difference states are members of one evolution: one
-    # drive period refined from 198 to 396 substeps, then the remainder from
-    # 14 to 28, each in one kernel call whose three rows are the coarse pass
-    # and the two halves; one state at a time this took 12 passes of one
-    # member, and one pass per resolution 4 passes of three
+    # drive period refined from 198 to 396 substeps in one kernel call whose
+    # four rows are the coarse pass, the two halves and the remainder at 198
+    # substeps; one state at a time this took 12 passes of one member, one
+    # pass per resolution 4 passes of three, and the remainder refined on its
+    # own (from 14 to 28 substeps) 2 passes of three rows
     seen = []
     kernel = propagator._interval_unitary
 
@@ -1081,7 +1082,7 @@ def test_oracle_takes_one_kernel_pass_per_resolution(monkeypatch):
 
     monkeypatch.setattr(propagator, "_interval_unitary", counted)
     make_preset("robustness-amp").exact_qfi(4.0)
-    assert seen == [(198, 9), (14, 9)]
+    assert seen == [(198, 12)]
 
 
 # ---------------------------------------------------------------- robustness

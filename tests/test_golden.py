@@ -9,9 +9,7 @@ import math
 
 import pytest
 
-from regenerate_golden import GOLDEN, GOLDEN_RUNS, run_case
-
-REL = 1e-12
+from regenerate_golden import GOLDEN, GOLDEN_RUNS, REL, run_case
 
 
 def _close(a: str, b: str) -> bool:

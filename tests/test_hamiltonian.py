@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -255,6 +256,32 @@ def test_coefficients_horner_over_sparse_harmonics():
         for term in spec.terms)
     dev = np.abs(spec.coefficients(t) - _term_sum(spec, t))
     assert np.all(dev <= bound[:, None])
+
+
+def test_near_pair_stays_two_singles():
+    # a y tone whose phase misses the partner's x phase - pi/2 by 1e-12, or
+    # whose amplitude or frequency misses by an ulp, is no pair: the x and y
+    # tones stay singles, each its own cosine, bit for bit
+    f = mhz_to_angular(36.54)
+    x, y = _pair(0.8, f, 1.1)
+    near = [replace(y, phase=y.phase + 1e-12),
+            replace(y, amplitude=math.nextafter(y.amplitude, 1.0)),
+            replace(y, frequency=math.nextafter(f, 0.0))]
+    t = np.linspace(0.0, 160.0, 4001)
+    assert HamiltonianSpec((x, y))._tones[2] == []
+    for other in near:
+        spec = HamiltonianSpec((PauliTerm("z", 0.5), x, other))
+        constants, groups, singles = spec._tones
+        assert groups == [] and singles == [x, other]
+        npt.assert_array_equal(spec.coefficients(t), _term_sum(spec, t))
+
+
+def test_rate_bounds_are_computed_once_per_spec():
+    spec = build_fds_prime(paper_signal(), paper_drive(k=5))
+    assert spec.max_frequency() == 5.0 * mhz_to_angular(36.54)
+    assert spec.amplitude_scale() == sum(abs(term.amplitude) for term in spec.terms)
+    assert {"_max_frequency", "_amplitude_scale"} <= set(vars(spec))
+    assert HamiltonianSpec(()).max_frequency() == HamiltonianSpec(()).amplitude_scale() == 0.0
 
 
 def test_fds_prime_k5_has_five_harmonic_pairs():

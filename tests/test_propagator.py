@@ -67,6 +67,7 @@ from oracles import (
     rabi_population,
     to_signal_rotating,
     to_signal_rotating_full,
+    two_piece_route,
 )
 
 TP = 2.0 * math.pi
@@ -244,18 +245,42 @@ def _scalar_periods(spec, duration, rel_tol):
     return m
 
 
+def _residual(a, b):
+    """Largest entry magnitude of the matrix difference of quaternions a and b."""
+    d = a - b
+    return float(np.max(np.maximum(np.hypot(d[..., 0], d[..., 3]),
+                                   np.hypot(d[..., 1], d[..., 2]))))
+
+
 def _scalar_route(spec, t0, t1, opts, z=0.0):
-    """Reference: the stroboscopic route written out for one scalar interval."""
+    """Reference: the stroboscopic route written out for one scalar interval.
+
+    One period is doubled round by round from the coarse pass, each part of
+    a round a kernel call of its own, until two rounds agree to rel_tol / m.
+    The remainder takes the rows of the last round: the period's substep
+    count on each, as few rows as keep each no longer than the parts of the
+    round before (within 1e-9), and at least one.
+    """
     m = _scalar_periods(spec, t1 - t0, opts.rel_tol)
     if m == 0:
         return _quat_matrix(_direct(spec, t0, t1, opts.rel_tol, z))
     period = TWO_PI / spec.fundamental[0]
-    t_mid = t0 + m * period
-    u_period = _direct(spec, t0, t0 + period, opts.rel_tol / m, z)
-    u = _quat_power(u_period, m)
+    end, t_mid, tol = t0 + period, t0 + m * period, opts.rel_tol / m
+    n = int(_initial_steps(spec, end - t0, tol, float(np.abs(z).max(initial=0.0))))
+
+    def rows(a, b, count):
+        edges = np.linspace(a, b, count + 1).tolist()
+        return _quat_reduce(np.stack([_interval_unitary(spec, lo, hi, n, z)
+                                      for lo, hi in zip(edges[:-1], edges[1:])], axis=-2))
+
+    k, u_prev, u_period = 1, _interval_unitary(spec, t0, end, n, z), rows(t0, end, 2)
+    while _residual(u_period, u_prev) >= tol:
+        assert k < 24
+        k, u_prev, u_period = k + 1, u_period, rows(t0, end, 2 ** k)
     # the remainder is integrated whatever its length, round-off included
-    u = _quat_mul(_direct(spec, t_mid, t1, opts.rel_tol, z), u)
-    return _quat_matrix(u)
+    count = max(1, math.ceil(abs(t1 - t_mid) * 2 ** (k - 1) / (end - t0)
+                             * (1.0 - propagator._SLACK)))
+    return _quat_matrix(_quat_mul(rows(t_mid, t1, count), _quat_power(u_period, m)))
 
 
 def _public_matrices(spec, t0, t1, opts, z_offsets):
@@ -277,23 +302,47 @@ def _errored_spec(preset: str, errors: dict):
     return sc.rotating_spec()
 
 
+# seven fds-k5 periods from a start where t0 + 7 T rounds one ulp past the
+# end t0 + 7 T - 1 ulp, so that the remainder is a backward step
+ROUND_OFF_T0 = 0.049773
+
+
+def _ulps(t, k):
+    """t moved by k ulp (down for k < 0)."""
+    for _ in range(abs(k)):
+        t = float(np.nextafter(t, math.copysign(math.inf, k)))
+    return t
+
+
 @pytest.mark.parametrize(
     "preset, errors, t0, t1, opts, batch",
     [("fds-k5", {}, 0.0, 4.0, ORACLE_OPTS, 0),
      ("robustness-amp", {"amp_error": -0.98}, 0.0, 4.0, ORACLE_OPTS, 0),
      ("robustness-freq", {"freq_error": 30.0}, 0.0, 4.0, ORACLE_OPTS, 0),
      ("fds-k5", {}, 0.0, 3 * FDS_PERIOD, PropagatorOptions(rel_tol=1e-9), 0),
-     ("dd-on", {}, 1.3, 1.8, SCAN_OPTS, 7)],
+     ("dd-on", {}, 1.3, 1.8, SCAN_OPTS, 7),
+     # remainders of zero length, of three ulp and of one ulp below zero
+     ("fds-k5", {}, ROUND_OFF_T0, ROUND_OFF_T0 + 7 * FDS_PERIOD, ORACLE_OPTS, 3),
+     ("fds-k5", {}, ROUND_OFF_T0, _ulps(ROUND_OFF_T0 + 7 * FDS_PERIOD, 3), ORACLE_OPTS, 0),
+     ("fds-k5", {}, ROUND_OFF_T0, _ulps(ROUND_OFF_T0 + 7 * FDS_PERIOD, -1), ORACLE_OPTS, 0)],
 )
 def test_route_matches_scalar_reference(preset, errors, t0, t1, opts, batch):
     # the rounding of t0 + m T decides the remainder, so the route must match
-    # the reference bit for bit, not to a tolerance
+    # the reference bit for bit, not to a tolerance.  The two-piece route it
+    # replaced refined the remainder on its own to rel_tol, from a count of
+    # its own: the two differ by the error of the old remainder, at most
+    # 3.1e-5 rel_tol in a matrix entry here (dd-on)
     spec = _errored_spec(preset, errors)
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
-    assert propagator._periods(spec, t1 - t0, opts.rel_tol) >= 2
+    m = propagator._periods(spec, t1 - t0, opts.rel_tol)
+    assert m >= 2
+    if t0 == ROUND_OFF_T0:  # the remainder's length in ulp
+        assert (t1 - (t0 + m * FDS_PERIOD)) / math.ulp(t1) in (0.0, 3.0, -1.0)
     u = _public_matrices(spec, t0, t1, opts, z)
     assert u.shape == (batch,) * bool(batch) + (2, 2)
     assert np.array_equal(u, _scalar_route(spec, t0, t1, opts, 0.0 if z is None else z))
+    old = _quat_matrix(two_piece_route(spec, t0, t1, opts, z))
+    assert np.max(np.abs(u - old)) <= 1e-4 * opts.rel_tol
 
 
 # The complex path the quaternion core replaced, as an oracle: generators with
@@ -358,31 +407,35 @@ def _fourth_order_generators(spec, t0, t1, n, z_offsets=None):
 
 
 def _complex_direct(spec, t0, t1, tol, z=None):
-    """Complex direct propagator, step-doubled to ``tol``."""
-    n = _initial_steps(spec, t1 - t0, tol)
+    """Complex direct propagator, step-doubled to ``tol`` from its first
+    substep count n, with n and the number k of doublings."""
+    n = first = _initial_steps(spec, t1 - t0, tol)
     u = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
     if spec.max_frequency() == 0.0:  # one exact exponential
-        return u
-    for _ in range(24):
+        return u, first, 0
+    for k in range(1, 25):
         n *= 2
         u_next = _reduce_product(_pauli_exp(_copied_generators(spec, t0, t1, n, z)))
         if np.max(np.abs(u_next - u)) < tol:
-            return u_next
+            return u_next, first, k
         u = u_next
     raise AssertionError("complex step doubling did not converge")
 
 
 def _complex_route(spec, t0, t1, opts, z=None):
-    """The route rule of ``_scalar_route`` on the complex path."""
+    """The route rule of ``_scalar_route`` on the complex path: the
+    remainder in one pass of n substeps a row, n the period's first count,
+    with as many rows as the route gives it in the period's last round."""
     m = propagator._periods(spec, t1 - t0, opts.rel_tol)
     if m == 0:
-        return _complex_direct(spec, t0, t1, opts.rel_tol, z)
+        return _complex_direct(spec, t0, t1, opts.rel_tol, z)[0]
     period = TWO_PI / spec.fundamental[0]
     t_mid = t0 + m * period
-    u_period = _complex_direct(spec, t0, t0 + period, opts.rel_tol / m, z)
+    u_period, n, k = _complex_direct(spec, t0, t0 + period, opts.rel_tol / m, z)
     u = np.linalg.matrix_power(_su2_project(u_period), m)
     if t1 - t_mid > 16.0 * math.ulp(t1):
-        u = _complex_direct(spec, t_mid, t1, opts.rel_tol, z) @ u
+        rows = max(1, math.ceil((t1 - t_mid) * 2 ** (k - 1) / period))
+        u = _reduce_product(_pauli_exp(_copied_generators(spec, t_mid, t1, rows * n, z))) @ u
     return u
 
 
@@ -401,6 +454,38 @@ def test_route_matches_complex_composition(preset, errors, t0, t1, opts, batch):
     z = 0.5 * np.linspace(-1.5, 1.5, batch) if batch else None
     u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
     npt.assert_allclose(u, _complex_route(spec, t0, t1, opts, z), rtol=0, atol=1e-13)
+
+
+def test_remainder_rows_follow_each_round(passes, monkeypatch):
+    # a starting count of 16 substeps per period forces rounds >= 2, which no
+    # preset takes at the oracle or scan tolerances.  Each round is one
+    # kernel call: the parts of the period, then the remainder in rows of
+    # the period's count, as few as keep each no longer than the parts of
+    # the round before; the period takes the rounds it takes alone
+    spec = make_preset("fds-k5").rotating_spec()
+    t0, t1, opts = 0.3, 0.6, PropagatorOptions(rel_tol=1e-11)
+    z = 0.5 * np.linspace(-1.5, 1.5, 3)
+    m = propagator._periods(spec, t1 - t0, opts.rel_tol)
+    rest = t1 - (t0 + m * FDS_PERIOD)
+    assert m == 10 and 0.9 * FDS_PERIOD < rest < FDS_PERIOD
+    _stepped_unitary(spec, t0, t0 + FDS_PERIOD, 16, opts.rel_tol / m, z)
+    rounds = len(passes)
+    assert rounds >= 4
+    passes.clear()
+    monkeypatch.setattr(propagator, "_initial_steps", lambda *args: np.array(16))
+    u = interval_unitary(spec, t0, t1, opts, z_offsets=z)
+    assert len(passes) == rounds
+    for k, (n, d) in enumerate(passes, start=1):
+        parts = (1 << k) + (k == 1)
+        rows = max(1, math.ceil(rest * 2 ** (k - 1) / FDS_PERIOD))
+        assert n == 16 and d.size == parts + rows
+        npt.assert_allclose(d[parts:], rest / rows, rtol=1e-12)
+        assert d[parts:].max() <= FDS_PERIOD / 2 ** (k - 1)
+    assert rows >= 8
+    # 4000 fourth-order substeps per drive period: 4e-14 error per period
+    n = math.ceil((t1 - t0) * spec.fundamental[0] / TP * 4000)
+    ref = _reduce_product(_pauli_exp(_fourth_order_generators(spec, t0, t1, n, z)))
+    npt.assert_allclose(u, ref, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -893,6 +978,19 @@ def test_sub_floor_pieces_take_their_first_pass(t1):
                         rtol=0, atol=1e-11)
 
 
+def test_sub_floor_piece_takes_its_remainder_in_its_first_pass(passes):
+    # a piece under twice the substep floor keeps its first pass, and a
+    # remainder riding along is one more row of that pass, bit for bit the
+    # kernel's lone passes
+    spec = make_preset("fds-k5").rotating_spec()
+    z = 0.5j * np.array([-1e-4, 0.0, 1e-4])
+    t0, t1, rest = 0.3, 0.3 + 1e-11, (0.5, 0.5 + 0.4e-11)
+    u, u_rest = _stepped_unitary(spec, t0, t1, 198, 1e-9, z, rest=rest)
+    assert [(n, d.size) for n, d in passes] == [(198, 2)]
+    npt.assert_array_equal(u, _interval_unitary(spec, t0, t1, 198, z))
+    npt.assert_array_equal(u_rest, _interval_unitary(spec, *rest, 198, z))
+
+
 def test_sub_floor_time_grids_evolve():
     # repeated grid times take the same zero-length call as any other step
     spec = make_preset("fds-k5").rotating_spec()
@@ -1013,8 +1111,8 @@ def test_one_step_rule_call_and_groups_in_piece_order(monkeypatch, passes):
 
     monkeypatch.setattr(propagator, "_initial_steps", counted)
     spec = make_preset("fds-k5").rotating_spec()
-    interval_unitary(spec, 0.0, 4.0, ORACLE_OPTS)  # one period and a remainder
-    assert calls == [2]
+    interval_unitary(spec, 0.0, 4.0, ORACLE_OPTS)  # one period, carrying its remainder
+    assert calls == [1]
     calls.clear()
     passes.clear()
     t0 = np.array([0.0, 0.1, 0.2, 0.3])
